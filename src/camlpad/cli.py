@@ -142,40 +142,28 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if not args.truth.is_dir():
         raise CamlpadError(f"truth directory not found: {args.truth}")
 
-    per_source: dict[str, dict] = {}
-    means: list[float] = []
+    labels: dict[str, tuple[list[str], dict[str, list[int]]]] = {}
     for labels_path in sorted(labels_dir.glob("*.jsonl")):
-        source = DataSourceKind.from_name(labels_path.stem)
-        ids, vectors = _read_labels_file(labels_path)
-        pairwise = {
-            f"{a}|{b}": evaluate.adjusted_rand_index(vectors[a], vectors[b])
-            for i, a in enumerate(DETECTOR_NAMES)
-            for b in DETECTOR_NAMES[i + 1 :]
-        }
-        mean = sum(pairwise.values()) / len(pairwise)
-        entry: dict = {"pairwise_ari": pairwise, "mean_pairwise_ari": mean}
+        labels[DataSourceKind.from_name(labels_path.stem).value] = _read_labels_file(labels_path)
+    if not labels:
+        raise CamlpadError(f"no label files found under {labels_dir}")
+    report = evaluate.pairwise_ari_report(
+        {source: {name: vectors[name] for name in DETECTOR_NAMES} for source, (_, vectors) in labels.items()}
+    )
 
-        truth_path = args.truth / f"{source.value}.jsonl"
+    for source, (ids, vectors) in labels.items():
+        truth_path = args.truth / f"{source}.jsonl"
         if truth_path.is_file():
             truth = _read_truth_file(truth_path)
             keep = [i for i, row_id in enumerate(ids) if row_id in truth]
             if len(keep) >= 2:
                 truth_vector = [truth[ids[i]] for i in keep]
-                entry["vs_truth"] = {
+                report["per_source"][source]["vs_truth"] = {
                     name: evaluate.adjusted_rand_index(
                         [vectors[name][i] for i in keep], truth_vector
                     )
                     for name in ("ensemble",) + DETECTOR_NAMES
                 }
-        per_source[source.value] = entry
-        means.append(mean)
-
-    if not per_source:
-        raise CamlpadError(f"no label files found under {labels_dir}")
-    report = {
-        "per_source": per_source,
-        "mean_pairwise_ari": sum(means) / len(means),
-    }
     report_path = args.run / "report.json"
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"mean pairwise ARI: {report['mean_pairwise_ari']:.4f} (report: {report_path})")

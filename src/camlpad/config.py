@@ -122,58 +122,64 @@ def _to_float(key: str, value: str) -> float:
         raise ConfigError(f"{key}: expected a number, got {value!r}") from None
 
 
+def _text(key: str, value: str) -> str:
+    return value
+
+
+def _path(key: str, value: str) -> Path:
+    return Path(value)
+
+
+def _sources(key: str, value: str) -> list[DataSourceKind]:
+    sources = [DataSourceKind.from_name(s) for s in value.split(",") if s.strip()]
+    if not sources:
+        raise ConfigError(f"{key}: expected at least one source, got {value!r}")
+    return sources
+
+
+# key -> (target, field, parser); target None is the PipelineConfig itself
+_KEYS = {
+    "store.kind": (None, "store_kind", _text),
+    "store.root": (None, "store_root", _path),
+    "store.url": (None, "store_url", _text),
+    "store.token": (None, "store_token", _text),
+    "run.sources": (None, "sources", _sources),
+    "run.time_field": (None, "time_field", _text),
+    "run.boundary": (None, "boundary", _text),
+    "run.history_days": (None, "history_days", _to_int),
+    "run.min_history": (None, "min_history", _to_int),
+    "run.contamination": (None, "contamination", _to_float),
+    "run.bucket_width_ms": (None, "bucket_width_ms", _to_int),
+    "run.threshold_percentile": (None, "threshold_percentile", _to_float),
+    "run.tie_breaks_anomalous": (None, "tie_breaks_anomalous", _to_bool),
+    "run.output_dir": (None, "output_dir", _path),
+    "run.bro_index": (None, "bro_index", _text),
+    "run.bro_discriminator": (None, "bro_discriminator", _text),
+    "alerts.file": (None, "alert_file", _text),
+    "alerts.webhook_url": (None, "webhook_url", _text),
+    "detectors.iforest.trees": ("detectors", "iforest_trees", _to_int),
+    "detectors.iforest.subsample": ("detectors", "iforest_subsample", _to_int),
+    "detectors.iforest.seed": ("detectors", "iforest_seed", _to_int),
+    "detectors.hbos.bins": ("detectors", "hbos_bins", _to_int),
+    "detectors.cblof.clusters": ("detectors", "cblof_clusters", _to_int),
+    "detectors.cblof.alpha": ("detectors", "cblof_alpha", _to_float),
+    "detectors.cblof.beta": ("detectors", "cblof_beta", _to_float),
+    "detectors.cblof.seed": ("detectors", "cblof_seed", _to_int),
+    "detectors.cblof.weighted": ("detectors", "cblof_weighted", _to_bool),
+}
+
+
 def config_from_entries(entries: dict[str, str]) -> PipelineConfig:
     config = PipelineConfig()
-    detectors = config.detectors
-    setters = {
-        "store.kind": lambda v: setattr(config, "store_kind", v),
-        "store.root": lambda v: setattr(config, "store_root", Path(v)),
-        "store.url": lambda v: setattr(config, "store_url", v),
-        "store.token": lambda v: setattr(config, "store_token", v),
-        "run.sources": lambda v: setattr(
-            config, "sources", [DataSourceKind.from_name(s) for s in v.split(",") if s.strip()]
-        ),
-        "run.time_field": lambda v: setattr(config, "time_field", v),
-        "run.boundary": lambda v: setattr(config, "boundary", v),
-        "run.history_days": lambda v: setattr(config, "history_days", _to_int("run.history_days", v)),
-        "run.min_history": lambda v: setattr(config, "min_history", _to_int("run.min_history", v)),
-        "run.contamination": lambda v: setattr(config, "contamination", _to_float("run.contamination", v)),
-        "run.bucket_width_ms": lambda v: setattr(config, "bucket_width_ms", _to_int("run.bucket_width_ms", v)),
-        "run.threshold_percentile": lambda v: setattr(
-            config, "threshold_percentile", _to_float("run.threshold_percentile", v)
-        ),
-        "run.tie_breaks_anomalous": lambda v: setattr(
-            config, "tie_breaks_anomalous", _to_bool("run.tie_breaks_anomalous", v)
-        ),
-        "run.output_dir": lambda v: setattr(config, "output_dir", Path(v)),
-        "run.bro_index": lambda v: setattr(config, "bro_index", v),
-        "run.bro_discriminator": lambda v: setattr(config, "bro_discriminator", v),
-        "alerts.file": lambda v: setattr(config, "alert_file", v),
-        "alerts.webhook_url": lambda v: setattr(config, "webhook_url", v),
-        "detectors.iforest.trees": lambda v: setattr(detectors, "iforest_trees", _to_int("detectors.iforest.trees", v)),
-        "detectors.iforest.subsample": lambda v: setattr(
-            detectors, "iforest_subsample", _to_int("detectors.iforest.subsample", v)
-        ),
-        "detectors.iforest.seed": lambda v: setattr(detectors, "iforest_seed", _to_int("detectors.iforest.seed", v)),
-        "detectors.hbos.bins": lambda v: setattr(detectors, "hbos_bins", _to_int("detectors.hbos.bins", v)),
-        "detectors.cblof.clusters": lambda v: setattr(
-            detectors, "cblof_clusters", _to_int("detectors.cblof.clusters", v)
-        ),
-        "detectors.cblof.alpha": lambda v: setattr(detectors, "cblof_alpha", _to_float("detectors.cblof.alpha", v)),
-        "detectors.cblof.beta": lambda v: setattr(detectors, "cblof_beta", _to_float("detectors.cblof.beta", v)),
-        "detectors.cblof.seed": lambda v: setattr(detectors, "cblof_seed", _to_int("detectors.cblof.seed", v)),
-        "detectors.cblof.weighted": lambda v: setattr(
-            detectors, "cblof_weighted", _to_bool("detectors.cblof.weighted", v)
-        ),
-    }
     for key, value in entries.items():
-        if key.startswith("sources.") and key.endswith(".index"):
-            source = DataSourceKind.from_name(key.split(".")[1])
-            config.indexes[source] = value
+        parts = key.split(".")
+        if len(parts) == 3 and parts[0] == "sources" and parts[2] == "index":
+            config.indexes[DataSourceKind.from_name(parts[1])] = value
             continue
-        if key not in setters:
+        if key not in _KEYS:
             raise ConfigError(f"unknown config key: {key}")
-        setters[key](value)
+        target, name, parse = _KEYS[key]
+        setattr(getattr(config, target) if target else config, name, parse(key, value))
     if not 0.0 < config.contamination < 1.0:
         raise ConfigError(f"run.contamination must be in (0,1), got {config.contamination}")
     return config

@@ -1,12 +1,10 @@
 """Unsupervised outlier detectors and the PCA projector.
 
-All fits are deterministic under a fixed seed; fitted models are immutable,
-shareable across threads, and serializable to versioned JSON documents.
+All fits are deterministic under a fixed seed; fitted models are immutable
+and shareable across threads.
 """
 
 from __future__ import annotations
-
-import json
 
 from .base import DimensionMismatch, TooFewRows
 from .cblof import CblofModel, fit_cblof, large_cluster_flags, score_cblof, score_cblof_rows
@@ -18,34 +16,10 @@ from .iforest import (
     score_iforest,
     score_iforest_rows,
 )
-from .kmeans import KMeansModel, assign_clusters, fit_kmeans
-from .pca import PcaModel, fit_pca, project_pca, project_pca_rows
-
-_MODEL_KINDS = {
-    "iforest": IsolationForestModel,
-    "hbos": HbosModel,
-    "cblof": CblofModel,
-    "kmeans": KMeansModel,
-    "pca": PcaModel,
-}
-
-AnyModel = IsolationForestModel | HbosModel | CblofModel | KMeansModel | PcaModel
-
-
-def model_to_json(model: AnyModel) -> str:
-    return json.dumps(model.to_dict(), sort_keys=True)
-
-
-def model_from_json(text: str) -> AnyModel:
-    data = json.loads(text)
-    kind = data.get("kind")
-    if kind not in _MODEL_KINDS:
-        raise ValueError(f"unknown model kind: {kind!r}")
-    return _MODEL_KINDS[kind].from_dict(data)
-
+from .kmeans import KMeansModel, fit_kmeans
+from .pca import PcaModel, fit_pca, project_pca_rows
 
 __all__ = [
-    "AnyModel",
     "CblofModel",
     "DimensionMismatch",
     "HbosModel",
@@ -53,7 +27,6 @@ __all__ = [
     "KMeansModel",
     "PcaModel",
     "TooFewRows",
-    "assign_clusters",
     "average_path_length",
     "fit_cblof",
     "fit_hbos",
@@ -61,9 +34,6 @@ __all__ = [
     "fit_kmeans",
     "fit_pca",
     "large_cluster_flags",
-    "model_from_json",
-    "model_to_json",
-    "project_pca",
     "project_pca_rows",
     "score_cblof",
     "score_cblof_rows",

@@ -9,7 +9,7 @@ small cluster scores its distance to the nearest large centroid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,32 +33,10 @@ class CblofModel:
     cluster_sizes: np.ndarray
     large_flags: np.ndarray
     weighted: bool = False
-    params: dict = field(default_factory=dict)
 
     @property
     def n_features(self) -> int:
         return self.kmeans.n_features
-
-    def to_dict(self) -> dict:
-        return {
-            "model_version": 1,
-            "kind": "cblof",
-            "kmeans": self.kmeans.to_dict(),
-            "cluster_sizes": self.cluster_sizes.tolist(),
-            "large_flags": self.large_flags.tolist(),
-            "weighted": self.weighted,
-            "params": dict(self.params),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CblofModel":
-        return cls(
-            kmeans=KMeansModel.from_dict(data["kmeans"]),
-            cluster_sizes=np.asarray(data["cluster_sizes"], dtype=int),
-            large_flags=np.asarray(data["large_flags"], dtype=bool),
-            weighted=bool(data["weighted"]),
-            params=dict(data.get("params", {})),
-        )
 
 
 def large_cluster_flags(sizes: np.ndarray, alpha: float, beta: float) -> np.ndarray:
@@ -107,7 +85,6 @@ def fit_cblof(
         cluster_sizes=sizes,
         large_flags=flags,
         weighted=weighted,
-        params={"k": k, "alpha": alpha, "beta": beta, "seed": seed, "weighted": weighted},
     )
 
 

@@ -7,7 +7,7 @@ values clamp to the nearest edge bin, the last bin is right-inclusive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,14 +35,6 @@ class FeatureHistogram:
             return np.asarray([self.low, self.high])
         return np.linspace(self.low, self.high, len(self.counts) + 1)
 
-    def bin_index(self, value: float) -> int:
-        if self.degenerate:
-            return 0
-        bins = len(self.counts)
-        width = (self.high - self.low) / bins
-        idx = int(np.floor((value - self.low) / width))
-        return min(max(idx, 0), bins - 1)
-
 
 @dataclass
 class HbosModel:
@@ -50,43 +42,10 @@ class HbosModel:
     n_training: int
     bins: int
     epsilon: float = EPSILON
-    params: dict = field(default_factory=dict)
 
     @property
     def n_features(self) -> int:
         return len(self.histograms)
-
-    def to_dict(self) -> dict:
-        return {
-            "model_version": 1,
-            "kind": "hbos",
-            "n_training": self.n_training,
-            "bins": self.bins,
-            "epsilon": self.epsilon,
-            "params": dict(self.params),
-            "histograms": [
-                {"low": h.low, "high": h.high, "counts": h.counts.tolist()}
-                for h in self.histograms
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "HbosModel":
-        histograms = [
-            FeatureHistogram(
-                low=float(h["low"]),
-                high=float(h["high"]),
-                counts=np.asarray(h["counts"], dtype=int),
-            )
-            for h in data["histograms"]
-        ]
-        return cls(
-            histograms=histograms,
-            n_training=int(data["n_training"]),
-            bins=int(data["bins"]),
-            epsilon=float(data["epsilon"]),
-            params=dict(data.get("params", {})),
-        )
 
 
 def fit_hbos(data, bins: int = DEFAULT_BINS) -> HbosModel:
@@ -110,7 +69,7 @@ def fit_hbos(data, bins: int = DEFAULT_BINS) -> HbosModel:
         idx = np.clip(idx, 0, bins - 1)
         hist.counts = np.bincount(idx, minlength=bins)
         histograms.append(hist)
-    return HbosModel(histograms=histograms, n_training=n, bins=bins, params={"bins": bins})
+    return HbosModel(histograms=histograms, n_training=n, bins=bins)
 
 
 def score_hbos_rows(model: HbosModel, rows) -> np.ndarray:

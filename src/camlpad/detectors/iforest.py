@@ -11,7 +11,7 @@ correction for the leaf's sample size, and the anomaly score is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,47 +54,6 @@ class IsolationForestModel:
     n_features: int
     sample_size: int
     max_depth: int
-    params: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "model_version": 1,
-            "kind": "iforest",
-            "n_features": self.n_features,
-            "sample_size": self.sample_size,
-            "max_depth": self.max_depth,
-            "params": dict(self.params),
-            "trees": [
-                {
-                    "feature": tree.feature.tolist(),
-                    "threshold": tree.threshold.tolist(),
-                    "left": tree.left.tolist(),
-                    "right": tree.right.tolist(),
-                    "size": tree.size.tolist(),
-                }
-                for tree in self.trees
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "IsolationForestModel":
-        trees = [
-            IsolationTree(
-                feature=np.asarray(t["feature"], dtype=int),
-                threshold=np.asarray(t["threshold"], dtype=float),
-                left=np.asarray(t["left"], dtype=int),
-                right=np.asarray(t["right"], dtype=int),
-                size=np.asarray(t["size"], dtype=int),
-            )
-            for t in data["trees"]
-        ]
-        return cls(
-            trees=trees,
-            n_features=int(data["n_features"]),
-            sample_size=int(data["sample_size"]),
-            max_depth=int(data["max_depth"]),
-            params=dict(data.get("params", {})),
-        )
 
 
 class _TreeBuilder:
@@ -173,7 +132,6 @@ def fit_iforest(
         n_features=d,
         sample_size=sample_size,
         max_depth=max_depth,
-        params={"trees": trees, "subsample": subsample, "seed": seed},
     )
 
 

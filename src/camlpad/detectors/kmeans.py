@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import TooFewRows, as_matrix, check_dimensions
+from .base import TooFewRows, as_matrix
 
 DEFAULT_CLUSTERS = 8
 DEFAULT_MAX_ITERATIONS = 100
@@ -31,25 +31,6 @@ class KMeansModel:
     @property
     def n_features(self) -> int:
         return self.centroids.shape[1]
-
-    def to_dict(self) -> dict:
-        return {
-            "model_version": 1,
-            "kind": "kmeans",
-            "centroids": self.centroids.tolist(),
-            "inertia": self.inertia,
-            "iterations": self.iterations,
-            "params": dict(self.params),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "KMeansModel":
-        return cls(
-            centroids=np.asarray(data["centroids"], dtype=float),
-            inertia=float(data["inertia"]),
-            iterations=int(data["iterations"]),
-            params=dict(data.get("params", {})),
-        )
 
 
 def squared_distances(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -131,7 +112,3 @@ def fit_kmeans(
         params={"k": k, "max_iterations": max_iterations, "tolerance": tolerance, "seed": seed},
     )
 
-
-def assign_clusters(model: KMeansModel, rows) -> np.ndarray:
-    X = check_dimensions(model.n_features, np.asarray(rows, dtype=float))
-    return squared_distances(X, model.centroids).argmin(axis=1)

@@ -24,23 +24,6 @@ class PcaModel:
     def n_features(self) -> int:
         return self.mean.shape[0]
 
-    def to_dict(self) -> dict:
-        return {
-            "model_version": 1,
-            "kind": "pca",
-            "mean": self.mean.tolist(),
-            "components": self.components.tolist(),
-            "explained_variance": self.explained_variance.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PcaModel":
-        return cls(
-            mean=np.asarray(data["mean"], dtype=float),
-            components=np.asarray(data["components"], dtype=float),
-            explained_variance=np.asarray(data["explained_variance"], dtype=float),
-        )
-
 
 def _fix_sign(component: np.ndarray) -> np.ndarray:
     pivot = int(np.abs(component).argmax())
@@ -74,7 +57,3 @@ def project_pca_rows(model: PcaModel, rows) -> np.ndarray:
     X = check_dimensions(model.n_features, np.asarray(rows, dtype=float))
     return (X - model.mean) @ model.components.T
 
-
-def project_pca(model: PcaModel, row) -> tuple[float, float]:
-    xy = project_pca_rows(model, np.asarray(row, dtype=float))[0]
-    return float(xy[0]), float(xy[1])

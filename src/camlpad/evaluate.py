@@ -1,6 +1,6 @@
-"""Rand and Adjusted Rand Index agreement between label assignments.
+"""Adjusted Rand Index agreement between label assignments.
 
-Both indices are computed from the contingency table in exact rational
+The index is computed from the contingency table in exact rational
 arithmetic before the final float conversion, so results match a brute-force
 pair-classification oracle bit-for-bit on small inputs.
 """
@@ -11,7 +11,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .errors import CamlpadError
 
@@ -24,44 +24,20 @@ class TooFewItems(CamlpadError):
     pass
 
 
-def _check(a: Sequence[int], b: Sequence[int]) -> int:
-    if len(a) != len(b):
-        raise LengthMismatch(f"clusterings have lengths {len(a)} and {len(b)}")
-    if len(a) < 2:
-        raise TooFewItems(f"need >= 2 items, got {len(a)}")
-    return len(a)
-
-
-def _contingency(a: Sequence[int], b: Sequence[int]) -> tuple[Counter, Counter, Counter]:
-    cells = Counter(zip(a, b))
-    rows = Counter(a)
-    cols = Counter(b)
-    return cells, rows, cols
-
-
-def rand_index(a: Sequence[int], b: Sequence[int]) -> float:
-    """Fraction of item pairs on which the two clusterings agree."""
-    n = _check(a, b)
-    cells, rows, cols = _contingency(a, b)
-    same_both = sum(comb(c, 2) for c in cells.values())
-    same_a = sum(comb(c, 2) for c in rows.values())
-    same_b = sum(comb(c, 2) for c in cols.values())
-    total = comb(n, 2)
-    agreements = total - same_a - same_b + 2 * same_both
-    return float(Fraction(agreements, total))
-
-
 def adjusted_rand_index(a: Sequence[int], b: Sequence[int]) -> float:
     """Chance-corrected pair agreement; 1 = identical partitions.
 
     The doubly degenerate case (both numerator and denominator zero, e.g.
     both clusterings all-singletons) is defined as 1.0.
     """
-    n = _check(a, b)
-    cells, rows, cols = _contingency(a, b)
-    sum_cells = sum(comb(c, 2) for c in cells.values())
-    sum_a = sum(comb(c, 2) for c in rows.values())
-    sum_b = sum(comb(c, 2) for c in cols.values())
+    if len(a) != len(b):
+        raise LengthMismatch(f"clusterings have lengths {len(a)} and {len(b)}")
+    n = len(a)
+    if n < 2:
+        raise TooFewItems(f"need >= 2 items, got {n}")
+    sum_cells = sum(comb(c, 2) for c in Counter(zip(a, b)).values())
+    sum_a = sum(comb(c, 2) for c in Counter(a).values())
+    sum_b = sum(comb(c, 2) for c in Counter(b).values())
     expected = Fraction(sum_a * sum_b, comb(n, 2))
     numerator = Fraction(sum_cells) - expected
     denominator = Fraction(sum_a + sum_b, 2) - expected
@@ -70,9 +46,23 @@ def adjusted_rand_index(a: Sequence[int], b: Sequence[int]) -> float:
     return float(numerator / denominator)
 
 
-def mean_pairwise_ari(labelings: Sequence[Sequence[int]]) -> float:
-    """Mean ARI over all unordered pairs of label vectors."""
-    if len(labelings) < 2:
-        raise TooFewItems(f"need >= 2 label vectors, got {len(labelings)}")
-    values = [adjusted_rand_index(a, b) for a, b in combinations(labelings, 2)]
-    return sum(values) / len(values)
+def pairwise_ari_report(labelings: Mapping[str, Mapping[str, Sequence[int]]]) -> dict:
+    """ARI of every unordered pair of each source's label vectors, and the means.
+
+    ``labelings`` maps a source name to its named label vectors; pairs are
+    keyed ``"a|b"`` in the vectors' order. The overall mean is over sources
+    and is None when there are none.
+    """
+    per_source: dict[str, dict] = {}
+    means: list[float] = []
+    for source in sorted(labelings):
+        vectors = labelings[source]
+        if len(vectors) < 2:
+            raise TooFewItems(f"{source}: need >= 2 label vectors, got {len(vectors)}")
+        pairwise = {
+            f"{a}|{b}": adjusted_rand_index(vectors[a], vectors[b]) for a, b in combinations(vectors, 2)
+        }
+        mean = sum(pairwise.values()) / len(pairwise)
+        means.append(mean)
+        per_source[source] = {"pairwise_ari": pairwise, "mean_pairwise_ari": mean}
+    return {"per_source": per_source, "mean_pairwise_ari": sum(means) / len(means) if means else None}

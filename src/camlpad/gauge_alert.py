@@ -93,6 +93,14 @@ def window_score(ensemble_scores: Sequence[float]) -> float:
     return float(scores.mean())
 
 
+def day_gauges(timestamps: Sequence[int], scores: Sequence[float], day_ms: int) -> dict[int, float]:
+    """Day start -> window_score of that day's rows, for each day present, in day order."""
+    buckets: dict[int, list[float]] = {}
+    for ts, score in zip(timestamps, scores):
+        buckets.setdefault((ts // day_ms) * day_ms, []).append(float(score))
+    return {day: window_score(buckets[day]) for day in sorted(buckets)}
+
+
 def percentile_rank(current: float, history: Sequence[float]) -> float | None:
     """100 * |{h in history : h < current}| / |history|; None when history is empty."""
     history = list(history)

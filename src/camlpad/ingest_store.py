@@ -7,8 +7,6 @@ Two store backends speak the same contract: a directory of ``.jsonl`` files
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import logging
 import math
@@ -49,10 +47,6 @@ class MissingTimestamp(CamlpadError):
     def __init__(self, line_number: int, time_field: str):
         super().__init__(f"line {line_number}: time field {time_field!r} absent or unparseable")
         self.line_number = line_number
-
-
-class HeaderMissing(CamlpadError):
-    pass
 
 
 class DiscriminatorMissing(CamlpadError):
@@ -224,61 +218,6 @@ def _record_from_document(
     else:
         record_id = _unique_id(derive_record_id(source, timestamp, fields), taken)
     return SensorRecord(source=source, timestamp=timestamp, fields=fields, record_id=record_id)
-
-
-def parse_csv(
-    data: bytes | str,
-    source: DataSourceKind,
-    time_column: str,
-) -> RecordBatch:
-    """RFC-4180 CSV with a header row; the time column becomes the timestamp.
-
-    Cells parseable as finite reals map to Number, empty cells to Missing,
-    everything else to Category.
-    """
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise HeaderMissing("empty input, no header row") from None
-    if time_column not in header:
-        raise HeaderMissing(f"time column {time_column!r} not in header {header}")
-    time_idx = header.index(time_column)
-
-    records: list[SensorRecord] = []
-    taken: set[str] = set()
-    for row_number, row in enumerate(reader, start=2):
-        if not row or all(cell == "" for cell in row):
-            continue
-        if time_idx >= len(row):
-            raise MissingTimestamp(row_number, time_column)
-        timestamp = to_epoch_ms(row[time_idx])
-        if timestamp is None:
-            raise MissingTimestamp(row_number, time_column)
-        fields: dict[str, FieldValue] = {}
-        for idx, name in enumerate(header):
-            if idx == time_idx:
-                continue
-            cell = row[idx] if idx < len(row) else ""
-            fields[name] = _csv_value(cell)
-        record_id = _unique_id(derive_record_id(source, timestamp, fields), taken)
-        records.append(
-            SensorRecord(source=source, timestamp=timestamp, fields=fields, record_id=record_id)
-        )
-    return RecordBatch(source=source, records=tuple(records), schema=tuple(c for c in header if c != time_column))
-
-
-def _csv_value(cell: str) -> FieldValue:
-    if cell == "":
-        return MISSING
-    try:
-        number = float(cell)
-    except ValueError:
-        return Category(cell)
-    if math.isfinite(number):
-        return Number(number)
-    return Category(cell)
 
 
 def record_to_document(record: SensorRecord, time_field: str = DEFAULT_TIME_FIELD) -> dict:

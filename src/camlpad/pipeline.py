@@ -131,21 +131,13 @@ def analyze_source(
         for name, scores in shading.items()
     }
 
-    history_day_scores: dict[int, float] = {}
-    day_buckets: dict[int, list[float]] = {}
-    for ts, score in zip(timestamps[:n_history], ensemble_scores[:n_history]):
-        day_buckets.setdefault((ts // DAY_MS) * DAY_MS, []).append(float(score))
-    for day, scores in sorted(day_buckets.items()):
-        history_day_scores[day] = gauge_alert.window_score(scores)
-
+    history_day_scores = gauge_alert.day_gauges(timestamps[:n_history], ensemble_scores[:n_history], DAY_MS)
     current_score = gauge_alert.window_score(ensemble_scores[n_history:])
     gauge = gauge_alert.GaugeReading(
         scope=split.history.source.value,
         window_id=window_id,
         score=current_score,
-        history_percentile=gauge_alert.percentile_rank(
-            current_score, list(history_day_scores.values())
-        ),
+        history_percentile=gauge_alert.percentile_rank(current_score, history_day_scores.values()),
     )
     return SourceAnalysis(
         source=split.history.source,
@@ -204,43 +196,20 @@ def _combined_gauge(
     analyses: dict[DataSourceKind, SourceAnalysis],
     window_id: str,
 ) -> gauge_alert.GaugeReading:
-    day_buckets: dict[int, list[float]] = {}
-    current_scores: list[float] = []
-    for analysis in analyses.values():
-        for ts, score in zip(
-            analysis.timestamps[: analysis.n_history],
-            analysis.ensemble_scores[: analysis.n_history],
-        ):
-            day_buckets.setdefault((ts // DAY_MS) * DAY_MS, []).append(float(score))
-        current_scores.extend(float(s) for s in analysis.ensemble_scores[analysis.n_history :])
-    day_scores = [gauge_alert.window_score(v) for _, v in sorted(day_buckets.items())]
-    score = gauge_alert.window_score(current_scores)
+    day_scores = gauge_alert.day_gauges(
+        [ts for a in analyses.values() for ts in a.timestamps[: a.n_history]],
+        [s for a in analyses.values() for s in a.ensemble_scores[: a.n_history]],
+        DAY_MS,
+    )
+    score = gauge_alert.window_score(
+        [float(s) for a in analyses.values() for s in a.ensemble_scores[a.n_history :]]
+    )
     return gauge_alert.GaugeReading(
         scope=gauge_alert.COMBINED_SCOPE,
         window_id=window_id,
         score=score,
-        history_percentile=gauge_alert.percentile_rank(score, day_scores),
+        history_percentile=gauge_alert.percentile_rank(score, day_scores.values()),
     )
-
-
-def _evaluation_report(analyses: dict[DataSourceKind, SourceAnalysis]) -> dict:
-    per_source: dict[str, dict] = {}
-    means: list[float] = []
-    for source in sorted(analyses, key=lambda s: s.value):
-        analysis = analyses[source]
-        vectors = {name: analysis.detector_labels[name].labels.tolist() for name in DETECTOR_NAMES}
-        pairwise = {
-            f"{a}|{b}": evaluate.adjusted_rand_index(vectors[a], vectors[b])
-            for i, a in enumerate(DETECTOR_NAMES)
-            for b in DETECTOR_NAMES[i + 1 :]
-        }
-        mean = sum(pairwise.values()) / len(pairwise)
-        means.append(mean)
-        per_source[source.value] = {"pairwise_ari": pairwise, "mean_pairwise_ari": mean}
-    return {
-        "per_source": per_source,
-        "mean_pairwise_ari": sum(means) / len(means) if means else None,
-    }
 
 
 def write_artifacts(result: RunResult, out_dir: Path) -> None:
@@ -273,7 +242,7 @@ def write_artifacts(result: RunResult, out_dir: Path) -> None:
     )
     for reading in result.gauges:
         (gauges_dir / f"{reading.scope}_{reading.window_id}.json").write_bytes(
-            viz.export_gauge_json(reading)
+            gauge_alert.gauge_json_bytes(reading)
         )
     (out_dir / "evaluation.json").write_text(
         json.dumps(result.evaluation, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -324,7 +293,12 @@ def run_pipeline(config: PipelineConfig, boundary_override: str | None = None) -
         analyses=analyses,
         verdicts=verdicts,
         gauges=gauges,
-        evaluation=_evaluation_report(analyses),
+        evaluation=evaluate.pairwise_ari_report(
+            {
+                source.value: {name: a.detector_labels[name].labels.tolist() for name in DETECTOR_NAMES}
+                for source, a in analyses.items()
+            }
+        ),
     )
     write_artifacts(result, config.output_dir)
 

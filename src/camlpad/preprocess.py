@@ -7,7 +7,6 @@ never admits NaN as data, so NaN here always means "missing".
 from __future__ import annotations
 
 import copy
-import json
 import logging
 from dataclasses import dataclass
 from enum import Enum
@@ -239,11 +238,3 @@ def conform_columns(
         row_ids=list(matrix.row_ids),
     )
 
-
-def encoding_to_json(dictionary: EncodingDictionary) -> str:
-    return json.dumps(dictionary, indent=2, sort_keys=True)
-
-
-def encoding_from_json(text: str) -> EncodingDictionary:
-    raw = json.loads(text)
-    return {field: {str(cat): int(code) for cat, code in codes.items()} for field, codes in raw.items()}

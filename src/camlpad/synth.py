@@ -16,12 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import DAY_MS
 from .datamodel import Category, DataSourceKind, FieldValue, Number, RecordBatch, SensorRecord
 from .ensemble import LabelVector
 from .ingest_store import DEFAULT_TIME_FIELD, record_to_json_line
 
 BASE_EPOCH_MS = 1_614_556_800_000  # 2021-03-01T00:00:00Z
-DAY_MS = 86_400_000
 HOUR_MS = 3_600_000
 
 TRUTH_DIR = "truth"

@@ -1,4 +1,4 @@
-"""Heatmap scatter plots as deterministic SVG, plus gauge JSON export.
+"""Heatmap scatter plots as deterministic SVG.
 
 Points are PCA projections shaded by outlier score on a dark background:
 lighter fill means more anomalous. History rows draw first as small markers;
@@ -16,7 +16,6 @@ import numpy as np
 
 from .detectors.pca import PcaModel, project_pca_rows
 from .errors import CamlpadError
-from .gauge_alert import GaugeReading, gauge_json_bytes
 
 
 class MisalignedScores(CamlpadError):
@@ -124,7 +123,3 @@ def render_svg(points: Sequence[HeatmapPoint], spec: PlotSpec = PlotSpec()) -> b
     lines.append("</svg>")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
-
-def export_gauge_json(reading: GaugeReading) -> bytes:
-    """Canonical gauge document bytes a dashboard would index."""
-    return gauge_json_bytes(reading)

@@ -1,0 +1,63 @@
+"""The package surface the benchmark tracer wraps and reads must keep existing.
+
+``perfbench/tracer.py`` replaces module attributes by name and reads model
+fields to count work. A rename or deletion in the package would only show up
+when a traced benchmark run fails, so this test loads the tracer's tables
+(without installing it) and checks them against the real package.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from camlpad.datamodel import DataSourceKind
+from camlpad.detectors import fit_cblof, fit_iforest
+from camlpad.detectors.kmeans import DEFAULT_MAX_ITERATIONS
+from camlpad.ingest_store import BroSplit, split_bro_by_protocol
+
+from conftest import make_batch, make_record
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_target_resolves():
+    for name, (module_name, attribute) in load_tracer().TARGETS.items():
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attribute, None)), f"{name}: {module_name}.{attribute} is gone"
+
+
+def test_counted_model_fields_exist():
+    counts = load_tracer().COUNTS
+    X = np.random.default_rng(0).normal(size=(60, 3))
+
+    forest = fit_iforest(X, trees=4, subsample=16, seed=0)
+    assert all(len(tree.feature) == len(tree.threshold) >= 1 for tree in forest.trees)
+    nodes = counts["detectors.iforest_fit"]((X,), forest)["iforest_nodes"]
+    assert nodes == sum(len(tree.feature) for tree in forest.trees)
+
+    cblof = fit_cblof(X, k=3, seed=0)
+    assert cblof.kmeans.params["max_iterations"] == DEFAULT_MAX_ITERATIONS
+    taken = counts["detectors.cblof_fit"]((X,), cblof)
+    assert taken["kmeans_iterations"] == cblof.kmeans.iterations >= 1
+    assert taken["kmeans_converged"] == int(cblof.kmeans.iterations < DEFAULT_MAX_ITERATIONS)
+
+
+def test_counted_bro_split_field_exists():
+    batch = make_batch(
+        DataSourceKind.BRO_CONN,
+        make_record(DataSourceKind.BRO_CONN, 0, "a", log_type="dns"),
+        make_record(DataSourceKind.BRO_CONN, 1, "b", log_type="conn"),
+        make_record(DataSourceKind.BRO_CONN, 2, "c", log_type="weird"),
+    )
+    split = split_bro_by_protocol(batch)
+    assert isinstance(split, BroSplit) and split.dropped == 1
+    assert load_tracer().COUNTS["ingest_store.split"]((batch,), split) == {"bro_dropped": 1}

@@ -1,10 +1,21 @@
+import dataclasses
 import json
+import re
 import shutil
+from pathlib import Path
 
 import pytest
 
 from camlpad.cli import main
-from camlpad.config import ConfigError, config_from_entries, load_config, parse_config_text, resolve_boundary
+from camlpad.config import (
+    ConfigError,
+    DetectorParams,
+    PipelineConfig,
+    config_from_entries,
+    load_config,
+    parse_config_text,
+    resolve_boundary,
+)
 from camlpad.datamodel import DataSourceKind
 
 
@@ -57,6 +68,29 @@ class TestConfigParsing:
     def test_sources_list(self):
         config = config_from_entries({"run.sources": "yaf, snort"})
         assert config.sources == [DataSourceKind.YAF, DataSourceKind.SNORT]
+
+    def test_source_index_key_needs_exactly_three_parts(self):
+        with pytest.raises(ConfigError) as err:
+            config_from_entries({"sources.yaf.typo.index": "v2"})
+        assert "sources.yaf.typo.index" in str(err.value)
+
+    def test_empty_source_list_is_a_config_error(self, tmp_path, capsys):
+        config = tmp_path / "c.conf"
+        config.write_text("store.kind = http\nstore.url = http://127.0.0.1:9\nrun.sources = ,\n")
+        assert main(["run", "--config", str(config), "--dry-run"]) == 1
+        assert "error: run.sources" in capsys.readouterr().err
+
+    def test_readme_configuration_block_loads_with_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"## Configuration.*?```ini\n(.*?)```", readme, re.S).group(1)
+        config = config_from_entries(parse_config_text(block))
+        defaults = PipelineConfig()
+        for field in dataclasses.fields(PipelineConfig):
+            if field.name not in ("indexes", "detectors"):
+                assert getattr(config, field.name) == getattr(defaults, field.name), field.name
+        for field in dataclasses.fields(DetectorParams):
+            assert getattr(config.detectors, field.name) == getattr(DetectorParams(), field.name), field.name
+        assert config.index_for(DataSourceKind.YAF) == "yaf"
 
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -149,6 +183,17 @@ class TestEvaluateCommand:
         assert set(yaf["pairwise_ari"]) == {"iforest|hbos", "iforest|cblof", "hbos|cblof"}
         assert set(yaf["vs_truth"]) == {"ensemble", "iforest", "hbos", "cblof"}
         assert 0.0 <= report["mean_pairwise_ari"] <= 1.0
+
+    def test_pairwise_ari_matches_run_evaluation(self, small_run):
+        _, store, out, _ = small_run
+        assert main(["evaluate", "--run", str(out), "--truth", str(store / "truth")]) == 0
+        evaluation = json.loads((out / "evaluation.json").read_text())
+        report = json.loads((out / "report.json").read_text())
+        assert report["mean_pairwise_ari"] == evaluation["mean_pairwise_ari"]
+        assert set(report["per_source"]) == set(evaluation["per_source"])
+        for source, entry in evaluation["per_source"].items():
+            assert report["per_source"][source]["pairwise_ari"] == entry["pairwise_ari"]
+            assert report["per_source"][source]["mean_pairwise_ari"] == entry["mean_pairwise_ari"]
 
     def test_corrupted_label_file_exits_one(self, small_run, tmp_path, capsys):
         base, store, out, _ = small_run

@@ -8,12 +8,10 @@ from camlpad.detectors import (
     fit_cblof,
     fit_kmeans,
     large_cluster_flags,
-    model_from_json,
-    model_to_json,
     score_cblof,
     score_cblof_rows,
 )
-from camlpad.detectors.kmeans import _lloyd, assign_clusters, squared_distances
+from camlpad.detectors.kmeans import _lloyd
 
 TWO_CLUSTERS = np.array([[0.0, 0.0]] * 5 + [[10.0, 10.0]])
 
@@ -59,14 +57,6 @@ class TestKMeans:
         init = np.array([[0.0, 0.0], [10.0, 10.0], [100.0, 100.0]])
         centroids, assignment, _, _ = _lloyd(X, init, max_iterations=50, tolerance=1e-9)
         assert set(assignment.tolist()) == {0, 1, 2}
-
-    def test_assign_clusters_matches_min_distance(self):
-        rng = np.random.default_rng(11)
-        X = rng.normal(0, 3, (40, 2))
-        model = fit_kmeans(X, k=3, seed=4)
-        assignment = assign_clusters(model, X)
-        d2 = squared_distances(X, model.centroids)
-        assert np.array_equal(assignment, d2.argmin(axis=1))
 
 
 class TestLargeClusterRule:
@@ -121,10 +111,3 @@ class TestCblofScores:
         with pytest.raises(TooFewRows):
             fit_cblof(np.array([[0.0], [1.0]]), k=4)
 
-    def test_serialization_round_trip(self):
-        rng = np.random.default_rng(19)
-        X = rng.normal(0, 2, (60, 3))
-        model = fit_cblof(X, k=4, seed=3)
-        restored = model_from_json(model_to_json(model))
-        probe = rng.normal(0, 4, (30, 3))
-        assert np.array_equal(score_cblof_rows(model, probe), score_cblof_rows(restored, probe))

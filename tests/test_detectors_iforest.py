@@ -8,8 +8,6 @@ from camlpad.detectors import (
     TooFewRows,
     average_path_length,
     fit_iforest,
-    model_from_json,
-    model_to_json,
     score_iforest,
     score_iforest_rows,
 )
@@ -66,15 +64,10 @@ class TestDeterminism:
         X = np.random.default_rng(2).normal(0, 1, (60, 4))
         first = fit_iforest(X, trees=15, subsample=32, seed=11)
         second = fit_iforest(X, trees=15, subsample=32, seed=11)
-        assert model_to_json(first) == model_to_json(second)
-
-    def test_serialization_round_trip_preserves_scores(self):
-        rng = np.random.default_rng(8)
-        X = rng.normal(0, 1, (80, 3))
-        model = fit_iforest(X, trees=10, subsample=64, seed=4)
-        restored = model_from_json(model_to_json(model))
-        probe = rng.normal(0, 1, (20, 3))
-        assert np.array_equal(score_iforest_rows(model, probe), score_iforest_rows(restored, probe))
+        assert len(first.trees) == len(second.trees) == 15
+        for a, b in zip(first.trees, second.trees):
+            for name in ("feature", "threshold", "left", "right", "size"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 class TestScoreProperties:

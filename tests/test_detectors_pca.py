@@ -6,9 +6,6 @@ import pytest
 from camlpad.detectors import (
     TooFewRows,
     fit_pca,
-    model_from_json,
-    model_to_json,
-    project_pca,
     project_pca_rows,
 )
 
@@ -23,13 +20,13 @@ class TestLineData:
 
     def test_projection_of_point_on_line(self):
         model = fit_pca(LINE)
-        x, y = project_pca(model, [1.0, 1.0])
+        [[x, y]] = project_pca_rows(model, [[1.0, 1.0]])
         assert x == pytest.approx(math.sqrt(2), abs=1e-9)
         assert y == pytest.approx(0.0, abs=1e-9)
 
     def test_mean_projects_to_origin(self):
         model = fit_pca(LINE)
-        assert project_pca(model, model.mean) == pytest.approx((0.0, 0.0), abs=1e-12)
+        assert project_pca_rows(model, model.mean)[0].tolist() == pytest.approx([0.0, 0.0], abs=1e-12)
 
 
 class TestSymmetryAndDegenerate:
@@ -78,15 +75,8 @@ class TestInvariants:
         X = rng.normal(0, 2, (30, 3))
         model = fit_pca(X)
         shift = np.array([0.5, -1.0, 2.0])
-        for a in rng.normal(0, 1, (5, 3)):
-            lhs = np.array(project_pca(model, a + shift)) - np.array(project_pca(model, a))
-            rhs = model.components @ shift
-            assert np.allclose(lhs, rhs, atol=1e-9)
+        a = rng.normal(0, 1, (5, 3))
+        lhs = project_pca_rows(model, a + shift) - project_pca_rows(model, a)
+        rhs = model.components @ shift
+        assert np.allclose(lhs, rhs, atol=1e-9)
 
-    def test_serialization_round_trip(self):
-        rng = np.random.default_rng(11)
-        X = rng.normal(0, 1, (40, 3))
-        model = fit_pca(X)
-        restored = model_from_json(model_to_json(model))
-        probe = rng.normal(0, 1, (10, 3))
-        assert np.array_equal(project_pca_rows(model, probe), project_pca_rows(restored, probe))

@@ -8,8 +8,7 @@ from camlpad.evaluate import (
     LengthMismatch,
     TooFewItems,
     adjusted_rand_index,
-    mean_pairwise_ari,
-    rand_index,
+    pairwise_ari_report,
 )
 
 
@@ -35,36 +34,6 @@ def oracle_ari(a, b):
     if denominator == 0:
         return 1.0
     return float(Fraction(2 * (ss * dd - sd * ds), denominator))
-
-
-def oracle_rand(a, b):
-    agree = total = 0
-    for i, j in combinations(range(len(a)), 2):
-        total += 1
-        if (a[i] == a[j]) == (b[i] == b[j]):
-            agree += 1
-    return agree / total
-
-
-class TestRandIndex:
-    def test_identical_clusterings(self):
-        assert rand_index([0, 0, 1, 1], [0, 0, 1, 1]) == 1.0
-
-    def test_hand_enumerated_example(self):
-        assert rand_index([0, 0, 1, 1], [0, 1, 0, 1]) == pytest.approx(2 / 6, abs=1e-12)
-
-    def test_label_renaming_invariance(self):
-        a = [0, 0, 1, 1, 2]
-        b = [5, 5, 9, 9, 7]
-        assert rand_index(a, b) == 1.0
-
-    def test_matches_pairwise_oracle(self):
-        rng = random.Random(3)
-        for _ in range(100):
-            n = rng.randint(2, 8)
-            a = [rng.randint(0, 3) for _ in range(n)]
-            b = [rng.randint(0, 3) for _ in range(n)]
-            assert rand_index(a, b) == pytest.approx(oracle_rand(a, b), abs=1e-12)
 
 
 class TestAdjustedRandIndex:
@@ -117,6 +86,13 @@ class TestAdjustedRandIndex:
             adjusted_rand_index([0], [0])
 
 
+def mean_pairwise_ari(vectors):
+    """Mean pairwise ARI of one source's label vectors, through the full report."""
+    report = pairwise_ari_report({"yaf": {f"v{i}": v for i, v in enumerate(vectors)}})
+    assert report["mean_pairwise_ari"] == report["per_source"]["yaf"]["mean_pairwise_ari"]
+    return report["mean_pairwise_ari"]
+
+
 class TestMeanPairwise:
     def test_identical_vectors_mean_one(self):
         assert mean_pairwise_ari([[0, 1, 0], [0, 1, 0], [0, 1, 0]]) == 1.0
@@ -135,3 +111,14 @@ class TestMeanPairwise:
     def test_needs_at_least_two(self):
         with pytest.raises(TooFewItems):
             mean_pairwise_ari([[0, 1]])
+
+    def test_report_pairs_in_vector_order_and_averages_sources(self):
+        a, b, c = [0, 0, 1, 1], [0, 1, 0, 1], [0, 0, 0, 1]
+        report = pairwise_ari_report({"yaf": {"iforest": a, "hbos": b, "cblof": c}, "snort": {"iforest": a, "hbos": a}})
+        assert list(report["per_source"]) == ["snort", "yaf"]
+        assert list(report["per_source"]["yaf"]["pairwise_ari"]) == ["iforest|hbos", "iforest|cblof", "hbos|cblof"]
+        yaf = report["per_source"]["yaf"]["mean_pairwise_ari"]
+        assert report["mean_pairwise_ari"] == (1.0 + yaf) / 2
+
+    def test_empty_report_has_no_mean(self):
+        assert pairwise_ari_report({}) == {"per_source": {}, "mean_pairwise_ari": None}

@@ -9,7 +9,6 @@ from camlpad.ingest_store import (
     DiscriminatorMissing,
     EmptyCurrent,
     EmptyHistory,
-    HeaderMissing,
     HttpStore,
     IndexNotFound,
     MalformedLine,
@@ -17,7 +16,6 @@ from camlpad.ingest_store import (
     PageFailure,
     StoreQuery,
     StoreUnreachable,
-    parse_csv,
     parse_jsonl,
     query_store,
     record_to_json_line,
@@ -69,32 +67,6 @@ class TestParseJsonl:
         line = b'{"ts":1,"x":1}\n{"ts":1,"x":1}'
         batch = parse_jsonl(line, YAF, time_field="ts")
         assert len({r.record_id for r in batch.records}) == 2
-
-
-class TestParseCsv:
-    def test_header_and_category_cell(self):
-        batch = parse_csv(b"ts,ip\n3,10.0.0.1\n", YAF, time_column="ts")
-        record = batch.records[0]
-        assert record.timestamp == 3
-        assert record.fields["ip"] == Category("10.0.0.1")
-
-    def test_empty_cell_is_missing(self):
-        batch = parse_csv(b"ts,ip\n3,\n", YAF, time_column="ts")
-        assert batch.records[0].fields["ip"] is MISSING
-
-    def test_numeric_parse_rule(self):
-        batch = parse_csv(b"ts,a,b\n1,7.5,7.5x\n", YAF, time_column="ts")
-        fields = batch.records[0].fields
-        assert fields["a"] == Number(7.5)
-        assert fields["b"] == Category("7.5x")
-
-    def test_header_missing_time_column(self):
-        with pytest.raises(HeaderMissing):
-            parse_csv(b"a,b\n1,2\n", YAF, time_column="ts")
-
-    def test_unparseable_time_cell(self):
-        with pytest.raises(MissingTimestamp):
-            parse_csv(b"ts,a\nnonsense,1\n", YAF, time_column="ts")
 
 
 class TestBroSplit:

@@ -10,8 +10,6 @@ from camlpad.preprocess import (
     FeatureMatrix,
     conform_columns,
     encode,
-    encoding_from_json,
-    encoding_to_json,
     impute,
     impute_categorical_backfill,
     impute_numeric,
@@ -62,10 +60,6 @@ class TestEncode:
         by_name = dict(zip(matrix.column_names, matrix.values.T))
         assert by_name["size"][0] == 42.0 and np.isnan(by_name["size"][1])
         assert by_name["proto"][0] == 0.0 and np.isnan(by_name["proto"][1])
-
-    def test_encoding_dictionary_json_round_trip(self):
-        _, dictionary = encode(_category_batch("udp", "tcp"))
-        assert encoding_from_json(encoding_to_json(dictionary)) == dictionary
 
     def test_field_absent_from_record_is_missing_cell(self):
         batch = make_batch(

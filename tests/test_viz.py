@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from camlpad.detectors import fit_pca
-from camlpad.gauge_alert import GaugeReading
+from camlpad.gauge_alert import GaugeReading, gauge_json_bytes
 from camlpad.viz import (
     HeatmapPoint,
     MisalignedScores,
     PlotSpec,
     build_heatmap_points,
-    export_gauge_json,
     render_svg,
 )
 
@@ -121,7 +120,7 @@ class TestRenderSvg:
 class TestExportGaugeJson:
     def test_round_trip(self):
         reading = GaugeReading(scope="snort", window_id="2021-03-08", score=0.25, history_percentile=50.0)
-        doc = json.loads(export_gauge_json(reading))
+        doc = json.loads(gauge_json_bytes(reading))
         assert GaugeReading(
             scope=doc["scope"],
             window_id=doc["window_id"],
@@ -131,10 +130,10 @@ class TestExportGaugeJson:
 
     def test_absent_percentile_is_null(self):
         reading = GaugeReading(scope="snort", window_id="w", score=0.1, history_percentile=None)
-        assert json.loads(export_gauge_json(reading))["history_percentile"] is None
+        assert json.loads(gauge_json_bytes(reading))["history_percentile"] is None
 
     def test_six_decimal_formatting(self):
         reading = GaugeReading(
             scope="snort", window_id="w", score=0.123456789, history_percentile=None
         )
-        assert json.loads(export_gauge_json(reading))["score"] == 0.123457
+        assert json.loads(gauge_json_bytes(reading))["score"] == 0.123457
