@@ -25,18 +25,17 @@ class KMeansModel:
     params: dict = field(default_factory=dict)
 
     @property
-    def k(self) -> int:
-        return self.centroids.shape[0]
-
-    @property
     def n_features(self) -> int:
         return self.centroids.shape[1]
 
 
 def squared_distances(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """(n, k) squared Euclidean distances."""
-    diff = X[:, None, :] - centroids[None, :, :]
-    return np.einsum("nkd,nkd->nk", diff, diff)
+    """(n, k) squared Euclidean distances, one centroid at a time (no (n, k, d) temporary)."""
+    d2 = np.empty((X.shape[0], centroids.shape[0]))
+    for j, centroid in enumerate(centroids):
+        diff = X - centroid
+        d2[:, j] = np.einsum("nd,nd->n", diff, diff)
+    return d2
 
 
 def _seed_centroids(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -65,26 +64,24 @@ def _lloyd(
     """Iterate assignment/update; returns (centroids, assignment, inertia trace, iterations)."""
     k = centroids.shape[0]
     inertia_trace: list[float] = []
-    assignment = np.zeros(X.shape[0], dtype=int)
     iterations = 0
     for iterations in range(1, max_iterations + 1):
         d2 = squared_distances(X, centroids)
         assignment = d2.argmin(axis=1)
-        own = d2[np.arange(X.shape[0]), assignment].copy()
+        own = d2[np.arange(X.shape[0]), assignment]
         inertia_trace.append(float(own.sum()))
-        updated = centroids.copy()
-        for j in range(k):
-            members = assignment == j
-            if members.any():
-                updated[j] = X[members].mean(axis=0)
-        empties = [j for j in range(k) if not (assignment == j).any()]
+        # bincount sums each cluster's rows in row order, as X[mask].mean(axis=0) does on 2+ columns
+        counts = np.bincount(assignment, minlength=k)
+        sums = np.stack([np.bincount(assignment, weights=column, minlength=k) for column in X.T], axis=1)
+        updated = np.where(counts[:, None] > 0, sums / np.maximum(counts, 1)[:, None], centroids)
+        empties = np.flatnonzero(counts == 0)
         for j in empties:
             farthest = int(own.argmax())
             updated[j] = X[farthest]
             own[farthest] = -np.inf
         shift = np.sqrt(((updated - centroids) ** 2).sum(axis=1)).max()
         centroids = updated
-        if shift <= tolerance and not empties:
+        if shift <= tolerance and empties.size == 0:
             break
     d2 = squared_distances(X, centroids)
     assignment = d2.argmin(axis=1)

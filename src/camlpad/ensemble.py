@@ -175,18 +175,19 @@ def labels_to_jsonl(
     ensemble_labels: LabelVector,
     detector_labels: Mapping[str, LabelVector],
 ) -> str:
-    """One {"row_id", "label", "votes"} JSON object per row."""
+    """One {"row_id", "label", "votes"} JSON object per row, as json.dumps(doc, sort_keys=True) writes it."""
     for name, vector in detector_labels.items():
         if vector.row_ids != ensemble_labels.row_ids:
             raise MisalignedRows(f"detector {name} labels misaligned with ensemble labels")
-    lines = []
-    for i, row_id in enumerate(ensemble_labels.row_ids):
-        doc = {
-            "row_id": row_id,
-            "label": int(ensemble_labels.labels[i]),
-            "votes": {name: int(vec.labels[i]) for name, vec in sorted(detector_labels.items())},
-        }
-        lines.append(json.dumps(doc, sort_keys=True))
+    names = sorted(detector_labels)
+    votes = ", ".join(json.dumps(name).replace("%", "%%") + ": %d" for name in names)
+    template = '{"label": %d, "row_id": %s, "votes": {' + votes + "}}"
+    rows = zip(
+        ensemble_labels.labels.tolist(),
+        map(json.dumps, ensemble_labels.row_ids),
+        *(detector_labels[name].labels.tolist() for name in names),
+    )
+    lines = [template % row for row in rows]
     return "\n".join(lines) + "\n" if lines else ""
 
 

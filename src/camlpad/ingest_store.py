@@ -172,16 +172,18 @@ def parse_jsonl(
     data: bytes | str,
     source: DataSourceKind,
     time_field: str = DEFAULT_TIME_FIELD,
+    taken: set[str] | None = None,
 ) -> RecordBatch:
     """One SensorRecord per non-empty JSONL line.
 
     Numbers map to Number, strings to Category, null to Missing. The time
     field is extracted and removed from the feature fields; a document-level
-    ``_id`` becomes the record id, otherwise one is derived.
+    ``_id`` becomes the record id, otherwise one is derived; an id already in
+    ``taken`` (shared across the files of one query) gets a ``-<n>`` suffix.
     """
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     records: list[SensorRecord] = []
-    taken: set[str] = set()
+    taken = set() if taken is None else taken
     for line_number, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -317,8 +319,9 @@ def _query_directory(
     if not index_dir.is_dir():
         raise IndexNotFound(query.index)
     records: list[SensorRecord] = []
+    taken: set[str] = set()
     for path in sorted(index_dir.glob("*.jsonl")):
-        batch = parse_jsonl(path.read_bytes(), source, time_field)
+        batch = parse_jsonl(path.read_bytes(), source, time_field, taken)
         records.extend(
             r for r in batch.records if query.time_from <= r.timestamp < query.time_to
         )

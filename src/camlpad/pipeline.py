@@ -1,9 +1,9 @@
 """End-to-end orchestration: ingest, preprocess, fit, score, vote, render, gauge.
 
-Per-source analyses run concurrently; the cross-source vote, combined gauge,
-and artifact writes happen after all sources join. Everything written to the
-output directory is deterministic for a fixed config and store; only alert
-events carry a wall-clock timestamp.
+Sources are analysed one after another in name order, in the calling thread;
+the cross-source vote, combined gauge, and artifact writes follow. Everything
+written to the output directory is deterministic for a fixed config and
+store; only alert events carry a wall-clock timestamp.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,13 +42,9 @@ class SourceAnalysis:
     detector_labels: dict[str, LabelVector]
     ensemble_labels: LabelVector
     ensemble_scores: np.ndarray
-    heatmap_points: dict[str, list[viz.HeatmapPoint]]
+    heatmap_points: dict[str, viz.HeatmapPoints]
     history_day_scores: dict[int, float]
     gauge: gauge_alert.GaugeReading
-
-    @property
-    def current_slice(self) -> slice:
-        return slice(self.n_history, len(self.row_ids))
 
 
 @dataclass
@@ -219,22 +214,22 @@ def write_artifacts(result: RunResult, out_dir: Path) -> None:
     for directory in (heatmap_dir, labels_dir, gauges_dir):
         directory.mkdir(parents=True, exist_ok=True)
 
-    overall_points: list[viz.HeatmapPoint] = []
-    for source in sorted(result.analyses, key=lambda s: s.value):
+    sources = sorted(result.analyses, key=lambda s: s.value)
+    for source in sources:
         analysis = result.analyses[source]
         for model in HEATMAP_MODELS:
             points = analysis.heatmap_points[model]
             spec = viz.PlotSpec(title=f"{source.value} {model} {result.window_id}")
             path = heatmap_dir / f"{source.value}_{model}_{result.window_id}.svg"
             path.write_bytes(viz.render_svg(points, spec))
-        overall_points.extend(analysis.heatmap_points["ensemble"])
         (labels_dir / f"{source.value}.jsonl").write_text(
             ensemble.labels_to_jsonl(analysis.ensemble_labels, analysis.detector_labels),
             encoding="utf-8",
         )
+    overall = viz.HeatmapPoints.concat([result.analyses[s].heatmap_points["ensemble"] for s in sources])
     overall_spec = viz.PlotSpec(title=f"combined ensemble {result.window_id}")
     (heatmap_dir / f"combined_ensemble_{result.window_id}.svg").write_bytes(
-        viz.render_svg(overall_points, overall_spec)
+        viz.render_svg(overall, overall_spec)
     )
 
     (out_dir / "verdicts.jsonl").write_text(
@@ -262,17 +257,15 @@ def run_pipeline(config: PipelineConfig, boundary_override: str | None = None) -
         for source, batch in batches.items()
     }
 
-    def job(source: DataSourceKind) -> tuple[DataSourceKind, SourceAnalysis]:
+    analyses: dict[DataSourceKind, SourceAnalysis] = {}
+    for source in sorted(splits, key=lambda s: s.value):
         logger.info("analyzing %s (%d records)", source.value, len(batches[source]))
         try:
-            return source, analyze_source(
+            analyses[source] = analyze_source(
                 splits[source], config.detectors, config.contamination, window_id
             )
         except CamlpadError as exc:
             raise CamlpadError(f"{source.value}: {exc}") from exc
-
-    with ThreadPoolExecutor(max_workers=max(1, len(splits))) as pool:
-        analyses = dict(pool.map(job, sorted(splits, key=lambda s: s.value)))
 
     labeled = {
         source: list(zip(analysis.timestamps, analysis.ensemble_labels.labels.tolist()))

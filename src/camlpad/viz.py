@@ -23,15 +23,35 @@ class MisalignedScores(CamlpadError):
 
 
 @dataclass(frozen=True)
-class HeatmapPoint:
-    x: float
-    y: float
-    score: float
-    is_current: bool
+class HeatmapPoints:
+    """PCA coordinates ``xy`` (n, 2) and [0,1] shading scores of n rows; the
+    first ``n_history`` rows are history rows, the rest current rows."""
+
+    xy: np.ndarray
+    scores: np.ndarray
+    n_history: int
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"heatmap score must be in [0,1], got {self.score}")
+        if self.xy.shape != (len(self.scores), 2) or not 0 <= self.n_history <= len(self.scores):
+            raise MisalignedScores(
+                f"{self.xy.shape} coordinates, {len(self.scores)} scores, {self.n_history} history rows"
+            )
+        if not ((self.scores >= 0.0) & (self.scores <= 1.0)).all():  # NaN fails too
+            raise ValueError("heatmap scores must be in [0,1]")
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    @classmethod
+    def concat(cls, parts: Sequence["HeatmapPoints"]) -> "HeatmapPoints":
+        """Every part's history rows, in part order, then every part's current rows."""
+        blocks = [(p, slice(None, p.n_history)) for p in parts]
+        blocks += [(p, slice(p.n_history, None)) for p in parts]
+        return cls(
+            xy=np.concatenate([p.xy[rows] for p, rows in blocks]),
+            scores=np.concatenate([p.scores[rows] for p, rows in blocks]),
+            n_history=sum(p.n_history for p in parts),
+        )
 
 
 @dataclass(frozen=True)
@@ -55,44 +75,32 @@ def build_heatmap_points(
     current_matrix,
     history_scores: Sequence[float],
     current_scores: Sequence[float],
-) -> list[HeatmapPoint]:
-    """Project both windows onto the PCA plane, flagging current rows."""
-    points: list[HeatmapPoint] = []
+) -> HeatmapPoints:
+    """Project both windows onto the PCA plane, history rows first."""
+    windows = []
     for matrix, scores, is_current in (
         (history_matrix, history_scores, False),
         (current_matrix, current_scores, True),
     ):
-        values = getattr(matrix, "values", matrix)
-        values = np.asarray(values, dtype=float)
+        values = np.asarray(getattr(matrix, "values", matrix), dtype=float)
+        xy = project_pca_rows(pca, values) if len(values) else np.empty((0, 2))
         scores = np.asarray(scores, dtype=float)
-        if values.shape[0] != scores.shape[0]:
-            raise MisalignedScores(
-                f"{values.shape[0]} rows but {scores.shape[0]} scores ({'current' if is_current else 'history'})"
-            )
-        if values.shape[0] == 0:
-            continue
-        coords = project_pca_rows(pca, values)
-        for (x, y), score in zip(coords, scores):
-            points.append(HeatmapPoint(x=float(x), y=float(y), score=float(score), is_current=is_current))
-    return points
+        windows.append(HeatmapPoints(xy, scores, n_history=0 if is_current else len(scores)))
+    return HeatmapPoints.concat(windows)
 
 
-def _scale(values: list[float], out_low: float, out_high: float) -> list[float]:
-    low, high = min(values), max(values)
+def _scale(values: np.ndarray, out_low: float, out_high: float) -> np.ndarray:
+    low, high = values.min(), values.max()
     if high == low:
-        center = (out_low + out_high) / 2.0
-        return [center for _ in values]
-    span = out_high - out_low
-    return [out_low + (v - low) / (high - low) * span for v in values]
+        return np.full_like(values, (out_low + out_high) / 2.0)
+    return out_low + (values - low) / (high - low) * (out_high - out_low)
 
 
-def _fill_color(score: float) -> str:
-    # luminance 25% + 70% * score, grayscale: score 1 renders lightest
-    channel = int(round(255 * (0.25 + 0.70 * score)))
-    return f"#{channel:02x}{channel:02x}{channel:02x}"
+# grayscale luminance 25% + 70% * score: score 1 renders lightest
+_FILLS = [f"#{c:02x}{c:02x}{c:02x}" for c in range(256)]
 
 
-def render_svg(points: Sequence[HeatmapPoint], spec: PlotSpec = PlotSpec()) -> bytes:
+def render_svg(points: HeatmapPoints, spec: PlotSpec = PlotSpec()) -> bytes:
     """Render points into an SVG 1.1 document, deterministically."""
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -107,19 +115,17 @@ def render_svg(points: Sequence[HeatmapPoint], spec: PlotSpec = PlotSpec()) -> b
             f'font-family="monospace" font-size="14" text-anchor="middle">{escape(spec.title)}</text>'
         ),
     ]
-    if points:
-        xs = _scale([p.x for p in points], spec.margin, spec.width - spec.margin)
+    if len(points):
+        xs = _scale(points.xy[:, 0], spec.margin, spec.width - spec.margin)
         # larger data-space y renders higher on the canvas
-        ys = _scale([-p.y for p in points], spec.margin, spec.height - spec.margin)
-        order = [i for i, p in enumerate(points) if not p.is_current]
-        order += [i for i, p in enumerate(points) if p.is_current]
-        for i in order:
-            point = points[i]
-            radius = spec.current_radius if point.is_current else spec.history_radius
-            lines.append(
-                f'<circle cx="{xs[i]:.2f}" cy="{ys[i]:.2f}" r="{radius:g}" '
-                f'fill="{_fill_color(point.score)}"/>'
-            )
+        ys = _scale(-points.xy[:, 1], spec.margin, spec.height - spec.margin)
+        # np.rint rounds halves to even, as round() does
+        channels = np.rint(255 * (0.25 + 0.70 * points.scores)).astype(int)
+        radii = [f"{spec.history_radius:g}"] * points.n_history
+        radii += [f"{spec.current_radius:g}"] * (len(points) - points.n_history)
+        lines += [
+            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{r}" fill="{_FILLS[c]}"/>'
+            for x, y, r, c in zip(xs.tolist(), ys.tolist(), radii, channels.tolist())
+        ]
     lines.append("</svg>")
     return ("\n".join(lines) + "\n").encode("utf-8")
-

@@ -13,9 +13,10 @@ from pathlib import Path
 import numpy as np
 
 from camlpad.datamodel import DataSourceKind
-from camlpad.detectors import fit_cblof, fit_iforest
+from camlpad.detectors import fit_cblof, fit_iforest, fit_pca
 from camlpad.detectors.kmeans import DEFAULT_MAX_ITERATIONS
 from camlpad.ingest_store import BroSplit, split_bro_by_protocol
+from camlpad.viz import PlotSpec, build_heatmap_points, render_svg
 
 from conftest import make_batch, make_record
 
@@ -61,3 +62,14 @@ def test_counted_bro_split_field_exists():
     split = split_bro_by_protocol(batch)
     assert isinstance(split, BroSplit) and split.dropped == 1
     assert load_tracer().COUNTS["ingest_store.split"]((batch,), split) == {"bro_dropped": 1}
+
+
+def test_counted_heatmap_results():
+    counts = load_tracer().COUNTS
+    rng = np.random.default_rng(1)
+    history, current = rng.normal(size=(20, 3)), rng.normal(size=(5, 3))
+    args = (fit_pca(history), history, current, rng.random(20), rng.random(5))
+    points = build_heatmap_points(*args)
+    assert counts["viz.points"](args, points) == {"points": 25}
+    svg = render_svg(points, PlotSpec(title="hooks"))
+    assert counts["viz.render"]((points,), svg) == {"svg_bytes": len(svg)}

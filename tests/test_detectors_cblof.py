@@ -11,7 +11,7 @@ from camlpad.detectors import (
     score_cblof,
     score_cblof_rows,
 )
-from camlpad.detectors.kmeans import _lloyd
+from camlpad.detectors.kmeans import _lloyd, _seed_centroids, squared_distances
 
 TWO_CLUSTERS = np.array([[0.0, 0.0]] * 5 + [[10.0, 10.0]])
 
@@ -57,6 +57,73 @@ class TestKMeans:
         init = np.array([[0.0, 0.0], [10.0, 10.0], [100.0, 100.0]])
         centroids, assignment, _, _ = _lloyd(X, init, max_iterations=50, tolerance=1e-9)
         assert set(assignment.tolist()) == {0, 1, 2}
+
+
+def reference_squared_distances(X, centroids):
+    diff = X[:, None, :] - centroids[None, :, :]
+    return np.einsum("nkd,nkd->nk", diff, diff)
+
+
+def reference_lloyd(X, centroids, max_iterations, tolerance):
+    """Lloyd loop with a masked mean per cluster; returns (centroids, iterations)."""
+    k = centroids.shape[0]
+    iterations = 0
+    for iterations in range(1, max_iterations + 1):
+        d2 = reference_squared_distances(X, centroids)
+        assignment = d2.argmin(axis=1)
+        own = d2[np.arange(X.shape[0]), assignment].copy()
+        updated = centroids.copy()
+        for j in range(k):
+            members = assignment == j
+            if members.any():
+                updated[j] = X[members].mean(axis=0)
+        empties = [j for j in range(k) if not (assignment == j).any()]
+        for j in empties:
+            farthest = int(own.argmax())
+            updated[j] = X[farthest]
+            own[farthest] = -np.inf
+        shift = np.sqrt(((updated - centroids) ** 2).sum(axis=1)).max()
+        centroids = updated
+        if shift <= tolerance and not empties:
+            break
+    return centroids, iterations
+
+
+def reference_fit(X, k, seed, max_iterations=100, tolerance=1e-6):
+    init = _seed_centroids(X, k, np.random.default_rng(seed))
+    return reference_lloyd(X, init, max_iterations, tolerance)
+
+
+class TestKMeansMatchesMaskedMeanReference:
+    @pytest.mark.parametrize("n,d,k", [(60, 2, 3), (300, 3, 8), (2000, 5, 8), (500, 7, 4), (12000, 5, 8)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_centroids_and_iterations_bit_equal(self, n, d, k, seed):
+        rng = np.random.default_rng(100 + seed)
+        X = rng.normal(0, 1, (n, d)) * rng.uniform(0.1, 5.0, d)
+        if seed == 2:
+            X = np.round(X, 1)  # repeated values make ties in distances
+        model = fit_kmeans(X, k=k, seed=seed)
+        centroids, iterations = reference_fit(X, k, seed)
+        assert np.array_equal(model.centroids, centroids)
+        assert model.iterations == iterations
+        assert np.array_equal(squared_distances(X, centroids), reference_squared_distances(X, centroids))
+
+    def test_forced_empty_cluster_bit_equal(self):
+        rng = np.random.default_rng(7)
+        X = np.vstack([rng.normal(0, 0.1, (40, 3)), rng.normal(10, 0.1, (40, 3))])
+        init = np.array([[0.0, 0.0, 0.0], [10.0, 10.0, 10.0], [100.0, 100.0, 100.0], [-90.0, 0.0, 0.0]])
+        centroids, _, _, iterations = _lloyd(X, init.copy(), max_iterations=50, tolerance=1e-9)
+        expected, expected_iterations = reference_lloyd(X, init.copy(), 50, 1e-9)
+        assert np.array_equal(centroids, expected)
+        assert iterations == expected_iterations >= 2
+
+    def test_single_column_matches_to_rounding(self):
+        # numpy sums a single masked column pairwise, bincount sums in row order
+        X = np.random.default_rng(11).normal(0, 1, (500, 1))
+        model = fit_kmeans(X, k=5, seed=3)
+        centroids, iterations = reference_fit(X, 5, 3)
+        assert model.iterations == iterations
+        np.testing.assert_allclose(model.centroids, centroids, rtol=1e-12, atol=1e-15)
 
 
 class TestLargeClusterRule:

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -192,6 +193,30 @@ class TestJsonlExports:
         lines = labels_to_jsonl(ens, det).strip().splitlines()
         assert len(lines) == 2
         assert '"row_id": "a"' in lines[0].replace('","', '", "') or '"row_id"' in lines[0]
+
+    def test_labels_jsonl_matches_per_row_json_dumps(self):
+        ids = ['plain', 'quo"te', "back\\slash", "caf\u00e9 \u2603", "tab\there", "100%d", "{}"]
+        rng = np.random.default_rng(4)
+        names = ("iforest", "hbos", "cblof", "odd%name")
+        ens = LabelVector(row_ids=ids, labels=rng.integers(0, 2, len(ids)))
+        det = {name: LabelVector(row_ids=ids, labels=rng.integers(0, 2, len(ids))) for name in names}
+        expected = [
+            json.dumps(
+                {
+                    "row_id": row_id,
+                    "label": int(ens.labels[i]),
+                    "votes": {name: int(vec.labels[i]) for name, vec in sorted(det.items())},
+                },
+                sort_keys=True,
+            )
+            for i, row_id in enumerate(ids)
+        ]
+        assert labels_to_jsonl(ens, det) == "\n".join(expected) + "\n"
+        assert [json.loads(line)["row_id"] for line in labels_to_jsonl(ens, det).splitlines()] == ids
+
+    def test_labels_jsonl_empty_is_empty_text(self):
+        empty = LabelVector(row_ids=[], labels=np.zeros(0, dtype=int))
+        assert labels_to_jsonl(empty, {"iforest": empty}) == ""
 
     def test_verdicts_jsonl_shape(self):
         verdicts = cross_source_vote({DataSourceKind.YAF: [(0, 1), (1, 0)]}, contamination=0.1)

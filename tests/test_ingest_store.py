@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from camlpad.datamodel import MISSING, Category, DataSourceKind, Number
+from camlpad.datamodel import MISSING, Category, DataSourceKind, Number, validate_batch
 from camlpad.ingest_store import (
     DirectoryStore,
     DiscriminatorMissing,
@@ -167,6 +167,21 @@ class TestDirectoryStore:
             ((d["timestamp"], d["_id"]) for d in all_docs if time_from <= d["timestamp"] < time_to),
         )
         assert [(r.timestamp, r.record_id) for r in batch.records] == expected
+
+    def test_same_id_in_two_day_files_gets_unique_row_ids(self, tmp_path):
+        self._write_index(
+            tmp_path,
+            "flows",
+            {
+                "2021-03-01.jsonl": [{"_id": "x", "timestamp": 1, "v": 1}],
+                "2021-03-02.jsonl": [{"_id": "x", "timestamp": 2, "v": 2}],
+            },
+        )
+        batch = query_store(
+            DirectoryStore(tmp_path), StoreQuery(index="flows", time_from=0, time_to=10), YAF
+        )
+        assert [r.record_id for r in batch.records] == ["x", "x-1"]
+        assert validate_batch(batch) == []
 
     def test_max_records_truncates(self, tmp_path):
         docs = [{"timestamp": t} for t in range(50)]
