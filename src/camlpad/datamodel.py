@@ -1,7 +1,8 @@
 """Canonical record and dataset types shared by every pipeline stage.
 
-All types here are immutable after construction and safe to share between
-threads. Serialization to/from the store's JSON form lives in
+All types here are frozen after construction. A record's cells are plain
+values (finite float, non-empty str, or None for missing), checked once by
+:class:`SensorRecord`. Serialization to/from the store's JSON form lives in
 :mod:`camlpad.ingest_store`.
 """
 
@@ -35,50 +36,19 @@ class DataSourceKind(str, Enum):
 
 
 @dataclass(frozen=True)
-class Missing:
-    """Absent field value; survives encoding, eliminated by imputation."""
-
-
-@dataclass(frozen=True)
-class Number:
-    """Finite numeric field value. NaN/inf are never admitted at parse time."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", float(self.value))
-        if not math.isfinite(self.value):
-            raise ValueError(f"Number must be finite, got {self.value!r}")
-
-
-@dataclass(frozen=True)
-class Category:
-    """Non-empty categorical field value (pre-encoding)."""
-
-    text: str
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.text, str) or not self.text:
-            raise ValueError("Category text must be a non-empty string")
-
-
-FieldValue = Missing | Number | Category
-
-MISSING = Missing()
-
-
-@dataclass(frozen=True)
 class SensorRecord:
     """One timestamped log event from one source kind.
 
     ``timestamp`` is epoch milliseconds UTC regardless of the source's native
     time format. ``fields`` preserves first-seen order; the time field itself
-    is never part of ``fields``.
+    is never part of ``fields``. Each cell is a finite ``float`` (a number), a
+    non-empty ``str`` (a category) or ``None`` (missing); ints are not
+    numbers here, so serialized cells and derived ids keep one spelling.
     """
 
     source: DataSourceKind
     timestamp: int
-    fields: dict[str, FieldValue]
+    fields: dict[str, float | str | None]
     record_id: str
 
     def __post_init__(self) -> None:
@@ -86,22 +56,23 @@ class SensorRecord:
             raise ValueError(f"timestamp must be >= 0, got {self.timestamp}")
         if not self.record_id:
             raise ValueError("record_id must be non-empty")
+        for name, value in self.fields.items():
+            if value is None or (type(value) is str and value):
+                continue
+            if type(value) is not float or not math.isfinite(value):
+                raise ValueError(
+                    f"field {name!r}: cell must be a finite float, a non-empty str or None, got {value!r}"
+                )
 
 
-def derive_record_id(source: DataSourceKind, timestamp: int, fields: Mapping[str, FieldValue]) -> str:
+def derive_record_id(source: DataSourceKind, timestamp: int, fields: Mapping[str, float | str | None]) -> str:
     """Stable id for records the store did not assign one to.
 
     Hash of (source, timestamp, serialized fields); callers are responsible
     for de-duplicating byte-identical records within a batch.
     """
     payload: list[object] = [source.value, timestamp]
-    for name, value in fields.items():
-        if isinstance(value, Missing):
-            payload.append([name, None])
-        elif isinstance(value, Number):
-            payload.append([name, value.value])
-        else:
-            payload.append([name, value.text])
+    payload.extend([name, value] for name, value in fields.items())
     digest = hashlib.sha1(json.dumps(payload, separators=(",", ":")).encode("utf-8"))
     return digest.hexdigest()[:16]
 
@@ -135,28 +106,6 @@ def union_schema(records: Iterable[SensorRecord]) -> tuple[str, ...]:
         for name in record.fields:
             seen.setdefault(name)
     return tuple(seen)
-
-
-def validate_batch(batch: RecordBatch) -> list[str]:
-    """Check RecordBatch invariants; one entry per violation, empty when clean.
-
-    Violations are data, not failures: callers decide whether to proceed.
-    """
-    violations: list[str] = []
-    seen_ids: set[str] = set()
-    schema = set(batch.schema)
-    for record in batch.records:
-        if record.source is not batch.source:
-            violations.append(
-                f"record {record.record_id}: source {record.source.value} != batch source {batch.source.value}"
-            )
-        if record.record_id in seen_ids:
-            violations.append(f"record {record.record_id}: duplicate record_id")
-        seen_ids.add(record.record_id)
-        for name in record.fields:
-            if name not in schema:
-                violations.append(f"record {record.record_id}: field {name!r} missing from batch schema")
-    return violations
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ Two store backends speak the same contract: a directory of ``.jsonl`` files
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import math
@@ -17,17 +18,7 @@ from typing import NamedTuple
 
 import requests
 
-from .datamodel import (
-    MISSING,
-    Category,
-    DataSourceKind,
-    FieldValue,
-    Number,
-    RecordBatch,
-    SensorRecord,
-    WindowSplit,
-    derive_record_id,
-)
+from .datamodel import DataSourceKind, RecordBatch, SensorRecord, WindowSplit, derive_record_id
 from .errors import CamlpadError
 
 logger = logging.getLogger(__name__)
@@ -121,42 +112,48 @@ StoreLocator = DirectoryStore | HttpStore
 
 
 def to_epoch_ms(value: object) -> int | None:
-    """Normalize a raw time value to epoch milliseconds UTC, or None."""
+    """Normalize a raw time value to epoch milliseconds UTC, or None.
+
+    Non-finite values ("inf", "1e999", NaN) are unparseable, not errors.
+    """
     if isinstance(value, bool) or value is None:
         return None
-    if isinstance(value, (int, float)):
-        if not math.isfinite(float(value)):
-            return None
-        return int(value)
     if isinstance(value, str):
         text = value.strip()
         try:
-            return int(float(text))
+            value = float(text)
         except ValueError:
-            pass
+            return _iso_epoch_ms(text)
+    if isinstance(value, (int, float)):
         try:
-            parsed = datetime.fromisoformat(text.replace("Z", "+00:00"))
-        except ValueError:
+            return int(value)
+        except (OverflowError, ValueError):
             return None
-        if parsed.tzinfo is None:
-            parsed = parsed.replace(tzinfo=timezone.utc)
-        return int(parsed.timestamp() * 1000)
     return None
 
 
-def _field_value(raw: object) -> FieldValue:
+def _iso_epoch_ms(text: str) -> int | None:
+    try:
+        parsed = datetime.fromisoformat(text.replace("Z", "+00:00"))
+    except ValueError:
+        return None
+    if parsed.tzinfo is None:
+        parsed = parsed.replace(tzinfo=timezone.utc)
+    return int(parsed.timestamp() * 1000)
+
+
+def _field_value(raw: object) -> float | str | None:
     if raw is None:
-        return MISSING
+        return None
     if isinstance(raw, bool):
-        return Category("true" if raw else "false")
+        return "true" if raw else "false"
     if isinstance(raw, (int, float)):
         # json.loads admits NaN/Infinity; treat them as absent data
-        if not math.isfinite(float(raw)):
-            return MISSING
-        return Number(float(raw))
+        value = float(raw)
+        return value if math.isfinite(value) else None
     if isinstance(raw, str):
-        return Category(raw) if raw else MISSING
-    return Category(json.dumps(raw, sort_keys=True))
+        return raw or None
+    return json.dumps(raw, sort_keys=True)
 
 
 def _unique_id(base: str, taken: set[str]) -> str:
@@ -173,13 +170,17 @@ def parse_jsonl(
     source: DataSourceKind,
     time_field: str = DEFAULT_TIME_FIELD,
     taken: set[str] | None = None,
+    window: tuple[int, int] | None = None,
 ) -> RecordBatch:
     """One SensorRecord per non-empty JSONL line.
 
-    Numbers map to Number, strings to Category, null to Missing. The time
-    field is extracted and removed from the feature fields; a document-level
-    ``_id`` becomes the record id, otherwise one is derived; an id already in
+    Numbers become finite floats, non-empty strings stay strings, and null,
+    NaN, infinities and empty strings become None. The time field is
+    extracted and removed from the feature fields; a document-level ``_id``
+    becomes the record id, otherwise one is derived; an id already in
     ``taken`` (shared across the files of one query) gets a ``-<n>`` suffix.
+    With ``window`` = (time_from, time_to), lines timed outside it are
+    skipped before they claim an id.
     """
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     records: list[SensorRecord] = []
@@ -193,7 +194,9 @@ def parse_jsonl(
             raise MalformedLine(line_number, str(exc)) from None
         if not isinstance(doc, dict):
             raise MalformedLine(line_number, "expected a JSON object")
-        records.append(_record_from_document(doc, source, time_field, line_number, taken))
+        record = _record_from_document(doc, source, time_field, line_number, taken, window)
+        if record is not None:
+            records.append(record)
     return RecordBatch(source=source, records=tuple(records))
 
 
@@ -203,12 +206,16 @@ def _record_from_document(
     time_field: str,
     line_number: int,
     taken: set[str],
-) -> SensorRecord:
+    window: tuple[int, int] | None = None,
+) -> SensorRecord | None:
+    """The document's record, or None when ``window`` excludes its time."""
     if time_field not in doc:
         raise MissingTimestamp(line_number, time_field)
     timestamp = to_epoch_ms(doc[time_field])
     if timestamp is None:
         raise MissingTimestamp(line_number, time_field)
+    if window is not None and not window[0] <= timestamp < window[1]:
+        return None
     store_id = doc.get("_id")
     fields = {
         name: _field_value(raw)
@@ -219,20 +226,15 @@ def _record_from_document(
         record_id = _unique_id(str(store_id), taken)
     else:
         record_id = _unique_id(derive_record_id(source, timestamp, fields), taken)
-    return SensorRecord(source=source, timestamp=timestamp, fields=fields, record_id=record_id)
+    try:
+        return SensorRecord(source=source, timestamp=timestamp, fields=fields, record_id=record_id)
+    except ValueError as exc:
+        raise MalformedLine(line_number, str(exc)) from None
 
 
 def record_to_document(record: SensorRecord, time_field: str = DEFAULT_TIME_FIELD) -> dict:
     """JSON-document form of a record; inverse of the parse_jsonl rules."""
-    doc: dict[str, object] = {"_id": record.record_id, time_field: record.timestamp}
-    for name, value in record.fields.items():
-        if isinstance(value, Number):
-            doc[name] = value.value
-        elif isinstance(value, Category):
-            doc[name] = value.text
-        else:
-            doc[name] = None
-    return doc
+    return {"_id": record.record_id, time_field: record.timestamp, **record.fields}
 
 
 def record_to_json_line(record: SensorRecord, time_field: str = DEFAULT_TIME_FIELD) -> str:
@@ -262,12 +264,11 @@ def split_bro_by_protocol(
     conn_records: list[SensorRecord] = []
     dropped = 0
     for record in batch.records:
-        value = record.fields.get(discriminator, MISSING)
-        label = value.text if isinstance(value, Category) else None
+        label = record.fields.get(discriminator)
         if label == dns_value:
-            dns_records.append(_resourced(record, DataSourceKind.BRO_DNS))
+            dns_records.append(dataclasses.replace(record, source=DataSourceKind.BRO_DNS))
         elif label == conn_value:
-            conn_records.append(_resourced(record, DataSourceKind.BRO_CONN))
+            conn_records.append(dataclasses.replace(record, source=DataSourceKind.BRO_CONN))
         else:
             dropped += 1
     if dropped:
@@ -276,15 +277,6 @@ def split_bro_by_protocol(
         dns=RecordBatch(source=DataSourceKind.BRO_DNS, records=tuple(dns_records)),
         conn=RecordBatch(source=DataSourceKind.BRO_CONN, records=tuple(conn_records)),
         dropped=dropped,
-    )
-
-
-def _resourced(record: SensorRecord, source: DataSourceKind) -> SensorRecord:
-    return SensorRecord(
-        source=source,
-        timestamp=record.timestamp,
-        fields=dict(record.fields),
-        record_id=record.record_id,
     )
 
 
@@ -320,11 +312,9 @@ def _query_directory(
         raise IndexNotFound(query.index)
     records: list[SensorRecord] = []
     taken: set[str] = set()
+    window = (query.time_from, query.time_to)
     for path in sorted(index_dir.glob("*.jsonl")):
-        batch = parse_jsonl(path.read_bytes(), source, time_field, taken)
-        records.extend(
-            r for r in batch.records if query.time_from <= r.timestamp < query.time_to
-        )
+        records.extend(parse_jsonl(path.read_bytes(), source, time_field, taken, window).records)
     return records
 
 

@@ -1,7 +1,7 @@
 """Turn a RecordBatch into a fully numeric matrix: encode, impute, standardize.
 
-Missing cells are carried as NaN inside the matrix until imputation; parse
-never admits NaN as data, so NaN here always means "missing".
+A missing cell (``None``) is carried as NaN inside the matrix until
+imputation; record cells are never NaN, so NaN here always means "missing".
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .datamodel import Category, Number, RecordBatch
+from .datamodel import RecordBatch
 
 logger = logging.getLogger(__name__)
 
@@ -29,7 +29,7 @@ class ColumnKind(str, Enum):
 class FeatureMatrix:
     """Dense row-per-record matrix with per-column metadata.
 
-    ``values`` may contain NaN (= Missing) before imputation and never after.
+    ``values`` may hold NaN (missing cells) before imputation, never after.
     """
 
     values: np.ndarray
@@ -67,8 +67,8 @@ def encode(
 ) -> tuple[FeatureMatrix, EncodingDictionary]:
     """Ordinal-encode a batch: one column per schema field.
 
-    Numbers pass through, categories map through the dictionary (codes
-    assigned 0,1,2,... in first-seen order), Missing stays NaN. The input
+    Float cells pass through, str cells map through the dictionary (codes
+    assigned 0,1,2,... in first-seen order), None cells stay NaN. The input
     dictionary is never mutated; the returned one carries any extensions.
     Categories unseen in a supplied dictionary extend it and are logged as a
     drift signal.
@@ -82,16 +82,16 @@ def encode(
 
     for row, record in enumerate(batch.records):
         for name, value in record.fields.items():
-            col = col_index[name]
-            if isinstance(value, Number):
-                values[row, col] = value.value
-            elif isinstance(value, Category):
+            if value is None:
+                continue
+            if type(value) is str:
                 codes = result.setdefault(name, {})
-                if value.text not in codes:
-                    codes[value.text] = len(codes)
+                if value not in codes:
+                    codes[value] = len(codes)
                     if fitted:
                         drift[name] = drift.get(name, 0) + 1
-                values[row, col] = codes[value.text]
+                value = codes[value]
+            values[row, col_index[name]] = value
 
     if drift:
         logger.info(

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import DAY_MS
-from .datamodel import Category, DataSourceKind, FieldValue, Number, RecordBatch, SensorRecord
+from .datamodel import DataSourceKind, RecordBatch, SensorRecord
 from .ensemble import LabelVector
 from .ingest_store import DEFAULT_TIME_FIELD, record_to_json_line
 
@@ -142,7 +142,7 @@ def _day_records(
             timestamp = burst_start + int(rng.integers(0, HOUR_MS))
         else:
             timestamp = day_start + int(rng.integers(0, DAY_MS))
-        fields: dict[str, FieldValue] = {}
+        fields: dict[str, float | str | None] = {}
         for name, (mean, std) in profile.numeric.items():
             if not outlier:
                 value = rng.normal(mean, std)
@@ -150,12 +150,12 @@ def _day_records(
                 value = rng.normal(mean + 6.0 * std, std)
             else:
                 value = rng.uniform(mean - 10.0 * std, mean + 10.0 * std)
-            fields[name] = Number(round(float(value), 6))
+            fields[name] = round(float(value), 6)
         for name, choices in profile.categorical.items():
             if outlier:
-                fields[name] = Category(profile.rare[name])
+                fields[name] = profile.rare[name]
             else:
-                fields[name] = Category(_pick_category(rng, choices))
+                fields[name] = _pick_category(rng, choices)
         record = SensorRecord(
             source=source,
             timestamp=timestamp,

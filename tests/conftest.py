@@ -9,14 +9,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from camlpad.datamodel import (
-    MISSING,
-    Category,
-    DataSourceKind,
-    Number,
-    RecordBatch,
-    SensorRecord,
-)
+from camlpad.datamodel import DataSourceKind, RecordBatch, SensorRecord
 
 
 @dataclass
@@ -113,14 +106,8 @@ def make_record(
     record_id: str = "r0",
     **fields,
 ) -> SensorRecord:
-    converted = {}
-    for name, value in fields.items():
-        if value is None:
-            converted[name] = MISSING
-        elif isinstance(value, str):
-            converted[name] = Category(value)
-        else:
-            converted[name] = Number(float(value))
+    """A record whose int cells are passed as floats (records admit no ints)."""
+    converted = {name: float(value) if isinstance(value, int) else value for name, value in fields.items()}
     return SensorRecord(source=source, timestamp=timestamp, fields=converted, record_id=record_id)
 
 

@@ -1,13 +1,15 @@
-"""The package surface the benchmark tracer wraps and reads must keep existing.
+"""The package surface the benchmark wraps and reads must keep existing.
 
 ``perfbench/tracer.py`` replaces module attributes by name and reads model
-fields to count work. A rename or deletion in the package would only show up
-when a traced benchmark run fails, so this test loads the tracer's tables
-(without installing it) and checks them against the real package.
+fields to count work; ``perfbench/workloads.py`` writes stores from synth
+records. A rename or deletion in the package would only show up when a
+benchmark run fails, so these tests load those modules (without installing
+the tracer) and check them against the real package.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,19 +17,25 @@ import numpy as np
 from camlpad.datamodel import DataSourceKind
 from camlpad.detectors import fit_cblof, fit_iforest, fit_pca
 from camlpad.detectors.kmeans import DEFAULT_MAX_ITERATIONS
-from camlpad.ingest_store import BroSplit, split_bro_by_protocol
+from camlpad.ingest_store import BroSplit, parse_jsonl, split_bro_by_protocol
+from camlpad.synth import SynthConfig, generate
 from camlpad.viz import PlotSpec, build_heatmap_points, render_svg
 
 from conftest import make_batch, make_record
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_perfbench("tracer")
 
 
 def test_every_traced_target_resolves():
@@ -73,3 +81,21 @@ def test_counted_heatmap_results():
     assert counts["viz.points"](args, points) == {"points": 25}
     svg = render_svg(points, PlotSpec(title="hooks"))
     assert counts["viz.render"]((points,), svg) == {"svg_bytes": len(svg)}
+
+
+def test_workload_bro_index_parses_back_to_the_synth_records(tmp_path):
+    workloads = load_perfbench("workloads")
+    result = generate(SynthConfig(seed=5, days_history=1, records_per_source_per_day=20, sources=workloads.BRO_SOURCES))
+    truth = workloads._window_truth(result)
+    assert truth == {
+        source.value: dict(zip(vector.row_ids, vector.labels.tolist())) for source, vector in result.truth.items()
+    }
+
+    workloads._write_bro_index(result, tmp_path)
+    data = (tmp_path / workloads.BRO_INDEX / "window.jsonl").read_bytes()
+    split = split_bro_by_protocol(parse_jsonl(data, DataSourceKind.BRO_CONN))
+    assert split.dropped == 0
+    for source, batch in ((DataSourceKind.BRO_DNS, split.dns), (DataSourceKind.BRO_CONN, split.conn)):
+        tag = source.value.removeprefix("bro_")
+        assert all(record.fields.pop("log_type") == tag for record in batch.records)
+        assert batch.records == result.batches[source].records

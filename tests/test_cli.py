@@ -159,6 +159,17 @@ class TestRunCommand:
         assert main(["run", "--config", str(config)]) == 1
         assert "meraki" in capsys.readouterr().err
 
+    def test_bad_store_line_exits_one_and_names_its_line(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        main(["synth", "--out", str(store), "--days", "2", "--records", "30"])
+        day_file = store / "yaf" / "2021-03-02.jsonl"
+        with day_file.open("a") as handle:
+            handle.write('{"_id":"","timestamp":1614643200000,"x":1}\n')
+        config = write_config(tmp_path / "c.conf", store, tmp_path / "out")
+        assert main(["run", "--config", str(config)]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "line 31: record_id must be non-empty" in errors[0]
+
     def test_dry_run_validates_only(self, tmp_path, capsys):
         store = tmp_path / "store"
         main(["synth", "--out", str(store), "--days", "1", "--records", "10"])

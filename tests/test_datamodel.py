@@ -1,68 +1,57 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from camlpad.datamodel import (
-    MISSING,
-    Category,
     DataSourceKind,
-    Number,
-    RecordBatch,
     SensorRecord,
     WindowSplit,
     derive_record_id,
-    validate_batch,
 )
 
 from conftest import make_batch, make_record
 
+PLAIN_CELLS = st.one_of(
+    st.none(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(min_size=1),
+)
+OTHER_CELLS = st.one_of(
+    st.integers(),
+    st.booleans(),
+    st.just(""),
+    st.lists(PLAIN_CELLS, max_size=3),
+    st.dictionaries(st.text(max_size=3), PLAIN_CELLS, max_size=3),
+)
+
+
+def record_with(fields):
+    return SensorRecord(source=DataSourceKind.YAF, timestamp=0, fields=fields, record_id="r")
+
 
 class TestFieldValues:
     def test_number_rejects_nan_and_inf(self):
-        with pytest.raises(ValueError):
-            Number(float("nan"))
-        with pytest.raises(ValueError):
-            Number(float("inf"))
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                record_with({"x": value})
 
     def test_category_rejects_empty_text(self):
         with pytest.raises(ValueError):
-            Category("")
+            record_with({"x": ""})
 
-    def test_missing_instances_compare_equal(self):
-        assert MISSING == MISSING
-        assert Number(1.0) != Category("1.0")
+    @given(st.dictionaries(st.text(), PLAIN_CELLS, max_size=6))
+    def test_plain_cells_accepted(self, fields):
+        assert record_with(dict(fields)).fields == fields
 
-
-class TestValidateBatch:
-    def test_empty_batch_is_vacuously_clean(self):
-        assert validate_batch(make_batch(DataSourceKind.YAF)) == []
-
-    def test_duplicate_record_id_named_in_violation(self):
-        batch = make_batch(
-            DataSourceKind.YAF,
-            make_record(record_id="r1", a=1),
-            make_record(record_id="r1", a=2),
-        )
-        violations = validate_batch(batch)
-        assert len(violations) == 1
-        assert "r1" in violations[0]
-
-    def test_source_mismatch_is_one_violation(self):
-        records = (
-            make_record(source=DataSourceKind.YAF, record_id="a"),
-            make_record(source=DataSourceKind.SNORT, record_id="b"),
-        )
-        batch = RecordBatch(source=DataSourceKind.YAF, records=records)
-        violations = validate_batch(batch)
-        assert len(violations) == 1
-        assert "b" in violations[0]
-
-    def test_clean_batch_has_no_violations(self):
-        batch = make_batch(
-            DataSourceKind.MERAKI,
-            make_record(source=DataSourceKind.MERAKI, record_id="a", x=1, y="two"),
-            make_record(source=DataSourceKind.MERAKI, record_id="b", x=2),
-        )
-        assert validate_batch(batch) == []
-        assert batch.schema == ("x", "y")
+    @given(
+        st.dictionaries(st.text(), PLAIN_CELLS, max_size=4),
+        st.text(),
+        st.one_of(OTHER_CELLS, st.sampled_from([float("nan"), float("inf"), float("-inf")])),
+    )
+    def test_every_other_cell_rejected(self, fields, name, bad):
+        with pytest.raises(ValueError) as err:
+            record_with({**fields, name: bad})
+        assert repr(name) in str(err.value)
 
 
 class TestWindowSplit:
@@ -90,16 +79,24 @@ class TestWindowSplit:
 
 class TestRecordIdentity:
     def test_derived_id_is_stable(self):
-        fields = {"a": Number(1.0), "b": Category("x")}
+        fields = {"a": 1.0, "b": "x"}
         first = derive_record_id(DataSourceKind.YAF, 10, fields)
         second = derive_record_id(DataSourceKind.YAF, 10, dict(fields))
         assert first == second
 
     def test_derived_id_varies_with_content(self):
-        base = derive_record_id(DataSourceKind.YAF, 10, {"a": Number(1.0)})
-        assert base != derive_record_id(DataSourceKind.YAF, 11, {"a": Number(1.0)})
-        assert base != derive_record_id(DataSourceKind.SNORT, 10, {"a": Number(1.0)})
-        assert base != derive_record_id(DataSourceKind.YAF, 10, {"a": MISSING})
+        base = derive_record_id(DataSourceKind.YAF, 10, {"a": 1.0})
+        assert base != derive_record_id(DataSourceKind.YAF, 11, {"a": 1.0})
+        assert base != derive_record_id(DataSourceKind.SNORT, 10, {"a": 1.0})
+        assert base != derive_record_id(DataSourceKind.YAF, 10, {"a": None})
+
+    def test_derived_ids_are_pinned(self):
+        # Digests of a number, a category and a missing cell, fixed so that a
+        # change to the cell representation cannot silently re-key records.
+        yaf = {"bytes": 42.5, "proto": "udp", "flag": None}
+        assert derive_record_id(DataSourceKind.YAF, 1_614_556_800_000, yaf) == "0e43509db776018b"
+        dns = {"a": 1.0, "b": "x", "c": None}
+        assert derive_record_id(DataSourceKind.BRO_DNS, 0, dns) == "8bbabfda7342bcec"
 
     def test_negative_timestamp_rejected(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from camlpad.datamodel import MISSING, Category, DataSourceKind, Number, validate_batch
+from camlpad.datamodel import DataSourceKind
 from camlpad.ingest_store import (
     DirectoryStore,
     DiscriminatorMissing,
@@ -20,6 +20,7 @@ from camlpad.ingest_store import (
     query_store,
     record_to_json_line,
     split_bro_by_protocol,
+    to_epoch_ms,
     window_split,
 )
 
@@ -34,7 +35,8 @@ class TestParseJsonl:
         assert len(batch) == 1
         record = batch.records[0]
         assert record.timestamp == 0
-        assert record.fields == {"proto": Category("udp"), "bytes": Number(42.0)}
+        assert record.fields == {"proto": "udp", "bytes": 42.0}
+        assert type(record.fields["bytes"]) is float
         assert "ts" not in batch.schema
 
     def test_empty_input_gives_empty_batch(self):
@@ -42,7 +44,7 @@ class TestParseJsonl:
 
     def test_null_maps_to_missing(self):
         batch = parse_jsonl(b'{"ts":5,"x":null}', YAF, time_field="ts")
-        assert batch.records[0].fields["x"] is MISSING
+        assert batch.records[0].fields["x"] is None
 
     def test_malformed_line_reports_line_number(self):
         data = b'{"ts":1}\nnot json\n'
@@ -62,6 +64,23 @@ class TestParseJsonl:
     def test_iso_timestamps_normalize_to_epoch_ms(self):
         batch = parse_jsonl(b'{"ts":"1970-01-01T00:00:01Z","x":1}', YAF, time_field="ts")
         assert batch.records[0].timestamp == 1000
+
+    def test_infinite_timestamps_are_missing(self):
+        assert to_epoch_ms("inf") is None and to_epoch_ms("1e999") is None
+        for text in ("inf", "1e999"):
+            with pytest.raises(MissingTimestamp) as err:
+                parse_jsonl(f'{{"ts":1}}\n{{"ts":"{text}"}}', YAF, time_field="ts")
+            assert err.value.line_number == 2
+
+    def test_negative_timestamp_is_a_malformed_line(self):
+        with pytest.raises(MalformedLine) as err:
+            parse_jsonl(b'{"ts":1}\n{"ts":-5,"x":1}', YAF, time_field="ts")
+        assert err.value.line_number == 2
+
+    def test_empty_store_id_is_a_malformed_line(self):
+        with pytest.raises(MalformedLine) as err:
+            parse_jsonl(b'{"ts":1}\n{"ts":2,"_id":""}', YAF, time_field="ts")
+        assert err.value.line_number == 2
 
     def test_duplicate_lines_still_get_unique_ids(self):
         line = b'{"ts":1,"x":1}\n{"ts":1,"x":1}'
@@ -181,7 +200,22 @@ class TestDirectoryStore:
             DirectoryStore(tmp_path), StoreQuery(index="flows", time_from=0, time_to=10), YAF
         )
         assert [r.record_id for r in batch.records] == ["x", "x-1"]
-        assert validate_batch(batch) == []
+
+    def test_ids_match_http_store_for_the_same_docs(self, tmp_path, stub_server):
+        # An out-of-window line must not claim an id: the HTTP store never
+        # returns it, so both backends have to name the window rows alike.
+        files = {
+            "2021-03-01.jsonl": [{"_id": "x", "timestamp": 1, "v": 1}, {"_id": "y", "timestamp": 20, "v": 2}],
+            "2021-03-02.jsonl": [{"_id": "x", "timestamp": 50, "v": 3}, {"_id": "y", "timestamp": 60, "v": 4}],
+        }
+        self._write_index(tmp_path, "flows", files)
+        url, state = stub_server
+        state.datasets["flows"] = [doc for docs in files.values() for doc in docs]
+        query = StoreQuery(index="flows", time_from=10, time_to=100)
+        directory = query_store(DirectoryStore(tmp_path), query, YAF)
+        http = query_store(HttpStore(url), query, YAF)
+        assert [r.record_id for r in directory.records] == ["y", "x", "y-1"]
+        assert directory.records == http.records
 
     def test_max_records_truncates(self, tmp_path):
         docs = [{"timestamp": t} for t in range(50)]

@@ -1,7 +1,7 @@
 import json
 import math
 
-from camlpad.datamodel import DataSourceKind, validate_batch
+from camlpad.datamodel import DataSourceKind
 from camlpad.ingest_store import parse_jsonl
 from camlpad.synth import BASE_EPOCH_MS, DAY_MS, SynthConfig, generate, write_store
 
@@ -37,7 +37,8 @@ class TestGenerate:
     def test_batches_pass_validation(self):
         result = generate(SynthConfig(seed=9, days_history=1, records_per_source_per_day=50))
         for batch in result.batches.values():
-            assert validate_batch(batch) == []
+            assert all(r.source is batch.source for r in batch.records)
+            assert len({r.record_id for r in batch.records}) == len(batch)
 
     def test_timestamps_span_configured_days(self):
         config = SynthConfig(seed=2, days_history=3, records_per_source_per_day=200)
@@ -58,7 +59,7 @@ class TestGenerate:
         truth = dict(zip(result.truth[source].row_ids, result.truth[source].labels.tolist()))
         inlier_values, outlier_values = [], []
         for record in result.batches[source].records:
-            value = record.fields["packet_count"].value
+            value = record.fields["packet_count"]
             (outlier_values if truth[record.record_id] else inlier_values).append(value)
         inlier_mean = sum(inlier_values) / len(inlier_values)
         outlier_mean = sum(outlier_values) / len(outlier_values)
