@@ -13,7 +13,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import CamlpadError
 
@@ -39,9 +41,9 @@ class DataSourceKind(str, Enum):
 class SensorRecord:
     """One timestamped log event from one source kind.
 
-    ``timestamp`` is epoch milliseconds UTC regardless of the source's native
-    time format. ``fields`` preserves first-seen order; the time field itself
-    is never part of ``fields``. Each cell is a finite ``float`` (a number), a
+    ``timestamp`` is epoch milliseconds UTC in ``[0, 2**63)`` regardless of
+    the source's native time format. ``fields`` preserves first-seen order;
+    the time field itself is never part of ``fields``. Each cell is a finite ``float`` (a number), a
     non-empty ``str`` (a category) or ``None`` (missing); ints are not
     numbers here, so serialized cells and derived ids keep one spelling.
     """
@@ -54,6 +56,8 @@ class SensorRecord:
     def __post_init__(self) -> None:
         if self.timestamp < 0:
             raise ValueError(f"timestamp must be >= 0, got {self.timestamp}")
+        if self.timestamp >= 2**63:  # row times are grouped as int64 arrays
+            raise ValueError(f"timestamp must be < 2**63, got {self.timestamp}")
         if not self.record_id:
             raise ValueError("record_id must be non-empty")
         for name, value in self.fields.items():
@@ -75,6 +79,15 @@ def derive_record_id(source: DataSourceKind, timestamp: int, fields: Mapping[str
     payload.extend([name, value] for name, value in fields.items())
     digest = hashlib.sha1(json.dumps(payload, separators=(",", ":")).encode("utf-8"))
     return digest.hexdigest()[:16]
+
+
+def time_buckets(timestamps: Sequence[int] | np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Group row times into ``width``-ms buckets: (sorted bucket starts, each row's index into them).
+
+    Row i lies in the bucket starting at ``starts[index[i]]``; every bucket
+    holds at least one row.
+    """
+    return np.unique(np.asarray(timestamps, dtype=np.int64) // width * width, return_inverse=True)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ class FeatureHistogram:
 class HbosModel:
     histograms: list[FeatureHistogram]
     n_training: int
-    bins: int
     epsilon: float = EPSILON
 
     @property
@@ -69,7 +68,7 @@ def fit_hbos(data, bins: int = DEFAULT_BINS) -> HbosModel:
         idx = np.clip(idx, 0, bins - 1)
         hist.counts = np.bincount(idx, minlength=bins)
         histograms.append(hist)
-    return HbosModel(histograms=histograms, n_training=n, bins=bins)
+    return HbosModel(histograms=histograms, n_training=n)
 
 
 def score_hbos_rows(model: HbosModel, rows) -> np.ndarray:

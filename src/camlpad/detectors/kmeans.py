@@ -20,7 +20,6 @@ DEFAULT_TOLERANCE = 1e-6
 @dataclass
 class KMeansModel:
     centroids: np.ndarray
-    inertia: float
     iterations: int
     params: dict = field(default_factory=dict)
 
@@ -60,16 +59,14 @@ def _lloyd(
     centroids: np.ndarray,
     max_iterations: int,
     tolerance: float,
-) -> tuple[np.ndarray, np.ndarray, list[float], int]:
-    """Iterate assignment/update; returns (centroids, assignment, inertia trace, iterations)."""
+) -> tuple[np.ndarray, int]:
+    """Iterate assignment/update; returns (centroids, iterations)."""
     k = centroids.shape[0]
-    inertia_trace: list[float] = []
     iterations = 0
     for iterations in range(1, max_iterations + 1):
         d2 = squared_distances(X, centroids)
         assignment = d2.argmin(axis=1)
         own = d2[np.arange(X.shape[0]), assignment]
-        inertia_trace.append(float(own.sum()))
         # bincount sums each cluster's rows in row order, as X[mask].mean(axis=0) does on 2+ columns
         counts = np.bincount(assignment, minlength=k)
         sums = np.stack([np.bincount(assignment, weights=column, minlength=k) for column in X.T], axis=1)
@@ -83,10 +80,7 @@ def _lloyd(
         centroids = updated
         if shift <= tolerance and empties.size == 0:
             break
-    d2 = squared_distances(X, centroids)
-    assignment = d2.argmin(axis=1)
-    inertia_trace.append(float(d2[np.arange(X.shape[0]), assignment].sum()))
-    return centroids, assignment, inertia_trace, iterations
+    return centroids, iterations
 
 
 def fit_kmeans(
@@ -101,10 +95,9 @@ def fit_kmeans(
         raise TooFewRows(f"k-means needs >= k={k} rows, got {X.shape[0]}")
     rng = np.random.default_rng(seed)
     centroids = _seed_centroids(X, k, rng)
-    centroids, _, trace, iterations = _lloyd(X, centroids, max_iterations, tolerance)
+    centroids, iterations = _lloyd(X, centroids, max_iterations, tolerance)
     return KMeansModel(
         centroids=centroids,
-        inertia=trace[-1],
         iterations=iterations,
         params={"k": k, "max_iterations": max_iterations, "tolerance": tolerance, "seed": seed},
     )

@@ -18,7 +18,6 @@ from .base import TooFewRows, as_matrix, check_dimensions
 class PcaModel:
     mean: np.ndarray
     components: np.ndarray  # (2, d); second row is all-zero when d == 1
-    explained_variance: np.ndarray
 
     @property
     def n_features(self) -> int:
@@ -38,18 +37,14 @@ def fit_pca(data) -> PcaModel:
     if d < 1:
         raise ValueError("pca needs at least one column")
     mean = X.mean(axis=0)
-    centered = X - mean
     if d == 1:
-        variance = float((centered[:, 0] ** 2).sum() / (n - 1))
-        components = np.asarray([[1.0], [0.0]])
-        explained = np.asarray([variance, 0.0])
-        return PcaModel(mean=mean, components=components, explained_variance=explained)
+        return PcaModel(mean=mean, components=np.asarray([[1.0], [0.0]]))
+    centered = X - mean
     covariance = centered.T @ centered / (n - 1)
     eigenvalues, eigenvectors = np.linalg.eigh(covariance)
     top = np.argsort(eigenvalues)[::-1][:2]
     components = np.vstack([_fix_sign(eigenvectors[:, i]) for i in top])
-    explained = np.maximum(eigenvalues[top], 0.0)
-    return PcaModel(mean=mean, components=components, explained_variance=explained)
+    return PcaModel(mean=mean, components=components)
 
 
 def project_pca_rows(model: PcaModel, rows) -> np.ndarray:

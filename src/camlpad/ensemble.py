@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .datamodel import DataSourceKind
+from .datamodel import DataSourceKind, time_buckets
 from .errors import CamlpadError
 
 DEFAULT_CONTAMINATION = 0.1
@@ -131,15 +131,15 @@ def ensemble_score(score_set: ScoreSet) -> np.ndarray:
 
 
 def cross_source_vote(
-    labeled: Mapping[DataSourceKind, Sequence[tuple[int, int]]],
+    labeled: Mapping[DataSourceKind, tuple[np.ndarray, np.ndarray]],
     bucket_width_ms: int = DEFAULT_BUCKET_WIDTH_MS,
     contamination: float = DEFAULT_CONTAMINATION,
     tie_breaks_anomalous: bool = True,
 ) -> list[BucketVerdict]:
     """Democratic vote across sources per fixed-width time bucket.
 
-    ``labeled`` maps each source to its (timestamp_ms, label) pairs. A source
-    votes 1 in a bucket iff its outlier fraction there exceeds the
+    ``labeled`` maps each source to its row (timestamps_ms, labels) arrays. A
+    source votes 1 in a bucket iff its outlier fraction there exceeds the
     contamination rate; the bucket verdict is a strict majority of the
     sources present, exact ties resolving to 1 unless configured otherwise.
     """
@@ -147,27 +147,17 @@ def cross_source_vote(
         raise ValueError("cross_source_vote needs at least one source")
     if bucket_width_ms <= 0:
         raise ValueError("bucket_width_ms must be positive")
-    counts: dict[int, dict[DataSourceKind, list[int]]] = {}
-    for source, rows in labeled.items():
-        for timestamp, label in rows:
-            bucket = (timestamp // bucket_width_ms) * bucket_width_ms
-            pair = counts.setdefault(bucket, {}).setdefault(source, [0, 0])
-            pair[0] += 1
-            pair[1] += int(label)
+    votes: dict[int, dict[DataSourceKind, int]] = {}
+    for source, (timestamps, labels) in labeled.items():
+        starts, index = time_buckets(timestamps, bucket_width_ms)
+        outlying = np.bincount(index, weights=labels) / np.bincount(index) > contamination
+        for start, flag in zip(starts.tolist(), outlying.tolist()):
+            votes.setdefault(start, {})[source] = int(flag)
     verdicts: list[BucketVerdict] = []
-    for bucket in sorted(counts):
-        votes: dict[DataSourceKind, int] = {}
-        for source, (total, outliers) in counts[bucket].items():
-            votes[source] = 1 if outliers / total > contamination else 0
-        present = len(votes)
-        ones = sum(votes.values())
-        if ones * 2 > present:
-            final = 1
-        elif ones * 2 == present:
-            final = 1 if tie_breaks_anomalous else 0
-        else:
-            final = 0
-        verdicts.append(BucketVerdict(bucket_start=bucket, votes=votes, final=final))
+    for bucket in sorted(votes):
+        twice_ones, present = 2 * sum(votes[bucket].values()), len(votes[bucket])
+        final = int(twice_ones > present or (twice_ones == present and tie_breaks_anomalous))
+        verdicts.append(BucketVerdict(bucket_start=bucket, votes=votes[bucket], final=final))
     return verdicts
 
 

@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 import requests
 
+from .datamodel import time_buckets
 from .errors import CamlpadError
 from .ingest_store import DirectoryStore, StoreLocator, StoreUnreachable
 
@@ -94,11 +95,14 @@ def window_score(ensemble_scores: Sequence[float]) -> float:
 
 
 def day_gauges(timestamps: Sequence[int], scores: Sequence[float], day_ms: int) -> dict[int, float]:
-    """Day start -> window_score of that day's rows, for each day present, in day order."""
-    buckets: dict[int, list[float]] = {}
-    for ts, score in zip(timestamps, scores):
-        buckets.setdefault((ts // day_ms) * day_ms, []).append(float(score))
-    return {day: window_score(buckets[day]) for day in sorted(buckets)}
+    """Day start -> window_score of that day's rows, for each day present, in day order.
+
+    Each day's scores keep their row order, so its mean sums them in that order.
+    """
+    days, index = time_buckets(timestamps, day_ms)
+    order = np.argsort(index, kind="stable")
+    per_day = np.split(np.asarray(scores, dtype=float)[order], np.cumsum(np.bincount(index))[:-1])
+    return {day: window_score(day_scores) for day, day_scores in zip(days.tolist(), per_day)}
 
 
 def percentile_rank(current: float, history: Sequence[float]) -> float | None:

@@ -13,6 +13,7 @@ import logging
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -26,6 +27,7 @@ logger = logging.getLogger(__name__)
 DEFAULT_TIME_FIELD = "timestamp"
 DEFAULT_MIN_HISTORY = 50
 DEFAULT_DISCRIMINATOR = "log_type"
+_CANONICAL_ORDER = attrgetter("timestamp", "record_id")
 
 
 class MalformedLine(CamlpadError):
@@ -148,43 +150,63 @@ def _field_value(raw: object) -> float | str | None:
     if isinstance(raw, bool):
         return "true" if raw else "false"
     if isinstance(raw, (int, float)):
-        # json.loads admits NaN/Infinity; treat them as absent data
-        value = float(raw)
+        # json.loads admits NaN/Infinity and integers past float range; treat them as absent data
+        try:
+            value = float(raw)
+        except OverflowError:
+            return None
         return value if math.isfinite(value) else None
     if isinstance(raw, str):
         return raw or None
     return json.dumps(raw, sort_keys=True)
 
 
-def _unique_id(base: str, taken: set[str]) -> str:
-    rid, n = base, 1
-    while rid in taken:
-        rid = f"{base}-{n}"
-        n += 1
-    taken.add(rid)
-    return rid
+def _canonical(records: list[SensorRecord]) -> list[SensorRecord]:
+    """Records in ascending (timestamp, record_id) order with unique ids.
+
+    Walking that order, each repeat of an id already taken is renamed
+    ``<id>-1``, ``<id>-2``, ... (the first free one), so the renaming does not
+    depend on which backend or file a record came from.
+    """
+    records = sorted(records, key=_CANONICAL_ORDER)
+    taken: set[str] = set()
+    renamed = False
+    for i, record in enumerate(records):
+        rid, n = record.record_id, 1
+        while rid in taken:
+            rid = f"{record.record_id}-{n}"
+            n += 1
+        taken.add(rid)
+        if rid != record.record_id:
+            records[i] = dataclasses.replace(record, record_id=rid)
+            renamed = True
+    return sorted(records, key=_CANONICAL_ORDER) if renamed else records
 
 
-def parse_jsonl(
-    data: bytes | str,
-    source: DataSourceKind,
-    time_field: str = DEFAULT_TIME_FIELD,
-    taken: set[str] | None = None,
-    window: tuple[int, int] | None = None,
-) -> RecordBatch:
-    """One SensorRecord per non-empty JSONL line.
+def parse_jsonl(data: bytes | str, source: DataSourceKind, time_field: str = DEFAULT_TIME_FIELD) -> RecordBatch:
+    """One SensorRecord per non-empty JSONL line, in (timestamp, record_id) order.
 
     Numbers become finite floats, non-empty strings stay strings, and null,
-    NaN, infinities and empty strings become None. The time field is
-    extracted and removed from the feature fields; a document-level ``_id``
-    becomes the record id, otherwise one is derived; an id already in
-    ``taken`` (shared across the files of one query) gets a ``-<n>`` suffix.
-    With ``window`` = (time_from, time_to), lines timed outside it are
-    skipped before they claim an id.
+    NaN, infinities, integers past float range and empty strings become None.
+    The time field is extracted and removed from the feature fields; a
+    document-level ``_id`` becomes the record id, otherwise one is derived;
+    repeated ids get a ``-<n>`` suffix as in :func:`query_store`.
+    """
+    return RecordBatch(source=source, records=tuple(_canonical(_read_jsonl(data, source, time_field))))
+
+
+def _read_jsonl(
+    data: bytes | str,
+    source: DataSourceKind,
+    time_field: str,
+    window: tuple[int, int] | None = None,
+) -> list[SensorRecord]:
+    """Records of the JSONL lines in line order, with the ids the documents give.
+
+    With ``window`` = (time_from, time_to), lines timed outside it are skipped.
     """
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     records: list[SensorRecord] = []
-    taken = set() if taken is None else taken
     for line_number, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -194,10 +216,10 @@ def parse_jsonl(
             raise MalformedLine(line_number, str(exc)) from None
         if not isinstance(doc, dict):
             raise MalformedLine(line_number, "expected a JSON object")
-        record = _record_from_document(doc, source, time_field, line_number, taken, window)
+        record = _record_from_document(doc, source, time_field, line_number, window)
         if record is not None:
             records.append(record)
-    return RecordBatch(source=source, records=tuple(records))
+    return records
 
 
 def _record_from_document(
@@ -205,10 +227,9 @@ def _record_from_document(
     source: DataSourceKind,
     time_field: str,
     line_number: int,
-    taken: set[str],
     window: tuple[int, int] | None = None,
 ) -> SensorRecord | None:
-    """The document's record, or None when ``window`` excludes its time."""
+    """The document's record under its store or derived id, or None when ``window`` excludes its time."""
     if time_field not in doc:
         raise MissingTimestamp(line_number, time_field)
     timestamp = to_epoch_ms(doc[time_field])
@@ -222,10 +243,7 @@ def _record_from_document(
         for name, raw in doc.items()
         if name != time_field and name != "_id"
     }
-    if store_id is not None:
-        record_id = _unique_id(str(store_id), taken)
-    else:
-        record_id = _unique_id(derive_record_id(source, timestamp, fields), taken)
+    record_id = str(store_id) if store_id is not None else derive_record_id(source, timestamp, fields)
     try:
         return SensorRecord(source=source, timestamp=timestamp, fields=fields, record_id=record_id)
     except ValueError as exc:
@@ -288,15 +306,16 @@ def query_store(
 ) -> RecordBatch:
     """All records with time_from <= t < time_to, up to max_records.
 
-    Results are in canonical ascending (timestamp, record_id) order. Partial
-    results are never returned silently: any page failure raises.
+    Results are in canonical ascending (timestamp, record_id) order; an id
+    seen again in that order is suffixed ``-1``, ``-2``, ... Partial results
+    are never returned silently: any page failure raises. A directory-store
+    line that does not parse raises with its file's name before its message.
     """
     if isinstance(locator, DirectoryStore):
         records = _query_directory(locator, query, source, time_field)
     else:
         records = _query_http(locator, query, source, time_field)
-    records.sort(key=lambda r: (r.timestamp, r.record_id))
-    return RecordBatch(source=source, records=tuple(records[: query.max_records]))
+    return RecordBatch(source=source, records=tuple(_canonical(records)[: query.max_records]))
 
 
 def _query_directory(
@@ -311,10 +330,13 @@ def _query_directory(
     if not index_dir.is_dir():
         raise IndexNotFound(query.index)
     records: list[SensorRecord] = []
-    taken: set[str] = set()
     window = (query.time_from, query.time_to)
     for path in sorted(index_dir.glob("*.jsonl")):
-        records.extend(parse_jsonl(path.read_bytes(), source, time_field, taken, window).records)
+        try:
+            records.extend(_read_jsonl(path.read_bytes(), source, time_field, window))
+        except (MalformedLine, MissingTimestamp) as exc:
+            exc.args = (f"{path.name}: {exc}",)
+            raise
     return records
 
 
@@ -329,7 +351,6 @@ def _query_http(
     if store.token:
         headers["Authorization"] = f"Bearer {store.token}"
     records: list[SensorRecord] = []
-    taken: set[str] = set()
     offset = 0
     while len(records) < query.max_records:
         body = {
@@ -353,7 +374,7 @@ def _query_http(
             doc = dict(hit.get("_source", {}))
             if "_id" in hit:
                 doc["_id"] = hit["_id"]
-            records.append(_record_from_document(doc, source, time_field, offset + position + 1, taken))
+            records.append(_record_from_document(doc, source, time_field, offset + position + 1))
         if len(hits) < query.page_size:
             break
         offset += len(hits)

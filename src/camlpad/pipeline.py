@@ -33,12 +33,8 @@ HEATMAP_MODELS = DETECTOR_NAMES + ("ensemble",)
 class SourceAnalysis:
     """Everything one source contributes downstream of detector scoring."""
 
-    source: DataSourceKind
-    window_id: str
-    row_ids: list[str]
-    timestamps: list[int]
+    timestamps: np.ndarray  # int64 row times, history rows first
     n_history: int
-    score_set: ScoreSet
     detector_labels: dict[str, LabelVector]
     ensemble_labels: LabelVector
     ensemble_scores: np.ndarray
@@ -94,9 +90,7 @@ def analyze_source(
 
     stacked = np.vstack([history_matrix.values, current_matrix.values])
     row_ids = list(history_matrix.row_ids) + list(current_matrix.row_ids)
-    timestamps = [r.timestamp for r in split.history.records] + [
-        r.timestamp for r in split.current.records
-    ]
+    timestamps = np.array([r.timestamp for r in split.history.records + split.current.records], dtype=np.int64)
     score_set = ScoreSet(
         row_ids=row_ids,
         iforest=detectors.score_iforest_rows(iforest_model, stacked),
@@ -135,12 +129,8 @@ def analyze_source(
         history_percentile=gauge_alert.percentile_rank(current_score, history_day_scores.values()),
     )
     return SourceAnalysis(
-        source=split.history.source,
-        window_id=window_id,
-        row_ids=row_ids,
         timestamps=timestamps,
         n_history=n_history,
-        score_set=score_set,
         detector_labels=detector_labels,
         ensemble_labels=ensemble_labels,
         ensemble_scores=ensemble_scores,
@@ -163,13 +153,17 @@ def fetch_batches(config: PipelineConfig, boundary_ms: int) -> dict[DataSourceKi
     bro_sources = {DataSourceKind.BRO_DNS, DataSourceKind.BRO_CONN}
     wanted = list(config.sources)
 
+    def fetch(name: str, index: str, source: DataSourceKind) -> RecordBatch:
+        query = StoreQuery(index=index, time_from=time_from, time_to=time_to)
+        try:
+            return query_store(locator, query, source, config.time_field)
+        except CamlpadError as exc:  # same type and line number, now naming what was read
+            exc.args = (f"{name}: {exc}",)
+            raise
+
     if config.bro_index and any(s in bro_sources for s in wanted):
-        combined = query_store(
-            locator,
-            StoreQuery(index=config.bro_index, time_from=time_from, time_to=time_to),
-            DataSourceKind.BRO_CONN,  # placeholder tag; split re-labels records
-            config.time_field,
-        )
+        # placeholder source tag; the split re-labels records
+        combined = fetch(f"bro index {config.bro_index}", config.bro_index, DataSourceKind.BRO_CONN)
         bro_split = split_bro_by_protocol(combined, config.bro_discriminator)
         if DataSourceKind.BRO_DNS in wanted:
             batches[DataSourceKind.BRO_DNS] = bro_split.dns
@@ -178,12 +172,7 @@ def fetch_batches(config: PipelineConfig, boundary_ms: int) -> dict[DataSourceKi
         wanted = [s for s in wanted if s not in bro_sources]
 
     for source in wanted:
-        batches[source] = query_store(
-            locator,
-            StoreQuery(index=config.index_for(source), time_from=time_from, time_to=time_to),
-            source,
-            config.time_field,
-        )
+        batches[source] = fetch(source.value, config.index_for(source), source)
     return batches
 
 
@@ -192,13 +181,12 @@ def _combined_gauge(
     window_id: str,
 ) -> gauge_alert.GaugeReading:
     day_scores = gauge_alert.day_gauges(
-        [ts for a in analyses.values() for ts in a.timestamps[: a.n_history]],
-        [s for a in analyses.values() for s in a.ensemble_scores[: a.n_history]],
+        np.concatenate([a.timestamps[: a.n_history] for a in analyses.values()]),
+        np.concatenate([a.ensemble_scores[: a.n_history] for a in analyses.values()]),
         DAY_MS,
     )
-    score = gauge_alert.window_score(
-        [float(s) for a in analyses.values() for s in a.ensemble_scores[a.n_history :]]
-    )
+    current = np.concatenate([a.ensemble_scores[a.n_history :] for a in analyses.values()])
+    score = gauge_alert.window_score(current)
     return gauge_alert.GaugeReading(
         scope=gauge_alert.COMBINED_SCOPE,
         window_id=window_id,
@@ -267,12 +255,8 @@ def run_pipeline(config: PipelineConfig, boundary_override: str | None = None) -
         except CamlpadError as exc:
             raise CamlpadError(f"{source.value}: {exc}") from exc
 
-    labeled = {
-        source: list(zip(analysis.timestamps, analysis.ensemble_labels.labels.tolist()))
-        for source, analysis in analyses.items()
-    }
     verdicts = ensemble.cross_source_vote(
-        labeled,
+        {source: (a.timestamps, a.ensemble_labels.labels) for source, a in analyses.items()},
         bucket_width_ms=config.bucket_width_ms,
         contamination=config.contamination,
         tie_breaks_anomalous=config.tie_breaks_anomalous,

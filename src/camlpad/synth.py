@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import DAY_MS
-from .datamodel import DataSourceKind, RecordBatch, SensorRecord
+from .datamodel import DataSourceKind, RecordBatch, SensorRecord, time_buckets
 from .ensemble import LabelVector
 from .ingest_store import DEFAULT_TIME_FIELD, record_to_json_line
 
@@ -25,7 +25,6 @@ BASE_EPOCH_MS = 1_614_556_800_000  # 2021-03-01T00:00:00Z
 HOUR_MS = 3_600_000
 
 TRUTH_DIR = "truth"
-BUCKET_TRUTH_WIDTH_MS = HOUR_MS
 
 ALL_SOURCES = tuple(DataSourceKind)
 
@@ -108,8 +107,7 @@ class SynthResult:
     config: SynthConfig
     batches: dict[DataSourceKind, RecordBatch]
     truth: dict[DataSourceKind, LabelVector]
-    bucket_truth: list[tuple[int, int]] = field(default_factory=list)
-    bucket_width_ms: int = BUCKET_TRUTH_WIDTH_MS
+    bucket_truth: list[tuple[int, int]] = field(default_factory=list)  # (hour start, any anomaly in it)
 
 
 def _pick_category(rng: np.random.Generator, choices: tuple[tuple[str, float], ...]) -> str:
@@ -170,7 +168,8 @@ def generate(config: SynthConfig = SynthConfig()) -> SynthResult:
     """Build per-source batches in canonical order plus record/bucket truth."""
     batches: dict[DataSourceKind, RecordBatch] = {}
     truth: dict[DataSourceKind, LabelVector] = {}
-    bucket_hits: dict[int, int] = {}
+    all_timestamps: list[int] = []
+    all_labels: list[int] = []
     for source_index, source in enumerate(config.sources):
         rows: list[tuple[SensorRecord, int]] = []
         for day in range(config.total_days):
@@ -180,10 +179,11 @@ def generate(config: SynthConfig = SynthConfig()) -> SynthResult:
         labels = [label for _, label in rows]
         batches[source] = RecordBatch(source=source, records=records)
         truth[source] = LabelVector(row_ids=[r.record_id for r in records], labels=np.asarray(labels))
-        for record, label in rows:
-            bucket = (record.timestamp // BUCKET_TRUTH_WIDTH_MS) * BUCKET_TRUTH_WIDTH_MS
-            bucket_hits[bucket] = max(bucket_hits.get(bucket, 0), label)
-    bucket_truth = sorted(bucket_hits.items())
+        all_timestamps.extend(r.timestamp for r in records)
+        all_labels.extend(labels)
+    hours, index = time_buckets(all_timestamps, HOUR_MS)
+    hit = np.bincount(index, weights=all_labels) > 0
+    bucket_truth = list(zip(hours.tolist(), hit.astype(int).tolist()))
     return SynthResult(config=config, batches=batches, truth=truth, bucket_truth=bucket_truth)
 
 

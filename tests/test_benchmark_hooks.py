@@ -2,9 +2,10 @@
 
 ``perfbench/tracer.py`` replaces module attributes by name and reads model
 fields to count work; ``perfbench/workloads.py`` writes stores from synth
-records. A rename or deletion in the package would only show up when a
-benchmark run fails, so these tests load those modules (without installing
-the tracer) and check them against the real package.
+records; ``perfbench/worker.py`` reads fields of the run result. A rename or
+deletion in the package would only show up when a benchmark run fails, so
+these tests load those modules (without installing the tracer) and check them
+against the real package.
 """
 
 import importlib
@@ -18,7 +19,7 @@ from camlpad.datamodel import DataSourceKind
 from camlpad.detectors import fit_cblof, fit_iforest, fit_pca
 from camlpad.detectors.kmeans import DEFAULT_MAX_ITERATIONS
 from camlpad.ingest_store import BroSplit, parse_jsonl, split_bro_by_protocol
-from camlpad.synth import SynthConfig, generate
+from camlpad.synth import SynthConfig, generate, write_store
 from camlpad.viz import PlotSpec, build_heatmap_points, render_svg
 
 from conftest import make_batch, make_record
@@ -99,3 +100,30 @@ def test_workload_bro_index_parses_back_to_the_synth_records(tmp_path):
         tag = source.value.removeprefix("bro_")
         assert all(record.fields.pop("log_type") == tag for record in batch.records)
         assert batch.records == result.batches[source].records
+
+
+def test_worker_reads_the_run_result(tmp_path, monkeypatch):
+    import camlpad.cli as cli
+
+    worker = load_perfbench("worker")
+    monkeypatch.setattr(cli, "run_pipeline", cli.run_pipeline)  # the worker rebinds it; restored on teardown
+    write_store(generate(SynthConfig(seed=3, days_history=2, records_per_source_per_day=30)), tmp_path / "store")
+    config = tmp_path / "run.conf"
+    config.write_text(
+        "\n".join([
+            "store.kind = directory",
+            f"store.root = {tmp_path / 'store'}",
+            "run.boundary = 2021-03-03",
+            "run.history_days = 2",
+            "run.min_history = 10",
+            f"run.output_dir = {tmp_path / 'out'}",
+            "detectors.iforest.trees = 20",
+        ]) + "\n"
+    )
+    report: dict = {}
+    code = worker.run(False, cli, str(config), report)
+    assert report["history_days"] == 2 * 5  # two history days for each of the five sources
+    # this seed's current day ranks above both history days, so the combined gauge fires
+    assert report["alerts_fired"] == 1 and (tmp_path / "out" / "alerts.jsonl").exists()
+    assert code == 2
+    assert report["run_s"] > 0 and report["ref_s"] > 0

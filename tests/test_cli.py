@@ -168,7 +168,7 @@ class TestRunCommand:
         config = write_config(tmp_path / "c.conf", store, tmp_path / "out")
         assert main(["run", "--config", str(config)]) == 1
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
-        assert len(errors) == 1 and "line 31: record_id must be non-empty" in errors[0]
+        assert errors == ["error: yaf: 2021-03-02.jsonl: line 31: record_id must be non-empty"]
 
     def test_dry_run_validates_only(self, tmp_path, capsys):
         store = tmp_path / "store"

@@ -27,7 +27,7 @@ class TestKMeans:
         rng = np.random.default_rng(2)
         X = rng.normal(0, 5, (6, 2))
         model = fit_kmeans(X, k=6, seed=1)
-        assert model.inertia == pytest.approx(0.0, abs=1e-18)
+        assert squared_distances(X, model.centroids).min(axis=1).sum() == pytest.approx(0.0, abs=1e-18)
 
     def test_same_seed_is_deterministic(self):
         rng = np.random.default_rng(3)
@@ -44,9 +44,13 @@ class TestKMeans:
         rng = np.random.default_rng(5)
         X = rng.normal(0, 2, (80, 2))
         init = X[rng.choice(80, 5, replace=False)]
-        _, _, trace, _ = _lloyd(X, init.copy(), max_iterations=50, tolerance=0.0)
+        trace = [squared_distances(X, init).min(axis=1).sum()]
+        for m in range(1, 51):
+            centroids, _ = _lloyd(X, init.copy(), max_iterations=m, tolerance=0.0)
+            trace.append(squared_distances(X, centroids).min(axis=1).sum())
         for earlier, later in zip(trace, trace[1:]):
             assert later <= earlier + 1e-9
+        assert trace[-1] < trace[0]
 
     def test_empty_cluster_reseeded_to_farthest_point(self):
         rng = np.random.default_rng(7)
@@ -55,7 +59,8 @@ class TestKMeans:
             rng.normal(10, 0.1, (3, 2)),
         ])
         init = np.array([[0.0, 0.0], [10.0, 10.0], [100.0, 100.0]])
-        centroids, assignment, _, _ = _lloyd(X, init, max_iterations=50, tolerance=1e-9)
+        centroids, _ = _lloyd(X, init, max_iterations=50, tolerance=1e-9)
+        assignment = squared_distances(X, centroids).argmin(axis=1)
         assert set(assignment.tolist()) == {0, 1, 2}
 
 
@@ -112,7 +117,7 @@ class TestKMeansMatchesMaskedMeanReference:
         rng = np.random.default_rng(7)
         X = np.vstack([rng.normal(0, 0.1, (40, 3)), rng.normal(10, 0.1, (40, 3))])
         init = np.array([[0.0, 0.0, 0.0], [10.0, 10.0, 10.0], [100.0, 100.0, 100.0], [-90.0, 0.0, 0.0]])
-        centroids, _, _, iterations = _lloyd(X, init.copy(), max_iterations=50, tolerance=1e-9)
+        centroids, iterations = _lloyd(X, init.copy(), max_iterations=50, tolerance=1e-9)
         expected, expected_iterations = reference_lloyd(X, init.copy(), 50, 1e-9)
         assert np.array_equal(centroids, expected)
         assert iterations == expected_iterations >= 2

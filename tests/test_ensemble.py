@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from camlpad.datamodel import DataSourceKind
 from camlpad.ensemble import (
@@ -135,18 +137,43 @@ class TestEnsembleScore:
             assert combined.argmax() == top
 
 
+def reference_cross_source_vote(labeled, bucket_width_ms, contamination, tie_breaks_anomalous):
+    """The per-row dict vote the array code replaced: [(bucket_start, [(source, vote), ...], final)]."""
+    counts = {}
+    for source, (timestamps, labels) in labeled.items():
+        for timestamp, label in zip(timestamps, labels):
+            bucket = (timestamp // bucket_width_ms) * bucket_width_ms
+            pair = counts.setdefault(bucket, {}).setdefault(source, [0, 0])
+            pair[0] += 1
+            pair[1] += int(label)
+    verdicts = []
+    for bucket in sorted(counts):
+        votes = {}
+        for source, (total, outliers) in counts[bucket].items():
+            votes[source] = 1 if outliers / total > contamination else 0
+        present, ones = len(votes), sum(votes.values())
+        if ones * 2 > present:
+            final = 1
+        elif ones * 2 == present:
+            final = 1 if tie_breaks_anomalous else 0
+        else:
+            final = 0
+        verdicts.append((bucket, list(votes.items()), final))
+    return verdicts
+
+
 class TestCrossSourceVote:
     YAF, SNORT, MERAKI = DataSourceKind.YAF, DataSourceKind.SNORT, DataSourceKind.MERAKI
 
     def _rows(self, bucket_start, outliers, total, width=60_000):
+        """(timestamps, labels) of ``total`` rows in one bucket, the first ``outliers`` labelled 1."""
         labels = [1] * outliers + [0] * (total - outliers)
-        return [(bucket_start + i % width, label) for i, label in enumerate(labels)]
+        return np.array([bucket_start + i % width for i in range(total)]), np.array(labels)
 
     def test_single_source_degenerate_majority(self):
-        verdicts = cross_source_vote(
-            {self.YAF: self._rows(0, 5, 10) + self._rows(60_000, 0, 10)},
-            contamination=0.1,
-        )
+        (t1, l1), (t2, l2) = self._rows(0, 5, 10), self._rows(60_000, 0, 10)
+        labeled = {self.YAF: (np.concatenate([t1, t2]), np.concatenate([l1, l2]))}
+        verdicts = cross_source_vote(labeled, contamination=0.1)
         assert [(v.bucket_start, v.final) for v in verdicts] == [(0, 1), (60_000, 0)]
 
     def test_three_sources_majority(self):
@@ -172,17 +199,54 @@ class TestCrossSourceVote:
 
     def test_every_record_in_exactly_one_bucket(self):
         rng = np.random.default_rng(13)
-        labeled = {
-            source: [(int(t), int(l)) for t, l in zip(rng.integers(0, 10**7, 200), rng.integers(0, 2, 200))]
-            for source in (self.YAF, self.SNORT)
-        }
+        labeled = {source: (rng.integers(0, 10**7, 200), rng.integers(0, 2, 200)) for source in (self.YAF, self.SNORT)}
         width = 60_000
         verdicts = cross_source_vote(labeled, bucket_width_ms=width)
         assert all(v.bucket_start % width == 0 for v in verdicts)
-        for source, rows in labeled.items():
-            starts = {(t // width) * width for t, _ in rows}
+        for source, (timestamps, _) in labeled.items():
+            starts = {(int(t) // width) * width for t in timestamps}
             covered = {v.bucket_start for v in verdicts if source in v.votes}
             assert starts == covered
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.dictionaries(
+            st.sampled_from(list(DataSourceKind)),
+            st.lists(st.tuples(st.integers(0, 40), st.integers(0, 1)), max_size=30),
+            min_size=1,
+        ),
+        offset=st.sampled_from([0, 10**12, 2**62]),
+        width=st.sampled_from([1, 2, 4, 10, 60_000]),
+        contamination=st.sampled_from([0.1, 0.25, 0.5, 0.75]),
+        tie_breaks_anomalous=st.booleans(),
+    )
+    def test_matches_per_row_reference(self, rows, offset, width, contamination, tie_breaks_anomalous):
+        reference_input = {
+            source: ([offset + t for t, _ in pairs], [label for _, label in pairs]) for source, pairs in rows.items()
+        }
+        labeled = {
+            source: (np.array(timestamps, dtype=np.int64), np.array(labels, dtype=int))
+            for source, (timestamps, labels) in reference_input.items()
+        }
+        verdicts = cross_source_vote(labeled, width, contamination, tie_breaks_anomalous)
+        expected = reference_cross_source_vote(reference_input, width, contamination, tie_breaks_anomalous)
+        assert [(v.bucket_start, list(v.votes.items()), v.final) for v in verdicts] == expected
+        assert all(type(v.bucket_start) is int for v in verdicts)
+
+    def test_exact_contamination_fraction_and_one_to_one_tie(self):
+        # 1 of 4 rows is exactly 0.25: not above it; 2 of 4 is. A 1:1 split follows the tie rule.
+        times = np.array([0, 1, 2, 3])
+        labeled = {self.YAF: (times, np.array([1, 0, 0, 0])), self.SNORT: (times, np.array([1, 1, 0, 0]))}
+        for tie in (True, False):
+            [verdict] = cross_source_vote(labeled, bucket_width_ms=4, contamination=0.25, tie_breaks_anomalous=tie)
+            assert list(verdict.votes.items()) == [(self.YAF, 0), (self.SNORT, 1)]
+            assert verdict.final == int(tie)
+
+    def test_source_with_no_rows_casts_no_vote(self):
+        empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=int))
+        verdicts = cross_source_vote({self.YAF: empty, self.SNORT: self._rows(0, 5, 10)}, contamination=0.1)
+        assert [(v.votes, v.final) for v in verdicts] == [({self.SNORT: 1}, 1)]
+        assert cross_source_vote({self.YAF: empty}) == []
 
 
 class TestJsonlExports:
@@ -219,7 +283,7 @@ class TestJsonlExports:
         assert labels_to_jsonl(empty, {"iforest": empty}) == ""
 
     def test_verdicts_jsonl_shape(self):
-        verdicts = cross_source_vote({DataSourceKind.YAF: [(0, 1), (1, 0)]}, contamination=0.1)
+        verdicts = cross_source_vote({DataSourceKind.YAF: (np.array([0, 1]), np.array([1, 0]))}, contamination=0.1)
         text = verdicts_to_jsonl(verdicts)
         assert text.startswith('{"bucket_start"')
         assert text.endswith("\n")

@@ -2,7 +2,10 @@ import json
 import random
 import threading
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from camlpad.gauge_alert import (
     AllSinksFailed,
@@ -12,6 +15,7 @@ from camlpad.gauge_alert import (
     alert_decision,
     build_alert,
     compare_recent_previous,
+    day_gauges,
     emit_alert,
     gauge_json_bytes,
     percentile_rank,
@@ -38,6 +42,49 @@ class TestWindowScore:
     def test_empty_window_raises(self):
         with pytest.raises(EmptyWindow):
             window_score([])
+
+
+def reference_day_gauges(timestamps, scores, day_ms):
+    """The per-row dict grouping the array code replaced."""
+    buckets = {}
+    for ts, score in zip(timestamps, scores):
+        buckets.setdefault((ts // day_ms) * day_ms, []).append(float(score))
+    return {day: window_score(buckets[day]) for day in sorted(buckets)}
+
+
+class TestDayGauges:
+    DAY = 86_400_000
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 5),
+                st.integers(0, 86_399_999),
+                st.floats(0.0, 1.0, allow_subnormal=False),
+            ),
+            max_size=200,
+        )
+    )
+    def test_float_exact_against_per_row_reference(self, rows):
+        timestamps = [day * self.DAY + offset for day, offset, _ in rows]
+        scores = [score for _, _, score in rows]
+        expected = reference_day_gauges(timestamps, scores, self.DAY)
+        got = day_gauges(np.array(timestamps, dtype=np.int64), np.array(scores), self.DAY)
+        assert list(got.items()) == list(expected.items())
+        assert all(type(day) is int for day in got)
+
+    def test_day_means_sum_in_row_order(self):
+        # Unsorted times, many rows per day and scores of mixed magnitude: a
+        # mean that summed a day's scores in any other order would differ.
+        rng = np.random.default_rng(3)
+        timestamps = rng.integers(0, 6 * self.DAY, 5000)
+        scores = rng.random(5000) * 10.0 ** rng.integers(-8, 1, 5000)
+        got = day_gauges(timestamps, scores, self.DAY)
+        assert list(got.items()) == list(reference_day_gauges(timestamps.tolist(), scores.tolist(), self.DAY).items())
+
+    def test_no_rows_no_days(self):
+        assert day_gauges(np.zeros(0, dtype=np.int64), np.zeros(0), self.DAY) == {}
 
 
 class TestPercentileRank:

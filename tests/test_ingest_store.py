@@ -77,6 +77,17 @@ class TestParseJsonl:
             parse_jsonl(b'{"ts":1}\n{"ts":-5,"x":1}', YAF, time_field="ts")
         assert err.value.line_number == 2
 
+    def test_timestamp_past_int64_is_a_malformed_line(self):
+        for text in (str(2**63), "1e30"):
+            with pytest.raises(MalformedLine) as err:
+                parse_jsonl(f'{{"ts":1}}\n{{"ts":{text},"x":1}}', YAF, time_field="ts")
+            assert err.value.line_number == 2
+        assert parse_jsonl(f'{{"ts":{2**63 - 1}}}', YAF, time_field="ts").records[0].timestamp == 2**63 - 1
+
+    def test_integer_past_float_range_is_missing(self):
+        batch = parse_jsonl('{"ts":5,"x":1' + "0" * 400 + ',"y":-1' + "0" * 400 + "}", YAF, time_field="ts")
+        assert batch.records[0].fields == {"x": None, "y": None}
+
     def test_empty_store_id_is_a_malformed_line(self):
         with pytest.raises(MalformedLine) as err:
             parse_jsonl(b'{"ts":1}\n{"ts":2,"_id":""}', YAF, time_field="ts")
@@ -216,6 +227,25 @@ class TestDirectoryStore:
         http = query_store(HttpStore(url), query, YAF)
         assert [r.record_id for r in directory.records] == ["y", "x", "y-1"]
         assert directory.records == http.records
+
+    def test_repeated_ids_claimed_in_time_order_like_http_store(self, tmp_path, stub_server):
+        # The later copy of "x" sits in the earlier file; the renaming follows
+        # (timestamp, id) order, not file order, so both backends agree.
+        files = {"a.jsonl": [{"_id": "x", "timestamp": 70, "v": 1}], "b.jsonl": [{"_id": "x", "timestamp": 60, "v": 2}]}
+        self._write_index(tmp_path, "flows", files)
+        url, state = stub_server
+        state.datasets["flows"] = [doc for docs in files.values() for doc in docs]
+        query = StoreQuery(index="flows", time_from=0, time_to=100)
+        directory = query_store(DirectoryStore(tmp_path), query, YAF)
+        http = query_store(HttpStore(url), query, YAF)
+        assert [(r.timestamp, r.record_id) for r in directory.records] == [(60, "x"), (70, "x-1")]
+        assert directory.records == http.records
+
+    def test_bad_line_error_names_its_file(self, tmp_path):
+        self._write_index(tmp_path, "flows", {"a.jsonl": [{"timestamp": 1}], "b.jsonl": [{"timestamp": 2, "_id": ""}]})
+        with pytest.raises(MalformedLine, match=r"^b\.jsonl: line 1: record_id must be non-empty$") as err:
+            query_store(DirectoryStore(tmp_path), StoreQuery(index="flows", time_from=0, time_to=10), YAF)
+        assert err.value.line_number == 1
 
     def test_max_records_truncates(self, tmp_path):
         docs = [{"timestamp": t} for t in range(50)]

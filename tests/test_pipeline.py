@@ -1,10 +1,11 @@
 import json
 
 import numpy as np
+import pytest
 
 from camlpad.config import PipelineConfig, DetectorParams
 from camlpad.datamodel import DataSourceKind
-from camlpad.ingest_store import record_to_document, window_split
+from camlpad.ingest_store import MissingTimestamp, record_to_document, window_split
 from camlpad.pipeline import analyze_source, fetch_batches, run_pipeline
 from camlpad.synth import DAY_MS, SynthConfig, generate, write_store
 
@@ -26,7 +27,7 @@ class TestAnalyzeSource:
         split, _ = small_split()
         analysis = analyze_source(split, FAST_DETECTORS, contamination=0.05, window_id="w")
         total = len(split.history) + len(split.current)
-        assert len(analysis.row_ids) == total
+        assert len(analysis.ensemble_labels.row_ids) == len(analysis.timestamps) == total
         assert analysis.ensemble_scores.shape == (total,)
         assert analysis.n_history == len(split.history)
         assert set(analysis.heatmap_points) == {"iforest", "hbos", "cblof", "ensemble"}
@@ -90,6 +91,14 @@ class TestFetchBatches:
         assert len(batches[DataSourceKind.BRO_DNS]) == len(result.batches[DataSourceKind.BRO_DNS])
         assert len(batches[DataSourceKind.BRO_CONN]) == len(result.batches[DataSourceKind.BRO_CONN])
         assert all(r.source is DataSourceKind.BRO_DNS for r in batches[DataSourceKind.BRO_DNS].records)
+
+    def test_bad_line_in_combined_bro_index_names_index_and_file(self, tmp_path):
+        (tmp_path / "bro").mkdir()
+        (tmp_path / "bro" / "all.jsonl").write_text('{"timestamp": 1}\n{"log_type": "dns"}\n')
+        config = PipelineConfig(store_root=tmp_path, sources=[DataSourceKind.BRO_DNS], bro_index="bro")
+        with pytest.raises(MissingTimestamp, match=r"^bro index bro: all\.jsonl: line 2: ") as err:
+            fetch_batches(config, DAY_MS)
+        assert err.value.line_number == 2
 
 
 class TestHttpBackedRun:

@@ -1,9 +1,22 @@
 import json
 import math
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from camlpad.datamodel import DataSourceKind
 from camlpad.ingest_store import parse_jsonl
-from camlpad.synth import BASE_EPOCH_MS, DAY_MS, SynthConfig, generate, write_store
+from camlpad.synth import BASE_EPOCH_MS, DAY_MS, HOUR_MS, SynthConfig, generate, write_store
+
+
+def reference_bucket_truth(result):
+    """The per-row loop the array code replaced: (hour start, 1 if any row in it is an anomaly)."""
+    hits = {}
+    for source, batch in result.batches.items():
+        for record, label in zip(batch.records, result.truth[source].labels.tolist()):
+            bucket = (record.timestamp // HOUR_MS) * HOUR_MS
+            hits[bucket] = max(hits.get(bucket, 0), label)
+    return sorted(hits.items())
 
 
 class TestGenerate:
@@ -12,6 +25,23 @@ class TestGenerate:
         for labels in result.truth.values():
             assert labels.labels.sum() == 0
         assert all(label == 0 for _, label in result.bucket_truth)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 1000),
+        days=st.integers(1, 2),
+        records=st.integers(1, 40),
+        contamination=st.sampled_from([0.0, 0.02, 0.1, 0.4]),
+        style=st.sampled_from(["shift", "scatter"]),
+        sources=st.lists(st.sampled_from(list(DataSourceKind)), unique=True, max_size=3),
+    )
+    def test_bucket_truth_matches_per_row_reference(self, seed, days, records, contamination, style, sources):
+        result = generate(SynthConfig(
+            seed=seed, days_history=days, records_per_source_per_day=records,
+            contamination=contamination, anomaly_style=style, sources=tuple(sources),
+        ))
+        assert result.bucket_truth == reference_bucket_truth(result)
+        assert all(type(start) is int and type(label) is int for start, label in result.bucket_truth)
 
     def test_same_seed_reproduces_batches(self):
         config = SynthConfig(seed=5, days_history=2, records_per_source_per_day=30)
