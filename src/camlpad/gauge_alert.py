@@ -18,11 +18,10 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-import requests
 
 from .datamodel import time_buckets
 from .errors import CamlpadError
-from .ingest_store import DirectoryStore, StoreLocator, StoreUnreachable
+from .ingest_store import DirectoryStore, StoreLocator, StoreUnreachable, index_document, post_json
 
 logger = logging.getLogger(__name__)
 
@@ -194,18 +193,15 @@ def _deliver_webhook(
     url: str,
     sleep: Callable[[float], None],
 ) -> SinkOutcome:
-    body = alert_document(event)
+    body = json.dumps(alert_document(event)).encode()
     detail = ""
     for attempt in range(1, WEBHOOK_ATTEMPTS + 1):
         try:
-            response = requests.post(url, json=body, timeout=30)
-            if 200 <= response.status_code < 300:
-                return SinkOutcome(
-                    sink=f"webhook:{url}", ok=True,
-                    detail=f"HTTP {response.status_code}", attempts=attempt,
-                )
-            detail = f"HTTP {response.status_code}"
-        except requests.RequestException as exc:
+            status, _ = post_json(url, body)
+            if 200 <= status < 300:
+                return SinkOutcome(sink=f"webhook:{url}", ok=True, detail=f"HTTP {status}", attempts=attempt)
+            detail = f"HTTP {status}"
+        except StoreUnreachable as exc:
             detail = str(exc)
         if attempt < WEBHOOK_ATTEMPTS:
             sleep(WEBHOOK_BACKOFF_SECONDS[attempt - 1])
@@ -258,14 +254,4 @@ def reindex_gauge(locator: StoreLocator, reading: GaugeReading) -> str:
         except OSError as exc:
             raise StoreUnreachable(f"cannot write gauge to {index_dir}: {exc}") from None
         return f"{reading.scope}-{reading.window_id}-{ordinal}"
-    url = f"{locator.base_url}/{GAUGES_INDEX}/_doc"
-    headers = {"Content-Type": "application/json"}
-    if locator.token:
-        headers["Authorization"] = f"Bearer {locator.token}"
-    try:
-        response = requests.post(url, data=payload, headers=headers, timeout=30)
-    except requests.RequestException as exc:
-        raise StoreUnreachable(f"{url}: {exc}") from None
-    if response.status_code not in (200, 201):
-        raise StoreUnreachable(f"{url}: HTTP {response.status_code}")
-    return str(response.json().get("_id", ""))
+    return index_document(locator, GAUGES_INDEX, payload)

@@ -8,16 +8,19 @@ Two store backends speak the same contract: a directory of ``.jsonl`` files
 from __future__ import annotations
 
 import dataclasses
+import functools
+import http.client
 import json
 import logging
 import math
+import urllib.error
+import urllib.request
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
-
-import requests
 
 from .datamodel import DataSourceKind, RecordBatch, SensorRecord, WindowSplit, derive_record_id
 from .errors import CamlpadError
@@ -28,6 +31,7 @@ DEFAULT_TIME_FIELD = "timestamp"
 DEFAULT_MIN_HISTORY = 50
 DEFAULT_DISCRIMINATOR = "log_type"
 _CANONICAL_ORDER = attrgetter("timestamp", "record_id")
+_HTTP_SCHEMES = ("http://", "https://")
 
 
 class MalformedLine(CamlpadError):
@@ -113,6 +117,57 @@ class HttpStore:
 StoreLocator = DirectoryStore | HttpStore
 
 
+class _HttpRedirectsOnly(urllib.request.HTTPRedirectHandler):
+    """Refuses a redirect to a non-http(s) URL (urllib alone follows ftp://) as a reply of its own."""
+
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        if not newurl.lower().startswith(_HTTP_SCHEMES):
+            raise urllib.error.HTTPError(newurl, code, f"{msg} - redirect to {newurl} refused", headers, fp)
+        return super().redirect_request(req, fp, code, msg, headers, newurl)
+
+
+@functools.cache
+def _opener() -> urllib.request.OpenerDirector:
+    return urllib.request.build_opener(_HttpRedirectsOnly)
+
+
+def post_json(url: str, body: bytes, token: str | None = None) -> tuple[int, bytes]:
+    """POST a JSON body, with a Bearer header when a token is set; (status, body) of any reply.
+
+    Every failure that leaves no reply, a non-http(s) URL included, is StoreUnreachable.
+    """
+    if not url.lower().startswith(_HTTP_SCHEMES):
+        raise StoreUnreachable(f"{url}: only http:// and https:// URLs are supported")
+    headers = {"Content-Type": "application/json"}
+    if token:
+        headers["Authorization"] = f"Bearer {token}"
+    request = urllib.request.Request(url, data=body, headers=headers, method="POST")
+    try:
+        try:
+            response = _opener().open(request, timeout=30)
+        except urllib.error.HTTPError as reply:  # a non-2xx reply still has a status and a body
+            response = reply
+        with response:
+            return response.status, response.read()
+    except (OSError, ValueError, http.client.HTTPException) as exc:
+        raise StoreUnreachable(f"{url}: {exc}") from None
+
+
+def index_document(store: HttpStore, index: str, payload: bytes) -> str:
+    """POST one JSON document to ``{base}/{index}/_doc``; the id the store assigned, or ""."""
+    url = f"{store.base_url}/{index}/_doc"
+    status, raw = post_json(url, payload, store.token)
+    if status not in (200, 201):
+        raise StoreUnreachable(f"{url}: HTTP {status}")
+    try:
+        reply = json.loads(raw)
+    except ValueError:
+        reply = None
+    if not isinstance(reply, dict):
+        raise StoreUnreachable(f"{url}: reply is not a JSON object: {raw[:80]!r}")
+    return str(reply.get("_id", ""))
+
+
 def to_epoch_ms(value: object) -> int | None:
     """Normalize a raw time value to epoch milliseconds UTC, or None.
 
@@ -165,22 +220,28 @@ def _canonical(records: list[SensorRecord]) -> list[SensorRecord]:
     """Records in ascending (timestamp, record_id) order with unique ids.
 
     Walking that order, each repeat of an id already taken is renamed
-    ``<id>-1``, ``<id>-2``, ... (the first free one), so the renaming does not
-    depend on which backend or file a record came from.
+    ``<id>-1``, ``<id>-2``, ... (the first free one). Records that tie on
+    both time and id are walked in the order of their serialized documents,
+    so the renaming does not depend on which backend, file or page a record
+    came from.
     """
     records = sorted(records, key=_CANONICAL_ORDER)
+    if len({record.record_id for record in records}) == len(records):
+        return records
+    ordered: list[SensorRecord] = []
+    for _, tie in groupby(records, _CANONICAL_ORDER):
+        tie = list(tie)
+        ordered.extend(sorted(tie, key=record_to_json_line) if len(tie) > 1 else tie)
     taken: set[str] = set()
-    renamed = False
-    for i, record in enumerate(records):
+    for i, record in enumerate(ordered):
         rid, n = record.record_id, 1
         while rid in taken:
             rid = f"{record.record_id}-{n}"
             n += 1
         taken.add(rid)
         if rid != record.record_id:
-            records[i] = dataclasses.replace(record, record_id=rid)
-            renamed = True
-    return sorted(records, key=_CANONICAL_ORDER) if renamed else records
+            ordered[i] = dataclasses.replace(record, record_id=rid)
+    return sorted(ordered, key=_CANONICAL_ORDER)
 
 
 def parse_jsonl(data: bytes | str, source: DataSourceKind, time_field: str = DEFAULT_TIME_FIELD) -> RecordBatch:
@@ -235,6 +296,8 @@ def _record_from_document(
     timestamp = to_epoch_ms(doc[time_field])
     if timestamp is None:
         raise MissingTimestamp(line_number, time_field)
+    if not 0 <= timestamp < 2**63:  # rejected before the window test, so no backend drops it unnoticed
+        raise MalformedLine(line_number, f"time {timestamp} outside [0, 2**63) ms")
     if window is not None and not window[0] <= timestamp < window[1]:
         return None
     store_id = doc.get("_id")
@@ -347,9 +410,6 @@ def _query_http(
     time_field: str,
 ) -> list[SensorRecord]:
     url = f"{store.base_url}/{query.index}/_search"
-    headers = {}
-    if store.token:
-        headers["Authorization"] = f"Bearer {store.token}"
     records: list[SensorRecord] = []
     offset = 0
     while len(records) < query.max_records:
@@ -358,20 +418,14 @@ def _query_http(
             "from": offset,
             "size": query.page_size,
         }
-        try:
-            response = requests.post(url, json=body, headers=headers, timeout=30)
-        except requests.RequestException as exc:
-            raise StoreUnreachable(f"{url}: {exc}") from None
-        if response.status_code == 404:
+        status, raw = post_json(url, json.dumps(body).encode(), store.token)
+        if status == 404:
             raise IndexNotFound(query.index)
-        if response.status_code != 200:
-            raise PageFailure(len(records), f"HTTP {response.status_code} at offset {offset}")
-        try:
-            hits = response.json()["hits"]
-        except (ValueError, KeyError) as exc:
-            raise PageFailure(len(records), f"bad response body: {exc}") from None
+        if status != 200:
+            raise PageFailure(len(records), f"HTTP {status} at offset {offset}")
+        hits = _page_hits(raw, len(records))
         for position, hit in enumerate(hits):
-            doc = dict(hit.get("_source", {}))
+            doc = dict(hit["_source"])
             if "_id" in hit:
                 doc["_id"] = hit["_id"]
             records.append(_record_from_document(doc, source, time_field, offset + position + 1))
@@ -379,6 +433,20 @@ def _query_http(
             break
         offset += len(hits)
     return records
+
+
+def _page_hits(raw: bytes, records_so_far: int) -> list[dict]:
+    """The hits of a search reply ``{"hits": [{"_source": {...}, ...}, ...]}``, else PageFailure."""
+    try:
+        page = json.loads(raw)
+    except ValueError as exc:
+        raise PageFailure(records_so_far, f"bad response body: {exc}") from None
+    hits = page.get("hits") if isinstance(page, dict) else None
+    if not isinstance(hits, list) or not all(
+        isinstance(hit, dict) and isinstance(hit.get("_source"), dict) for hit in hits
+    ):
+        raise PageFailure(records_so_far, f"bad response body: hits must be objects with a _source object: {raw[:80]!r}")
+    return hits
 
 
 def window_split(

@@ -22,7 +22,10 @@ class StubState:
     webhook_bodies: list[dict] = field(default_factory=list)
     webhook_fail_calls: int = 0
     auth_headers: list[str | None] = field(default_factory=list)
+    content_types: list[str | None] = field(default_factory=list)
     search_calls: int = 0
+    raw_replies: dict[str, bytes] = field(default_factory=dict)  # route -> body sent verbatim with HTTP 200
+    redirects: dict[str, str] = field(default_factory=dict)  # route -> Location sent with HTTP 302
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -31,8 +34,8 @@ class _StubHandler(BaseHTTPRequestHandler):
     def log_message(self, *args):  # keep pytest output clean
         pass
 
-    def _reply(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
+    def _reply(self, status: int, payload: dict | bytes) -> None:
+        body = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -43,7 +46,18 @@ class _StubHandler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", 0))
         raw = self.rfile.read(length)
         self.state.auth_headers.append(self.headers.get("Authorization"))
-        parts = self.path.strip("/").split("/")
+        self.state.content_types.append(self.headers.get("Content-Type"))
+        route = self.path.strip("/")
+        if route in self.state.raw_replies:
+            self._reply(200, self.state.raw_replies[route])
+            return
+        if route in self.state.redirects:
+            self.send_response(302)
+            self.send_header("Location", self.state.redirects[route])
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+            return
+        parts = route.split("/")
 
         if parts == ["webhook", "ok"]:
             self.state.webhook_bodies.append(json.loads(raw))

@@ -1,6 +1,9 @@
 import json
 import random
+import re
 import threading
+import urllib.error
+import urllib.request
 
 import numpy as np
 import pytest
@@ -22,7 +25,7 @@ from camlpad.gauge_alert import (
     reindex_gauge,
     window_score,
 )
-from camlpad.ingest_store import DirectoryStore, HttpStore
+from camlpad.ingest_store import DirectoryStore, HttpStore, StoreUnreachable
 
 
 def reading(score=0.5, percentile=90.0, scope="yaf", window_id="2021-03-08"):
@@ -202,6 +205,27 @@ class TestEmitAlert:
         emit_alert(self._event(), webhook_url="http://127.0.0.1:1/nowhere", sleep=lambda _: None)
         assert len(state.webhook_bodies) == 1
 
+    @pytest.mark.parametrize("webhook_url", ["hooks.example/x", "ftp://127.0.0.1:1/x", "file://{tmp}/secret"])
+    def test_non_http_webhook_is_a_failed_sink_and_opens_nothing(self, tmp_path, monkeypatch, webhook_url):
+        (tmp_path / "secret").write_text("not for webhooks")
+        opened = []
+
+        def refuse(opener, request, *args, **kwargs):
+            opened.append(request)
+            raise urllib.error.URLError("opened by a test that forbids it")
+
+        monkeypatch.setattr(urllib.request.OpenerDirector, "open", refuse)
+        sleeps = []
+        outcomes = emit_alert(
+            self._event(),
+            file_path=tmp_path / "alerts.jsonl",
+            webhook_url=webhook_url.format(tmp=tmp_path),
+            sleep=sleeps.append,
+        )
+        assert [(o.ok, o.attempts) for o in outcomes] == [(True, 1), (False, 3)]
+        assert sleeps == [1.0, 2.0]
+        assert opened == []
+
     def test_no_sinks_configured_is_an_error(self):
         with pytest.raises(ValueError):
             emit_alert(self._event())
@@ -252,6 +276,14 @@ class TestReindexGauge:
         doc_id = reindex_gauge(HttpStore(url), reading())
         assert doc_id == "g-0"
         assert state.gauge_docs[0]["scope"] == "yaf"
+        assert state.content_types == ["application/json"]
+
+    @pytest.mark.parametrize("body", [b"not json", b"[1]"])
+    def test_http_store_bad_reply_is_unreachable_naming_the_url(self, stub_server, body):
+        url, state = stub_server
+        state.raw_replies["gauges/_doc"] = body
+        with pytest.raises(StoreUnreachable, match=re.escape(f"{url}/gauges/_doc")):
+            reindex_gauge(HttpStore(url), reading())
 
 
 class TestGaugeJson:

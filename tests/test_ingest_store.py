@@ -1,5 +1,6 @@
 import json
 import random
+import socket
 
 import pytest
 
@@ -241,6 +242,32 @@ class TestDirectoryStore:
         assert [(r.timestamp, r.record_id) for r in directory.records] == [(60, "x"), (70, "x-1")]
         assert directory.records == http.records
 
+    def test_same_time_same_id_ties_named_by_document_not_by_file_or_page(self, tmp_path, stub_server):
+        one, two = {"_id": "x", "timestamp": 5, "v": 1}, {"_id": "x", "timestamp": 5, "v": 2}
+        query = StoreQuery(index="flows", time_from=0, time_to=10)
+        url, state = stub_server
+        batches = []
+        for first, second in ((one, two), (two, one)):
+            root = tmp_path / f"first-v{first['v']}"
+            self._write_index(root, "flows", {"a.jsonl": [first], "b.jsonl": [second]})
+            batches.append(query_store(DirectoryStore(root), query, YAF))
+            state.datasets["flows"] = [first, second]
+            batches.append(query_store(HttpStore(url), query, YAF))
+        for batch in batches:
+            assert [(r.record_id, r.fields["v"]) for r in batch.records] == [("x", 1.0), ("x-1", 2.0)]
+
+    @pytest.mark.parametrize("time", [1e30, -7])
+    def test_time_outside_int64_range_is_rejected_not_dropped(self, tmp_path, stub_server, time):
+        self._write_index(tmp_path, "flows", {"a.jsonl": [{"timestamp": 5}, {"timestamp": time}]})
+        query = StoreQuery(index="flows", time_from=0, time_to=10)
+        with pytest.raises(MalformedLine, match=r"^a\.jsonl: line 2: ") as err:
+            query_store(DirectoryStore(tmp_path), query, YAF)
+        assert err.value.line_number == 2
+        url, state = stub_server
+        state.raw_replies["flows/_search"] = json.dumps({"hits": [{"_id": "b", "_source": {"timestamp": time}}]}).encode()
+        with pytest.raises(MalformedLine, match=r"^line 1: "):
+            query_store(HttpStore(url), query, YAF)
+
     def test_bad_line_error_names_its_file(self, tmp_path):
         self._write_index(tmp_path, "flows", {"a.jsonl": [{"timestamp": 1}], "b.jsonl": [{"timestamp": 2, "_id": ""}]})
         with pytest.raises(MalformedLine, match=r"^b\.jsonl: line 1: record_id must be non-empty$") as err:
@@ -281,6 +308,7 @@ class TestHttpStore:
         )
         assert len(batch) == 30
         assert state.search_calls == 1
+        assert state.content_types == ["application/json"]
 
     def test_auth_token_sent_as_bearer(self, stub_server):
         url, state = stub_server
@@ -304,6 +332,32 @@ class TestHttpStore:
                 StoreQuery(index="flows", time_from=0, time_to=1),
                 YAF,
             )
+
+    def test_file_url_is_unreachable_and_reads_no_file(self, tmp_path):
+        (tmp_path / "flows").mkdir()
+        (tmp_path / "flows" / "_search").write_text('{"hits": []}')
+        with pytest.raises(StoreUnreachable):
+            query_store(HttpStore(tmp_path.as_uri()), StoreQuery(index="flows", time_from=0, time_to=1), YAF)
+
+    def test_redirect_off_http_is_a_failed_page_and_connects_nowhere(self, stub_server):
+        url, state = stub_server
+        with socket.socket() as ftp:
+            ftp.bind(("127.0.0.1", 0))
+            ftp.listen(1)
+            ftp.setblocking(False)
+            state.redirects["flows/_search"] = f"ftp://127.0.0.1:{ftp.getsockname()[1]}/x"
+            with pytest.raises(PageFailure, match="HTTP 302"):
+                query_store(HttpStore(url), StoreQuery(index="flows", time_from=0, time_to=10), YAF)
+            with pytest.raises(BlockingIOError):
+                ftp.accept()  # no connection is waiting
+
+    @pytest.mark.parametrize("body", [b"[]", b'{"hits": 5}', b'{"hits": [1]}', b'{"hits": [{"_source": 3}]}'])
+    def test_bad_response_body_is_a_page_failure(self, stub_server, body):
+        url, state = stub_server
+        state.raw_replies["flows/_search"] = body
+        with pytest.raises(PageFailure, match="bad response body") as err:
+            query_store(HttpStore(url), StoreQuery(index="flows", time_from=0, time_to=10), YAF)
+        assert err.value.records_so_far == 0
 
     def test_mid_paging_failure_never_returns_partial_results(self, stub_server):
         url, state = stub_server
