@@ -14,6 +14,7 @@ import json
 import logging
 import math
 import urllib.error
+import urllib.parse
 import urllib.request
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -118,12 +119,16 @@ StoreLocator = DirectoryStore | HttpStore
 
 
 class _HttpRedirectsOnly(urllib.request.HTTPRedirectHandler):
-    """Refuses a redirect to a non-http(s) URL (urllib alone follows ftp://) as a reply of its own."""
+    """Refuses a redirect to a non-http(s) URL (urllib alone follows ftp://) as a reply of its own,
+    and keeps the Bearer token off any redirect to another scheme, host or port."""
 
     def redirect_request(self, req, fp, code, msg, headers, newurl):
         if not newurl.lower().startswith(_HTTP_SCHEMES):
             raise urllib.error.HTTPError(newurl, code, f"{msg} - redirect to {newurl} refused", headers, fp)
-        return super().redirect_request(req, fp, code, msg, headers, newurl)
+        redirected = super().redirect_request(req, fp, code, msg, headers, newurl)
+        if urllib.parse.urlsplit(newurl)[:2] != urllib.parse.urlsplit(req.full_url)[:2]:
+            redirected.remove_header("Authorization")
+        return redirected
 
 
 @functools.cache
@@ -134,7 +139,8 @@ def _opener() -> urllib.request.OpenerDirector:
 def post_json(url: str, body: bytes, token: str | None = None) -> tuple[int, bytes]:
     """POST a JSON body, with a Bearer header when a token is set; (status, body) of any reply.
 
-    Every failure that leaves no reply, a non-http(s) URL included, is StoreUnreachable.
+    Every failure that leaves no reply, a non-http(s) URL or one carrying user:password@
+    included, is StoreUnreachable.
     """
     if not url.lower().startswith(_HTTP_SCHEMES):
         raise StoreUnreachable(f"{url}: only http:// and https:// URLs are supported")
@@ -143,6 +149,10 @@ def post_json(url: str, body: bytes, token: str | None = None) -> tuple[int, byt
         headers["Authorization"] = f"Bearer {token}"
     request = urllib.request.Request(url, data=body, headers=headers, method="POST")
     try:
+        parts = urllib.parse.urlsplit(url)
+        if "@" in parts.netloc:  # urllib would take user:password for part of the host name
+            host = parts.netloc.rpartition("@")[2]
+            raise StoreUnreachable(f"{parts.scheme}://{host}{parts.path}: user:password@ in a URL is not supported")
         try:
             response = _opener().open(request, timeout=30)
         except urllib.error.HTTPError as reply:  # a non-2xx reply still has a status and a body

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -41,6 +42,10 @@ class _StubHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
+
+    def do_GET(self) -> None:  # urllib follows a 302 to a POST with a GET
+        self.state.auth_headers.append(self.headers.get("Authorization"))
+        self._reply(405, {"error": "GET not served"})
 
     def do_POST(self) -> None:
         length = int(self.headers.get("Content-Length", 0))
@@ -99,8 +104,8 @@ class _StubHandler(BaseHTTPRequestHandler):
         self._reply(404, {"error": "no such route"})
 
 
-@pytest.fixture
-def stub_server():
+@contextmanager
+def _serve_stub():
     state = StubState()
     handler = type("Handler", (_StubHandler,), {"state": state})
     server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
@@ -112,6 +117,19 @@ def stub_server():
     finally:
         server.shutdown()
         server.server_close()
+
+
+@pytest.fixture
+def stub_server():
+    with _serve_stub() as served:
+        yield served
+
+
+@pytest.fixture
+def other_stub_server():
+    """A second stub on its own port, e.g. the target of a redirect to another host."""
+    with _serve_stub() as served:
+        yield served
 
 
 def make_record(

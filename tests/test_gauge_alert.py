@@ -226,6 +226,19 @@ class TestEmitAlert:
         assert sleeps == [1.0, 2.0]
         assert opened == []
 
+    def test_webhook_url_with_credentials_is_a_failed_sink_naming_why(self, stub_server, tmp_path):
+        url, state = stub_server
+        outcomes = emit_alert(
+            self._event(),
+            file_path=tmp_path / "alerts.jsonl",
+            webhook_url=url.replace("http://", "http://alice:pw-secret@") + "/webhook/ok",
+            sleep=lambda _: None,
+        )
+        assert [(o.ok, o.attempts) for o in outcomes] == [(True, 1), (False, 3)]
+        assert "user:password@ in a URL is not supported" in outcomes[1].detail
+        assert "pw-secret" not in outcomes[1].detail
+        assert state.webhook_bodies == []
+
     def test_no_sinks_configured_is_an_error(self):
         with pytest.raises(ValueError):
             emit_alert(self._event())

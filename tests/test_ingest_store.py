@@ -351,6 +351,30 @@ class TestHttpStore:
             with pytest.raises(BlockingIOError):
                 ftp.accept()  # no connection is waiting
 
+    def test_token_stays_off_a_redirect_to_another_host(self, stub_server, other_stub_server):
+        url, state = stub_server
+        other_url, other_state = other_stub_server
+        state.redirects["flows/_search"] = f"{other_url}/flows/_search"
+        with pytest.raises(PageFailure, match="HTTP 405"):
+            query_store(HttpStore(url, token="sekrit"), StoreQuery(index="flows", time_from=0, time_to=10), YAF)
+        assert state.auth_headers == ["Bearer sekrit"]
+        assert other_state.auth_headers == [None]
+
+    def test_token_follows_a_redirect_on_the_same_host(self, stub_server):
+        url, state = stub_server
+        state.redirects["flows/_search"] = f"{url}/moved/_search"
+        with pytest.raises(PageFailure, match="HTTP 405"):
+            query_store(HttpStore(url, token="sekrit"), StoreQuery(index="flows", time_from=0, time_to=10), YAF)
+        assert state.auth_headers == ["Bearer sekrit", "Bearer sekrit"]
+
+    def test_credentials_in_url_are_unreachable_and_not_echoed(self, stub_server):
+        url, state = stub_server
+        with_userinfo = url.replace("http://", "http://alice:pw-secret@")
+        with pytest.raises(StoreUnreachable, match="user:password@ in a URL is not supported") as err:
+            query_store(HttpStore(with_userinfo), StoreQuery(index="flows", time_from=0, time_to=10), YAF)
+        assert "pw-secret" not in str(err.value)
+        assert state.auth_headers == []
+
     @pytest.mark.parametrize("body", [b"[]", b'{"hits": 5}', b'{"hits": [1]}', b'{"hits": [{"_source": 3}]}'])
     def test_bad_response_body_is_a_page_failure(self, stub_server, body):
         url, state = stub_server
