@@ -3,9 +3,16 @@
 Each tree is grown on a uniform random subsample; at each node a split
 feature is drawn uniformly among the features that still vary in the node's
 sample and the split value uniformly between that feature's node minimum and
-maximum. A row's path length is the termination depth plus the average-path
-correction for the leaf's sample size, and the anomaly score is
-``2 ** (-mean_path / c(sample_size))``.
+maximum. A node is a leaf at ``max_depth``, at one row or none, or when no
+feature varies (Liu, Ting & Zhou, "Isolation Forest", ICDM 2008).
+
+All trees grow together, one depth at a time. The subsamples are stacked
+with each node's rows contiguous, so one vectorised pass per depth splits
+every node of every tree: per-node minima and maxima by ``reduceat``, one
+``rng.random((nodes, 2))`` draw for the features and values, one ``x < value``
+routing, and a stable sort that regroups the rows by child. A row's path
+length is the termination depth plus the average-path correction for the
+leaf's sample size, and the anomaly score is ``2 ** (-mean_path / c(sample_size))``.
 """
 
 from __future__ import annotations
@@ -56,62 +63,13 @@ class IsolationForestModel:
     max_depth: int
 
 
-class _TreeBuilder:
-    def __init__(self, max_depth: int, rng: np.random.Generator):
-        self.max_depth = max_depth
-        self.rng = rng
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.size: list[int] = []
-
-    def _new_node(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.size.append(0)
-        return len(self.feature) - 1
-
-    def build(self, sample: np.ndarray, depth: int = 0) -> int:
-        node = self._new_node()
-        n = sample.shape[0]
-        if depth >= self.max_depth or n <= 1:
-            self.size[node] = n
-            return node
-        mins = sample.min(axis=0)
-        maxs = sample.max(axis=0)
-        varying = np.flatnonzero(maxs > mins)
-        if varying.size == 0:
-            self.size[node] = n
-            return node
-        feature = int(varying[self.rng.integers(varying.size)])
-        value = float(self.rng.uniform(mins[feature], maxs[feature]))
-        mask = sample[:, feature] < value
-        self.feature[node] = feature
-        self.threshold[node] = value
-        self.left[node] = self.build(sample[mask], depth + 1)
-        self.right[node] = self.build(sample[~mask], depth + 1)
-        return node
-
-    def finish(self) -> IsolationTree:
-        return IsolationTree(
-            feature=np.asarray(self.feature, dtype=int),
-            threshold=np.asarray(self.threshold, dtype=float),
-            left=np.asarray(self.left, dtype=int),
-            right=np.asarray(self.right, dtype=int),
-            size=np.asarray(self.size, dtype=int),
-        )
-
-
 def fit_iforest(
     data,
     trees: int = DEFAULT_TREES,
     subsample: int = DEFAULT_SUBSAMPLE,
     seed: int = 0,
 ) -> IsolationForestModel:
-    """Grow ``trees`` isolation trees on random subsamples of the training rows."""
+    """Grow ``trees`` isolation trees on random subsamples of the training rows, all at once."""
     X = as_matrix(data)
     n, d = X.shape
     if n < 2:
@@ -121,14 +79,57 @@ def fit_iforest(
     rng = np.random.default_rng(seed)
     sample_size = min(subsample, n)
     max_depth = math.ceil(math.log2(subsample))
-    forest: list[IsolationTree] = []
-    for _ in range(trees):
-        rows = rng.choice(n, size=sample_size, replace=False)
-        builder = _TreeBuilder(max_depth, rng)
-        builder.build(X[rows])
-        forest.append(builder.finish())
+    # The frontier is one depth's nodes over all trees, ordered by tree; `sample`
+    # holds their rows, grouped by node in frontier order.
+    sample = X[np.concatenate([rng.choice(n, size=sample_size, replace=False) for _ in range(trees)])]
+    tree = np.arange(trees)
+    counts = np.full(trees, sample_size)
+    next_id = np.ones(trees, dtype=int)
+    levels = []
+    for depth in range(max_depth + 1):
+        m = counts.size
+        feature, threshold = np.full(m, -1), np.zeros(m)
+        left, right, size = np.full(m, -1), np.full(m, -1), counts.copy()
+        levels.append((tree, feature, threshold, left, right, size))
+        filled = np.flatnonzero(counts)
+        if depth == max_depth or filled.size == 0:
+            break
+        starts = np.cumsum(counts[filled]) - counts[filled]
+        lo = np.minimum.reduceat(sample, starts)
+        hi = np.maximum.reduceat(sample, starts)
+        varying = hi > lo
+        splits = varying.any(axis=1)
+        nodes, lo, hi, varying = filled[splits], lo[splits], hi[splits], varying[splits]
+        k = nodes.size
+        at = np.arange(k)
+        u = rng.random((k, 2))
+        nth = (u[:, 0] * varying.sum(axis=1)).astype(int)  # < number varying, as u < 1
+        chosen = np.argmax(np.cumsum(varying, axis=1) > nth[:, None], axis=1)
+        value = lo[at, chosen] + (hi[at, chosen] - lo[at, chosen]) * u[:, 1]
+        # Route: drop the rows of new leaves, then regroup the rest by child.
+        rank = np.full(m, -1)
+        rank[nodes] = at
+        owner = rank[np.repeat(np.arange(m), counts)]
+        sample, owner = sample[owner >= 0], owner[owner >= 0]
+        child = 2 * owner + ~(sample[np.arange(owner.size), chosen[owner]] < value[owner])
+        sample = sample[np.argsort(child, kind="stable")]
+        counts = np.bincount(child, minlength=2 * k)
+        # Number each tree's new children after its existing nodes, in frontier order.
+        parent_tree = tree[nodes]
+        per_tree = np.bincount(parent_tree, minlength=trees)
+        first = next_id[parent_tree] + 2 * (at - (np.cumsum(per_tree) - per_tree)[parent_tree])
+        next_id += 2 * per_tree
+        feature[nodes], threshold[nodes], size[nodes] = chosen, value, 0
+        left[nodes], right[nodes] = first, first + 1
+        tree = np.repeat(parent_tree, 2)
+    tree, feature, threshold, left, right, size = (np.concatenate(column) for column in zip(*levels))
+    order = np.argsort(tree, kind="stable")
+    bounds = np.cumsum(np.bincount(tree, minlength=trees))[:-1]
     return IsolationForestModel(
-        trees=forest,
+        trees=[
+            IsolationTree(feature[ix], threshold[ix], left[ix], right[ix], size[ix])
+            for ix in np.split(order, bounds)
+        ],
         n_features=d,
         sample_size=sample_size,
         max_depth=max_depth,

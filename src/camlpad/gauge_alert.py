@@ -21,7 +21,7 @@ import numpy as np
 
 from .datamodel import time_buckets
 from .errors import CamlpadError
-from .ingest_store import DirectoryStore, StoreLocator, StoreUnreachable, index_document, post_json
+from .ingest_store import DirectoryStore, StoreLocator, StoreUnreachable, index_document, post_json, redact_url
 
 logger = logging.getLogger(__name__)
 
@@ -194,19 +194,20 @@ def _deliver_webhook(
     sleep: Callable[[float], None],
 ) -> SinkOutcome:
     body = json.dumps(alert_document(event)).encode()
+    sink = f"webhook:{redact_url(url)}"
     detail = ""
     for attempt in range(1, WEBHOOK_ATTEMPTS + 1):
         try:
             status, _ = post_json(url, body)
             if 200 <= status < 300:
-                return SinkOutcome(sink=f"webhook:{url}", ok=True, detail=f"HTTP {status}", attempts=attempt)
+                return SinkOutcome(sink=sink, ok=True, detail=f"HTTP {status}", attempts=attempt)
             detail = f"HTTP {status}"
         except StoreUnreachable as exc:
             detail = str(exc)
         if attempt < WEBHOOK_ATTEMPTS:
             sleep(WEBHOOK_BACKOFF_SECONDS[attempt - 1])
     return SinkOutcome(
-        sink=f"webhook:{url}", ok=False,
+        sink=sink, ok=False,
         detail=f"failed after {WEBHOOK_ATTEMPTS} attempts: {detail}",
         attempts=WEBHOOK_ATTEMPTS,
     )

@@ -136,23 +136,31 @@ def _opener() -> urllib.request.OpenerDirector:
     return urllib.request.build_opener(_HttpRedirectsOnly)
 
 
+def redact_url(url: str) -> str:
+    """``url`` without the user:password@, query and fragment that may hold a secret."""
+    try:
+        parts = urllib.parse.urlsplit(url)
+    except ValueError:
+        return "<unparseable URL>"
+    return urllib.parse.urlunsplit((parts.scheme, parts.netloc.rpartition("@")[2], parts.path, "", ""))
+
+
 def post_json(url: str, body: bytes, token: str | None = None) -> tuple[int, bytes]:
     """POST a JSON body, with a Bearer header when a token is set; (status, body) of any reply.
 
     Every failure that leaves no reply, a non-http(s) URL or one carrying user:password@
-    included, is StoreUnreachable.
+    included, is StoreUnreachable, naming the URL by ``redact_url``.
     """
+    shown = redact_url(url)
     if not url.lower().startswith(_HTTP_SCHEMES):
-        raise StoreUnreachable(f"{url}: only http:// and https:// URLs are supported")
+        raise StoreUnreachable(f"{shown}: only http:// and https:// URLs are supported")
     headers = {"Content-Type": "application/json"}
     if token:
         headers["Authorization"] = f"Bearer {token}"
     request = urllib.request.Request(url, data=body, headers=headers, method="POST")
     try:
-        parts = urllib.parse.urlsplit(url)
-        if "@" in parts.netloc:  # urllib would take user:password for part of the host name
-            host = parts.netloc.rpartition("@")[2]
-            raise StoreUnreachable(f"{parts.scheme}://{host}{parts.path}: user:password@ in a URL is not supported")
+        if "@" in urllib.parse.urlsplit(url).netloc:  # urllib would take user:password for part of the host name
+            raise StoreUnreachable(f"{shown}: user:password@ in a URL is not supported")
         try:
             response = _opener().open(request, timeout=30)
         except urllib.error.HTTPError as reply:  # a non-2xx reply still has a status and a body
@@ -160,7 +168,7 @@ def post_json(url: str, body: bytes, token: str | None = None) -> tuple[int, byt
         with response:
             return response.status, response.read()
     except (OSError, ValueError, http.client.HTTPException) as exc:
-        raise StoreUnreachable(f"{url}: {exc}") from None
+        raise StoreUnreachable(f"{shown}: {exc}") from None
 
 
 def index_document(store: HttpStore, index: str, payload: bytes) -> str:
