@@ -32,4 +32,6 @@ def check_dimensions(expected: int, row_or_matrix: np.ndarray) -> np.ndarray:
         array = array[None, :]
     if array.shape[1] != expected:
         raise DimensionMismatch(f"model expects {expected} features, got {array.shape[1]}")
+    if np.isnan(array).any():
+        raise ValueError("detector input contains missing values; impute first")
     return array

@@ -13,6 +13,15 @@ every node of every tree: per-node minima and maxima by ``reduceat``, one
 routing, and a stable sort that regroups the rows by child. A row's path
 length is the termination depth plus the average-path correction for the
 leaf's sample size, and the anomaly score is ``2 ** (-mean_path / c(sample_size))``.
+
+Scoring walks all rows down one tree at a time, one level per step, with no
+per-node Python loop. The trees' arrays are first flattened into node tables
+in which a leaf is its own child and tests feature 0 against +inf, so a row
+stays on the leaf it reaches. A step gathers each row's node feature and
+threshold, gathers the row's value by flat index ``row * d + feature``, and
+moves every row to ``child[2 * node + (x < threshold)]``; a tree takes as many
+steps as its deepest leaf. A row's path lengths are added up tree by tree,
+in tree order.
 """
 
 from __future__ import annotations
@@ -136,29 +145,43 @@ def fit_iforest(
     )
 
 
-def _tree_path_lengths(tree: IsolationTree, X: np.ndarray) -> np.ndarray:
-    out = np.zeros(X.shape[0])
-    stack: list[tuple[int, np.ndarray, int]] = [(0, np.arange(X.shape[0]), 0)]
-    while stack:
-        node, rows, depth = stack.pop()
-        if rows.size == 0:
-            continue
-        feature = tree.feature[node]
-        if feature < 0:
-            out[rows] = depth + average_path_length(int(tree.size[node]))
-            continue
-        mask = X[rows, feature] < tree.threshold[node]
-        stack.append((tree.left[node], rows[mask], depth + 1))
-        stack.append((tree.right[node], rows[~mask], depth + 1))
-    return out
+def _forest_tables(model: IsolationForestModel):
+    """Node tables of all trees, numbered tree after tree, and each tree's root and height.
+
+    Child pairs are stored (right, left), so a row goes right iff not x < threshold.
+    ``value`` is a leaf's path length, its depth plus c(size).
+    """
+    sizes = np.array([len(tree.feature) for tree in model.trees])
+    roots = np.cumsum(sizes) - sizes
+    feature, threshold, left, right, size = (
+        np.concatenate([getattr(tree, name) for tree in model.trees])
+        for name in ("feature", "threshold", "left", "right", "size")
+    )
+    leaf = feature < 0
+    node = np.arange(feature.size)
+    shift = np.repeat(roots, sizes)
+    child = np.column_stack([np.where(leaf, node, right + shift), np.where(leaf, node, left + shift)]).ravel()
+    depth = np.zeros(feature.size)
+    level, d = roots, 0
+    while level.size:
+        depth[level] = d
+        level, d = child.reshape(-1, 2)[level[~leaf[level]]].ravel(), d + 1
+    c = np.array([average_path_length(k) for k in range(int(size.max()) + 1)])
+    height = np.maximum.reduceat(depth, roots).astype(int)
+    return roots, height, child, np.where(leaf, 0, feature), np.where(leaf, np.inf, threshold), depth + c[size]
 
 
 def score_iforest_rows(model: IsolationForestModel, rows) -> np.ndarray:
     """Anomaly scores in (0,1); higher means shorter average isolation path."""
     X = check_dimensions(model.n_features, np.asarray(rows, dtype=float))
-    totals = np.zeros(X.shape[0])
-    for tree in model.trees:
-        totals += _tree_path_lengths(tree, X)
+    roots, height, child, feature, threshold, value = _forest_tables(model)
+    n, d = X.shape
+    flat, offset, totals = X.ravel(), np.arange(n) * d, np.zeros(n)
+    for root, steps in zip(roots.tolist(), height.tolist()):
+        node = np.full(n, root)
+        for _ in range(steps):
+            node = child[2 * node + (flat[offset + feature[node]] < threshold[node])]
+        totals += value[node]
     mean_path = totals / len(model.trees)
     return np.power(2.0, -mean_path / average_path_length(model.sample_size))
 

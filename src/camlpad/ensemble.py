@@ -182,13 +182,11 @@ def labels_to_jsonl(
 
 
 def verdicts_to_jsonl(verdicts: Sequence[BucketVerdict]) -> str:
-    """One {"bucket_start", "final", "votes"} JSON object per bucket."""
-    lines = []
-    for verdict in verdicts:
-        doc = {
-            "bucket_start": verdict.bucket_start,
-            "final": verdict.final,
-            "votes": {source.value: flag for source, flag in sorted(verdict.votes.items())},
-        }
-        lines.append(json.dumps(doc, sort_keys=True))
+    """One {"bucket_start", "final", "votes"} JSON object per bucket, as json.dumps(doc, sort_keys=True) writes it."""
+    vote = {kind: json.dumps(kind.value) + ": %d" for kind in DataSourceKind}
+    template = '{"bucket_start": %d, "final": %d, "votes": {%s}}'
+    lines = [
+        template % (v.bucket_start, v.final, ", ".join(vote[kind] % flag for kind, flag in sorted(v.votes.items())))
+        for v in verdicts
+    ]
     return "\n".join(lines) + "\n" if lines else ""

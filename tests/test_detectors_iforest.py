@@ -9,7 +9,13 @@ from camlpad.detectors import (
     DimensionMismatch,
     TooFewRows,
     average_path_length,
+    fit_cblof,
+    fit_hbos,
     fit_iforest,
+    fit_pca,
+    project_pca_rows,
+    score_cblof_rows,
+    score_hbos_rows,
     score_iforest,
     score_iforest_rows,
 )
@@ -98,6 +104,24 @@ class TestScoreProperties:
         model = fit_iforest(np.array([[0.0, 1.0], [2.0, 3.0]]), trees=5, seed=0)
         with pytest.raises(DimensionMismatch):
             score_iforest(model, [1.0])
+
+
+@pytest.mark.parametrize(
+    "fit, score",
+    [
+        (lambda X: fit_iforest(X, trees=5, subsample=8, seed=0), score_iforest_rows),
+        (fit_hbos, score_hbos_rows),
+        (lambda X: fit_cblof(X, k=2, seed=0), score_cblof_rows),
+        (fit_pca, project_pca_rows),
+    ],
+)
+def test_scoring_rejects_rows_with_missing_values(fit, score):
+    X = np.random.default_rng(4).normal(0, 1, (20, 3))
+    model = fit(X)
+    rows = X[:3].copy()
+    rows[1, 2] = np.nan
+    with pytest.raises(ValueError, match="missing values"):
+        score(model, rows)
 
 
 class TestTreeStructure:
@@ -249,3 +273,76 @@ class TestAgreesWithRecursiveBuilder:
         assert len(top & top_reference) >= k - 1
         assert abs(scores.mean() - reference.mean()) <= 0.02
         assert abs(scores[-k:].mean() - reference[-k:].mean()) <= 0.02
+
+
+def _reference_path_totals(model: IsolationForestModel, X: np.ndarray) -> np.ndarray:
+    """The one-node-at-a-time stack walk the level walk replaced: summed path lengths per row."""
+    totals = np.zeros(X.shape[0])
+    for tree in model.trees:
+        out = np.zeros(X.shape[0])
+        stack = [(0, np.arange(X.shape[0]), 0)]
+        while stack:
+            node, rows, depth = stack.pop()
+            if rows.size == 0:
+                continue
+            feature = tree.feature[node]
+            if feature < 0:
+                out[rows] = depth + average_path_length(int(tree.size[node]))
+                continue
+            mask = X[rows, feature] < tree.threshold[node]
+            stack.append((tree.left[node], rows[mask], depth + 1))
+            stack.append((tree.right[node], rows[~mask], depth + 1))
+        totals += out
+    return totals
+
+
+def _reference_scores(model: IsolationForestModel, X: np.ndarray) -> np.ndarray:
+    mean_path = _reference_path_totals(model, X) / len(model.trees)
+    return np.power(2.0, -mean_path / average_path_length(model.sample_size))
+
+
+class TestLevelWalkMatchesStackWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        X=training_sets(),
+        trees=st.integers(1, 6),
+        subsample=st.integers(2, 100),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_scores_equal_on_training_threshold_and_infinite_rows(self, X, trees, subsample, seed, data):
+        model = fit_iforest(X, trees=trees, subsample=subsample, seed=seed)
+        # Rows that sit exactly on a split value in that split's feature, and rows with +-inf cells.
+        splits = [(f, t) for tree in model.trees for f, t in zip(tree.feature, tree.threshold) if f >= 0]
+        on_split = X[data.draw(st.lists(st.integers(0, len(X) - 1), min_size=len(splits), max_size=len(splits)))]
+        for row, (feature, threshold) in zip(on_split, splits):
+            row[feature] = threshold
+        infinite = X[data.draw(st.lists(st.integers(0, len(X) - 1), min_size=1, max_size=5))]
+        cells = data.draw(st.lists(st.sampled_from([None, np.inf, -np.inf]), min_size=infinite.size, max_size=infinite.size))
+        for i, value in enumerate(cells):
+            if value is not None:
+                infinite.flat[i] = value
+        rows = np.vstack([X, on_split, infinite])
+        assert np.array_equal(score_iforest_rows(model, rows), _reference_scores(model, rows))
+
+    def test_single_leaf_trees(self):
+        leaf = IsolationTree(np.array([-1]), np.array([0.0]), np.array([-1]), np.array([-1]), np.array([5]))
+        model = IsolationForestModel([leaf, leaf, leaf], n_features=2, sample_size=5, max_depth=3)
+        rows = np.array([[0.0, 1.0], [np.inf, -np.inf], [-3.0, 7.5]])
+        scores = score_iforest_rows(model, rows)
+        assert np.array_equal(scores, _reference_scores(model, rows))
+        assert np.array_equal(scores, np.full(3, 0.5))
+
+    def test_tree_deeper_than_max_depth(self):
+        # A hand-built chain three levels deep under max_depth 1; its rows must still reach the leaves.
+        chain = IsolationTree(
+            feature=np.array([0, -1, 1, -1, 0, -1, -1]),
+            threshold=np.array([0.0, 0.0, 1.0, 0.0, -1.0, 0.0, 0.0]),
+            left=np.array([2, -1, 4, -1, 5, -1, -1]),
+            right=np.array([1, -1, 3, -1, 6, -1, -1]),
+            size=np.array([0, 1, 0, 1, 0, 1, 1]),
+        )
+        model = IsolationForestModel([chain], n_features=2, sample_size=7, max_depth=1)
+        rows = np.array([[1.0, 0.0], [-0.5, 2.0], [-0.5, 0.0], [-2.0, 0.0], [-1.0, 0.0], [-np.inf, np.inf]])
+        assert np.array_equal(_reference_path_totals(model, rows), [1.0, 2.0, 3.0, 3.0, 3.0, 2.0])
+        assert np.array_equal(score_iforest_rows(model, rows), _reference_scores(model, rows))

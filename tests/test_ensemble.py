@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from camlpad.datamodel import DataSourceKind
 from camlpad.ensemble import (
+    BucketVerdict,
     LabelVector,
     MisalignedRows,
     ScoreSet,
@@ -287,3 +288,19 @@ class TestJsonlExports:
         text = verdicts_to_jsonl(verdicts)
         assert text.startswith('{"bucket_start"')
         assert text.endswith("\n")
+
+    def test_verdicts_jsonl_is_json_dumps_with_sorted_keys(self):
+        verdicts = [
+            BucketVerdict(bucket_start=0, votes={}, final=0),
+            BucketVerdict(3_600_000, {DataSourceKind.YAF: 1, DataSourceKind.BRO_DNS: 0, DataSourceKind.SNORT: 1}, 1),
+            BucketVerdict(1_614_556_800_000, {kind: i % 2 for i, kind in enumerate(reversed(DataSourceKind))}, 0),
+        ]
+        expected = [
+            json.dumps(
+                {"bucket_start": v.bucket_start, "final": v.final, "votes": {k.value: f for k, f in v.votes.items()}},
+                sort_keys=True,
+            )
+            for v in verdicts
+        ]
+        assert verdicts_to_jsonl(verdicts) == "\n".join(expected) + "\n"
+        assert verdicts_to_jsonl([]) == ""
