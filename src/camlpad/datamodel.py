@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -37,7 +38,7 @@ class DataSourceKind(str, Enum):
             raise CamlpadError(f"unknown data source kind: {name!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SensorRecord:
     """One timestamped log event from one source kind.
 
@@ -67,6 +68,15 @@ class SensorRecord:
                 raise ValueError(
                     f"field {name!r}: cell must be a finite float, a non-empty str or None, got {value!r}"
                 )
+
+    def with_source(self, source: DataSourceKind) -> "SensorRecord":
+        """This record tagged with another source, sharing its checked cells and id."""
+        tagged = object.__new__(SensorRecord)
+        object.__setattr__(tagged, "source", source)
+        object.__setattr__(tagged, "timestamp", self.timestamp)
+        object.__setattr__(tagged, "fields", self.fields)
+        object.__setattr__(tagged, "record_id", self.record_id)
+        return tagged
 
 
 def derive_record_id(source: DataSourceKind, timestamp: int, fields: Mapping[str, float | str | None]) -> str:
@@ -114,11 +124,7 @@ class RecordBatch:
 
 
 def union_schema(records: Iterable[SensorRecord]) -> tuple[str, ...]:
-    seen: dict[str, None] = {}
-    for record in records:
-        for name in record.fields:
-            seen.setdefault(name)
-    return tuple(seen)
+    return tuple(dict.fromkeys(chain.from_iterable(record.fields for record in records)))
 
 
 @dataclass(frozen=True)

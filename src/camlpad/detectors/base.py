@@ -26,7 +26,8 @@ def as_matrix(data) -> np.ndarray:
     return array
 
 
-def check_dimensions(expected: int, row_or_matrix: np.ndarray) -> np.ndarray:
+def check_dimensions(expected: int, row_or_matrix: np.ndarray, allow_inf: bool = False) -> np.ndarray:
+    """Rows to score as a 2-D float array; NaN is refused, and so is +-inf unless the model routes it."""
     array = np.asarray(row_or_matrix, dtype=float)
     if array.ndim == 1:
         array = array[None, :]
@@ -34,4 +35,6 @@ def check_dimensions(expected: int, row_or_matrix: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"model expects {expected} features, got {array.shape[1]}")
     if np.isnan(array).any():
         raise ValueError("detector input contains missing values; impute first")
+    if not allow_inf and np.isinf(array).any():
+        raise ValueError("detector input contains infinite values")
     return array

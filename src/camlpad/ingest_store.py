@@ -3,6 +3,12 @@
 Two store backends speak the same contract: a directory of ``.jsonl`` files
 (one subdirectory per index) and a minimal HTTP search API
 (``POST {base}/{index}/_search`` with a range query and from/size paging).
+
+Each document is walked once on its way to a record: a JSONL line holding
+one object is decoded once at C level (``_read_jsonl``), its cells are
+built in one pass into a fresh dict (``_record_from_document``), and its
+``SensorRecord`` is built once; the BRO split re-tags records without
+building them again.
 """
 
 from __future__ import annotations
@@ -12,13 +18,13 @@ import functools
 import http.client
 import json
 import logging
-import math
 import urllib.error
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import groupby
+from math import isfinite
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -33,6 +39,7 @@ DEFAULT_MIN_HISTORY = 50
 DEFAULT_DISCRIMINATOR = "log_type"
 _CANONICAL_ORDER = attrgetter("timestamp", "record_id")
 _HTTP_SCHEMES = ("http://", "https://")
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 class MalformedLine(CamlpadError):
@@ -65,6 +72,10 @@ class PageFailure(CamlpadError):
     def __init__(self, records_so_far: int, reason: str):
         super().__init__(f"page failure after {records_so_far} records: {reason}")
         self.records_so_far = records_so_far
+
+
+class TooManyRecords(CamlpadError):
+    pass
 
 
 class EmptyCurrent(CamlpadError):
@@ -218,6 +229,12 @@ def _iso_epoch_ms(text: str) -> int | None:
 
 
 def _field_value(raw: object) -> float | str | None:
+    """The cell of a decoded JSON value: a finite float, a non-empty str or None.
+
+    Numbers become floats; NaN, infinities and integers past float range are
+    None, as are null and "". A bool is "true"/"false", and a nested object
+    or array is its ``json.dumps(..., sort_keys=True)`` text.
+    """
     if raw is None:
         return None
     if isinstance(raw, bool):
@@ -228,7 +245,7 @@ def _field_value(raw: object) -> float | str | None:
             value = float(raw)
         except OverflowError:
             return None
-        return value if math.isfinite(value) else None
+        return value if isfinite(value) else None
     if isinstance(raw, str):
         return raw or None
     return json.dumps(raw, sort_keys=True)
@@ -283,18 +300,28 @@ def _read_jsonl(
     """Records of the JSONL lines in line order, with the ids the documents give.
 
     With ``window`` = (time_from, time_to), lines timed outside it are skipped.
+    Each line goes first through the C scanner of ``_raw_decode``; its result
+    stands only when it is an object spanning the whole line. Any other line
+    (blank, padded with whitespace, malformed, or not an object) is decoded
+    again by ``json.loads``, so what passes and the message of what fails are
+    ``json.loads``'s.
     """
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     records: list[SensorRecord] = []
     for line_number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
         try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedLine(line_number, str(exc)) from None
-        if not isinstance(doc, dict):
-            raise MalformedLine(line_number, "expected a JSON object")
+            doc, end = _raw_decode(line)
+        except ValueError:
+            doc, end = None, -1
+        if end != len(line) or type(doc) is not dict:
+            if not line.strip():
+                continue
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedLine(line_number, str(exc)) from None
+            if not isinstance(doc, dict):
+                raise MalformedLine(line_number, "expected a JSON object")
         record = _record_from_document(doc, source, time_field, line_number, window)
         if record is not None:
             records.append(record)
@@ -308,10 +335,17 @@ def _record_from_document(
     line_number: int,
     window: tuple[int, int] | None = None,
 ) -> SensorRecord | None:
-    """The document's record under its store or derived id, or None when ``window`` excludes its time."""
+    """The document's record under its store or derived id, or None when ``window`` excludes its time.
+
+    Cells are built in one pass into a fresh dict: a finite float or a
+    non-empty str is kept as it is, and only the rare kinds (int, bool,
+    null, NaN/inf, "", nested values) go through ``_field_value``. The record
+    is built once; ``SensorRecord`` checks its cells.
+    """
     if time_field not in doc:
         raise MissingTimestamp(line_number, time_field)
-    timestamp = to_epoch_ms(doc[time_field])
+    raw_time = doc[time_field]
+    timestamp = raw_time if type(raw_time) is int else to_epoch_ms(raw_time)
     if timestamp is None:
         raise MissingTimestamp(line_number, time_field)
     if not 0 <= timestamp < 2**63:  # rejected before the window test, so no backend drops it unnoticed
@@ -320,7 +354,7 @@ def _record_from_document(
         return None
     store_id = doc.get("_id")
     fields = {
-        name: _field_value(raw)
+        name: raw if (type(raw) is float and isfinite(raw)) or (type(raw) is str and raw) else _field_value(raw)
         for name, raw in doc.items()
         if name != time_field and name != "_id"
     }
@@ -365,9 +399,9 @@ def split_bro_by_protocol(
     for record in batch.records:
         label = record.fields.get(discriminator)
         if label == dns_value:
-            dns_records.append(dataclasses.replace(record, source=DataSourceKind.BRO_DNS))
+            dns_records.append(record.with_source(DataSourceKind.BRO_DNS))
         elif label == conn_value:
-            conn_records.append(dataclasses.replace(record, source=DataSourceKind.BRO_CONN))
+            conn_records.append(record.with_source(DataSourceKind.BRO_CONN))
         else:
             dropped += 1
     if dropped:
@@ -385,18 +419,22 @@ def query_store(
     source: DataSourceKind,
     time_field: str = DEFAULT_TIME_FIELD,
 ) -> RecordBatch:
-    """All records with time_from <= t < time_to, up to max_records.
+    """All records with time_from <= t < time_to.
 
     Results are in canonical ascending (timestamp, record_id) order; an id
     seen again in that order is suffixed ``-1``, ``-2``, ... Partial results
-    are never returned silently: any page failure raises. A directory-store
-    line that does not parse raises with its file's name before its message.
+    are never returned silently: any page failure raises, and so does a
+    window holding more than max_records records (TooManyRecords). A
+    directory-store line that does not parse raises with its file's name
+    before its message.
     """
     if isinstance(locator, DirectoryStore):
         records = _query_directory(locator, query, source, time_field)
     else:
         records = _query_http(locator, query, source, time_field)
-    return RecordBatch(source=source, records=tuple(_canonical(records)[: query.max_records]))
+    if len(records) > query.max_records:
+        raise TooManyRecords(f"index {query.index}: more than max_records={query.max_records} records in the window")
+    return RecordBatch(source=source, records=tuple(_canonical(records)))
 
 
 def _query_directory(
@@ -430,7 +468,8 @@ def _query_http(
     url = f"{store.base_url}/{query.index}/_search"
     records: list[SensorRecord] = []
     offset = 0
-    while len(records) < query.max_records:
+    # a full page at the cap is followed by one more, to tell "exactly max_records" from "more"
+    while len(records) <= query.max_records:
         body = {
             "range": {time_field: {"gte": query.time_from, "lt": query.time_to}},
             "from": offset,

@@ -76,22 +76,20 @@ def encode(
     fitted = dictionary is not None
     result: EncodingDictionary = copy.deepcopy(dictionary) if dictionary else {}
     columns = list(batch.schema)
-    values = np.full((len(batch.records), len(columns)), np.nan)
-    col_index = {name: i for i, name in enumerate(columns)}
+    values = np.empty((len(batch.records), len(columns)))
+    cells_by_row = [record.fields for record in batch.records]
     drift: dict[str, int] = {}
 
-    for row, record in enumerate(batch.records):
-        for name, value in record.fields.items():
-            if value is None:
-                continue
-            if type(value) is str:
-                codes = result.setdefault(name, {})
-                if value not in codes:
-                    codes[value] = len(codes)
-                    if fitted:
-                        drift[name] = drift.get(name, 0) + 1
-                value = codes[value]
-            values[row, col_index[name]] = value
+    for col, name in enumerate(columns):
+        column = [cells.get(name) for cells in cells_by_row]
+        if str in set(map(type, column)):
+            codes = result.setdefault(name, {})
+            known = len(codes)
+            # setdefault gives an unseen category the next code, so codes follow first-seen order
+            column = [codes.setdefault(value, len(codes)) if type(value) is str else value for value in column]
+            if fitted and len(codes) > known:
+                drift[name] = len(codes) - known
+        values[:, col] = column  # None becomes NaN
 
     if drift:
         logger.info(

@@ -178,6 +178,15 @@ class TestRunCommand:
         assert not (tmp_path / "out").exists()
         assert "store reachable" in capsys.readouterr().out
 
+    def test_dry_run_probe_of_an_http_store_passes_past_one_record(self, tmp_path, stub_server, capsys):
+        url, state = stub_server
+        state.datasets["yaf"] = [{"_id": f"d{i}", "timestamp": 0, "v": 1.0} for i in range(3)]
+        config = tmp_path / "c.conf"
+        config.write_text(f"store.kind = http\nstore.url = {url}\nrun.sources = yaf\nrun.output_dir = {tmp_path / 'out'}\n")
+        assert main(["run", "--config", str(config), "--dry-run"]) == 0
+        assert "store reachable" in capsys.readouterr().out
+        assert state.search_calls == 2
+
     def test_dry_run_detects_missing_store(self, tmp_path):
         config = write_config(tmp_path / "c.conf", tmp_path / "ghost", tmp_path / "out")
         assert main(["run", "--config", str(config), "--dry-run"]) == 1

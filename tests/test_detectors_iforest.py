@@ -124,6 +124,23 @@ def test_scoring_rejects_rows_with_missing_values(fit, score):
         score(model, rows)
 
 
+@pytest.mark.parametrize(
+    "fit, score",
+    [
+        (fit_hbos, score_hbos_rows),
+        (lambda X: fit_cblof(X, k=2, seed=0), score_cblof_rows),
+        (fit_pca, project_pca_rows),
+    ],
+)
+@pytest.mark.parametrize("cells", [[np.inf, 0.0, 0.0], [-np.inf, 0.0, 0.0], [-np.inf, np.inf, 0.0]])
+def test_scoring_rejects_infinite_cells_where_the_model_cannot_score_them(fit, score, cells):
+    # HBOS would bin +inf as its lowest bin, CBLOF would score inf, PCA would place [-inf, inf, 0] at NaN.
+    X = np.random.default_rng(4).normal(0, 1, (40, 3))
+    model = fit(X)
+    with pytest.raises(ValueError, match="infinite values"):
+        score(model, np.vstack([X[:2], cells]))
+
+
 class TestTreeStructure:
     def test_depth_never_exceeds_cap(self):
         rng = np.random.default_rng(6)

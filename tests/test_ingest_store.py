@@ -1,10 +1,16 @@
+import dataclasses
 import json
+import math
 import random
 import socket
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from camlpad.datamodel import DataSourceKind
+from camlpad.datamodel import DataSourceKind, SensorRecord, derive_record_id
 from camlpad.ingest_store import (
     DirectoryStore,
     DiscriminatorMissing,
@@ -17,6 +23,9 @@ from camlpad.ingest_store import (
     PageFailure,
     StoreQuery,
     StoreUnreachable,
+    TooManyRecords,
+    _canonical,
+    _read_jsonl,
     parse_jsonl,
     query_store,
     record_to_json_line,
@@ -274,29 +283,43 @@ class TestDirectoryStore:
             query_store(DirectoryStore(tmp_path), StoreQuery(index="flows", time_from=0, time_to=10), YAF)
         assert err.value.line_number == 1
 
-    def test_max_records_truncates(self, tmp_path):
+    def test_more_than_max_records_raises(self, tmp_path):
         docs = [{"timestamp": t} for t in range(50)]
         self._write_index(tmp_path, "flows", {"a.jsonl": docs})
-        batch = query_store(
-            DirectoryStore(tmp_path),
-            StoreQuery(index="flows", time_from=0, time_to=100, page_size=5, max_records=7),
-            YAF,
-        )
-        assert len(batch) == 7
-        assert [r.timestamp for r in batch.records] == list(range(7))
+        with pytest.raises(TooManyRecords, match=r"^index flows: more than max_records=49 records"):
+            query_store(
+                DirectoryStore(tmp_path),
+                StoreQuery(index="flows", time_from=0, time_to=100, page_size=5, max_records=49),
+                YAF,
+            )
+        for time_to, cap in ((100, 50), (20, 20)):  # records outside the window do not count
+            query = StoreQuery(index="flows", time_from=0, time_to=time_to, page_size=5, max_records=cap)
+            assert [r.timestamp for r in query_store(DirectoryStore(tmp_path), query, YAF).records] == list(range(cap))
 
 
 class TestHttpStore:
-    def test_pagination_honors_max_records(self, stub_server):
+    def test_more_than_max_records_raises(self, stub_server):
         url, state = stub_server
         state.datasets["flows"] = [{"_id": f"d{i:04d}", "timestamp": i, "v": i} for i in range(300)]
-        batch = query_store(
-            HttpStore(url),
-            StoreQuery(index="flows", time_from=0, time_to=1000, page_size=100, max_records=250),
-            YAF,
-        )
-        assert len(batch) == 250
-        assert [r.timestamp for r in batch.records] == list(range(250))
+        with pytest.raises(TooManyRecords, match=r"^index flows: more than max_records=250 records"):
+            query_store(
+                HttpStore(url),
+                StoreQuery(index="flows", time_from=0, time_to=1000, page_size=100, max_records=250),
+                YAF,
+            )
+        assert state.search_calls == 3
+
+    def test_exactly_max_records_takes_one_more_page(self, stub_server):
+        url, state = stub_server
+        state.datasets["flows"] = [{"_id": f"d{i:04d}", "timestamp": i, "v": i} for i in range(300)]
+        query = StoreQuery(index="flows", time_from=0, time_to=1000, page_size=100, max_records=300)
+        batch = query_store(HttpStore(url), query, YAF)
+        assert [r.timestamp for r in batch.records] == list(range(300))
+        assert state.search_calls == 4  # the fourth, empty page tells "exactly 300" from "more"
+        state.datasets["flows"].append({"_id": "d0300", "timestamp": 300, "v": 300})
+        with pytest.raises(TooManyRecords):
+            query_store(HttpStore(url), query, YAF)
+        assert state.search_calls == 8
 
     def test_stops_when_exhausted(self, stub_server):
         url, state = stub_server
@@ -444,3 +467,176 @@ class TestJsonRoundTrip:
             line = record_to_json_line(record)
             parsed = parse_jsonl(line, YAF)
             assert parsed.records[0] == record
+
+
+# The walk the store backends used before the one-pass decode: ``json.loads``
+# on every line and one ``_field_value`` call per cell. Kept as the reference
+# that the decode and cell rules are checked against.
+def _reference_field_value(raw):
+    if raw is None:
+        return None
+    if isinstance(raw, bool):
+        return "true" if raw else "false"
+    if isinstance(raw, (int, float)):
+        try:
+            value = float(raw)
+        except OverflowError:
+            return None
+        return value if math.isfinite(value) else None
+    if isinstance(raw, str):
+        return raw or None
+    return json.dumps(raw, sort_keys=True)
+
+
+def _reference_record_from_document(doc, source, time_field, line_number, window=None):
+    if time_field not in doc:
+        raise MissingTimestamp(line_number, time_field)
+    timestamp = to_epoch_ms(doc[time_field])
+    if timestamp is None:
+        raise MissingTimestamp(line_number, time_field)
+    if not 0 <= timestamp < 2**63:
+        raise MalformedLine(line_number, f"time {timestamp} outside [0, 2**63) ms")
+    if window is not None and not window[0] <= timestamp < window[1]:
+        return None
+    store_id = doc.get("_id")
+    fields = {name: _reference_field_value(raw) for name, raw in doc.items() if name != time_field and name != "_id"}
+    record_id = str(store_id) if store_id is not None else derive_record_id(source, timestamp, fields)
+    try:
+        return SensorRecord(source=source, timestamp=timestamp, fields=fields, record_id=record_id)
+    except ValueError as exc:
+        raise MalformedLine(line_number, str(exc)) from None
+
+
+def _reference_read_jsonl(text, source, time_field, window=None):
+    records = []
+    for line_number, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedLine(line_number, str(exc)) from None
+        if not isinstance(doc, dict):
+            raise MalformedLine(line_number, "expected a JSON object")
+        record = _reference_record_from_document(doc, source, time_field, line_number, window)
+        if record is not None:
+            records.append(record)
+    return records
+
+
+def _outcome(read):
+    """Records with their cell types, or the (type, message, line number) of the store error raised."""
+    try:
+        records = read()
+    except (MalformedLine, MissingTimestamp) as exc:
+        return type(exc), str(exc), exc.line_number
+    return [(record, [type(value) for value in record.fields.values()]) for record in records]
+
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**6), 10**6),
+    st.sampled_from([2**53 + 1, 2**1023, 10**400, -(10**400)]),  # exact past 2**53, then past float range
+    st.floats(),  # NaN and +-inf are written as the NaN/Infinity literals json.loads admits
+    st.text(max_size=4),  # "" and unicode, line separators such as U+2028 and U+0085 included
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+GOOD_TIMES = st.one_of(st.integers(0, 40), st.sampled_from([2**63 - 1, 3.5, "7", " 12 ", "1970-01-01T00:00:00.020Z"]))
+BAD_TIMES = st.sampled_from([-1, 2**63, 1e30, "x", "", None, True, [1]])
+ABSENT = object()
+STORE_IDS = st.one_of(st.just(ABSENT), st.none(), st.text(min_size=1, max_size=3), st.integers(0, 9))
+BLANK_OR_BROKEN = st.sampled_from(
+    ["", "  ", "\t", "{", "not json", '{"timestamp": 1} x', '{"timestamp": 1,}', "[1, 2]", '"text"', "NaN", "{'a': 1}"]
+)
+
+
+def _rarely(draw, rare, usual):
+    """One draw in fifteen from ``rare``, else from ``usual``, so most texts parse and the failures stay varied."""
+    return draw(rare if draw(st.integers(0, 14)) == 0 else usual)
+
+
+@st.composite
+def documents(draw):
+    doc = draw(st.dictionaries(st.text(max_size=3), JSON_VALUES, max_size=4))
+    time = _rarely(draw, st.one_of(BAD_TIMES, st.just(ABSENT)), GOOD_TIMES)
+    store_id = _rarely(draw, st.just(""), STORE_IDS)
+    items = list(doc.items())
+    for name, value in (("timestamp", time), ("_id", store_id)):
+        if value is not ABSENT:
+            items.insert(draw(st.integers(0, len(items))), (name, value))
+    return dict(items)
+
+
+@st.composite
+def jsonl_texts(draw):
+    """Lines of documents, some padded with whitespace, mixed with blank and malformed lines."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        pad = st.sampled_from(["", "", " ", "\t "])
+        line = draw(pad) + json.dumps(draw(documents()), ensure_ascii=draw(st.booleans())) + draw(pad)
+        lines.append(_rarely(draw, BLANK_OR_BROKEN, st.just(line)))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _window(data):
+    time_from = data.draw(st.integers(0, 30))
+    return time_from, data.draw(st.integers(time_from + 1, 41))
+
+
+class TestOnePassWalkMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(jsonl_texts(), st.data())
+    def test_parse_matches_reference(self, text, data):
+        window = _window(data) if data.draw(st.booleans()) else None
+        expected = _outcome(lambda: _reference_read_jsonl(text, YAF, "timestamp", window))
+        assert _outcome(lambda: _read_jsonl(text.encode("utf-8"), YAF, "timestamp", window)) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(jsonl_texts(), st.data())
+    def test_directory_store_matches_reference(self, text, data):
+        time_from, time_to = _window(data)
+        with tempfile.TemporaryDirectory() as root:
+            (Path(root) / "flows").mkdir()
+            (Path(root) / "flows" / "a.jsonl").write_text(text, encoding="utf-8")
+            query = StoreQuery(index="flows", time_from=time_from, time_to=time_to)
+            got = _outcome(lambda: query_store(DirectoryStore(root), query, YAF).records)
+        expected = _outcome(lambda: _canonical(_reference_read_jsonl(text, YAF, "timestamp", (time_from, time_to))))
+        if isinstance(expected, tuple):
+            expected = (expected[0], f"a.jsonl: {expected[1]}", expected[2])
+        assert got == expected
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(documents(), max_size=6))
+    def test_http_store_matches_reference(self, stub_server, docs):
+        url, state = stub_server
+        hits = [
+            {"_source": {k: v for k, v in doc.items() if k != "_id"}, **({"_id": doc["_id"]} if "_id" in doc else {})}
+            for doc in docs
+        ]
+        state.raw_replies["flows/_search"] = json.dumps({"hits": hits}).encode()
+
+        def reference():
+            records = []
+            for position, hit in enumerate(hits, start=1):
+                doc = dict(hit["_source"])
+                if "_id" in hit:
+                    doc["_id"] = hit["_id"]
+                records.append(_reference_record_from_document(doc, YAF, "timestamp", position))
+            return _canonical(records)
+
+        query = StoreQuery(index="flows", time_from=0, time_to=10)
+        assert _outcome(lambda: query_store(HttpStore(url), query, YAF).records) == _outcome(reference)
+
+    def test_bro_split_retags_without_rebuilding(self):
+        batch = parse_jsonl(b'{"ts":1,"log_type":"dns","x":1}\n{"ts":2,"log_type":"conn","x":2}', YAF, time_field="ts")
+        split = split_bro_by_protocol(batch)
+        for part, source, original in ((split.dns, DataSourceKind.BRO_DNS, 0), (split.conn, DataSourceKind.BRO_CONN, 1)):
+            (record,) = part.records
+            assert record == dataclasses.replace(batch.records[original], source=source)
+            assert record.fields is batch.records[original].fields
+        assert [r.source for r in batch.records] == [YAF, YAF]

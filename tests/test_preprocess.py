@@ -1,8 +1,12 @@
+import copy
+import logging
 import random
 import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from camlpad.datamodel import DataSourceKind
 from camlpad.preprocess import (
@@ -196,3 +200,80 @@ class TestConformColumns:
         assert conformed.column_names == ["a", "b"]
         assert conformed.values[0, 0] == 1.0
         assert np.isnan(conformed.values[0, 1])
+
+
+def _reference_encode(batch, dictionary=None):
+    """The per-cell ``encode`` the column-wise one replaced: one matrix setitem per cell."""
+    fitted = dictionary is not None
+    result = copy.deepcopy(dictionary) if dictionary else {}
+    columns = list(batch.schema)
+    values = np.full((len(batch.records), len(columns)), np.nan)
+    col_index = {name: i for i, name in enumerate(columns)}
+    drift = {}
+    for row, record in enumerate(batch.records):
+        for name, value in record.fields.items():
+            if value is None:
+                continue
+            if type(value) is str:
+                codes = result.setdefault(name, {})
+                if value not in codes:
+                    codes[value] = len(codes)
+                    if fitted:
+                        drift[name] = drift.get(name, 0) + 1
+                value = codes[value]
+            values[row, col_index[name]] = value
+    kinds = [ColumnKind.ENCODED if name in result else ColumnKind.NUMERIC for name in columns]
+    return values, columns, kinds, [r.record_id for r in batch.records], result, drift
+
+
+MIXED_CELLS = st.one_of(st.none(), st.floats(-5, 5), st.sampled_from(["udp", "tcp", "icmp", "42"]))
+
+
+@st.composite
+def mixed_batches(draw):
+    names = ["a", "b", "c", "d"]
+    records = []
+    for row in range(draw(st.integers(0, 12))):
+        fields = {name: draw(MIXED_CELLS) for name in draw(st.permutations(names)) if draw(st.integers(0, 4))}
+        records.append(make_record(timestamp=row, record_id=f"r{row}", **fields))
+    return make_batch(YAF, *records)
+
+
+def _logged_drift(call):
+    """``call()``'s result and the drift counts its log line names, as {column: count}."""
+    messages = []
+    handler = logging.Handler()
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("camlpad.preprocess")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        result = call()
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    drift = {}
+    for message in messages:
+        for item in message.split(": ", 1)[1].split(", "):
+            name, count = item.rsplit("+", 1)
+            drift[name] = int(count)
+    return result, drift
+
+
+class TestColumnwiseEncodeMatchesPerCell:
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_batches(), st.one_of(st.none(), mixed_batches(), st.just("empty")))
+    def test_matches_reference(self, batch, fit_on):
+        dictionary = {} if fit_on == "empty" else None if fit_on is None else encode(fit_on)[1]
+        snapshot = copy.deepcopy(dictionary)
+        (matrix, result), drift = _logged_drift(lambda: encode(batch, dictionary))
+        values, columns, kinds, row_ids, expected, expected_drift = _reference_encode(batch, dictionary)
+        assert np.array_equal(matrix.values, values, equal_nan=True)
+        assert (matrix.column_names, matrix.column_kinds, matrix.row_ids) == (columns, kinds, row_ids)
+        assert result == expected
+        assert {name: list(codes.items()) for name, codes in result.items()} == {
+            name: list(codes.items()) for name, codes in expected.items()
+        }  # codes in first-seen order
+        assert drift == expected_drift
+        assert dictionary == snapshot
