@@ -16,13 +16,15 @@ class DimensionMismatch(CamlpadError):
 
 
 def as_matrix(data) -> np.ndarray:
-    """Accept a FeatureMatrix or a raw 2-D array; detectors only see floats."""
+    """Accept a FeatureMatrix or a raw 2-D array; detectors fit only finite floats."""
     values = getattr(data, "values", data)
     array = np.asarray(values, dtype=float)
     if array.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {array.shape}")
     if np.isnan(array).any():
         raise ValueError("detector input contains missing values; impute first")
+    if np.isinf(array).any():
+        raise ValueError("detector input contains infinite values")
     return array
 
 

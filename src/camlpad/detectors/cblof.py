@@ -19,7 +19,8 @@ from .kmeans import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
     KMeansModel,
-    fit_kmeans,
+    assign_clusters,
+    fit_checked_kmeans,
     squared_distances,
 )
 
@@ -76,8 +77,8 @@ def fit_cblof(
         raise ValueError(f"alpha must be in (0.5, 1], got {alpha}")
     if beta < 1.0:
         raise ValueError(f"beta must be >= 1, got {beta}")
-    kmeans = fit_kmeans(X, k=k, max_iterations=max_iterations, tolerance=tolerance, seed=seed)
-    assignment = squared_distances(X, kmeans.centroids).argmin(axis=1)
+    kmeans = fit_checked_kmeans(X, k, max_iterations, tolerance, seed)
+    assignment = assign_clusters(X, kmeans.centroids)
     sizes = np.bincount(assignment, minlength=k)
     flags = large_cluster_flags(sizes, alpha, beta)
     return CblofModel(

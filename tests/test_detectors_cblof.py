@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from camlpad.detectors import (
     TooFewRows,
@@ -11,7 +13,7 @@ from camlpad.detectors import (
     score_cblof,
     score_cblof_rows,
 )
-from camlpad.detectors.kmeans import _lloyd, _seed_centroids, squared_distances
+from camlpad.detectors.kmeans import _lloyd, _seed_centroids, assign_clusters, squared_distances
 
 TWO_CLUSTERS = np.array([[0.0, 0.0]] * 5 + [[10.0, 10.0]])
 
@@ -102,9 +104,10 @@ def reference_fit(X, k, seed, max_iterations=100, tolerance=1e-6):
 class TestKMeansMatchesMaskedMeanReference:
     @pytest.mark.parametrize("n,d,k", [(60, 2, 3), (300, 3, 8), (2000, 5, 8), (500, 7, 4), (12000, 5, 8)])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_centroids_and_iterations_bit_equal(self, n, d, k, seed):
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_centroids_and_iterations_bit_equal(self, n, d, k, seed, offset):
         rng = np.random.default_rng(100 + seed)
-        X = rng.normal(0, 1, (n, d)) * rng.uniform(0.1, 5.0, d)
+        X = rng.normal(0, 1, (n, d)) * rng.uniform(0.1, 5.0, d) + offset
         if seed == 2:
             X = np.round(X, 1)  # repeated values make ties in distances
         model = fit_kmeans(X, k=k, seed=seed)
@@ -129,6 +132,35 @@ class TestKMeansMatchesMaskedMeanReference:
         centroids, iterations = reference_fit(X, 5, 3)
         assert model.iterations == iterations
         np.testing.assert_allclose(model.centroids, centroids, rtol=1e-12, atol=1e-15)
+
+
+class TestAssignmentMatchesExactArgmin:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 400),
+        d=st.integers(1, 6),
+        k=st.integers(1, 8),
+        offset=st.sampled_from([0.0, 1e3, 1e6, 1e8]),
+        rounded=st.booleans(),
+        copies=st.sampled_from([None, 0.0, 1e-3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_row_for_row(self, n, d, k, offset, rounded, copies, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(0, 1, (n, d)) * rng.uniform(0.1, 5.0, d) + offset
+        if rounded:
+            X = np.round(X, 1)  # repeated values make exact ties in distances
+        # centroids as Lloyd's loop makes them: rows and means of row subsets
+        centroids = X[rng.integers(n, size=k)]
+        for j in np.flatnonzero(rng.random(k) < 0.5):
+            centroids[j] = X[rng.choice(n, size=rng.integers(1, n + 1), replace=False)].mean(axis=0)
+        if copies is not None and k > 1:
+            # some centroids repeat another, exactly or shifted by +-1e-3 per cell
+            source = rng.integers(k)
+            for j in np.flatnonzero(rng.random(k) < 0.5):
+                centroids[j] = centroids[source] + copies * rng.choice([-1.0, 1.0], d)
+        expected = reference_squared_distances(X, centroids).argmin(axis=1)
+        assert np.array_equal(assign_clusters(X, centroids), expected)
 
 
 class TestLargeClusterRule:

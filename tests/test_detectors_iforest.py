@@ -12,6 +12,7 @@ from camlpad.detectors import (
     fit_cblof,
     fit_hbos,
     fit_iforest,
+    fit_kmeans,
     fit_pca,
     project_pca_rows,
     score_cblof_rows,
@@ -139,6 +140,25 @@ def test_scoring_rejects_infinite_cells_where_the_model_cannot_score_them(fit, s
     model = fit(X)
     with pytest.raises(ValueError, match="infinite values"):
         score(model, np.vstack([X[:2], cells]))
+
+
+@pytest.mark.parametrize(
+    "fit",
+    [
+        lambda X: fit_iforest(X, trees=5, subsample=8, seed=0),
+        fit_hbos,
+        lambda X: fit_cblof(X, k=2, seed=0),
+        lambda X: fit_kmeans(X, k=2, seed=0),
+        fit_pca,
+    ],
+)
+@pytest.mark.parametrize("cell", [np.inf, -np.inf])
+def test_fitting_rejects_infinite_cells(fit, cell):
+    # HBOS would fit a histogram reaching inf, k-means++ seeding would draw with NaN weights, PCA would not converge.
+    X = np.random.default_rng(4).normal(0, 1, (40, 3))
+    X[7, 1] = cell
+    with pytest.raises(ValueError, match="infinite values"):
+        fit(X)
 
 
 class TestTreeStructure:
