@@ -52,27 +52,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dry_run(config_path: Path) -> int:
+    """Check, or probe with a one-record query, every index that `run` would read."""
     config = load_config(config_path)
     locator = config.locator()
+    plan = config.index_plan()
     if isinstance(locator, DirectoryStore):
         if not locator.root.is_dir():
             raise StoreUnreachable(f"store root does not exist: {locator.root}")
-        missing = [
-            config.index_for(s) for s in config.sources if not (locator.root / config.index_for(s)).is_dir()
-        ]
+        missing = [index for index, _ in plan if not (locator.root / index).is_dir()]
         if missing:
             raise StoreUnreachable(f"missing index directories: {', '.join(missing)}")
     elif isinstance(locator, HttpStore):
-        probe_index = config.bro_index or config.index_for(config.sources[0])
-        try:
-            query_store(
-                locator,
-                StoreQuery(index=probe_index, time_from=0, time_to=1, page_size=1, max_records=1),
-                config.sources[0],
-                config.time_field,
-            )
-        except TooManyRecords:
-            pass  # the store answered; a one-record probe only checks that
+        for index, sources in plan:
+            try:
+                query_store(
+                    locator,
+                    StoreQuery(index=index, time_from=0, time_to=1, page_size=1, max_records=1),
+                    sources[0],
+                    config.time_field,
+                )
+            except TooManyRecords:
+                pass  # the store answered; a one-record probe only checks that
     print(f"config ok: {len(config.sources)} sources, store reachable")
     return EXIT_OK
 

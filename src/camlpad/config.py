@@ -22,9 +22,12 @@ from .ingest_store import (
     DirectoryStore,
     HttpStore,
     StoreLocator,
+    _iso_epoch_ms,
 )
 
 DAY_MS = 86_400_000
+# the sources a combined BRO index (run.bro_index) serves, split by protocol
+BRO_SOURCES = (DataSourceKind.BRO_CONN, DataSourceKind.BRO_DNS)
 
 
 class ConfigError(CamlpadError):
@@ -69,6 +72,19 @@ class PipelineConfig:
 
     def index_for(self, source: DataSourceKind) -> str:
         return self.indexes.get(source, source.value)
+
+    def index_plan(self) -> list[tuple[str, tuple[DataSourceKind, ...]]]:
+        """(index, sources it serves) for every configured source, in source name order.
+
+        With run.bro_index set, that one index serves the configured BRO
+        sources; every other source reads its own index.
+        """
+        sources = sorted(set(self.sources), key=lambda s: s.value)
+        bro = tuple(s for s in sources if self.bro_index and s in BRO_SOURCES)
+        plan = [(self.index_for(s), (s,)) for s in sources if s not in bro]
+        if bro:
+            plan.append((self.bro_index, bro))
+        return sorted(plan, key=lambda entry: entry[1][0].value)
 
     def locator(self) -> StoreLocator:
         if self.store_kind == "directory":
@@ -198,13 +214,10 @@ def resolve_boundary(value: str) -> int:
         now = datetime.now(timezone.utc)
         midnight = now.replace(hour=0, minute=0, second=0, microsecond=0)
         return int(midnight.timestamp() * 1000)
-    try:
-        parsed = datetime.fromisoformat(value.strip().replace("Z", "+00:00"))
-    except ValueError:
-        raise ConfigError(f"boundary must be 'today' or an ISO date, got {value!r}") from None
-    if parsed.tzinfo is None:
-        parsed = parsed.replace(tzinfo=timezone.utc)
-    return int(parsed.timestamp() * 1000)
+    parsed = _iso_epoch_ms(value.strip())
+    if parsed is None:
+        raise ConfigError(f"boundary must be 'today' or an ISO date, got {value!r}")
+    return parsed
 
 
 def window_id_for(boundary_ms: int) -> str:

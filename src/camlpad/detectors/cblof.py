@@ -20,7 +20,7 @@ from .kmeans import (
     DEFAULT_TOLERANCE,
     KMeansModel,
     assign_clusters,
-    fit_checked_kmeans,
+    fit_kmeans,
     squared_distances,
 )
 
@@ -77,7 +77,7 @@ def fit_cblof(
         raise ValueError(f"alpha must be in (0.5, 1], got {alpha}")
     if beta < 1.0:
         raise ValueError(f"beta must be >= 1, got {beta}")
-    kmeans = fit_checked_kmeans(X, k, max_iterations, tolerance, seed)
+    kmeans = fit_kmeans(X, k, max_iterations, tolerance, seed)
     assignment = assign_clusters(X, kmeans.centroids)
     sizes = np.bincount(assignment, minlength=k)
     flags = large_cluster_flags(sizes, alpha, beta)

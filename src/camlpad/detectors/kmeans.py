@@ -150,11 +150,6 @@ def fit_kmeans(
     X = as_matrix(data)
     if X.shape[0] < k:
         raise TooFewRows(f"k-means needs >= k={k} rows, got {X.shape[0]}")
-    return fit_checked_kmeans(X, k, max_iterations, tolerance, seed)
-
-
-def fit_checked_kmeans(X: np.ndarray, k: int, max_iterations: int, tolerance: float, seed: int) -> KMeansModel:
-    """`fit_kmeans` on a matrix that `as_matrix` already returned, with at least k rows."""
     rng = np.random.default_rng(seed)
     centroids = _seed_centroids(X, k, rng)
     centroids, iterations = _lloyd(X, centroids, max_iterations, tolerance)

@@ -147,14 +147,7 @@ def gauge_json_bytes(reading: GaugeReading) -> bytes:
 
 
 def alert_document(event: AlertEvent) -> dict:
-    return {
-        "scope": event.reading.scope,
-        "window_id": event.reading.window_id,
-        "score": _round6(event.reading.score),
-        "history_percentile": _round6(event.reading.history_percentile),
-        "threshold": event.threshold_percentile,
-        "fired_at": event.fired_at,
-    }
+    return {**gauge_document(event.reading), "threshold": event.threshold_percentile, "fired_at": event.fired_at}
 
 
 def build_alert(

@@ -1,9 +1,11 @@
 """End-to-end orchestration: ingest, preprocess, fit, score, vote, render, gauge.
 
-Sources are analysed one after another in name order, in the calling thread;
-the cross-source vote, combined gauge, and artifact writes follow. Everything
-written to the output directory is deterministic for a fixed config and
-store; only alert events carry a wall-clock timestamp.
+The config's index plan is walked in source name order, in the calling
+thread: each index is fetched and its sources analysed before the next index
+is read, so one index's records are held at a time. The cross-source vote,
+combined gauge, and artifact writes follow. Everything written to the output
+directory is deterministic for a fixed config and store; only alert events
+carry a wall-clock timestamp.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import detectors, ensemble, evaluate, gauge_alert, viz
-from .config import DAY_MS, DetectorParams, PipelineConfig, resolve_boundary, window_id_for
+from .config import BRO_SOURCES, DAY_MS, DetectorParams, PipelineConfig, resolve_boundary, window_id_for
 from .datamodel import DataSourceKind, RecordBatch, WindowSplit
 from .ensemble import DETECTOR_NAMES, LabelVector, ScoreSet
 from .errors import CamlpadError
@@ -120,13 +122,12 @@ def analyze_source(
         for name, scores in shading.items()
     }
 
-    history_day_scores = gauge_alert.day_gauges(timestamps[:n_history], ensemble_scores[:n_history], DAY_MS)
-    current_score = gauge_alert.window_score(ensemble_scores[n_history:])
-    gauge = gauge_alert.GaugeReading(
-        scope=split.history.source.value,
-        window_id=window_id,
-        score=current_score,
-        history_percentile=gauge_alert.percentile_rank(current_score, history_day_scores.values()),
+    history_day_scores, gauge = _gauge(
+        split.history.source.value,
+        window_id,
+        timestamps[:n_history],
+        ensemble_scores[:n_history],
+        ensemble_scores[n_history:],
     )
     return SourceAnalysis(
         timestamps=timestamps,
@@ -140,59 +141,49 @@ def analyze_source(
     )
 
 
-def fetch_batches(config: PipelineConfig, boundary_ms: int) -> dict[DataSourceKind, RecordBatch]:
-    """Query one batch per configured source covering history plus current day.
-
-    When run.bro_index is set, the combined BRO index is queried once and
-    split by protocol instead of querying bro_dns/bro_conn indexes.
-    """
-    locator = config.locator()
-    time_from = boundary_ms - config.history_days * DAY_MS
-    time_to = boundary_ms + DAY_MS
-    batches: dict[DataSourceKind, RecordBatch] = {}
-    bro_sources = {DataSourceKind.BRO_DNS, DataSourceKind.BRO_CONN}
-    wanted = list(config.sources)
-
-    def fetch(name: str, index: str, source: DataSourceKind) -> RecordBatch:
-        query = StoreQuery(index=index, time_from=time_from, time_to=time_to)
-        try:
-            return query_store(locator, query, source, config.time_field)
-        except CamlpadError as exc:  # same type and line number, now naming what was read
-            exc.args = (f"{name}: {exc}",)
-            raise
-
-    if config.bro_index and any(s in bro_sources for s in wanted):
-        # placeholder source tag; the split re-labels records
-        combined = fetch(f"bro index {config.bro_index}", config.bro_index, DataSourceKind.BRO_CONN)
-        bro_split = split_bro_by_protocol(combined, config.bro_discriminator)
-        if DataSourceKind.BRO_DNS in wanted:
-            batches[DataSourceKind.BRO_DNS] = bro_split.dns
-        if DataSourceKind.BRO_CONN in wanted:
-            batches[DataSourceKind.BRO_CONN] = bro_split.conn
-        wanted = [s for s in wanted if s not in bro_sources]
-
-    for source in wanted:
-        batches[source] = fetch(source.value, config.index_for(source), source)
-    return batches
-
-
-def _combined_gauge(
-    analyses: dict[DataSourceKind, SourceAnalysis],
+def _gauge(
+    scope: str,
     window_id: str,
-) -> gauge_alert.GaugeReading:
-    day_scores = gauge_alert.day_gauges(
-        np.concatenate([a.timestamps[: a.n_history] for a in analyses.values()]),
-        np.concatenate([a.ensemble_scores[: a.n_history] for a in analyses.values()]),
-        DAY_MS,
-    )
-    current = np.concatenate([a.ensemble_scores[a.n_history :] for a in analyses.values()])
-    score = gauge_alert.window_score(current)
-    return gauge_alert.GaugeReading(
-        scope=gauge_alert.COMBINED_SCOPE,
+    history_timestamps: np.ndarray,
+    history_scores: np.ndarray,
+    current_scores: np.ndarray,
+) -> tuple[dict[int, float], gauge_alert.GaugeReading]:
+    """Each history day's gauge, and the current window's reading ranked against them."""
+    day_scores = gauge_alert.day_gauges(history_timestamps, history_scores, DAY_MS)
+    score = gauge_alert.window_score(current_scores)
+    reading = gauge_alert.GaugeReading(
+        scope=scope,
         window_id=window_id,
         score=score,
         history_percentile=gauge_alert.percentile_rank(score, day_scores.values()),
     )
+    return day_scores, reading
+
+
+def fetch_batches(
+    config: PipelineConfig,
+    boundary_ms: int,
+    index: str,
+    sources: tuple[DataSourceKind, ...],
+) -> dict[DataSourceKind, RecordBatch]:
+    """One batch per source of one `config.index_plan()` entry, covering history plus current day.
+
+    The combined BRO index (run.bro_index) is read once under the bro_conn
+    tag, which derived record ids hash, and split by protocol.
+    """
+    combined = bool(config.bro_index) and sources[0] in BRO_SOURCES
+    query = StoreQuery(index=index, time_from=boundary_ms - config.history_days * DAY_MS, time_to=boundary_ms + DAY_MS)
+    tag, name = (DataSourceKind.BRO_CONN, f"bro index {index}") if combined else (sources[0], sources[0].value)
+    try:
+        batch = query_store(config.locator(), query, tag, config.time_field)
+    except CamlpadError as exc:  # same type and line number, now naming what was read
+        exc.args = (f"{name}: {exc}",)
+        raise
+    if not combined:
+        return {tag: batch}
+    halves = split_bro_by_protocol(batch, config.bro_discriminator)
+    by_source = {DataSourceKind.BRO_DNS: halves.dns, DataSourceKind.BRO_CONN: halves.conn}
+    return {source: by_source[source] for source in sources}
 
 
 def write_artifacts(result: RunResult, out_dir: Path) -> None:
@@ -239,21 +230,17 @@ def run_pipeline(config: PipelineConfig, boundary_override: str | None = None) -
     if not config.sources:
         raise CamlpadError("no sources configured")
 
-    batches = fetch_batches(config, boundary_ms)
-    splits = {
-        source: window_split(batch, boundary_ms, config.min_history)
-        for source, batch in batches.items()
-    }
-
     analyses: dict[DataSourceKind, SourceAnalysis] = {}
-    for source in sorted(splits, key=lambda s: s.value):
-        logger.info("analyzing %s (%d records)", source.value, len(batches[source]))
-        try:
-            analyses[source] = analyze_source(
-                splits[source], config.detectors, config.contamination, window_id
-            )
-        except CamlpadError as exc:
-            raise CamlpadError(f"{source.value}: {exc}") from exc
+    for index, sources in config.index_plan():
+        batches = fetch_batches(config, boundary_ms, index, sources)
+        for source in sources:
+            logger.info("analyzing %s (%d records)", source.value, len(batches[source]))
+            split = window_split(batches.pop(source), boundary_ms, config.min_history)
+            try:
+                analyses[source] = analyze_source(split, config.detectors, config.contamination, window_id)
+            except CamlpadError as exc:
+                raise CamlpadError(f"{source.value}: {exc}") from exc
+            del split  # not held through the next fetch
 
     verdicts = ensemble.cross_source_vote(
         {source: (a.timestamps, a.ensemble_labels.labels) for source, a in analyses.items()},
@@ -262,8 +249,14 @@ def run_pipeline(config: PipelineConfig, boundary_override: str | None = None) -
         tie_breaks_anomalous=config.tie_breaks_anomalous,
     )
 
-    combined = _combined_gauge(analyses, window_id)
-    gauges = [analyses[s].gauge for s in sorted(analyses, key=lambda s: s.value)] + [combined]
+    _, combined = _gauge(
+        gauge_alert.COMBINED_SCOPE,
+        window_id,
+        np.concatenate([a.timestamps[: a.n_history] for a in analyses.values()]),
+        np.concatenate([a.ensemble_scores[: a.n_history] for a in analyses.values()]),
+        np.concatenate([a.ensemble_scores[a.n_history :] for a in analyses.values()]),
+    )
+    gauges = [a.gauge for a in analyses.values()] + [combined]
 
     result = RunResult(
         window_id=window_id,

@@ -140,24 +140,15 @@ def impute_categorical_backfill(column: np.ndarray) -> np.ndarray:
 
     An all-missing column becomes all 0.
     """
-    column = np.asarray(column, dtype=float).copy()
+    column = np.asarray(column, dtype=float)
     missing = np.isnan(column)
-    if not missing.any():
-        return column
     if missing.all():
         return np.zeros_like(column)
-    next_observed = np.nan
-    for i in range(len(column) - 1, -1, -1):
-        if missing[i]:
-            column[i] = next_observed
-        else:
-            next_observed = column[i]
-    # trailing cells had no later observation; forward-fill from the last one
-    still_missing = np.isnan(column)
-    if still_missing.any():
-        last_observed = column[~still_missing][-1]
-        column[still_missing] = last_observed
-    return column
+    # for each cell, the first observed index at or after it; n where none follows
+    n = len(column)
+    following = np.minimum.accumulate(np.where(missing, n, np.arange(n))[::-1])[::-1]
+    last_observed = np.flatnonzero(~missing)[-1]
+    return column[np.where(following == n, last_observed, following)]
 
 
 def impute(matrix: FeatureMatrix) -> FeatureMatrix:

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from .config import DAY_MS
+from .config import DAY_MS, window_id_for
 from .datamodel import DataSourceKind, RecordBatch, SensorRecord, time_buckets
 from .ensemble import LabelVector
 from .ingest_store import DEFAULT_TIME_FIELD, record_to_json_line
@@ -187,10 +186,6 @@ def generate(config: SynthConfig = SynthConfig()) -> SynthResult:
     return SynthResult(config=config, batches=batches, truth=truth, bucket_truth=bucket_truth)
 
 
-def _date_string(timestamp_ms: int) -> str:
-    return datetime.fromtimestamp(timestamp_ms / 1000, tz=timezone.utc).date().isoformat()
-
-
 def write_store(result: SynthResult, root: Path | str, time_field: str = DEFAULT_TIME_FIELD) -> None:
     """Write the DirectoryStore layout: <root>/<source>/<date>.jsonl plus truth files."""
     root = Path(root)
@@ -199,7 +194,7 @@ def write_store(result: SynthResult, root: Path | str, time_field: str = DEFAULT
         index_dir.mkdir(parents=True, exist_ok=True)
         by_date: dict[str, list[str]] = {}
         for record in batch.records:
-            by_date.setdefault(_date_string(record.timestamp), []).append(
+            by_date.setdefault(window_id_for(record.timestamp), []).append(
                 record_to_json_line(record, time_field)
             )
         for date, lines in sorted(by_date.items()):

@@ -18,6 +18,8 @@ from camlpad.config import (
 )
 from camlpad.datamodel import DataSourceKind
 
+BRO_CONN, BRO_DNS = DataSourceKind.BRO_CONN, DataSourceKind.BRO_DNS
+
 
 def write_config(path, store_root, out_dir, extra=()):
     lines = [
@@ -35,6 +37,17 @@ def write_config(path, store_root, out_dir, extra=()):
     ]
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def merge_bro_into_one_index(store, name="bro"):
+    """Move a synth store's bro_dns and bro_conn day files into one index, tagged by log_type."""
+    (store / name).mkdir()
+    for source, log_type in (("bro_dns", "dns"), ("bro_conn", "conn")):
+        for day_file in sorted((store / source).glob("*.jsonl")):
+            lines = [json.dumps({**json.loads(line), "log_type": log_type}) for line in day_file.read_text().splitlines()]
+            with (store / name / day_file.name).open("a") as merged:
+                merged.write("\n".join(lines) + "\n")
+        shutil.rmtree(store / source)
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +77,17 @@ class TestConfigParsing:
         config = config_from_entries({"sources.yaf.index": "yaf_v2"})
         assert config.index_for(DataSourceKind.YAF) == "yaf_v2"
         assert config.index_for(DataSourceKind.SNORT) == "snort"
+
+    def test_index_plan_is_in_source_name_order(self):
+        config = config_from_entries({"run.sources": "yaf, bro_dns, meraki, bro_conn", "sources.yaf.index": "yaf_v2"})
+        meraki, yaf = DataSourceKind.MERAKI, DataSourceKind.YAF
+        assert config.index_plan() == [
+            ("bro_conn", (BRO_CONN,)), ("bro_dns", (BRO_DNS,)), ("meraki", (meraki,)), ("yaf_v2", (yaf,))
+        ]
+        config.bro_index = "bro"
+        assert config.index_plan() == [("bro", (BRO_CONN, BRO_DNS)), ("meraki", (meraki,)), ("yaf_v2", (yaf,))]
+        config.sources = [yaf, BRO_DNS, yaf]
+        assert config.index_plan() == [("bro", (BRO_DNS,)), ("yaf_v2", (yaf,))]
 
     def test_sources_list(self):
         config = config_from_entries({"run.sources": "yaf, snort"})
@@ -183,6 +207,38 @@ class TestRunCommand:
         state.datasets["yaf"] = [{"_id": f"d{i}", "timestamp": 0, "v": 1.0} for i in range(3)]
         config = tmp_path / "c.conf"
         config.write_text(f"store.kind = http\nstore.url = {url}\nrun.sources = yaf\nrun.output_dir = {tmp_path / 'out'}\n")
+        assert main(["run", "--config", str(config), "--dry-run"]) == 0
+        assert "store reachable" in capsys.readouterr().out
+        assert state.search_calls == 2
+
+    def test_dry_run_and_run_both_read_a_combined_bro_index(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        main(["synth", "--out", str(store), "--days", "2", "--records", "30"])
+        merge_bro_into_one_index(store)
+        config = write_config(tmp_path / "c.conf", store, tmp_path / "out", extra=["run.bro_index = bro"])
+        assert main(["run", "--config", str(config), "--dry-run"]) == 0
+        assert "store reachable" in capsys.readouterr().out
+        assert main(["run", "--config", str(config)]) in (0, 2)
+        labels = sorted(p.name for p in (tmp_path / "out" / "labels").iterdir())
+        assert labels == ["bro_conn.jsonl", "bro_dns.jsonl", "meraki.jsonl", "snort.jsonl", "yaf.jsonl"]
+
+    def test_dry_run_names_a_missing_combined_bro_index(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        main(["synth", "--out", str(store), "--days", "1", "--records", "10"])
+        config = write_config(tmp_path / "c.conf", store, tmp_path / "out", extra=["run.bro_index = bro"])
+        capsys.readouterr()
+        assert main(["run", "--config", str(config), "--dry-run"]) == 1
+        assert capsys.readouterr().err == "error: missing index directories: bro\n"
+
+    def test_dry_run_of_an_http_store_probes_only_the_planned_indexes(self, tmp_path, stub_server, capsys):
+        url, state = stub_server
+        state.datasets["yaf"] = [{"_id": f"d{i}", "timestamp": 0, "v": 1.0} for i in range(3)]
+        config = tmp_path / "c.conf"
+        config.write_text(
+            f"store.kind = http\nstore.url = {url}\nrun.sources = yaf\nrun.bro_index = bro\n"
+            f"run.output_dir = {tmp_path / 'out'}\n"
+        )
+        # the stub has no "bro" index, so a probe of it would fail
         assert main(["run", "--config", str(config), "--dry-run"]) == 0
         assert "store reachable" in capsys.readouterr().out
         assert state.search_calls == 2

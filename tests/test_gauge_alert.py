@@ -190,6 +190,10 @@ class TestEmitAlert:
         outcomes = emit_alert(self._event(), webhook_url=f"{url}/webhook/ok", sleep=lambda _: None)
         assert outcomes[0].ok and outcomes[0].attempts == 1
         assert state.webhook_bodies[0]["scope"] == "yaf"
+        # the body is the gauge document's keys, in their order, then the alert's
+        assert list(state.webhook_bodies[0]) == [
+            "scope", "window_id", "score", "history_percentile", "threshold", "fired_at"
+        ]
 
     def test_failed_webhook_does_not_abort_file_sink(self, stub_server, tmp_path):
         url, state = stub_server

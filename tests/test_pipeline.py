@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from camlpad import pipeline
 from camlpad.config import PipelineConfig, DetectorParams
-from camlpad.datamodel import DataSourceKind
+from camlpad.datamodel import DataSourceKind, derive_record_id
 from camlpad.ingest_store import MissingTimestamp, record_to_document, window_split
 from camlpad.pipeline import analyze_source, fetch_batches, run_pipeline
 from camlpad.synth import DAY_MS, SynthConfig, generate, write_store
@@ -66,28 +67,29 @@ class TestAnalyzeSource:
         assert hits / planted >= 0.9
 
 
+def write_combined_bro_index(result, store):
+    """A combined "bro" index holding both BRO sources' records, told apart by log_type."""
+    (store / "bro").mkdir()
+    lines = []
+    for source, log_type in ((DataSourceKind.BRO_DNS, "dns"), (DataSourceKind.BRO_CONN, "conn")):
+        for record in result.batches[source].records:
+            lines.append(json.dumps({**record_to_document(record), "log_type": log_type}))
+    (store / "bro" / "all.jsonl").write_text("\n".join(lines) + "\n")
+
+
 class TestFetchBatches:
     def test_combined_bro_index_is_split(self, tmp_path):
         config = SynthConfig(seed=2, days_history=2, records_per_source_per_day=30)
         result = generate(config)
         write_store(result, tmp_path)
-        # build a combined "bro" index carrying a protocol discriminator
-        bro_dir = tmp_path / "bro"
-        bro_dir.mkdir()
-        lines = []
-        for source, log_type in ((DataSourceKind.BRO_DNS, "dns"), (DataSourceKind.BRO_CONN, "conn")):
-            for record in result.batches[source].records:
-                doc = record_to_document(record)
-                doc["log_type"] = log_type
-                lines.append(json.dumps(doc))
-        (bro_dir / "all.jsonl").write_text("\n".join(lines) + "\n")
+        write_combined_bro_index(result, tmp_path)
 
         pipeline_config = PipelineConfig(
             store_root=tmp_path,
             sources=[DataSourceKind.BRO_DNS, DataSourceKind.BRO_CONN],
             bro_index="bro",
         )
-        batches = fetch_batches(pipeline_config, config.boundary_ms + DAY_MS)
+        batches = fetch_batches(pipeline_config, config.boundary_ms + DAY_MS, *pipeline_config.index_plan()[0])
         assert len(batches[DataSourceKind.BRO_DNS]) == len(result.batches[DataSourceKind.BRO_DNS])
         assert len(batches[DataSourceKind.BRO_CONN]) == len(result.batches[DataSourceKind.BRO_CONN])
         assert all(r.source is DataSourceKind.BRO_DNS for r in batches[DataSourceKind.BRO_DNS].records)
@@ -97,8 +99,56 @@ class TestFetchBatches:
         (tmp_path / "bro" / "all.jsonl").write_text('{"timestamp": 1}\n{"log_type": "dns"}\n')
         config = PipelineConfig(store_root=tmp_path, sources=[DataSourceKind.BRO_DNS], bro_index="bro")
         with pytest.raises(MissingTimestamp, match=r"^bro index bro: all\.jsonl: line 2: ") as err:
-            fetch_batches(config, DAY_MS)
+            fetch_batches(config, DAY_MS, *config.index_plan()[0])
         assert err.value.line_number == 2
+
+
+    def test_combined_index_derives_ids_under_the_bro_conn_tag(self, tmp_path):
+        (tmp_path / "bro").mkdir()
+        (tmp_path / "bro" / "all.jsonl").write_text('{"timestamp": 5, "log_type": "dns", "q": 1}\n')
+        config = PipelineConfig(store_root=tmp_path, sources=[DataSourceKind.BRO_DNS], bro_index="bro")
+        [record] = fetch_batches(config, DAY_MS, *config.index_plan()[0])[DataSourceKind.BRO_DNS].records
+        assert record.source is DataSourceKind.BRO_DNS
+        assert record.record_id == derive_record_id(DataSourceKind.BRO_CONN, 5, record.fields)
+
+
+class TestIndexPlanOrder:
+    def test_each_index_is_fetched_once_and_its_sources_analysed_before_the_next(self, tmp_path, monkeypatch):
+        result = generate(SynthConfig(seed=3, days_history=2, records_per_source_per_day=40))
+        write_store(result, tmp_path / "store")
+        write_combined_bro_index(result, tmp_path / "store")
+        events = []
+        real_fetch, real_analyze = pipeline.fetch_batches, pipeline.analyze_source
+
+        def fetch_batches(config, boundary_ms, index, sources):
+            events.append(("fetch", index))
+            return real_fetch(config, boundary_ms, index, sources)
+
+        def analyze_source(split, *args):
+            events.append(("analyze", split.history.source.value))
+            return real_analyze(split, *args)
+
+        monkeypatch.setattr(pipeline, "fetch_batches", fetch_batches)
+        monkeypatch.setattr(pipeline, "analyze_source", analyze_source)
+        config = PipelineConfig(
+            store_root=tmp_path / "store",
+            output_dir=tmp_path / "out",
+            sources=[DataSourceKind.YAF, DataSourceKind.BRO_DNS, DataSourceKind.SNORT, DataSourceKind.BRO_CONN],
+            bro_index="bro",
+            boundary="2021-03-03",
+            history_days=2,
+            min_history=10,
+            detectors=FAST_DETECTORS,
+        )
+        run = run_pipeline(config)
+        assert events == [
+            ("fetch", "bro"), ("analyze", "bro_conn"), ("analyze", "bro_dns"),
+            ("fetch", "snort"), ("analyze", "snort"),
+            ("fetch", "yaf"), ("analyze", "yaf"),
+        ]
+        # the combined gauge sums scores in this order
+        assert [source.value for source in run.analyses] == ["bro_conn", "bro_dns", "snort", "yaf"]
+        assert [reading.scope for reading in run.gauges] == ["bro_conn", "bro_dns", "snort", "yaf", "combined"]
 
 
 class TestHttpBackedRun:

@@ -120,6 +120,18 @@ class TestBackfill:
     def test_all_missing_is_zero(self):
         assert impute_categorical_backfill(np.array([np.nan, np.nan])).tolist() == [0.0, 0.0]
 
+    @given(st.lists(st.one_of(st.none(), st.integers(0, 5)), max_size=40))
+    def test_matches_a_backward_walk(self, cells):
+        column = np.array([np.nan if c is None else float(c) for c in cells])
+        expected, following = [], None
+        for cell in reversed(cells):  # each missing cell takes the next observed one
+            following = following if cell is None else float(cell)
+            expected.append(following)
+        expected.reverse()
+        observed = [float(c) for c in cells if c is not None]
+        expected = [observed[-1] if v is None else v for v in expected] if observed else [0.0] * len(cells)
+        assert impute_categorical_backfill(column).tolist() == expected
+
 
 class TestStandardize:
     def _matrix(self, values, kinds=None):
