@@ -34,7 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute the full anomaly-detection pipeline")
     run.add_argument("--config", required=True, type=Path, help="flat key=value config file")
-    run.add_argument("--boundary", default=None, help="current-window start (ISO date), overrides config")
+    run.add_argument("--boundary", default=None, help="current-window start (ISO date or date-time), overrides config")
     run.add_argument("--dry-run", action="store_true", help="validate config and store reachability only")
 
     synth = sub.add_parser("synth", help="generate a synthetic multi-source store")

@@ -216,7 +216,7 @@ def resolve_boundary(value: str) -> int:
         return int(midnight.timestamp() * 1000)
     parsed = _iso_epoch_ms(value.strip())
     if parsed is None:
-        raise ConfigError(f"boundary must be 'today' or an ISO date, got {value!r}")
+        raise ConfigError(f"boundary must be 'today' or an ISO date or date-time, got {value!r}")
     return parsed
 
 

@@ -35,6 +35,14 @@ class FeatureHistogram:
             return np.asarray([self.low, self.high])
         return np.linspace(self.low, self.high, len(self.counts) + 1)
 
+    def bin_index(self, values: np.ndarray) -> np.ndarray:
+        """Each value's bin, out-of-range values clamped to the edge bins; bin 0 when degenerate."""
+        if self.degenerate:
+            return np.zeros(len(values), dtype=int)
+        bins = len(self.counts)
+        width = (self.high - self.low) / bins
+        return np.clip(np.floor((values - self.low) / width).astype(int), 0, bins - 1)
+
 
 @dataclass
 class HbosModel:
@@ -50,23 +58,16 @@ class HbosModel:
 def fit_hbos(data, bins: int = DEFAULT_BINS) -> HbosModel:
     """Per feature, ``bins`` equal-width bins over the training [min, max]."""
     X = as_matrix(data)
-    n, d = X.shape
+    n = X.shape[0]
     if n < 1:
         raise ValueError("hbos needs at least one row")
     if bins < 1:
         raise ValueError("bins must be >= 1")
     histograms: list[FeatureHistogram] = []
-    for col in range(d):
-        column = X[:, col]
+    for column in X.T:
         low, high = float(column.min()), float(column.max())
-        if low == high:
-            histograms.append(FeatureHistogram(low=low, high=high, counts=np.asarray([n])))
-            continue
-        hist = FeatureHistogram(low=low, high=high, counts=np.zeros(bins, dtype=int))
-        width = (high - low) / bins
-        idx = np.floor((column - low) / width).astype(int)
-        idx = np.clip(idx, 0, bins - 1)
-        hist.counts = np.bincount(idx, minlength=bins)
+        hist = FeatureHistogram(low=low, high=high, counts=np.zeros(1 if low == high else bins, dtype=int))
+        hist.counts = np.bincount(hist.bin_index(column), minlength=len(hist.counts))
         histograms.append(hist)
     return HbosModel(histograms=histograms, n_training=n)
 
@@ -75,16 +76,8 @@ def score_hbos_rows(model: HbosModel, rows) -> np.ndarray:
     """Sum of negative log bin occupancy ratios; higher = more anomalous."""
     X = check_dimensions(model.n_features, np.asarray(rows, dtype=float))
     totals = np.zeros(X.shape[0])
-    for col, hist in enumerate(model.histograms):
-        column = X[:, col]
-        if hist.degenerate:
-            counts = np.full(X.shape[0], float(hist.counts[0]))
-        else:
-            bins = len(hist.counts)
-            width = (hist.high - hist.low) / bins
-            idx = np.floor((column - hist.low) / width).astype(int)
-            idx = np.clip(idx, 0, bins - 1)
-            counts = hist.counts[idx].astype(float)
+    for column, hist in zip(X.T, model.histograms):
+        counts = hist.counts[hist.bin_index(column)].astype(float)
         totals += -np.log(counts / model.n_training + model.epsilon)
     # a row sitting in full-occupancy bins everywhere sums to -d*eps; keep >= 0
     return np.maximum(totals, 0.0)

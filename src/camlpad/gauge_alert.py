@@ -93,15 +93,19 @@ def window_score(ensemble_scores: Sequence[float]) -> float:
     return float(scores.mean())
 
 
-def day_gauges(timestamps: Sequence[int], scores: Sequence[float], day_ms: int) -> dict[int, float]:
+def day_gauges(
+    timestamps: Sequence[int], scores: Sequence[float], boundary_ms: int, day_ms: int
+) -> dict[int, float]:
     """Day start -> window_score of that day's rows, for each day present, in day order.
 
-    Each day's scores keep their row order, so its mean sums them in that order.
+    History day k spans [boundary - k * day_ms, boundary - (k - 1) * day_ms), so
+    every day is as long as the current window whatever the boundary's time of
+    day. Each day's scores keep their row order, so its mean sums them in that order.
     """
-    days, index = time_buckets(timestamps, day_ms)
+    days, index = time_buckets(np.asarray(timestamps, dtype=np.int64) - boundary_ms, day_ms)
     order = np.argsort(index, kind="stable")
     per_day = np.split(np.asarray(scores, dtype=float)[order], np.cumsum(np.bincount(index))[:-1])
-    return {day: window_score(day_scores) for day, day_scores in zip(days.tolist(), per_day)}
+    return {boundary_ms + day: window_score(day_scores) for day, day_scores in zip(days.tolist(), per_day)}
 
 
 def percentile_rank(current: float, history: Sequence[float]) -> float | None:

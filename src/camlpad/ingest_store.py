@@ -37,6 +37,9 @@ logger = logging.getLogger(__name__)
 DEFAULT_TIME_FIELD = "timestamp"
 DEFAULT_MIN_HISTORY = 50
 DEFAULT_DISCRIMINATOR = "log_type"
+# discriminator values of the two BRO log types the pipeline analyses
+BRO_DNS_VALUE = "dns"
+BRO_CONN_VALUE = "conn"
 _CANONICAL_ORDER = attrgetter("timestamp", "record_id")
 _HTTP_SCHEMES = ("http://", "https://")
 _raw_decode = json.JSONDecoder().raw_decode
@@ -380,16 +383,12 @@ class BroSplit(NamedTuple):
     dropped: int
 
 
-def split_bro_by_protocol(
-    batch: RecordBatch,
-    discriminator: str = DEFAULT_DISCRIMINATOR,
-    dns_value: str = "dns",
-    conn_value: str = "conn",
-) -> BroSplit:
+def split_bro_by_protocol(batch: RecordBatch, discriminator: str = DEFAULT_DISCRIMINATOR) -> BroSplit:
     """Partition a raw BRO batch into DNS and CONN batches by log type.
 
-    Records whose discriminator value is neither recognized value are dropped
-    and counted; real BRO emits many log types beyond these two.
+    Records whose discriminator value is neither BRO_DNS_VALUE nor
+    BRO_CONN_VALUE are dropped and counted; real BRO emits many log types
+    beyond these two.
     """
     if len(batch) > 0 and discriminator not in batch.schema:
         raise DiscriminatorMissing(f"discriminator field {discriminator!r} absent from batch schema")
@@ -398,9 +397,9 @@ def split_bro_by_protocol(
     dropped = 0
     for record in batch.records:
         label = record.fields.get(discriminator)
-        if label == dns_value:
+        if label == BRO_DNS_VALUE:
             dns_records.append(record.with_source(DataSourceKind.BRO_DNS))
-        elif label == conn_value:
+        elif label == BRO_CONN_VALUE:
             conn_records.append(record.with_source(DataSourceKind.BRO_CONN))
         else:
             dropped += 1

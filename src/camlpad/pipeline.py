@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -109,22 +109,16 @@ def analyze_source(
     ensemble_scores = ensemble.ensemble_score(score_set)
 
     n_history = history_matrix.n_rows
-    shading = {name: ensemble.normalize_scores(score_set.detector(name)) for name in DETECTOR_NAMES}
-    shading["ensemble"] = ensemble_scores
+    plane = viz.build_heatmap_points(pca_model, stacked, n_history, ensemble_scores)
     heatmap_points = {
-        name: viz.build_heatmap_points(
-            pca_model,
-            history_matrix,
-            current_matrix,
-            scores[:n_history],
-            scores[n_history:],
-        )
-        for name, scores in shading.items()
+        name: replace(plane, scores=ensemble.normalize_scores(score_set.detector(name))) for name in DETECTOR_NAMES
     }
+    heatmap_points["ensemble"] = plane
 
     history_day_scores, gauge = _gauge(
         split.history.source.value,
         window_id,
+        split.boundary,
         timestamps[:n_history],
         ensemble_scores[:n_history],
         ensemble_scores[n_history:],
@@ -144,12 +138,13 @@ def analyze_source(
 def _gauge(
     scope: str,
     window_id: str,
+    boundary_ms: int,
     history_timestamps: np.ndarray,
     history_scores: np.ndarray,
     current_scores: np.ndarray,
 ) -> tuple[dict[int, float], gauge_alert.GaugeReading]:
     """Each history day's gauge, and the current window's reading ranked against them."""
-    day_scores = gauge_alert.day_gauges(history_timestamps, history_scores, DAY_MS)
+    day_scores = gauge_alert.day_gauges(history_timestamps, history_scores, boundary_ms, DAY_MS)
     score = gauge_alert.window_score(current_scores)
     reading = gauge_alert.GaugeReading(
         scope=scope,
@@ -197,18 +192,16 @@ def write_artifacts(result: RunResult, out_dir: Path) -> None:
     for source in sources:
         analysis = result.analyses[source]
         for model in HEATMAP_MODELS:
-            points = analysis.heatmap_points[model]
-            spec = viz.PlotSpec(title=f"{source.value} {model} {result.window_id}")
+            title = f"{source.value} {model} {result.window_id}"
             path = heatmap_dir / f"{source.value}_{model}_{result.window_id}.svg"
-            path.write_bytes(viz.render_svg(points, spec))
+            path.write_bytes(viz.render_svg(analysis.heatmap_points[model], title))
         (labels_dir / f"{source.value}.jsonl").write_text(
             ensemble.labels_to_jsonl(analysis.ensemble_labels, analysis.detector_labels),
             encoding="utf-8",
         )
     overall = viz.HeatmapPoints.concat([result.analyses[s].heatmap_points["ensemble"] for s in sources])
-    overall_spec = viz.PlotSpec(title=f"combined ensemble {result.window_id}")
     (heatmap_dir / f"combined_ensemble_{result.window_id}.svg").write_bytes(
-        viz.render_svg(overall, overall_spec)
+        viz.render_svg(overall, f"combined ensemble {result.window_id}")
     )
 
     (out_dir / "verdicts.jsonl").write_text(
@@ -252,6 +245,7 @@ def run_pipeline(config: PipelineConfig, boundary_override: str | None = None) -
     _, combined = _gauge(
         gauge_alert.COMBINED_SCOPE,
         window_id,
+        boundary_ms,
         np.concatenate([a.timestamps[: a.n_history] for a in analyses.values()]),
         np.concatenate([a.ensemble_scores[: a.n_history] for a in analyses.values()]),
         np.concatenate([a.ensemble_scores[a.n_history :] for a in analyses.values()]),

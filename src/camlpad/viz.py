@@ -1,9 +1,10 @@
-"""Heatmap scatter plots as deterministic SVG.
+"""Heatmap scatter plots as deterministic SVG on one fixed canvas.
 
-Points are PCA projections shaded by outlier score on a dark background:
-lighter fill means more anomalous. History rows draw first as small markers;
-current rows draw on top as large ones. Identical inputs always produce
-byte-identical SVG output.
+Every plot is 600x600 px on a #111111 background, with a 40 px margin around
+the min-max scaled points. Points are PCA projections shaded by outlier
+score: lighter fill means more anomalous. History rows draw first as small
+markers (radius 3); current rows draw on top as large ones (radius 8).
+Identical inputs always produce byte-identical SVG output.
 """
 
 from __future__ import annotations
@@ -15,7 +16,14 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .detectors.pca import PcaModel, project_pca_rows
+from .ensemble import normalize_scores
 from .errors import CamlpadError
+
+WIDTH = HEIGHT = 600
+MARGIN = 40
+HISTORY_RADIUS = 3
+CURRENT_RADIUS = 8
+BACKGROUND = "#111111"
 
 
 class MisalignedScores(CamlpadError):
@@ -54,75 +62,40 @@ class HeatmapPoints:
         )
 
 
-@dataclass(frozen=True)
-class PlotSpec:
-    width: int = 600
-    height: int = 600
-    margin: int = 40
-    history_radius: float = 3.0
-    current_radius: float = 8.0
-    background: str = "#111111"
-    title: str = ""
-
-    def __post_init__(self) -> None:
-        if self.history_radius <= 0 or self.current_radius <= self.history_radius:
-            raise ValueError("radii must be positive with current_radius > history_radius")
-
-
-def build_heatmap_points(
-    pca: PcaModel,
-    history_matrix,
-    current_matrix,
-    history_scores: Sequence[float],
-    current_scores: Sequence[float],
-) -> HeatmapPoints:
-    """Project both windows onto the PCA plane, history rows first."""
-    windows = []
-    for matrix, scores, is_current in (
-        (history_matrix, history_scores, False),
-        (current_matrix, current_scores, True),
-    ):
-        values = np.asarray(getattr(matrix, "values", matrix), dtype=float)
-        xy = project_pca_rows(pca, values) if len(values) else np.empty((0, 2))
-        scores = np.asarray(scores, dtype=float)
-        windows.append(HeatmapPoints(xy, scores, n_history=0 if is_current else len(scores)))
-    return HeatmapPoints.concat(windows)
+def build_heatmap_points(pca: PcaModel, rows, n_history: int, scores: Sequence[float]) -> HeatmapPoints:
+    """Project history-first rows onto the PCA plane once; the first ``n_history`` are history rows."""
+    return HeatmapPoints(project_pca_rows(pca, rows), np.asarray(scores, dtype=float), n_history)
 
 
 def _scale(values: np.ndarray, out_low: float, out_high: float) -> np.ndarray:
-    low, high = values.min(), values.max()
-    if high == low:
-        return np.full_like(values, (out_low + out_high) / 2.0)
-    return out_low + (values - low) / (high - low) * (out_high - out_low)
+    return out_low + normalize_scores(values) * (out_high - out_low)
 
 
 # grayscale luminance 25% + 70% * score: score 1 renders lightest
 _FILLS = [f"#{c:02x}{c:02x}{c:02x}" for c in range(256)]
 
 
-def render_svg(points: HeatmapPoints, spec: PlotSpec = PlotSpec()) -> bytes:
-    """Render points into an SVG 1.1 document, deterministically."""
+def render_svg(points: HeatmapPoints, title: str = "") -> bytes:
+    """Render points onto the fixed canvas as an SVG 1.1 document, deterministically."""
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         (
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'width="{spec.width}" height="{spec.height}" '
-            f'viewBox="0 0 {spec.width} {spec.height}">'
+            f'width="{WIDTH}" height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">'
         ),
-        f'<rect x="0" y="0" width="{spec.width}" height="{spec.height}" fill="{spec.background}"/>',
+        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="{BACKGROUND}"/>',
         (
-            f'<text x="{spec.width // 2}" y="{spec.margin // 2 + 7}" fill="#cccccc" '
-            f'font-family="monospace" font-size="14" text-anchor="middle">{escape(spec.title)}</text>'
+            f'<text x="{WIDTH // 2}" y="{MARGIN // 2 + 7}" fill="#cccccc" '
+            f'font-family="monospace" font-size="14" text-anchor="middle">{escape(title)}</text>'
         ),
     ]
     if len(points):
-        xs = _scale(points.xy[:, 0], spec.margin, spec.width - spec.margin)
+        xs = _scale(points.xy[:, 0], MARGIN, WIDTH - MARGIN)
         # larger data-space y renders higher on the canvas
-        ys = _scale(-points.xy[:, 1], spec.margin, spec.height - spec.margin)
+        ys = _scale(-points.xy[:, 1], MARGIN, HEIGHT - MARGIN)
         # np.rint rounds halves to even, as round() does
         channels = np.rint(255 * (0.25 + 0.70 * points.scores)).astype(int)
-        radii = [f"{spec.history_radius:g}"] * points.n_history
-        radii += [f"{spec.current_radius:g}"] * (len(points) - points.n_history)
+        radii = [str(HISTORY_RADIUS)] * points.n_history + [str(CURRENT_RADIUS)] * (len(points) - points.n_history)
         lines += [
             f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{r}" fill="{_FILLS[c]}"/>'
             for x, y, r, c in zip(xs.tolist(), ys.tolist(), radii, channels.tolist())

@@ -20,7 +20,7 @@ from camlpad.detectors import fit_cblof, fit_iforest, fit_pca
 from camlpad.detectors.kmeans import DEFAULT_MAX_ITERATIONS
 from camlpad.ingest_store import BroSplit, parse_jsonl, split_bro_by_protocol
 from camlpad.synth import SynthConfig, generate, write_store
-from camlpad.viz import PlotSpec, build_heatmap_points, render_svg
+from camlpad.viz import build_heatmap_points, render_svg
 
 from conftest import make_batch, make_record
 
@@ -77,10 +77,10 @@ def test_counted_heatmap_results():
     counts = load_tracer().COUNTS
     rng = np.random.default_rng(1)
     history, current = rng.normal(size=(20, 3)), rng.normal(size=(5, 3))
-    args = (fit_pca(history), history, current, rng.random(20), rng.random(5))
+    args = (fit_pca(history), np.vstack([history, current]), 20, rng.random(25))
     points = build_heatmap_points(*args)
     assert counts["viz.points"](args, points) == {"points": 25}
-    svg = render_svg(points, PlotSpec(title="hooks"))
+    svg = render_svg(points, "hooks")
     assert counts["viz.render"]((points,), svg) == {"svg_bytes": len(svg)}
 
 

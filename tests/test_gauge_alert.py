@@ -48,11 +48,11 @@ class TestWindowScore:
             window_score([])
 
 
-def reference_day_gauges(timestamps, scores, day_ms):
-    """The per-row dict grouping the array code replaced."""
+def reference_day_gauges(timestamps, scores, boundary, day_ms):
+    """The per-row dict grouping the array code replaced, days counted back from the boundary."""
     buckets = {}
     for ts, score in zip(timestamps, scores):
-        buckets.setdefault((ts // day_ms) * day_ms, []).append(float(score))
+        buckets.setdefault(boundary + (ts - boundary) // day_ms * day_ms, []).append(float(score))
     return {day: window_score(buckets[day]) for day in sorted(buckets)}
 
 
@@ -68,15 +68,19 @@ class TestDayGauges:
                 st.floats(0.0, 1.0, allow_subnormal=False),
             ),
             max_size=200,
-        )
+        ),
+        # midnight and any time of day after the last row
+        boundary=st.one_of(st.just(6 * 86_400_000), st.integers(6 * 86_400_000, 7 * 86_400_000)),
     )
-    def test_float_exact_against_per_row_reference(self, rows):
+    def test_float_exact_against_per_row_reference(self, rows, boundary):
         timestamps = [day * self.DAY + offset for day, offset, _ in rows]
         scores = [score for _, _, score in rows]
-        expected = reference_day_gauges(timestamps, scores, self.DAY)
-        got = day_gauges(np.array(timestamps, dtype=np.int64), np.array(scores), self.DAY)
+        expected = reference_day_gauges(timestamps, scores, boundary, self.DAY)
+        got = day_gauges(np.array(timestamps, dtype=np.int64), np.array(scores), boundary, self.DAY)
         assert list(got.items()) == list(expected.items())
         assert all(type(day) is int for day in got)
+        # every history day is a whole day ending at or before the boundary
+        assert all((boundary - day) % self.DAY == 0 and 0 < boundary - day <= 7 * self.DAY for day in got)
 
     def test_day_means_sum_in_row_order(self):
         # Unsorted times, many rows per day and scores of mixed magnitude: a
@@ -84,11 +88,12 @@ class TestDayGauges:
         rng = np.random.default_rng(3)
         timestamps = rng.integers(0, 6 * self.DAY, 5000)
         scores = rng.random(5000) * 10.0 ** rng.integers(-8, 1, 5000)
-        got = day_gauges(timestamps, scores, self.DAY)
-        assert list(got.items()) == list(reference_day_gauges(timestamps.tolist(), scores.tolist(), self.DAY).items())
+        got = day_gauges(timestamps, scores, 6 * self.DAY, self.DAY)
+        expected = reference_day_gauges(timestamps.tolist(), scores.tolist(), 6 * self.DAY, self.DAY)
+        assert list(got.items()) == list(expected.items())
 
     def test_no_rows_no_days(self):
-        assert day_gauges(np.zeros(0, dtype=np.int64), np.zeros(0), self.DAY) == {}
+        assert day_gauges(np.zeros(0, dtype=np.int64), np.zeros(0), 0, self.DAY) == {}
 
 
 class TestPercentileRank:

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from camlpad import pipeline
-from camlpad.config import PipelineConfig, DetectorParams
+from camlpad import pipeline, viz
+from camlpad.config import PipelineConfig, DetectorParams, window_id_for
 from camlpad.datamodel import DataSourceKind, derive_record_id
 from camlpad.ingest_store import MissingTimestamp, record_to_document, window_split
 from camlpad.pipeline import analyze_source, fetch_batches, run_pipeline
@@ -39,6 +39,22 @@ class TestAnalyzeSource:
         analysis = analyze_source(split, FAST_DETECTORS, contamination=0.05, window_id="w")
         assert len(analysis.history_day_scores) == 3
         assert analysis.gauge.history_percentile is not None
+
+    def test_rows_are_projected_once_and_the_four_heatmaps_share_them(self, monkeypatch):
+        calls = []
+        real_build = viz.build_heatmap_points
+
+        def build_heatmap_points(*args):
+            calls.append(args)
+            return real_build(*args)
+
+        monkeypatch.setattr(viz, "build_heatmap_points", build_heatmap_points)
+        split, _ = small_split()
+        analysis = analyze_source(split, FAST_DETECTORS, contamination=0.05, window_id="w")
+        assert len(calls) == 1
+        plane = analysis.heatmap_points["ensemble"].xy
+        assert all(points.xy is plane for points in analysis.heatmap_points.values())
+        assert all(points.n_history == len(split.history) for points in analysis.heatmap_points.values())
 
     def test_current_only_category_does_not_break_scoring(self):
         history = [
@@ -149,6 +165,26 @@ class TestIndexPlanOrder:
         # the combined gauge sums scores in this order
         assert [source.value for source in run.analyses] == ["bro_conn", "bro_dns", "snort", "yaf"]
         assert [reading.scope for reading in run.gauges] == ["bro_conn", "bro_dns", "snort", "yaf", "combined"]
+
+
+class TestNoonBoundary:
+    def test_every_history_day_is_as_long_as_the_current_window(self, tmp_path):
+        synth_config = SynthConfig(seed=1, days_history=7, records_per_source_per_day=40)
+        write_store(generate(synth_config), tmp_path / "store")
+        config = PipelineConfig(
+            store_root=tmp_path / "store",
+            output_dir=tmp_path / "out",
+            boundary=f"{window_id_for(synth_config.boundary_ms)}T12:00:00",
+            history_days=7,
+            min_history=10,
+            contamination=0.05,
+            detectors=FAST_DETECTORS,
+            alert_file="",
+        )
+        run = run_pipeline(config)
+        noon = synth_config.boundary_ms + DAY_MS // 2
+        for analysis in run.analyses.values():
+            assert list(analysis.history_day_scores) == [noon - k * DAY_MS for k in range(7, 0, -1)]
 
 
 class TestHttpBackedRun:

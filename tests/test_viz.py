@@ -13,7 +13,6 @@ from camlpad.gauge_alert import GaugeReading, gauge_json_bytes
 from camlpad.viz import (
     HeatmapPoints,
     MisalignedScores,
-    PlotSpec,
     build_heatmap_points,
     render_svg,
 )
@@ -38,8 +37,14 @@ def circles(svg: bytes):
     return ET.fromstring(svg).findall(f"{SVG_NS}circle")
 
 
-def reference_svg(rows, spec=PlotSpec()):
-    """Per-point renderer: (x, y, score, is_current) rows, history drawn first."""
+def reference_svg(rows, title=""):
+    """Per-point renderer: (x, y, score, is_current) rows, history drawn first.
+
+    Its canvas geometry is spelled out here rather than read from viz, so these
+    tests pin the canvas independently.
+    """
+    width = height = 600
+    margin = 40
 
     def scale(values, out_low, out_high):
         low, high = min(values), max(values)
@@ -53,18 +58,18 @@ def reference_svg(rows, spec=PlotSpec()):
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{spec.width}" height="{spec.height}" '
-        f'viewBox="0 0 {spec.width} {spec.height}">',
-        f'<rect x="0" y="0" width="{spec.width}" height="{spec.height}" fill="{spec.background}"/>',
-        f'<text x="{spec.width // 2}" y="{spec.margin // 2 + 7}" fill="#cccccc" '
-        f'font-family="monospace" font-size="14" text-anchor="middle">{escape(spec.title)}</text>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#111111"/>',
+        f'<text x="{width // 2}" y="{margin // 2 + 7}" fill="#cccccc" '
+        f'font-family="monospace" font-size="14" text-anchor="middle">{escape(title)}</text>',
     ]
     if rows:
-        xs = scale([r[0] for r in rows], spec.margin, spec.width - spec.margin)
-        ys = scale([-r[1] for r in rows], spec.margin, spec.height - spec.margin)
+        xs = scale([r[0] for r in rows], margin, width - margin)
+        ys = scale([-r[1] for r in rows], margin, height - margin)
         order = [i for i, r in enumerate(rows) if not r[3]] + [i for i, r in enumerate(rows) if r[3]]
         for i in order:
-            radius = spec.current_radius if rows[i][3] else spec.history_radius
+            radius = 8.0 if rows[i][3] else 3.0
             lines.append(
                 f'<circle cx="{xs[i]:.2f}" cy="{ys[i]:.2f}" r="{radius:g}" fill="{fill(rows[i][2])}"/>'
             )
@@ -80,20 +85,20 @@ class TestBuildHeatmapPoints:
     def test_empty_current_gives_all_small_points(self):
         pca = self._pca()
         history = np.random.default_rng(2).normal(0, 1, (6, 3))
-        built = build_heatmap_points(pca, history, np.empty((0, 3)), [0.5] * 6, [])
+        built = build_heatmap_points(pca, history, 6, [0.5] * 6)
         assert len(built) == 6
         assert built.n_history == 6
 
     def test_flags_assigned_per_window(self):
         pca = self._pca()
         one = np.random.default_rng(3).normal(0, 1, (1, 3))
-        built = build_heatmap_points(pca, one, one + 1.0, [0.2], [0.8])
+        built = build_heatmap_points(pca, np.vstack([one, one + 1.0]), 1, [0.2, 0.8])
         assert (len(built), built.n_history) == (2, 1)
         assert built.scores.tolist() == [0.2, 0.8]
 
     def test_pca_mean_maps_to_origin(self):
         pca = self._pca()
-        built = build_heatmap_points(pca, pca.mean[None, :], np.empty((0, 3)), [0.0], [])
+        built = build_heatmap_points(pca, pca.mean[None, :], 1, [0.0])
         assert built.xy[0, 0] == pytest.approx(0.0, abs=1e-9)
         assert built.xy[0, 1] == pytest.approx(0.0, abs=1e-9)
 
@@ -101,12 +106,12 @@ class TestBuildHeatmapPoints:
         pca = self._pca()
         rows = np.random.default_rng(4).normal(0, 1, (3, 3))
         with pytest.raises(MisalignedScores):
-            build_heatmap_points(pca, rows, np.empty((0, 3)), [0.1], [])
+            build_heatmap_points(pca, rows, 3, [0.1])
 
 
 class TestRenderSvg:
     def test_zero_points_is_valid_svg_with_chrome_only(self):
-        svg = render_svg(points(), PlotSpec(title="empty"))
+        svg = render_svg(points(), "empty")
         root = ET.fromstring(svg)
         assert root.tag == f"{SVG_NS}svg"
         assert len(circles(svg)) == 0
@@ -126,11 +131,10 @@ class TestRenderSvg:
         assert len(circles(render_svg(scattered))) == 23
 
     def test_identical_inputs_identical_bytes(self):
-        spec = PlotSpec(title="repeat")
-        assert render_svg(GOLDEN_POINTS, spec) == render_svg(GOLDEN_POINTS, spec)
+        assert render_svg(GOLDEN_POINTS, "repeat") == render_svg(GOLDEN_POINTS, "repeat")
 
     def test_degenerate_single_point_centered(self):
-        svg = render_svg(points((3.7, -9.9, 0.5), n_history=0), PlotSpec())
+        svg = render_svg(points((3.7, -9.9, 0.5), n_history=0))
         circle = circles(svg)[0]
         assert circle.attrib["cx"] == "300.00"
         assert circle.attrib["cy"] == "300.00"
@@ -149,7 +153,7 @@ class TestRenderSvg:
         assert fills == sorted(fills)
 
     def test_matches_committed_golden_file(self):
-        svg = render_svg(GOLDEN_POINTS, PlotSpec(title="golden fixture"))
+        svg = render_svg(GOLDEN_POINTS, "golden fixture")
         assert svg == GOLDEN.read_bytes()
 
 
@@ -192,9 +196,8 @@ class TestAgainstReferenceRenderer:
     @given(point_sets())
     def test_render_matches_per_point_reference(self, drawn):
         rows, n_history = drawn
-        spec = PlotSpec(title="prop <&>")
         value = points(*[(x, y, s) for x, y, s, _ in rows], n_history=n_history)
-        assert render_svg(value, spec) == reference_svg(rows, spec)
+        assert render_svg(value, "prop <&>") == reference_svg(rows, "prop <&>")
 
     def test_combined_keeps_history_blocks_before_current_blocks(self):
         a = points((0, 0, 0.1), (1, 0, 0.2), (2, 0, 0.3), n_history=2)
@@ -218,7 +221,7 @@ class TestPointsValidation:
         pca = fit_pca(np.random.default_rng(1).normal(0, 1, (30, 3)))
         rows = np.random.default_rng(4).normal(0, 1, (2, 3))
         with pytest.raises(ValueError):
-            build_heatmap_points(pca, rows, rows, [0.1, float("nan")], [0.2, 0.3])
+            build_heatmap_points(pca, np.vstack([rows, rows]), 2, [0.1, float("nan"), 0.2, 0.3])
 
     def test_misaligned_arrays_rejected(self):
         with pytest.raises(MisalignedScores):
