@@ -12,7 +12,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .datamodel import DataSourceKind
-from .ensemble import DEFAULT_BUCKET_WIDTH_MS, DEFAULT_CONTAMINATION
+from .ensemble import DEFAULT_CONTAMINATION
 from .errors import CamlpadError
 from .gauge_alert import DEFAULT_THRESHOLD_PERCENTILE
 from .ingest_store import (
@@ -38,13 +38,7 @@ class ConfigError(CamlpadError):
 class DetectorParams:
     iforest_trees: int = 100
     iforest_subsample: int = 256
-    iforest_seed: int = 7
-    hbos_bins: int = 10
     cblof_clusters: int = 8
-    cblof_alpha: float = 0.9
-    cblof_beta: float = 5.0
-    cblof_seed: int = 7
-    cblof_weighted: bool = False
 
 
 @dataclass
@@ -62,9 +56,7 @@ class PipelineConfig:
     history_days: int = 7
     min_history: int = DEFAULT_MIN_HISTORY
     contamination: float = DEFAULT_CONTAMINATION
-    bucket_width_ms: int = DEFAULT_BUCKET_WIDTH_MS
     threshold_percentile: float = DEFAULT_THRESHOLD_PERCENTILE
-    tie_breaks_anomalous: bool = True
     output_dir: Path = Path("./out")
     alert_file: str = "alerts.jsonl"
     webhook_url: str = ""
@@ -115,15 +107,6 @@ def parse_config_text(text: str) -> dict[str, str]:
     return entries
 
 
-def _to_bool(key: str, value: str) -> bool:
-    lowered = value.lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {value!r}")
-
-
 def _to_int(key: str, value: str) -> int:
     try:
         return int(value)
@@ -165,9 +148,7 @@ _KEYS = {
     "run.history_days": (None, "history_days", _to_int),
     "run.min_history": (None, "min_history", _to_int),
     "run.contamination": (None, "contamination", _to_float),
-    "run.bucket_width_ms": (None, "bucket_width_ms", _to_int),
     "run.threshold_percentile": (None, "threshold_percentile", _to_float),
-    "run.tie_breaks_anomalous": (None, "tie_breaks_anomalous", _to_bool),
     "run.output_dir": (None, "output_dir", _path),
     "run.bro_index": (None, "bro_index", _text),
     "run.bro_discriminator": (None, "bro_discriminator", _text),
@@ -175,13 +156,7 @@ _KEYS = {
     "alerts.webhook_url": (None, "webhook_url", _text),
     "detectors.iforest.trees": ("detectors", "iforest_trees", _to_int),
     "detectors.iforest.subsample": ("detectors", "iforest_subsample", _to_int),
-    "detectors.iforest.seed": ("detectors", "iforest_seed", _to_int),
-    "detectors.hbos.bins": ("detectors", "hbos_bins", _to_int),
     "detectors.cblof.clusters": ("detectors", "cblof_clusters", _to_int),
-    "detectors.cblof.alpha": ("detectors", "cblof_alpha", _to_float),
-    "detectors.cblof.beta": ("detectors", "cblof_beta", _to_float),
-    "detectors.cblof.seed": ("detectors", "cblof_seed", _to_int),
-    "detectors.cblof.weighted": ("detectors", "cblof_weighted", _to_bool),
 }
 
 
@@ -221,4 +196,9 @@ def resolve_boundary(value: str) -> int:
 
 
 def window_id_for(boundary_ms: int) -> str:
-    return datetime.fromtimestamp(boundary_ms / 1000, tz=timezone.utc).date().isoformat()
+    """The window's file-safe name: the boundary's UTC date, plus THHMMSS[.mmm]Z unless it is midnight."""
+    moment = datetime.fromtimestamp(boundary_ms // 1000, tz=timezone.utc)
+    if boundary_ms % DAY_MS == 0:
+        return moment.date().isoformat()
+    millis = f".{boundary_ms % 1000:03d}" if boundary_ms % 1000 else ""
+    return f"{moment:%Y-%m-%dT%H%M%S}{millis}Z"

@@ -31,9 +31,7 @@ DEFAULT_BETA = 5.0
 @dataclass
 class CblofModel:
     kmeans: KMeansModel
-    cluster_sizes: np.ndarray
     large_flags: np.ndarray
-    weighted: bool = False
 
     @property
     def n_features(self) -> int:
@@ -68,7 +66,6 @@ def fit_cblof(
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     tolerance: float = DEFAULT_TOLERANCE,
     seed: int = 0,
-    weighted: bool = False,
 ) -> CblofModel:
     X = as_matrix(data)
     if X.shape[0] < k:
@@ -83,25 +80,19 @@ def fit_cblof(
     flags = large_cluster_flags(sizes, alpha, beta)
     return CblofModel(
         kmeans=kmeans,
-        cluster_sizes=sizes,
         large_flags=flags,
-        weighted=weighted,
     )
 
 
 def score_cblof_rows(model: CblofModel, rows) -> np.ndarray:
     """Distance to the owning large centroid, or to the nearest large centroid
-    for rows assigned to small clusters. The weighted variant multiplies by
-    the owning cluster's size."""
+    for rows assigned to small clusters; cluster size does not scale it."""
     X = check_dimensions(model.n_features, np.asarray(rows, dtype=float))
     d2 = squared_distances(X, model.kmeans.centroids)
     assignment = d2.argmin(axis=1)
     own_distance = np.sqrt(d2[np.arange(X.shape[0]), assignment])
     large_distance = np.sqrt(d2[:, model.large_flags].min(axis=1))
-    scores = np.where(model.large_flags[assignment], own_distance, large_distance)
-    if model.weighted:
-        scores = scores * model.cluster_sizes[assignment]
-    return scores
+    return np.where(model.large_flags[assignment], own_distance, large_distance)
 
 
 def score_cblof(model: CblofModel, row) -> float:

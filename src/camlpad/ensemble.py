@@ -2,7 +2,7 @@
 
 Two voting layers: a per-row majority over the three detectors within one
 source, and a per-time-bucket majority across sources. Exact cross-source
-ties resolve toward alerting by default.
+ties resolve toward alerting.
 """
 
 from __future__ import annotations
@@ -134,14 +134,13 @@ def cross_source_vote(
     labeled: Mapping[DataSourceKind, tuple[np.ndarray, np.ndarray]],
     bucket_width_ms: int = DEFAULT_BUCKET_WIDTH_MS,
     contamination: float = DEFAULT_CONTAMINATION,
-    tie_breaks_anomalous: bool = True,
 ) -> list[BucketVerdict]:
     """Democratic vote across sources per fixed-width time bucket.
 
     ``labeled`` maps each source to its row (timestamps_ms, labels) arrays. A
     source votes 1 in a bucket iff its outlier fraction there exceeds the
     contamination rate; the bucket verdict is a strict majority of the
-    sources present, exact ties resolving to 1 unless configured otherwise.
+    sources present, exact ties resolving to 1.
     """
     if not labeled:
         raise ValueError("cross_source_vote needs at least one source")
@@ -155,8 +154,7 @@ def cross_source_vote(
             votes.setdefault(start, {})[source] = int(flag)
     verdicts: list[BucketVerdict] = []
     for bucket in sorted(votes):
-        twice_ones, present = 2 * sum(votes[bucket].values()), len(votes[bucket])
-        final = int(twice_ones > present or (twice_ones == present and tie_breaks_anomalous))
+        final = int(2 * sum(votes[bucket].values()) >= len(votes[bucket]))
         verdicts.append(BucketVerdict(bucket_start=bucket, votes=votes[bucket], final=final))
     return verdicts
 

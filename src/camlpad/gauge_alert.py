@@ -28,7 +28,7 @@ logger = logging.getLogger(__name__)
 DEFAULT_THRESHOLD_PERCENTILE = 75.0
 WEBHOOK_ENV_VAR = "CAMLPAD_WEBHOOK_URL"
 WEBHOOK_ATTEMPTS = 3
-WEBHOOK_BACKOFF_SECONDS = (1.0, 2.0, 4.0)
+WEBHOOK_BACKOFF_SECONDS = (1.0, 2.0)  # slept between the attempts
 GAUGES_INDEX = "gauges"
 
 COMBINED_SCOPE = "combined"
@@ -219,11 +219,10 @@ def emit_alert(
     """Deliver an alert to the configured sinks; failures never cross sinks.
 
     CAMLPAD_WEBHOOK_URL in the environment overrides the configured webhook.
-    Raises AllSinksFailed only when every configured sink failed.
+    With no sink there is nothing to deliver and the result is []. Raises
+    AllSinksFailed only when every configured sink failed.
     """
     webhook_url = os.environ.get(WEBHOOK_ENV_VAR) or webhook_url
-    if file_path is None and not webhook_url:
-        raise ValueError("emit_alert needs a file path and/or a webhook URL")
     outcomes: list[SinkOutcome] = []
     if file_path is not None:
         outcomes.append(_deliver_file(event, Path(file_path)))
@@ -233,7 +232,7 @@ def emit_alert(
     for outcome in outcomes:
         level = logging.INFO if outcome.ok else logging.WARNING
         logger.log(level, "alert sink %s: %s", outcome.sink, outcome.detail)
-    if not any(o.ok for o in outcomes):
+    if outcomes and not any(o.ok for o in outcomes):
         raise AllSinksFailed(outcomes)
     return outcomes
 

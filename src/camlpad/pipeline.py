@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -29,6 +28,7 @@ from .preprocess import conform_columns, encode, impute, standardize
 logger = logging.getLogger(__name__)
 
 HEATMAP_MODELS = DETECTOR_NAMES + ("ensemble",)
+DETECTOR_SEED = 7  # iForest and CBLOF (k-means++) seed
 
 
 @dataclass
@@ -77,16 +77,13 @@ def analyze_source(
         history_matrix,
         trees=params.iforest_trees,
         subsample=params.iforest_subsample,
-        seed=params.iforest_seed,
+        seed=DETECTOR_SEED,
     )
-    hbos_model = detectors.fit_hbos(history_matrix, bins=params.hbos_bins)
+    hbos_model = detectors.fit_hbos(history_matrix)
     cblof_model = detectors.fit_cblof(
         history_matrix,
         k=min(params.cblof_clusters, history_matrix.n_rows),
-        alpha=params.cblof_alpha,
-        beta=params.cblof_beta,
-        seed=params.cblof_seed,
-        weighted=params.cblof_weighted,
+        seed=DETECTOR_SEED,
     )
     pca_model = detectors.fit_pca(history_matrix)
 
@@ -237,9 +234,7 @@ def run_pipeline(config: PipelineConfig, boundary_override: str | None = None) -
 
     verdicts = ensemble.cross_source_vote(
         {source: (a.timestamps, a.ensemble_labels.labels) for source, a in analyses.items()},
-        bucket_width_ms=config.bucket_width_ms,
         contamination=config.contamination,
-        tie_breaks_anomalous=config.tie_breaks_anomalous,
     )
 
     _, combined = _gauge(
@@ -272,10 +267,7 @@ def run_pipeline(config: PipelineConfig, boundary_override: str | None = None) -
 
     if gauge_alert.alert_decision(combined, config.threshold_percentile):
         event = gauge_alert.build_alert(combined, config.threshold_percentile)
-        file_sink = config.alert_file_path()
-        webhook = os.environ.get(gauge_alert.WEBHOOK_ENV_VAR) or config.webhook_url or None
-        if file_sink is not None or webhook:
-            gauge_alert.emit_alert(event, file_path=file_sink, webhook_url=webhook)
+        gauge_alert.emit_alert(event, file_path=config.alert_file_path(), webhook_url=config.webhook_url)
         result.alert = event
         logger.warning("alert fired: %s", event.message)
     return result

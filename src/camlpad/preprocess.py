@@ -53,10 +53,6 @@ class FeatureMatrix:
     def n_rows(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def n_cols(self) -> int:
-        return self.values.shape[1]
-
     def has_missing(self) -> bool:
         return bool(np.isnan(self.values).any())
 

@@ -194,7 +194,7 @@ def write_store(result: SynthResult, root: Path | str, time_field: str = DEFAULT
         index_dir.mkdir(parents=True, exist_ok=True)
         by_date: dict[str, list[str]] = {}
         for record in batch.records:
-            by_date.setdefault(window_id_for(record.timestamp), []).append(
+            by_date.setdefault(window_id_for(record.timestamp // DAY_MS * DAY_MS), []).append(
                 record_to_json_line(record, time_field)
             )
         for date, lines in sorted(by_date.items()):

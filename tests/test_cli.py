@@ -8,6 +8,7 @@ import pytest
 
 from camlpad.cli import main
 from camlpad.config import (
+    _KEYS,
     ConfigError,
     DetectorParams,
     PipelineConfig,
@@ -69,9 +70,14 @@ class TestConfigParsing:
         assert entries == {"store.kind": "directory"}
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError) as err:
-            config_from_entries({"store.knid": "directory"})
-        assert "store.knid" in str(err.value)
+        retired = [
+            "run.bucket_width_ms", "run.tie_breaks_anomalous", "detectors.iforest.seed", "detectors.hbos.bins",
+            "detectors.cblof.alpha", "detectors.cblof.beta", "detectors.cblof.seed", "detectors.cblof.weighted",
+        ]
+        for key in ["store.knid", *retired]:
+            with pytest.raises(ConfigError) as err:
+                config_from_entries({key: "1"})
+            assert str(err.value) == f"unknown config key: {key}"
 
     def test_source_index_override(self):
         config = config_from_entries({"sources.yaf.index": "yaf_v2"})
@@ -107,7 +113,9 @@ class TestConfigParsing:
     def test_readme_configuration_block_loads_with_defaults(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         block = re.search(r"## Configuration.*?```ini\n(.*?)```", readme, re.S).group(1)
-        config = config_from_entries(parse_config_text(block))
+        entries = parse_config_text(block)
+        assert sorted(entries) == sorted([*_KEYS, "sources.yaf.index"])
+        config = config_from_entries(entries)
         defaults = PipelineConfig()
         for field in dataclasses.fields(PipelineConfig):
             if field.name not in ("indexes", "detectors"):

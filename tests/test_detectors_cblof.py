@@ -11,7 +11,6 @@ from camlpad.detectors import (
     fit_kmeans,
     large_cluster_flags,
     score_cblof,
-    score_cblof_rows,
 )
 from camlpad.detectors.kmeans import _lloyd, _seed_centroids, assign_clusters, squared_distances
 
@@ -202,14 +201,6 @@ class TestCblofScores:
     def test_large_member_scores_distance_to_own_centroid(self):
         model = fit_cblof(TWO_CLUSTERS, k=2, alpha=0.9, beta=5.0, seed=0)
         assert score_cblof(model, [3.0, 4.0]) == pytest.approx(5.0, abs=1e-9)
-
-    def test_weighted_variant_multiplies_by_cluster_size(self):
-        plain = fit_cblof(TWO_CLUSTERS, k=2, seed=0)
-        weighted = fit_cblof(TWO_CLUSTERS, k=2, seed=0, weighted=True)
-        probe = np.array([[10.0, 10.0], [1.0, 1.0]])
-        ratio = score_cblof_rows(weighted, probe) / score_cblof_rows(plain, probe)
-        # probe rows are owned by the small (size 1) and large (size 5) clusters
-        assert ratio.tolist() == [1.0, 5.0]
 
     def test_too_few_rows(self):
         with pytest.raises(TooFewRows):

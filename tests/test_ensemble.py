@@ -192,7 +192,6 @@ class TestCrossSourceVote:
     def test_two_source_tie_resolves_to_alert(self):
         labeled = {self.YAF: self._rows(0, 5, 10), self.SNORT: self._rows(0, 0, 10)}
         assert cross_source_vote(labeled, contamination=0.1)[0].final == 1
-        assert cross_source_vote(labeled, contamination=0.1, tie_breaks_anomalous=False)[0].final == 0
 
     def test_fraction_must_strictly_exceed_contamination(self):
         verdicts = cross_source_vote({self.YAF: self._rows(0, 1, 10)}, contamination=0.1)
@@ -219,9 +218,8 @@ class TestCrossSourceVote:
         offset=st.sampled_from([0, 10**12, 2**62]),
         width=st.sampled_from([1, 2, 4, 10, 60_000]),
         contamination=st.sampled_from([0.1, 0.25, 0.5, 0.75]),
-        tie_breaks_anomalous=st.booleans(),
     )
-    def test_matches_per_row_reference(self, rows, offset, width, contamination, tie_breaks_anomalous):
+    def test_matches_per_row_reference(self, rows, offset, width, contamination):
         reference_input = {
             source: ([offset + t for t, _ in pairs], [label for _, label in pairs]) for source, pairs in rows.items()
         }
@@ -229,19 +227,18 @@ class TestCrossSourceVote:
             source: (np.array(timestamps, dtype=np.int64), np.array(labels, dtype=int))
             for source, (timestamps, labels) in reference_input.items()
         }
-        verdicts = cross_source_vote(labeled, width, contamination, tie_breaks_anomalous)
-        expected = reference_cross_source_vote(reference_input, width, contamination, tie_breaks_anomalous)
+        verdicts = cross_source_vote(labeled, width, contamination)
+        expected = reference_cross_source_vote(reference_input, width, contamination, tie_breaks_anomalous=True)
         assert [(v.bucket_start, list(v.votes.items()), v.final) for v in verdicts] == expected
         assert all(type(v.bucket_start) is int for v in verdicts)
 
     def test_exact_contamination_fraction_and_one_to_one_tie(self):
-        # 1 of 4 rows is exactly 0.25: not above it; 2 of 4 is. A 1:1 split follows the tie rule.
+        # 1 of 4 rows is exactly 0.25: not above it; 2 of 4 is. A 1:1 split alerts.
         times = np.array([0, 1, 2, 3])
         labeled = {self.YAF: (times, np.array([1, 0, 0, 0])), self.SNORT: (times, np.array([1, 1, 0, 0]))}
-        for tie in (True, False):
-            [verdict] = cross_source_vote(labeled, bucket_width_ms=4, contamination=0.25, tie_breaks_anomalous=tie)
-            assert list(verdict.votes.items()) == [(self.YAF, 0), (self.SNORT, 1)]
-            assert verdict.final == int(tie)
+        [verdict] = cross_source_vote(labeled, bucket_width_ms=4, contamination=0.25)
+        assert list(verdict.votes.items()) == [(self.YAF, 0), (self.SNORT, 1)]
+        assert verdict.final == 1
 
     def test_source_with_no_rows_casts_no_vote(self):
         empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=int))

@@ -273,9 +273,11 @@ class TestEmitAlert:
         for secret in ("pw-secret", "tok-secret"):
             assert secret not in webhook.detail and secret not in caplog.text
 
-    def test_no_sinks_configured_is_an_error(self):
-        with pytest.raises(ValueError):
-            emit_alert(self._event())
+    def test_no_sinks_configured_delivers_nothing(self, monkeypatch):
+        monkeypatch.delenv("CAMLPAD_WEBHOOK_URL", raising=False)
+        event = self._event()
+        assert emit_alert(event) == []
+        assert event.delivery == []
 
     def test_concurrent_emits_never_interleave_lines(self, tmp_path):
         path = tmp_path / "alerts.jsonl"

@@ -186,6 +186,36 @@ class TestNoonBoundary:
         for analysis in run.analyses.values():
             assert list(analysis.history_day_scores) == [noon - k * DAY_MS for k in range(7, 0, -1)]
 
+    def test_noon_and_midnight_windows_of_one_date_keep_their_own_gauges(self, tmp_path):
+        synth_config = SynthConfig(seed=1, days_history=2, records_per_source_per_day=40)
+        write_store(generate(synth_config), tmp_path / "store")
+        midnight = synth_config.boundary_ms
+        assert window_id_for(midnight) == "2021-03-03"
+        assert window_id_for(midnight + DAY_MS // 2) == "2021-03-03T120000Z"
+        assert window_id_for(midnight + DAY_MS // 2 + 250) == "2021-03-03T120000.250Z"
+        for boundary in ("2021-03-03", "2021-03-03T12:00:00"):
+            config = PipelineConfig(
+                store_root=tmp_path / "store",
+                output_dir=tmp_path / "out",
+                sources=[DataSourceKind.YAF],
+                boundary=boundary,
+                history_days=2,
+                min_history=10,
+                contamination=0.05,
+                detectors=FAST_DETECTORS,
+                alert_file="",
+            )
+            run_pipeline(config)
+        gauge_files = sorted(p.name for p in (tmp_path / "out" / "gauges").iterdir())
+        assert gauge_files == [
+            "combined_2021-03-03.json", "combined_2021-03-03T120000Z.json",
+            "yaf_2021-03-03.json", "yaf_2021-03-03T120000Z.json",
+        ]
+        indexed = {}
+        for path in sorted((tmp_path / "store" / "gauges").iterdir()):
+            indexed[path.name] = sorted({json.loads(line)["window_id"] for line in path.read_text().splitlines()})
+        assert indexed == {"2021-03-03.jsonl": ["2021-03-03"], "2021-03-03T120000Z.jsonl": ["2021-03-03T120000Z"]}
+
 
 class TestHttpBackedRun:
     def test_pipeline_over_http_store(self, stub_server, tmp_path):
