@@ -173,6 +173,16 @@ def config_from_entries(entries: dict[str, str]) -> PipelineConfig:
         setattr(getattr(config, target) if target else config, name, parse(key, value))
     if not 0.0 < config.contamination < 1.0:
         raise ConfigError(f"run.contamination must be in (0,1), got {config.contamination}")
+    if not 0.0 <= config.threshold_percentile <= 100.0:  # NaN fails too
+        raise ConfigError(f"run.threshold_percentile must be in [0,100], got {config.threshold_percentile}")
+    params = config.detectors
+    for key, value, least in (
+        ("detectors.iforest.trees", params.iforest_trees, 1),
+        ("detectors.iforest.subsample", params.iforest_subsample, 2),
+        ("detectors.cblof.clusters", params.cblof_clusters, 1),
+    ):
+        if value < least:
+            raise ConfigError(f"{key} must be >= {least}, got {value}")
     return config
 
 

@@ -1,9 +1,10 @@
 """Canonical record and dataset types shared by every pipeline stage.
 
 All types here are frozen after construction. A record's cells are plain
-values (finite float, non-empty str, or None for missing), checked once by
-:class:`SensorRecord`. Serialization to/from the store's JSON form lives in
-:mod:`camlpad.ingest_store`.
+values (finite float, non-empty str, or None for missing), checked once:
+by :class:`SensorRecord`, or by the store parser, which builds its records
+through ``SensorRecord.trusted``. Serialization to/from the store's JSON
+form lives in :mod:`camlpad.ingest_store`.
 """
 
 from __future__ import annotations
@@ -69,14 +70,26 @@ class SensorRecord:
                     f"field {name!r}: cell must be a finite float, a non-empty str or None, got {value!r}"
                 )
 
+    @classmethod
+    def trusted(
+        cls, source: DataSourceKind, timestamp: int, fields: dict[str, float | str | None], record_id: str
+    ) -> "SensorRecord":
+        """A record built without the ``__post_init__`` check, for callers that have applied its rules.
+
+        The store parser, which checks time, id and every cell as it reads
+        them, and ``with_source`` build records this way; every other
+        construction is checked.
+        """
+        record = object.__new__(cls)
+        object.__setattr__(record, "source", source)
+        object.__setattr__(record, "timestamp", timestamp)
+        object.__setattr__(record, "fields", fields)
+        object.__setattr__(record, "record_id", record_id)
+        return record
+
     def with_source(self, source: DataSourceKind) -> "SensorRecord":
         """This record tagged with another source, sharing its checked cells and id."""
-        tagged = object.__new__(SensorRecord)
-        object.__setattr__(tagged, "source", source)
-        object.__setattr__(tagged, "timestamp", self.timestamp)
-        object.__setattr__(tagged, "fields", self.fields)
-        object.__setattr__(tagged, "record_id", self.record_id)
-        return tagged
+        return SensorRecord.trusted(source, self.timestamp, self.fields, self.record_id)
 
 
 def derive_record_id(source: DataSourceKind, timestamp: int, fields: Mapping[str, float | str | None]) -> str:

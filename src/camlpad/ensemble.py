@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -172,7 +173,7 @@ def labels_to_jsonl(
     template = '{"label": %d, "row_id": %s, "votes": {' + votes + "}}"
     rows = zip(
         ensemble_labels.labels.tolist(),
-        map(json.dumps, ensemble_labels.row_ids),
+        map(encode_basestring_ascii, ensemble_labels.row_ids),  # what json.dumps(str) returns
         *(detector_labels[name].labels.tolist() for name in names),
     )
     lines = [template % row for row in rows]

@@ -6,9 +6,9 @@ Two store backends speak the same contract: a directory of ``.jsonl`` files
 
 Each document is walked once on its way to a record: a JSONL line holding
 one object is decoded once at C level (``_read_jsonl``), its cells are
-built in one pass into a fresh dict (``_record_from_document``), and its
-``SensorRecord`` is built once; the BRO split re-tags records without
-building them again.
+built and checked in one pass into a fresh dict (``_record_from_document``),
+and its ``SensorRecord`` is built once, unchecked a second time; the BRO
+split re-tags records without building them again.
 """
 
 from __future__ import annotations
@@ -342,8 +342,9 @@ def _record_from_document(
 
     Cells are built in one pass into a fresh dict: a finite float or a
     non-empty str is kept as it is, and only the rare kinds (int, bool,
-    null, NaN/inf, "", nested values) go through ``_field_value``. The record
-    is built once; ``SensorRecord`` checks its cells.
+    null, NaN/inf, "", nested values) go through ``_field_value``. Time, id
+    and cells have then met every ``SensorRecord`` rule, so the record is
+    built once through ``SensorRecord.trusted``.
     """
     if time_field not in doc:
         raise MissingTimestamp(line_number, time_field)
@@ -362,10 +363,9 @@ def _record_from_document(
         if name != time_field and name != "_id"
     }
     record_id = str(store_id) if store_id is not None else derive_record_id(source, timestamp, fields)
-    try:
-        return SensorRecord(source=source, timestamp=timestamp, fields=fields, record_id=record_id)
-    except ValueError as exc:
-        raise MalformedLine(line_number, str(exc)) from None
+    if not record_id:
+        raise MalformedLine(line_number, "record_id must be non-empty")
+    return SensorRecord.trusted(source, timestamp, fields, record_id)
 
 
 def record_to_document(record: SensorRecord, time_field: str = DEFAULT_TIME_FIELD) -> dict:

@@ -90,12 +90,15 @@ def analyze_source(
     stacked = np.vstack([history_matrix.values, current_matrix.values])
     row_ids = list(history_matrix.row_ids) + list(current_matrix.row_ids)
     timestamps = np.array([r.timestamp for r in split.history.records + split.current.records], dtype=np.int64)
-    score_set = ScoreSet(
-        row_ids=row_ids,
-        iforest=detectors.score_iforest_rows(iforest_model, stacked),
-        hbos=detectors.score_hbos_rows(hbos_model, stacked),
-        cblof=detectors.score_cblof_rows(cblof_model, stacked),
-    )
+    _refuse_non_finite(row_ids, stacked, "a standardized cell")
+    scores = {
+        "iforest": detectors.score_iforest_rows(iforest_model, stacked),
+        "hbos": detectors.score_hbos_rows(hbos_model, stacked),
+        "cblof": detectors.score_cblof_rows(cblof_model, stacked),
+    }
+    for name, vector in scores.items():
+        _refuse_non_finite(row_ids, vector, f"its {name} score")
+    score_set = ScoreSet(row_ids=row_ids, **scores)
     detector_labels = {
         name: ensemble.binarize(score_set.detector(name), contamination, row_ids)
         for name in DETECTOR_NAMES
@@ -130,6 +133,14 @@ def analyze_source(
         history_day_scores=history_day_scores,
         gauge=gauge,
     )
+
+
+def _refuse_non_finite(row_ids: list[str], values: np.ndarray, what: str) -> None:
+    """Raise naming the first row of ``values`` holding inf or NaN: a finite cell too large to scale or score."""
+    finite = np.isfinite(values).reshape(len(row_ids), -1).all(axis=1)
+    if not finite.all():
+        row = row_ids[int(np.argmin(finite))]
+        raise CamlpadError(f"record {row}: {what} is not finite; a cell is too large to analyse")
 
 
 def _gauge(
@@ -188,10 +199,13 @@ def write_artifacts(result: RunResult, out_dir: Path) -> None:
     sources = sorted(result.analyses, key=lambda s: s.value)
     for source in sources:
         analysis = result.analyses[source]
+        # analyze_source shades one plane four ways, so the circles' positions are formatted once
+        heads = list(viz.circle_heads(analysis.heatmap_points["ensemble"]))
         for model in HEATMAP_MODELS:
             title = f"{source.value} {model} {result.window_id}"
             path = heatmap_dir / f"{source.value}_{model}_{result.window_id}.svg"
-            path.write_bytes(viz.render_svg(analysis.heatmap_points[model], title))
+            path.write_bytes(viz.render_svg(analysis.heatmap_points[model], title, heads))
+        del heads  # not held through the next source
         (labels_dir / f"{source.value}.jsonl").write_text(
             ensemble.labels_to_jsonl(analysis.ensemble_labels, analysis.detector_labels),
             encoding="utf-8",
@@ -254,7 +268,7 @@ def run_pipeline(config: PipelineConfig, boundary_override: str | None = None) -
         gauges=gauges,
         evaluation=evaluate.pairwise_ari_report(
             {
-                source.value: {name: a.detector_labels[name].labels.tolist() for name in DETECTOR_NAMES}
+                source.value: {name: a.detector_labels[name].labels for name in DETECTOR_NAMES}
                 for source, a in analyses.items()
             }
         ),

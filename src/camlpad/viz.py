@@ -10,7 +10,8 @@ Identical inputs always produce byte-identical SVG output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain, islice
+from typing import Iterable, Iterator, Sequence
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -71,12 +72,35 @@ def _scale(values: np.ndarray, out_low: float, out_high: float) -> np.ndarray:
     return out_low + normalize_scores(values) * (out_high - out_low)
 
 
-# grayscale luminance 25% + 70% * score: score 1 renders lightest
-_FILLS = [f"#{c:02x}{c:02x}{c:02x}" for c in range(256)]
+# grayscale luminance 25% + 70% * score: score 1 renders lightest; each closes its circle
+_FILL_TAILS = [f'#{c:02x}{c:02x}{c:02x}"/>' for c in range(256)]
 
 
-def render_svg(points: HeatmapPoints, title: str = "") -> bytes:
-    """Render points onto the fixed canvas as an SVG 1.1 document, deterministically."""
+def circle_heads(points: HeatmapPoints) -> Iterator[str]:
+    """Each point's ``<circle cx=".." cy=".." r=".." fill="``, in drawing order, formatted lazily.
+
+    Only the fill differs between shadings of one plane (same ``xy`` and
+    ``n_history``), so a caller rendering several can list these once and
+    pass them to each ``render_svg``.
+    """
+    if not len(points):
+        return iter(())
+    xs = _scale(points.xy[:, 0], MARGIN, WIDTH - MARGIN)
+    # larger data-space y renders higher on the canvas
+    ys = _scale(-points.xy[:, 1], MARGIN, HEIGHT - MARGIN)
+    history = f'<circle cx="%.2f" cy="%.2f" r="{HISTORY_RADIUS}" fill="'
+    current = f'<circle cx="%.2f" cy="%.2f" r="{CURRENT_RADIUS}" fill="'
+    xy = zip(xs.tolist(), ys.tolist())
+    return chain((history % p for p in islice(xy, points.n_history)), (current % p for p in xy))
+
+
+def render_svg(points: HeatmapPoints, title: str = "", heads: Iterable[str] | None = None) -> bytes:
+    """Render points onto the fixed canvas as an SVG 1.1 document, deterministically.
+
+    ``heads``, when given, are ``circle_heads`` of a plane with the same
+    ``xy`` and ``n_history`` as ``points`` (a count that differs raises
+    ValueError); otherwise they are formatted here.
+    """
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         (
@@ -90,15 +114,10 @@ def render_svg(points: HeatmapPoints, title: str = "") -> bytes:
         ),
     ]
     if len(points):
-        xs = _scale(points.xy[:, 0], MARGIN, WIDTH - MARGIN)
-        # larger data-space y renders higher on the canvas
-        ys = _scale(-points.xy[:, 1], MARGIN, HEIGHT - MARGIN)
         # np.rint rounds halves to even, as round() does
         channels = np.rint(255 * (0.25 + 0.70 * points.scores)).astype(int)
-        radii = [str(HISTORY_RADIUS)] * points.n_history + [str(CURRENT_RADIUS)] * (len(points) - points.n_history)
-        lines += [
-            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{r}" fill="{_FILLS[c]}"/>'
-            for x, y, r, c in zip(xs.tolist(), ys.tolist(), radii, channels.tolist())
-        ]
+        tails = map(_FILL_TAILS.__getitem__, channels.tolist())
+        heads = circle_heads(points) if heads is None else heads
+        lines += [head + tail for head, tail in zip(heads, tails, strict=True)]
     lines.append("</svg>")
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -124,6 +124,38 @@ class TestConfigParsing:
             assert getattr(config.detectors, field.name) == getattr(DetectorParams(), field.name), field.name
         assert config.index_for(DataSourceKind.YAF) == "yaf"
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("detectors.iforest.trees", "0", "detectors.iforest.trees must be >= 1, got 0"),
+            ("detectors.iforest.subsample", "1", "detectors.iforest.subsample must be >= 2, got 1"),
+            ("detectors.cblof.clusters", "0", "detectors.cblof.clusters must be >= 1, got 0"),
+            ("run.threshold_percentile", "nan", "run.threshold_percentile must be in [0,100], got nan"),
+            ("run.threshold_percentile", "inf", "run.threshold_percentile must be in [0,100], got inf"),
+            ("run.threshold_percentile", "-0.5", "run.threshold_percentile must be in [0,100], got -0.5"),
+            ("run.threshold_percentile", "100.5", "run.threshold_percentile must be in [0,100], got 100.5"),
+        ],
+    )
+    def test_out_of_range_value_fails_the_dry_run(self, tmp_path, capsys, key, value, message):
+        with pytest.raises(ConfigError) as err:
+            config_from_entries({key: value})
+        assert str(err.value) == message
+        store = tmp_path / "store"
+        main(["synth", "--out", str(store), "--days", "1", "--records", "10"])
+        config = write_config(tmp_path / "c.conf", store, tmp_path / "out", extra=[f"{key} = {value}"])
+        assert main(["run", "--config", str(config), "--dry-run"]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {"run.threshold_percentile": "0", "detectors.iforest.subsample": "2"},
+            {"run.threshold_percentile": "100", "detectors.iforest.trees": "1", "detectors.cblof.clusters": "1"},
+        ],
+    )
+    def test_range_ends_are_accepted(self, entries):
+        config_from_entries(entries)
+
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.conf")
@@ -201,6 +233,27 @@ class TestRunCommand:
         assert main(["run", "--config", str(config)]) == 1
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
         assert errors == ["error: yaf: 2021-03-02.jsonl: line 31: record_id must be non-empty"]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "column, what",
+        [
+            ("octet_count", "its cblof score"),  # standardizes to ~1e306, whose squared distances overflow
+            ("flow_duration", "a standardized cell"),  # its history stddev is below 1
+        ],
+    )
+    def test_huge_current_cell_exits_one_and_names_its_record(self, tmp_path, capsys, column, what):
+        store = tmp_path / "store"
+        main(["synth", "--out", str(store), "--days", "2", "--records", "30"])
+        day_file = store / "yaf" / "2021-03-03.jsonl"
+        lines = day_file.read_text().splitlines()
+        doc = json.loads(lines[0])
+        doc[column] = 1.5e308
+        day_file.write_text("\n".join([json.dumps(doc), *lines[1:]]) + "\n")
+        config = write_config(tmp_path / "c.conf", store, tmp_path / "out")
+        assert main(["run", "--config", str(config)]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: yaf: record {doc['_id']}: {what} is not finite; a cell is too large to analyse"]
 
     def test_dry_run_validates_only(self, tmp_path, capsys):
         store = tmp_path / "store"

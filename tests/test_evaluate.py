@@ -1,8 +1,13 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from camlpad.evaluate import (
     LengthMismatch,
@@ -84,6 +89,45 @@ class TestAdjustedRandIndex:
     def test_too_few_items(self):
         with pytest.raises(TooFewItems):
             adjusted_rand_index([0], [0])
+
+
+def counter_ari(a, b):
+    """The contingency table counted by collections.Counter over Python label pairs, then the same exact formula."""
+    n = len(a)
+    sum_cells = sum(comb(c, 2) for c in Counter(zip(a, b)).values())
+    sum_a = sum(comb(c, 2) for c in Counter(a).values())
+    sum_b = sum(comb(c, 2) for c in Counter(b).values())
+    expected = Fraction(sum_a * sum_b, comb(n, 2))
+    denominator = Fraction(sum_a + sum_b, 2) - expected
+    return 1.0 if denominator == 0 else float((Fraction(sum_cells) - expected) / denominator)
+
+
+# label values that are negative, non-contiguous and past int32
+LABEL_VALUES = st.one_of(st.sampled_from([-(2**40), 2**31, 2**31 + 7, 2**62]), st.integers(-5, 5))
+
+
+@st.composite
+def label_pairs(draw):
+    """Two equal-length vectors, each over its own few drawn label values, filled by a drawn seed."""
+    n = draw(st.integers(2, 500))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    values = [draw(st.lists(LABEL_VALUES, min_size=1, max_size=n, unique=True)) for _ in range(2)]
+    return tuple([rng.choice(vs) for _ in range(n)] for vs in values)
+
+
+class TestContingencyMatchesCounter:
+    @settings(max_examples=200, deadline=None)
+    @given(label_pairs(), st.booleans(), st.booleans())
+    def test_equals_counter_reference(self, pair, a_as_array, b_as_array):
+        a, b = pair
+        expected = counter_ari(a, b)
+        got = adjusted_rand_index(np.array(a) if a_as_array else a, np.array(b) if b_as_array else b)
+        assert got == expected
+
+    def test_pipeline_label_arrays(self):
+        rng = np.random.default_rng(14)
+        a, b = (rng.random(2000) < 0.05).astype(int), (rng.random(2000) < 0.05).astype(int)
+        assert adjusted_rand_index(a, b) == counter_ari(a.tolist(), b.tolist())
 
 
 def mean_pairwise_ari(vectors):

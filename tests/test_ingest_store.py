@@ -632,6 +632,24 @@ class TestOnePassWalkMatchesReference:
         query = StoreQuery(index="flows", time_from=0, time_to=10)
         assert _outcome(lambda: query_store(HttpStore(url), query, YAF).records) == _outcome(reference)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(documents(), max_size=6))
+    def test_every_parsed_record_passes_the_record_check(self, docs):
+        lines = []
+        for doc in docs:
+            line = json.dumps(doc)
+            try:
+                parse_jsonl(line, YAF)
+            except (MalformedLine, MissingTimestamp):
+                continue
+            lines.append(line)
+        for record in parse_jsonl("\n".join(lines), YAF).records:
+            checked = SensorRecord(
+                source=record.source, timestamp=record.timestamp, fields=record.fields, record_id=record.record_id
+            )
+            assert checked == record
+            assert type(record.timestamp) is int
+
     def test_bro_split_retags_without_rebuilding(self):
         batch = parse_jsonl(b'{"ts":1,"log_type":"dns","x":1}\n{"ts":2,"log_type":"conn","x":2}', YAF, time_field="ts")
         split = split_bro_by_protocol(batch)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -14,6 +15,7 @@ from camlpad.viz import (
     HeatmapPoints,
     MisalignedScores,
     build_heatmap_points,
+    circle_heads,
     render_svg,
 )
 
@@ -198,6 +200,23 @@ class TestAgainstReferenceRenderer:
         rows, n_history = drawn
         value = points(*[(x, y, s) for x, y, s, _ in rows], n_history=n_history)
         assert render_svg(value, "prop <&>") == reference_svg(rows, "prop <&>")
+
+    @settings(max_examples=100, deadline=None)
+    @given(point_sets(), st.data())
+    def test_four_shadings_sharing_heads_match_per_point_reference(self, drawn, data):
+        rows, n_history = drawn
+        plane = points(*[(x, y, s) for x, y, s, _ in rows], n_history=n_history)
+        heads = list(circle_heads(plane))
+        for model in ("iforest", "hbos", "cblof", "ensemble"):
+            scores = data.draw(st.lists(score, min_size=len(rows), max_size=len(rows)))
+            shading = dataclasses.replace(plane, scores=np.asarray(scores, dtype=float))
+            shaded = [(x, y, s, current) for (x, y, _, current), s in zip(rows, scores)]
+            assert render_svg(shading, model, heads) == reference_svg(shaded, model)
+
+    def test_heads_of_another_point_count_are_refused(self):
+        plane = points((0, 0, 0.1), (1, 1, 0.2), n_history=1)
+        with pytest.raises(ValueError):
+            render_svg(plane, "", list(circle_heads(points((0, 0, 0.1)))))
 
     def test_combined_keeps_history_blocks_before_current_blocks(self):
         a = points((0, 0, 0.1), (1, 0, 0.2), (2, 0, 0.3), n_history=2)
