@@ -41,7 +41,7 @@ class DataSourceKind(str, Enum):
 
 @dataclass(frozen=True, slots=True)
 class SensorRecord:
-    """One timestamped log event from one source kind.
+    """One timestamped log event; its source is that of the batch holding it.
 
     ``timestamp`` is epoch milliseconds UTC in ``[0, 2**63)`` regardless of
     the source's native time format. ``fields`` preserves first-seen order;
@@ -50,7 +50,6 @@ class SensorRecord:
     numbers here, so serialized cells and derived ids keep one spelling.
     """
 
-    source: DataSourceKind
     timestamp: int
     fields: dict[str, float | str | None]
     record_id: str
@@ -71,25 +70,17 @@ class SensorRecord:
                 )
 
     @classmethod
-    def trusted(
-        cls, source: DataSourceKind, timestamp: int, fields: dict[str, float | str | None], record_id: str
-    ) -> "SensorRecord":
+    def trusted(cls, timestamp: int, fields: dict[str, float | str | None], record_id: str) -> "SensorRecord":
         """A record built without the ``__post_init__`` check, for callers that have applied its rules.
 
         The store parser, which checks time, id and every cell as it reads
-        them, and ``with_source`` build records this way; every other
-        construction is checked.
+        them, builds records this way; every other construction is checked.
         """
         record = object.__new__(cls)
-        object.__setattr__(record, "source", source)
         object.__setattr__(record, "timestamp", timestamp)
         object.__setattr__(record, "fields", fields)
         object.__setattr__(record, "record_id", record_id)
         return record
-
-    def with_source(self, source: DataSourceKind) -> "SensorRecord":
-        """This record tagged with another source, sharing its checked cells and id."""
-        return SensorRecord.trusted(source, self.timestamp, self.fields, self.record_id)
 
 
 def derive_record_id(source: DataSourceKind, timestamp: int, fields: Mapping[str, float | str | None]) -> str:

@@ -41,7 +41,10 @@ class FeatureHistogram:
             return np.zeros(len(values), dtype=int)
         bins = len(self.counts)
         width = (self.high - self.low) / bins
-        return np.clip(np.floor((values - self.low) / width).astype(int), 0, bins - 1)
+        with np.errstate(over="ignore"):  # an offset past float range is +-inf and clamps the same way
+            offsets = np.floor((values - self.low) / width)
+        # clamped before the cast: an offset past int64 would otherwise wrap into bin 0
+        return np.clip(offsets, 0, bins - 1).astype(int)
 
 
 @dataclass

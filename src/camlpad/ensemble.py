@@ -29,30 +29,6 @@ class MisalignedRows(CamlpadError):
 
 
 @dataclass
-class ScoreSet:
-    """Per-detector raw score vectors aligned by row."""
-
-    row_ids: list[str]
-    iforest: np.ndarray
-    hbos: np.ndarray
-    cblof: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in DETECTOR_NAMES:
-            vector = np.asarray(getattr(self, name), dtype=float)
-            setattr(self, name, vector)
-            if vector.shape != (len(self.row_ids),):
-                raise ValueError(f"{name} scores misaligned with row_ids")
-            if not np.isfinite(vector).all():
-                raise ValueError(f"{name} scores contain non-finite values")
-
-    def detector(self, name: str) -> np.ndarray:
-        if name not in DETECTOR_NAMES:
-            raise KeyError(name)
-        return getattr(self, name)
-
-
-@dataclass
 class LabelVector:
     """Binary outlier labels aligned with row_ids (1 = outlier)."""
 
@@ -121,14 +97,9 @@ def vote(a: LabelVector, b: LabelVector, c: LabelVector) -> LabelVector:
     return LabelVector(row_ids=list(a.row_ids), labels=(total >= 2).astype(int))
 
 
-def ensemble_score(score_set: ScoreSet) -> np.ndarray:
-    """Mean of the three min-max-normalized detector vectors, in [0,1]."""
-    stacked = np.vstack([
-        normalize_scores(score_set.iforest),
-        normalize_scores(score_set.hbos),
-        normalize_scores(score_set.cblof),
-    ])
-    return stacked.mean(axis=0)
+def ensemble_score(normalized: Sequence[np.ndarray]) -> np.ndarray:
+    """Row-wise mean of the detectors' ``normalize_scores`` vectors, in [0,1]."""
+    return np.vstack(normalized).mean(axis=0)
 
 
 def cross_source_vote(

@@ -7,8 +7,9 @@ Two store backends speak the same contract: a directory of ``.jsonl`` files
 Each document is walked once on its way to a record: a JSONL line holding
 one object is decoded once at C level (``_read_jsonl``), its cells are
 built and checked in one pass into a fresh dict (``_record_from_document``),
-and its ``SensorRecord`` is built once, unchecked a second time; the BRO
-split re-tags records without building them again.
+and its ``SensorRecord`` is built once, unchecked a second time. A record's
+source is its batch's, so the BRO split moves the records it read into the
+dns and conn batches as they are.
 """
 
 from __future__ import annotations
@@ -365,7 +366,7 @@ def _record_from_document(
     record_id = str(store_id) if store_id is not None else derive_record_id(source, timestamp, fields)
     if not record_id:
         raise MalformedLine(line_number, "record_id must be non-empty")
-    return SensorRecord.trusted(source, timestamp, fields, record_id)
+    return SensorRecord.trusted(timestamp, fields, record_id)
 
 
 def record_to_document(record: SensorRecord, time_field: str = DEFAULT_TIME_FIELD) -> dict:
@@ -398,9 +399,9 @@ def split_bro_by_protocol(batch: RecordBatch, discriminator: str = DEFAULT_DISCR
     for record in batch.records:
         label = record.fields.get(discriminator)
         if label == BRO_DNS_VALUE:
-            dns_records.append(record.with_source(DataSourceKind.BRO_DNS))
+            dns_records.append(record)
         elif label == BRO_CONN_VALUE:
-            conn_records.append(record.with_source(DataSourceKind.BRO_CONN))
+            conn_records.append(record)
         else:
             dropped += 1
     if dropped:

@@ -20,10 +20,10 @@ import numpy as np
 from . import detectors, ensemble, evaluate, gauge_alert, viz
 from .config import BRO_SOURCES, DAY_MS, DetectorParams, PipelineConfig, resolve_boundary, window_id_for
 from .datamodel import DataSourceKind, RecordBatch, WindowSplit
-from .ensemble import DETECTOR_NAMES, LabelVector, ScoreSet
+from .ensemble import DETECTOR_NAMES, LabelVector
 from .errors import CamlpadError
 from .ingest_store import StoreQuery, query_store, split_bro_by_protocol, window_split
-from .preprocess import conform_columns, encode, impute, standardize
+from .preprocess import FeatureMatrix, conform_columns, encode, impute, standardize
 
 logger = logging.getLogger(__name__)
 
@@ -68,10 +68,16 @@ def analyze_source(
     the dictionary.
     """
     history_raw, dictionary = encode(split.history)
-    history_matrix, stats = standardize(impute(history_raw))
     current_raw, _ = encode(split.current, dictionary)
     current_raw = conform_columns(current_raw, history_raw.column_names, history_raw.column_kinds)
-    current_matrix, _ = standardize(impute(current_raw), stats)
+    # a finite cell too large to impute, scale or score overflows to inf or NaN; each is refused by its record
+    with np.errstate(over="ignore", invalid="ignore"):
+        history_imputed, current_imputed = impute(history_raw), impute(current_raw)
+        _refuse_overflowed_column(history_raw, history_imputed.values, "an imputed cell")
+        _refuse_overflowed_column(current_raw, current_imputed.values, "an imputed cell")
+        history_matrix, stats = standardize(history_imputed)
+        _refuse_overflowed_column(history_raw, np.transpose(stats), "the history stddev")
+        current_matrix, _ = standardize(current_imputed, stats)
 
     iforest_model = detectors.fit_iforest(
         history_matrix,
@@ -91,28 +97,24 @@ def analyze_source(
     row_ids = list(history_matrix.row_ids) + list(current_matrix.row_ids)
     timestamps = np.array([r.timestamp for r in split.history.records + split.current.records], dtype=np.int64)
     _refuse_non_finite(row_ids, stacked, "a standardized cell")
-    scores = {
-        "iforest": detectors.score_iforest_rows(iforest_model, stacked),
-        "hbos": detectors.score_hbos_rows(hbos_model, stacked),
-        "cblof": detectors.score_cblof_rows(cblof_model, stacked),
-    }
+    with np.errstate(over="ignore"):
+        scores = {
+            "iforest": detectors.score_iforest_rows(iforest_model, stacked),
+            "hbos": detectors.score_hbos_rows(hbos_model, stacked),
+            "cblof": detectors.score_cblof_rows(cblof_model, stacked),
+        }
     for name, vector in scores.items():
         _refuse_non_finite(row_ids, vector, f"its {name} score")
-    score_set = ScoreSet(row_ids=row_ids, **scores)
-    detector_labels = {
-        name: ensemble.binarize(score_set.detector(name), contamination, row_ids)
-        for name in DETECTOR_NAMES
-    }
+    detector_labels = {name: ensemble.binarize(scores[name], contamination, row_ids) for name in DETECTOR_NAMES}
     ensemble_labels = ensemble.vote(
         detector_labels["iforest"], detector_labels["hbos"], detector_labels["cblof"]
     )
-    ensemble_scores = ensemble.ensemble_score(score_set)
+    normalized = [ensemble.normalize_scores(scores[name]) for name in DETECTOR_NAMES]
+    ensemble_scores = ensemble.ensemble_score(normalized)
 
     n_history = history_matrix.n_rows
     plane = viz.build_heatmap_points(pca_model, stacked, n_history, ensemble_scores)
-    heatmap_points = {
-        name: replace(plane, scores=ensemble.normalize_scores(score_set.detector(name))) for name in DETECTOR_NAMES
-    }
+    heatmap_points = {name: replace(plane, scores=vector) for name, vector in zip(DETECTOR_NAMES, normalized)}
     heatmap_points["ensemble"] = plane
 
     history_day_scores, gauge = _gauge(
@@ -139,8 +141,23 @@ def _refuse_non_finite(row_ids: list[str], values: np.ndarray, what: str) -> Non
     """Raise naming the first row of ``values`` holding inf or NaN: a finite cell too large to scale or score."""
     finite = np.isfinite(values).reshape(len(row_ids), -1).all(axis=1)
     if not finite.all():
-        row = row_ids[int(np.argmin(finite))]
-        raise CamlpadError(f"record {row}: {what} is not finite; a cell is too large to analyse")
+        raise _too_large(row_ids[int(np.argmin(finite))], what)
+
+
+def _refuse_overflowed_column(raw: FeatureMatrix, derived: np.ndarray, what: str) -> None:
+    """Raise naming the row of ``raw`` of largest magnitude in the first column where ``derived`` is not finite.
+
+    ``derived`` holds one column per column of ``raw``: its imputed cells, or its (mean, stddev).
+    """
+    overflowed = ~np.isfinite(derived).all(axis=0)
+    if overflowed.any():
+        col = int(np.argmax(overflowed))
+        row = raw.row_ids[int(np.nanargmax(np.abs(raw.values[:, col])))]
+        raise _too_large(row, f"{what} of {raw.column_names[col]}")
+
+
+def _too_large(row_id: str, what: str) -> CamlpadError:
+    return CamlpadError(f"record {row_id}: {what} is not finite; a cell is too large to analyse")
 
 
 def _gauge(
@@ -242,8 +259,9 @@ def run_pipeline(config: PipelineConfig, boundary_override: str | None = None) -
             split = window_split(batches.pop(source), boundary_ms, config.min_history)
             try:
                 analyses[source] = analyze_source(split, config.detectors, config.contamination, window_id)
-            except CamlpadError as exc:
-                raise CamlpadError(f"{source.value}: {exc}") from exc
+            except CamlpadError as exc:  # same type, now naming the source
+                exc.args = (f"{source.value}: {exc}",)
+                raise
             del split  # not held through the next fetch
 
     verdicts = ensemble.cross_source_vote(

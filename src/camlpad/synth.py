@@ -153,12 +153,7 @@ def _day_records(
                 fields[name] = profile.rare[name]
             else:
                 fields[name] = _pick_category(rng, choices)
-        record = SensorRecord(
-            source=source,
-            timestamp=timestamp,
-            fields=fields,
-            record_id=f"{source.value}-d{day}-{i:04d}",
-        )
+        record = SensorRecord(timestamp=timestamp, fields=fields, record_id=f"{source.value}-d{day}-{i:04d}")
         rows.append((record, int(outlier)))
     return rows
 

@@ -132,15 +132,10 @@ def other_stub_server():
         yield served
 
 
-def make_record(
-    source: DataSourceKind = DataSourceKind.YAF,
-    timestamp: int = 0,
-    record_id: str = "r0",
-    **fields,
-) -> SensorRecord:
+def make_record(timestamp: int = 0, record_id: str = "r0", **fields) -> SensorRecord:
     """A record whose int cells are passed as floats (records admit no ints)."""
     converted = {name: float(value) if isinstance(value, int) else value for name, value in fields.items()}
-    return SensorRecord(source=source, timestamp=timestamp, fields=converted, record_id=record_id)
+    return SensorRecord(timestamp=timestamp, fields=converted, record_id=record_id)
 
 
 def make_batch(source: DataSourceKind, *records: SensorRecord) -> RecordBatch:

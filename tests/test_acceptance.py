@@ -36,6 +36,8 @@ from conftest import make_batch, make_record
 from test_detectors_hbos import oracle_score as hbos_oracle_score
 from test_evaluate import oracle_ari
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def verdict(number: int, text: str) -> None:
     print(f"PASS criterion {number}: {text}")

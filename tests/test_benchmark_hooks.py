@@ -64,9 +64,9 @@ def test_counted_model_fields_exist():
 def test_counted_bro_split_field_exists():
     batch = make_batch(
         DataSourceKind.BRO_CONN,
-        make_record(DataSourceKind.BRO_CONN, 0, "a", log_type="dns"),
-        make_record(DataSourceKind.BRO_CONN, 1, "b", log_type="conn"),
-        make_record(DataSourceKind.BRO_CONN, 2, "c", log_type="weird"),
+        make_record(0, "a", log_type="dns"),
+        make_record(1, "b", log_type="conn"),
+        make_record(2, "c", log_type="weird"),
     )
     split = split_bro_by_protocol(batch)
     assert isinstance(split, BroSplit) and split.dropped == 1

@@ -19,6 +19,8 @@ from camlpad.config import (
 )
 from camlpad.datamodel import DataSourceKind
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 BRO_CONN, BRO_DNS = DataSourceKind.BRO_CONN, DataSourceKind.BRO_DNS
 
 
@@ -234,22 +236,29 @@ class TestRunCommand:
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
         assert errors == ["error: yaf: 2021-03-02.jsonl: line 31: record_id must be non-empty"]
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize(
-        "column, what",
+        "day, column, blank_next, what",
         [
-            ("octet_count", "its cblof score"),  # standardizes to ~1e306, whose squared distances overflow
-            ("flow_duration", "a standardized cell"),  # its history stddev is below 1
+            ("2021-03-03", "octet_count", False, "its cblof score"),  # standardizes to ~1e306, whose squared distances overflow
+            ("2021-03-03", "flow_duration", False, "a standardized cell"),  # its history stddev is below 1
+            ("2021-03-01", "octet_count", False, "the history stddev of octet_count"),  # a history day: its column's stats overflow
+            # beside a missing cell: the line fitted over the column to fill it overflows
+            ("2021-03-01", "octet_count", True, "an imputed cell of octet_count"),
+            ("2021-03-03", "octet_count", True, "an imputed cell of octet_count"),
         ],
     )
-    def test_huge_current_cell_exits_one_and_names_its_record(self, tmp_path, capsys, column, what):
+    def test_huge_history_or_current_cell_exits_one_and_names_its_record(
+        self, tmp_path, capsys, day, column, blank_next, what
+    ):
         store = tmp_path / "store"
         main(["synth", "--out", str(store), "--days", "2", "--records", "30"])
-        day_file = store / "yaf" / "2021-03-03.jsonl"
+        day_file = store / "yaf" / f"{day}.jsonl"
         lines = day_file.read_text().splitlines()
-        doc = json.loads(lines[0])
+        doc, following = json.loads(lines[0]), json.loads(lines[1])
         doc[column] = 1.5e308
-        day_file.write_text("\n".join([json.dumps(doc), *lines[1:]]) + "\n")
+        if blank_next:
+            following[column] = None
+        day_file.write_text("\n".join([json.dumps(doc), json.dumps(following), *lines[2:]]) + "\n")
         config = write_config(tmp_path / "c.conf", store, tmp_path / "out")
         assert main(["run", "--config", str(config)]) == 1
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]

@@ -26,7 +26,7 @@ OTHER_CELLS = st.one_of(
 
 
 def record_with(fields):
-    return SensorRecord(source=DataSourceKind.YAF, timestamp=0, fields=fields, record_id="r")
+    return SensorRecord(timestamp=0, fields=fields, record_id="r")
 
 
 class TestFieldValues:
@@ -69,10 +69,7 @@ class TestWindowSplit:
 
     def test_rejects_mixed_sources(self):
         history = make_batch(DataSourceKind.YAF, make_record(timestamp=1, record_id="h"))
-        current = make_batch(
-            DataSourceKind.SNORT,
-            make_record(source=DataSourceKind.SNORT, timestamp=9, record_id="c"),
-        )
+        current = make_batch(DataSourceKind.SNORT, make_record(timestamp=9, record_id="c"))
         with pytest.raises(ValueError):
             WindowSplit(history=history, current=current, boundary=5)
 
@@ -100,4 +97,4 @@ class TestRecordIdentity:
 
     def test_negative_timestamp_rejected(self):
         with pytest.raises(ValueError):
-            SensorRecord(source=DataSourceKind.YAF, timestamp=-1, fields={}, record_id="r")
+            SensorRecord(timestamp=-1, fields={}, record_id="r")

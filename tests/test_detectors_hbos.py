@@ -60,6 +60,12 @@ class TestHandExample:
         assert score_hbos(model, [50.0]) == score_hbos(model, [9.0])
         assert score_hbos(model, [-50.0]) == score_hbos(model, [1.0])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_offsets_past_int64_clamp_to_the_nearest_edge_bin(self):
+        hist = fit_hbos(np.random.default_rng(0).normal(size=(500, 1))).histograms[0]
+        values = np.array([50.0, 1e19, 1e300, np.finfo(float).max, -50.0, -1e19, -1e300, -np.finfo(float).max])
+        assert hist.bin_index(values).tolist() == [9, 9, 9, 9, 0, 0, 0, 0]
+
 
 class TestDegenerate:
     def test_constant_feature_single_bin(self):
@@ -80,14 +86,17 @@ class TestDegenerate:
 
 
 class TestOracleEquivalence:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_matches_linear_scan_oracle_on_random_rows(self):
         rng = np.random.default_rng(17)
         X = rng.normal(0, 3, (400, 5))
         model = fit_hbos(X, bins=10)
-        # continuous draws plus deliberate out-of-range values
+        # continuous draws plus deliberate out-of-range values, some with bin offsets past int64
         rows = np.vstack([
             rng.normal(0, 3, (800, 5)),
             rng.uniform(-30, 30, (200, 5)),
+            rng.choice([-1.0, 1.0], (200, 5)) * 10.0 ** rng.uniform(0, 300, (200, 5)),
+            np.repeat([[1e19], [-1e19], [1e300], [-1e300]], 5, axis=1),
         ])
         scores = score_hbos_rows(model, rows)
         for i in range(rows.shape[0]):

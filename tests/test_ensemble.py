@@ -12,7 +12,6 @@ from camlpad.ensemble import (
     BucketVerdict,
     LabelVector,
     MisalignedRows,
-    ScoreSet,
     binarize,
     cross_source_vote,
     ensemble_score,
@@ -102,26 +101,20 @@ class TestVote:
 
 
 class TestEnsembleScore:
-    def _score_set(self, iforest, hbos, cblof):
-        n = len(iforest)
-        return ScoreSet(
-            row_ids=[f"r{i}" for i in range(n)],
-            iforest=np.asarray(iforest, dtype=float),
-            hbos=np.asarray(hbos, dtype=float),
-            cblof=np.asarray(cblof, dtype=float),
-        )
+    def _normalized(self, *vectors):
+        return [normalize_scores(np.asarray(vector, dtype=float)) for vector in vectors]
 
     def test_identical_normalized_vectors_pass_through(self):
         v = [0.0, 0.5, 1.0]
-        assert ensemble_score(self._score_set(v, v, v)).tolist() == v
+        assert ensemble_score(self._normalized(v, v, v)).tolist() == v
 
     def test_bounds(self):
-        scores = ensemble_score(self._score_set([0, 1], [2, 5], [1, 9]))
+        scores = ensemble_score(self._normalized([0, 1], [2, 5], [1, 9]))
         assert scores.tolist() == [0.0, 1.0]
 
     def test_mean_of_normalized_rows(self):
         # detector vectors already span [0,1], so normalization is the identity
-        scores = ensemble_score(self._score_set([0, 0.2, 1], [0, 0.4, 1], [0, 0.6, 1]))
+        scores = ensemble_score(self._normalized([0, 0.2, 1], [0, 0.4, 1], [0, 0.6, 1]))
         assert scores[1] == pytest.approx(0.4, abs=1e-12)
 
     def test_row_maximal_everywhere_is_maximal_in_ensemble(self):
@@ -134,7 +127,7 @@ class TestEnsembleScore:
                 noisy = rng.normal(0, 1, 30)
                 noisy[top] = noisy.max() + 1.0  # same row maximal in every detector
                 detectors.append(noisy)
-            combined = ensemble_score(self._score_set(*detectors))
+            combined = ensemble_score(self._normalized(*detectors))
             assert combined.argmax() == top
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -112,18 +111,21 @@ class TestParseJsonl:
 class TestBroSplit:
     def _bro_batch(self, *log_types):
         records = [
-            make_record(source=DataSourceKind.BRO_CONN, timestamp=i, record_id=f"r{i}", log_type=t, bytes=i)
+            make_record(timestamp=i, record_id=f"r{i}", log_type=t, bytes=i)
             for i, t in enumerate(log_types)
         ]
         return make_batch(DataSourceKind.BRO_CONN, *records)
 
     def test_partition_sizes(self):
-        split = split_bro_by_protocol(self._bro_batch("dns", "conn", "dns", "dns", "conn"))
+        batch = self._bro_batch("dns", "conn", "dns", "dns", "conn")
+        split = split_bro_by_protocol(batch)
         assert len(split.dns) == 3
         assert len(split.conn) == 2
         assert split.dropped == 0
         assert split.dns.source is DataSourceKind.BRO_DNS
-        assert all(r.source is DataSourceKind.BRO_DNS for r in split.dns.records)
+        assert split.conn.source is DataSourceKind.BRO_CONN
+        assert all(split.dns.records[i] is batch.records[j] for i, j in enumerate((0, 2, 3)))
+        assert all(split.conn.records[i] is batch.records[j] for i, j in enumerate((1, 4)))
 
     def test_empty_batch_splits_to_two_empty(self):
         split = split_bro_by_protocol(make_batch(DataSourceKind.BRO_CONN))
@@ -132,7 +134,7 @@ class TestBroSplit:
     def test_nonempty_batch_without_discriminator_rejected(self):
         batch = make_batch(
             DataSourceKind.BRO_CONN,
-            make_record(source=DataSourceKind.BRO_CONN, record_id="r0", bytes=1),
+            make_record(record_id="r0", bytes=1),
         )
         with pytest.raises(DiscriminatorMissing):
             split_bro_by_protocol(batch)
@@ -502,7 +504,7 @@ def _reference_record_from_document(doc, source, time_field, line_number, window
     fields = {name: _reference_field_value(raw) for name, raw in doc.items() if name != time_field and name != "_id"}
     record_id = str(store_id) if store_id is not None else derive_record_id(source, timestamp, fields)
     try:
-        return SensorRecord(source=source, timestamp=timestamp, fields=fields, record_id=record_id)
+        return SensorRecord(timestamp=timestamp, fields=fields, record_id=record_id)
     except ValueError as exc:
         raise MalformedLine(line_number, str(exc)) from None
 
@@ -644,9 +646,7 @@ class TestOnePassWalkMatchesReference:
                 continue
             lines.append(line)
         for record in parse_jsonl("\n".join(lines), YAF).records:
-            checked = SensorRecord(
-                source=record.source, timestamp=record.timestamp, fields=record.fields, record_id=record.record_id
-            )
+            checked = SensorRecord(timestamp=record.timestamp, fields=record.fields, record_id=record.record_id)
             assert checked == record
             assert type(record.timestamp) is int
 
@@ -654,7 +654,6 @@ class TestOnePassWalkMatchesReference:
         batch = parse_jsonl(b'{"ts":1,"log_type":"dns","x":1}\n{"ts":2,"log_type":"conn","x":2}', YAF, time_field="ts")
         split = split_bro_by_protocol(batch)
         for part, source, original in ((split.dns, DataSourceKind.BRO_DNS, 0), (split.conn, DataSourceKind.BRO_CONN, 1)):
-            (record,) = part.records
-            assert record == dataclasses.replace(batch.records[original], source=source)
-            assert record.fields is batch.records[original].fields
-        assert [r.source for r in batch.records] == [YAF, YAF]
+            assert part.source is source
+            assert part.records[0] is batch.records[original] and len(part) == 1
+        assert batch.source is YAF

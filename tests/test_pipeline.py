@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from camlpad import pipeline, viz
-from camlpad.config import PipelineConfig, DetectorParams, window_id_for
+from camlpad.config import PipelineConfig, DetectorParams, resolve_boundary, window_id_for
 from camlpad.datamodel import DataSourceKind, derive_record_id
+from camlpad.detectors import TooFewRows
 from camlpad.ingest_store import MissingTimestamp, record_to_document, window_split
 from camlpad.pipeline import analyze_source, fetch_batches, run_pipeline
 from camlpad.synth import DAY_MS, SynthConfig, generate, write_store
 
 from conftest import make_batch, make_record
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 FAST_DETECTORS = DetectorParams(iforest_trees=30, iforest_subsample=64, cblof_clusters=4)
 
@@ -108,7 +111,8 @@ class TestFetchBatches:
         batches = fetch_batches(pipeline_config, config.boundary_ms + DAY_MS, *pipeline_config.index_plan()[0])
         assert len(batches[DataSourceKind.BRO_DNS]) == len(result.batches[DataSourceKind.BRO_DNS])
         assert len(batches[DataSourceKind.BRO_CONN]) == len(result.batches[DataSourceKind.BRO_CONN])
-        assert all(r.source is DataSourceKind.BRO_DNS for r in batches[DataSourceKind.BRO_DNS].records)
+        assert batches[DataSourceKind.BRO_DNS].source is DataSourceKind.BRO_DNS
+        assert batches[DataSourceKind.BRO_CONN].source is DataSourceKind.BRO_CONN
 
     def test_bad_line_in_combined_bro_index_names_index_and_file(self, tmp_path):
         (tmp_path / "bro").mkdir()
@@ -123,8 +127,9 @@ class TestFetchBatches:
         (tmp_path / "bro").mkdir()
         (tmp_path / "bro" / "all.jsonl").write_text('{"timestamp": 5, "log_type": "dns", "q": 1}\n')
         config = PipelineConfig(store_root=tmp_path, sources=[DataSourceKind.BRO_DNS], bro_index="bro")
-        [record] = fetch_batches(config, DAY_MS, *config.index_plan()[0])[DataSourceKind.BRO_DNS].records
-        assert record.source is DataSourceKind.BRO_DNS
+        batch = fetch_batches(config, DAY_MS, *config.index_plan()[0])[DataSourceKind.BRO_DNS]
+        assert batch.source is DataSourceKind.BRO_DNS
+        [record] = batch.records
         assert record.record_id == derive_record_id(DataSourceKind.BRO_CONN, 5, record.fields)
 
 
@@ -165,6 +170,27 @@ class TestIndexPlanOrder:
         # the combined gauge sums scores in this order
         assert [source.value for source in run.analyses] == ["bro_conn", "bro_dns", "snort", "yaf"]
         assert [reading.scope for reading in run.gauges] == ["bro_conn", "bro_dns", "snort", "yaf", "combined"]
+
+
+class TestSourceErrors:
+    def test_an_analysis_error_keeps_its_type_and_names_its_source(self, tmp_path):
+        boundary_ms = resolve_boundary("2021-03-03")
+        rows = [{"_id": "h0", "timestamp": boundary_ms - 1000, "v": 1.0}]
+        rows += [{"_id": f"c{i}", "timestamp": boundary_ms + i, "v": float(i)} for i in range(5)]
+        (tmp_path / "store" / "yaf").mkdir(parents=True)
+        (tmp_path / "store" / "yaf" / "all.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+        config = PipelineConfig(
+            store_root=tmp_path / "store",
+            output_dir=tmp_path / "out",
+            sources=[DataSourceKind.YAF],
+            boundary="2021-03-03",
+            history_days=1,
+            min_history=1,
+            detectors=FAST_DETECTORS,
+            alert_file="",
+        )
+        with pytest.raises(TooFewRows, match=r"^yaf: isolation forest needs >= 2 rows, got 1$"):
+            run_pipeline(config)
 
 
 class TestNoonBoundary:

@@ -66,8 +66,9 @@ class TestGenerate:
 
     def test_batches_pass_validation(self):
         result = generate(SynthConfig(seed=9, days_history=1, records_per_source_per_day=50))
-        for batch in result.batches.values():
-            assert all(r.source is batch.source for r in batch.records)
+        for source, batch in result.batches.items():
+            assert batch.source is source
+            assert all(r.record_id.startswith(f"{source.value}-d") for r in batch.records)
             assert len({r.record_id for r in batch.records}) == len(batch)
 
     def test_timestamps_span_configured_days(self):
