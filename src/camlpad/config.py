@@ -177,6 +177,8 @@ def config_from_entries(entries: dict[str, str]) -> PipelineConfig:
         raise ConfigError(f"run.threshold_percentile must be in [0,100], got {config.threshold_percentile}")
     params = config.detectors
     for key, value, least in (
+        ("run.history_days", config.history_days, 1),
+        ("run.min_history", config.min_history, 1),
         ("detectors.iforest.trees", params.iforest_trees, 1),
         ("detectors.iforest.subsample", params.iforest_subsample, 2),
         ("detectors.cblof.clusters", params.cblof_clusters, 1),

@@ -1,7 +1,7 @@
 """Unsupervised outlier detectors and the PCA projector.
 
-All fits are deterministic under a fixed seed; fitted models are immutable
-and shareable across threads.
+All fits are deterministic under a fixed seed. Fitted models are plain
+dataclasses that no scoring function mutates.
 """
 
 from __future__ import annotations

@@ -17,15 +17,10 @@ class DimensionMismatch(CamlpadError):
 
 def as_matrix(data) -> np.ndarray:
     """Accept a FeatureMatrix or a raw 2-D array; detectors fit only finite floats."""
-    values = getattr(data, "values", data)
-    array = np.asarray(values, dtype=float)
+    array = np.asarray(getattr(data, "values", data), dtype=float)
     if array.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {array.shape}")
-    if np.isnan(array).any():
-        raise ValueError("detector input contains missing values; impute first")
-    if np.isinf(array).any():
-        raise ValueError("detector input contains infinite values")
-    return array
+    return check_dimensions(array.shape[1], array)
 
 
 def check_dimensions(expected: int, row_or_matrix: np.ndarray, allow_inf: bool = False) -> np.ndarray:

@@ -23,7 +23,9 @@ from .datamodel import DataSourceKind, RecordBatch, WindowSplit
 from .ensemble import DETECTOR_NAMES, LabelVector
 from .errors import CamlpadError
 from .ingest_store import StoreQuery, query_store, split_bro_by_protocol, window_split
-from .preprocess import FeatureMatrix, conform_columns, encode, impute, standardize
+from .preprocess import (
+    ColumnKind, ColumnStats, EncodingDictionary, FeatureMatrix, conform_columns, encode, impute, standardize
+)
 
 logger = logging.getLogger(__name__)
 
@@ -55,65 +57,94 @@ class RunResult:
     evaluation: dict = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class SourceModel:
+    """What one source's history fits: its encoding, columns and column stats, and the four models."""
+
+    dictionary: EncodingDictionary
+    column_names: list[str]
+    column_kinds: list[ColumnKind]
+    stats: ColumnStats
+    iforest: detectors.IsolationForestModel
+    hbos: detectors.HbosModel
+    cblof: detectors.CblofModel
+    pca: detectors.PcaModel
+
+
+def fit_source(history: RecordBatch, params: DetectorParams) -> tuple[SourceModel, FeatureMatrix]:
+    """Fit the encoding, column stats and four models on history; the standardized history rows come too."""
+    raw, dictionary = encode(history)
+    # a finite cell too large to impute, scale or score overflows to inf or NaN; each is refused by its record
+    with np.errstate(over="ignore", invalid="ignore"):
+        imputed = impute(raw)
+        _refuse_overflowed_column(raw, imputed.values, "an imputed cell")
+        matrix, stats = standardize(imputed)
+        _refuse_overflowed_column(raw, np.transpose(stats), "the history stddev")
+    return SourceModel(
+        dictionary,
+        raw.column_names,
+        raw.column_kinds,
+        stats,
+        iforest=detectors.fit_iforest(
+            matrix, trees=params.iforest_trees, subsample=params.iforest_subsample, seed=DETECTOR_SEED
+        ),
+        hbos=detectors.fit_hbos(matrix),
+        cblof=detectors.fit_cblof(matrix, k=min(params.cblof_clusters, matrix.n_rows), seed=DETECTOR_SEED),
+        pca=detectors.fit_pca(matrix),
+    ), matrix
+
+
+def features(model: SourceModel, batch: RecordBatch) -> FeatureMatrix:
+    """A later batch's rows standardized under the model; categories history never showed are logged."""
+    raw, dictionary = encode(batch, model.dictionary)
+    known = {name: len(codes) for name, codes in model.dictionary.items()}
+    drift = [f"{k}+{len(v) - known.get(k, 0)}" for k, v in sorted(dictionary.items()) if len(v) > known.get(k, 0)]
+    if drift:
+        logger.info("encode extended dictionary with unseen categories: %s", ", ".join(drift))
+    raw = conform_columns(raw, model.column_names, model.column_kinds)
+    with np.errstate(over="ignore", invalid="ignore"):
+        imputed = impute(raw)
+        _refuse_overflowed_column(raw, imputed.values, "an imputed cell")
+        return standardize(imputed, model.stats)[0]
+
+
+def score_source(model: SourceModel, rows: FeatureMatrix) -> dict[str, np.ndarray]:
+    """Each detector's raw score of each standardized row; a row that is or scores inf or NaN is refused."""
+    _refuse_non_finite(rows.row_ids, rows.values, "a standardized cell")
+    with np.errstate(over="ignore"):
+        scores = {
+            "iforest": detectors.score_iforest_rows(model.iforest, rows.values),
+            "hbos": detectors.score_hbos_rows(model.hbos, rows.values),
+            "cblof": detectors.score_cblof_rows(model.cblof, rows.values),
+        }
+    for name, vector in scores.items():
+        _refuse_non_finite(rows.row_ids, vector, f"its {name} score")
+    return scores
+
+
 def analyze_source(
     split: WindowSplit,
     params: DetectorParams,
     contamination: float,
     window_id: str,
 ) -> SourceAnalysis:
-    """Fit the three detectors on the history window and score both windows.
-
-    Encoding dictionary and standardization stats come from history alone and
-    are applied to the current window; unseen current-day categories extend
-    the dictionary.
-    """
-    history_raw, dictionary = encode(split.history)
-    current_raw, _ = encode(split.current, dictionary)
-    current_raw = conform_columns(current_raw, history_raw.column_names, history_raw.column_kinds)
-    # a finite cell too large to impute, scale or score overflows to inf or NaN; each is refused by its record
-    with np.errstate(over="ignore", invalid="ignore"):
-        history_imputed, current_imputed = impute(history_raw), impute(current_raw)
-        _refuse_overflowed_column(history_raw, history_imputed.values, "an imputed cell")
-        _refuse_overflowed_column(current_raw, current_imputed.values, "an imputed cell")
-        history_matrix, stats = standardize(history_imputed)
-        _refuse_overflowed_column(history_raw, np.transpose(stats), "the history stddev")
-        current_matrix, _ = standardize(current_imputed, stats)
-
-    iforest_model = detectors.fit_iforest(
-        history_matrix,
-        trees=params.iforest_trees,
-        subsample=params.iforest_subsample,
-        seed=DETECTOR_SEED,
+    """Fit a source model on the history window and score both windows under it."""
+    model, history = fit_source(split.history, params)
+    current = features(model, split.current)
+    rows = replace(
+        history, values=np.vstack([history.values, current.values]), row_ids=history.row_ids + current.row_ids
     )
-    hbos_model = detectors.fit_hbos(history_matrix)
-    cblof_model = detectors.fit_cblof(
-        history_matrix,
-        k=min(params.cblof_clusters, history_matrix.n_rows),
-        seed=DETECTOR_SEED,
-    )
-    pca_model = detectors.fit_pca(history_matrix)
-
-    stacked = np.vstack([history_matrix.values, current_matrix.values])
-    row_ids = list(history_matrix.row_ids) + list(current_matrix.row_ids)
     timestamps = np.array([r.timestamp for r in split.history.records + split.current.records], dtype=np.int64)
-    _refuse_non_finite(row_ids, stacked, "a standardized cell")
-    with np.errstate(over="ignore"):
-        scores = {
-            "iforest": detectors.score_iforest_rows(iforest_model, stacked),
-            "hbos": detectors.score_hbos_rows(hbos_model, stacked),
-            "cblof": detectors.score_cblof_rows(cblof_model, stacked),
-        }
-    for name, vector in scores.items():
-        _refuse_non_finite(row_ids, vector, f"its {name} score")
-    detector_labels = {name: ensemble.binarize(scores[name], contamination, row_ids) for name in DETECTOR_NAMES}
+    scores = score_source(model, rows)
+    detector_labels = {name: ensemble.binarize(scores[name], contamination, rows.row_ids) for name in DETECTOR_NAMES}
     ensemble_labels = ensemble.vote(
         detector_labels["iforest"], detector_labels["hbos"], detector_labels["cblof"]
     )
     normalized = [ensemble.normalize_scores(scores[name]) for name in DETECTOR_NAMES]
     ensemble_scores = ensemble.ensemble_score(normalized)
 
-    n_history = history_matrix.n_rows
-    plane = viz.build_heatmap_points(pca_model, stacked, n_history, ensemble_scores)
+    n_history = history.n_rows
+    plane = viz.build_heatmap_points(model.pca, rows.values, n_history, ensemble_scores)
     heatmap_points = {name: replace(plane, scores=vector) for name, vector in zip(DETECTOR_NAMES, normalized)}
     heatmap_points["ensemble"] = plane
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import copy
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -65,33 +65,21 @@ def encode(
 
     Float cells pass through, str cells map through the dictionary (codes
     assigned 0,1,2,... in first-seen order), None cells stay NaN. The input
-    dictionary is never mutated; the returned one carries any extensions.
-    Categories unseen in a supplied dictionary extend it and are logged as a
-    drift signal.
+    dictionary is never mutated; the returned one carries any extensions,
+    so a category unseen in the input shows as a column that grew.
     """
-    fitted = dictionary is not None
     result: EncodingDictionary = copy.deepcopy(dictionary) if dictionary else {}
     columns = list(batch.schema)
     values = np.empty((len(batch.records), len(columns)))
     cells_by_row = [record.fields for record in batch.records]
-    drift: dict[str, int] = {}
 
     for col, name in enumerate(columns):
         column = [cells.get(name) for cells in cells_by_row]
         if str in set(map(type, column)):
             codes = result.setdefault(name, {})
-            known = len(codes)
             # setdefault gives an unseen category the next code, so codes follow first-seen order
             column = [codes.setdefault(value, len(codes)) if type(value) is str else value for value in column]
-            if fitted and len(codes) > known:
-                drift[name] = len(codes) - known
         values[:, col] = column  # None becomes NaN
-
-    if drift:
-        logger.info(
-            "encode extended dictionary with unseen categories: %s",
-            ", ".join(f"{k}+{v}" for k, v in sorted(drift.items())),
-        )
 
     kinds = [
         ColumnKind.ENCODED if name in result else ColumnKind.NUMERIC
@@ -155,12 +143,7 @@ def impute(matrix: FeatureMatrix) -> FeatureMatrix:
             values[:, col] = impute_categorical_backfill(values[:, col])
         else:
             values[:, col] = impute_numeric(values[:, col])
-    return FeatureMatrix(
-        values=values,
-        column_names=list(matrix.column_names),
-        column_kinds=list(matrix.column_kinds),
-        row_ids=list(matrix.row_ids),
-    )
+    return replace(matrix, values=values)
 
 
 ColumnStats = list[tuple[float, float]]
@@ -189,13 +172,7 @@ def standardize(
             values[:, col] = 0.0
         else:
             values[:, col] = (values[:, col] - mean) / std
-    out = FeatureMatrix(
-        values=values,
-        column_names=list(matrix.column_names),
-        column_kinds=list(matrix.column_kinds),
-        row_ids=list(matrix.row_ids),
-    )
-    return out, stats
+    return replace(matrix, values=values), stats
 
 
 def conform_columns(
@@ -216,10 +193,5 @@ def conform_columns(
             values[:, col] = matrix.values[:, have[name]]
     if dropped:
         logger.info("conform_columns dropped columns not in reference: %s", dropped)
-    return FeatureMatrix(
-        values=values,
-        column_names=list(column_names),
-        column_kinds=list(column_kinds),
-        row_ids=list(matrix.row_ids),
-    )
+    return replace(matrix, values=values, column_names=column_names, column_kinds=column_kinds)
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DAY_MS, window_id_for
+from .config import DAY_MS, ConfigError, window_id_for
 from .datamodel import DataSourceKind, RecordBatch, SensorRecord, time_buckets
 from .ensemble import LabelVector
 from .ingest_store import DEFAULT_TIME_FIELD, record_to_json_line
@@ -39,11 +39,11 @@ class SynthConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.contamination < 0.5:
-            raise ValueError(f"contamination must be in [0, 0.5), got {self.contamination}")
+            raise ConfigError(f"contamination must be in [0, 0.5), got {self.contamination}")
         if self.anomaly_style not in ("shift", "scatter"):
-            raise ValueError(f"anomaly_style must be 'shift' or 'scatter', got {self.anomaly_style!r}")
+            raise ConfigError(f"anomaly_style must be 'shift' or 'scatter', got {self.anomaly_style!r}")
         if self.days_history < 1 or self.records_per_source_per_day < 1:
-            raise ValueError("days_history and records_per_source_per_day must be >= 1")
+            raise ConfigError("days_history and records_per_source_per_day must be >= 1")
 
     @property
     def total_days(self) -> int:

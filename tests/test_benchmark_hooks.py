@@ -11,14 +11,17 @@ against the real package.
 import importlib
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
+from camlpad import pipeline
+from camlpad.config import DetectorParams
 from camlpad.datamodel import DataSourceKind
 from camlpad.detectors import fit_cblof, fit_iforest, fit_pca
 from camlpad.detectors.kmeans import DEFAULT_MAX_ITERATIONS
-from camlpad.ingest_store import BroSplit, parse_jsonl, split_bro_by_protocol
+from camlpad.ingest_store import BroSplit, parse_jsonl, split_bro_by_protocol, window_split
 from camlpad.synth import SynthConfig, generate, write_store
 from camlpad.viz import build_heatmap_points, render_svg
 
@@ -43,6 +46,37 @@ def test_every_traced_target_resolves():
     for name, (module_name, attribute) in load_tracer().TARGETS.items():
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attribute, None)), f"{name}: {module_name}.{attribute} is gone"
+
+
+def test_one_source_analysis_makes_the_traced_calls_it_always_made(monkeypatch):
+    """Call counts of every traced name over one analyze_source, as the benchmark's spans count them."""
+    calls = Counter()
+    for name, (module_name, attribute) in load_tracer().TARGETS.items():
+        module = importlib.import_module(module_name)
+
+        def counted(*args, real=getattr(module, attribute), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, attribute, counted)
+    config = SynthConfig(seed=2, days_history=2, records_per_source_per_day=40)
+    split = window_split(generate(config).batches[DataSourceKind.YAF], config.boundary_ms, min_history=10)
+    pipeline.analyze_source(split, DetectorParams(iforest_trees=10, cblof_clusters=3), 0.05, "w")
+    assert calls == {
+        "pipeline.analyze": 1,
+        "preprocess.encode": 2,
+        "preprocess.conform": 1,
+        "preprocess.impute": 2,
+        "preprocess.standardize": 2,
+        **{f"detectors.{model}_fit": 1 for model in ("iforest", "hbos", "cblof", "pca")},
+        **{f"detectors.{model}_score": 1 for model in ("iforest", "hbos", "cblof")},
+        "ensemble.binarize": 3,
+        "ensemble.vote": 1,
+        "ensemble.ensemble_score": 1,
+        "viz.points": 1,
+        "gauge_alert.window_score": 3,  # each of the two history days, then the current window
+        "gauge_alert.percentile_rank": 1,
+    }
 
 
 def test_counted_model_fields_exist():

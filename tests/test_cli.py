@@ -136,6 +136,9 @@ class TestConfigParsing:
             ("run.threshold_percentile", "inf", "run.threshold_percentile must be in [0,100], got inf"),
             ("run.threshold_percentile", "-0.5", "run.threshold_percentile must be in [0,100], got -0.5"),
             ("run.threshold_percentile", "100.5", "run.threshold_percentile must be in [0,100], got 100.5"),
+            ("run.history_days", "-2", "run.history_days must be >= 1, got -2"),
+            ("run.history_days", "0", "run.history_days must be >= 1, got 0"),
+            ("run.min_history", "0", "run.min_history must be >= 1, got 0"),
         ],
     )
     def test_out_of_range_value_fails_the_dry_run(self, tmp_path, capsys, key, value, message):
@@ -145,14 +148,17 @@ class TestConfigParsing:
         store = tmp_path / "store"
         main(["synth", "--out", str(store), "--days", "1", "--records", "10"])
         config = write_config(tmp_path / "c.conf", store, tmp_path / "out", extra=[f"{key} = {value}"])
-        assert main(["run", "--config", str(config), "--dry-run"]) == 1
-        assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+        for dry_run in (["--dry-run"], []):
+            assert main(["run", "--config", str(config), *dry_run]) == 1
+            assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "entries",
         [
             {"run.threshold_percentile": "0", "detectors.iforest.subsample": "2"},
             {"run.threshold_percentile": "100", "detectors.iforest.trees": "1", "detectors.cblof.clusters": "1"},
+            {"run.history_days": "1", "run.min_history": "1"},
         ],
     )
     def test_range_ends_are_accepted(self, entries):
@@ -182,6 +188,19 @@ class TestSynthCommand:
         main(["synth", "--out", str(out), "--days", "1", "--records", "15", "--contamination", "0"])
         for line in (out / "truth" / "snort.jsonl").read_text().splitlines():
             assert json.loads(line)["label"] == 0
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--contamination", "0.7"], "contamination must be in [0, 0.5), got 0.7"),
+            (["--days", "0"], "days_history and records_per_source_per_day must be >= 1"),
+            (["--records", "0"], "days_history and records_per_source_per_day must be >= 1"),
+        ],
+    )
+    def test_out_of_range_option_exits_one_with_an_error_line(self, tmp_path, capsys, flags, message):
+        assert main(["synth", "--out", str(tmp_path / "store"), *flags]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "store").exists()
 
     def test_same_seed_identical_tree(self, tmp_path):
         main(["synth", "--out", str(tmp_path / "a"), "--days", "1", "--records", "10", "--seed", "5"])

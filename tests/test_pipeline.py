@@ -1,14 +1,15 @@
 import json
+import logging
 
 import numpy as np
 import pytest
 
-from camlpad import pipeline, viz
+from camlpad import ensemble, pipeline, viz
 from camlpad.config import PipelineConfig, DetectorParams, resolve_boundary, window_id_for
 from camlpad.datamodel import DataSourceKind, derive_record_id
 from camlpad.detectors import TooFewRows
 from camlpad.ingest_store import MissingTimestamp, record_to_document, window_split
-from camlpad.pipeline import analyze_source, fetch_batches, run_pipeline
+from camlpad.pipeline import analyze_source, features, fetch_batches, fit_source, run_pipeline, score_source
 from camlpad.synth import DAY_MS, SynthConfig, generate, write_store
 
 from conftest import make_batch, make_record
@@ -59,7 +60,7 @@ class TestAnalyzeSource:
         assert all(points.xy is plane for points in analysis.heatmap_points.values())
         assert all(points.n_history == len(split.history) for points in analysis.heatmap_points.values())
 
-    def test_current_only_category_does_not_break_scoring(self):
+    def test_current_only_category_does_not_break_scoring(self, caplog):
         history = [
             make_record(timestamp=t, record_id=f"h{t}", size=float(t % 7), proto="udp")
             for t in range(40)
@@ -71,8 +72,10 @@ class TestAnalyzeSource:
         split = window_split(
             make_batch(DataSourceKind.YAF, *(history + current)), boundary=100, min_history=10
         )
-        analysis = analyze_source(split, FAST_DETECTORS, contamination=0.1, window_id="w")
+        with caplog.at_level(logging.INFO, logger="camlpad"):
+            analysis = analyze_source(split, FAST_DETECTORS, contamination=0.1, window_id="w")
         assert np.isfinite(analysis.ensemble_scores).all()
+        assert "encode extended dictionary with unseen categories: extra+1, proto+1" in caplog.messages
 
     def test_planted_outliers_dominate_top_scores(self):
         split, result = small_split(records=120, contamination=0.05)
@@ -84,6 +87,18 @@ class TestAnalyzeSource:
         hits = sum(1 for rid, label in truth.items() if label == 1 and predicted.get(rid) == 1)
         planted = sum(truth.values())
         assert hits / planted >= 0.9
+
+
+class TestSourceModel:
+    def test_fit_on_six_days_then_score_the_seventh_as_analyze_source_does(self):
+        split, _ = small_split(days=6)
+        model, history = fit_source(split.history, FAST_DETECTORS)
+        history_scores = score_source(model, history)
+        current_scores = score_source(model, features(model, split.current))
+        analysis = analyze_source(split, FAST_DETECTORS, contamination=0.05, window_id="w")
+        for name in ensemble.DETECTOR_NAMES:
+            both = ensemble.normalize_scores(np.concatenate([history_scores[name], current_scores[name]]))
+            np.testing.assert_allclose(both, analysis.heatmap_points[name].scores, rtol=0, atol=1e-12)
 
 
 def write_combined_bro_index(result, store):
