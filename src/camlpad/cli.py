@@ -11,6 +11,7 @@ import json
 import logging
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import evaluate
 from .config import load_config
@@ -19,7 +20,7 @@ from .ensemble import DETECTOR_NAMES
 from .errors import CamlpadError
 from .ingest_store import DirectoryStore, HttpStore, StoreQuery, StoreUnreachable, TooManyRecords, query_store
 from .pipeline import run_pipeline
-from .synth import SynthConfig, generate, write_store
+from .synth import ANOMALY_STYLES, SynthConfig, generate, write_store
 
 logger = logging.getLogger(__name__)
 
@@ -38,12 +39,17 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--dry-run", action="store_true", help="validate config and store reachability only")
 
     synth = sub.add_parser("synth", help="generate a synthetic multi-source store")
+    defaults = SynthConfig()
     synth.add_argument("--out", required=True, type=Path, help="store root directory to write")
-    synth.add_argument("--seed", type=int, default=1)
-    synth.add_argument("--contamination", type=float, default=0.05)
-    synth.add_argument("--days", type=int, default=7, help="history days (one current day is added)")
-    synth.add_argument("--records", type=int, default=500, help="records per source per day")
-    synth.add_argument("--style", choices=("shift", "scatter"), default="shift")
+    synth.add_argument("--seed", type=int, default=defaults.seed)
+    synth.add_argument("--contamination", type=float, default=defaults.contamination)
+    synth.add_argument(
+        "--days", type=int, default=defaults.days_history, help="history days (one current day is added)"
+    )
+    synth.add_argument(
+        "--records", type=int, default=defaults.records_per_source_per_day, help="records per source per day"
+    )
+    synth.add_argument("--style", choices=ANOMALY_STYLES, default=defaults.anomaly_style)
 
     ev = sub.add_parser("evaluate", help="score a run's labels against ground truth")
     ev.add_argument("--run", required=True, type=Path, help="pipeline output directory")
@@ -107,35 +113,16 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_labels_file(path: Path) -> tuple[list[str], dict[str, list[int]]]:
-    ids: list[str] = []
-    vectors: dict[str, list[int]] = {name: [] for name in DETECTOR_NAMES}
-    vectors["ensemble"] = []
+def _read_rows(path: Path, kind: str, row: Callable[[dict], tuple]) -> list[tuple]:
+    """``row(doc)`` of each non-blank line of a JSONL file; a line it cannot read is a corrupted ``kind`` file."""
     try:
-        for line in path.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            doc = json.loads(line)
-            ids.append(doc["row_id"])
-            vectors["ensemble"].append(int(doc["label"]))
-            for name in DETECTOR_NAMES:
-                vectors[name].append(int(doc["votes"][name]))
+        return [row(json.loads(line)) for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise CamlpadError(f"corrupted label file {path}: {exc}") from None
-    return ids, vectors
+        raise CamlpadError(f"corrupted {kind} file {path}: {exc}") from None
 
 
-def _read_truth_file(path: Path) -> dict[str, int]:
-    truth: dict[str, int] = {}
-    try:
-        for line in path.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            doc = json.loads(line)
-            truth[doc["record_id"]] = int(doc["label"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise CamlpadError(f"corrupted truth file {path}: {exc}") from None
-    return truth
+def _label_row(doc: dict) -> tuple[str, dict[str, int]]:
+    return doc["row_id"], {"ensemble": int(doc["label"]), **{name: int(doc["votes"][name]) for name in DETECTOR_NAMES}}
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
@@ -145,28 +132,33 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if not args.truth.is_dir():
         raise CamlpadError(f"truth directory not found: {args.truth}")
 
-    labels: dict[str, tuple[list[str], dict[str, list[int]]]] = {}
-    for labels_path in sorted(labels_dir.glob("*.jsonl")):
-        labels[DataSourceKind.from_name(labels_path.stem).value] = _read_labels_file(labels_path)
+    labels = {
+        DataSourceKind.from_name(path.stem).value: _read_rows(path, "label", _label_row)
+        for path in sorted(labels_dir.glob("*.jsonl"))
+    }
     if not labels:
         raise CamlpadError(f"no label files found under {labels_dir}")
     report = evaluate.pairwise_ari_report(
-        {source: {name: vectors[name] for name in DETECTOR_NAMES} for source, (_, vectors) in labels.items()}
+        {
+            source: {name: [votes[name] for _, votes in rows] for name in DETECTOR_NAMES}
+            for source, rows in labels.items()
+        }
     )
 
-    for source, (ids, vectors) in labels.items():
+    for source, rows in labels.items():
         truth_path = args.truth / f"{source}.jsonl"
-        if truth_path.is_file():
-            truth = _read_truth_file(truth_path)
-            keep = [i for i, row_id in enumerate(ids) if row_id in truth]
-            if len(keep) >= 2:
-                truth_vector = [truth[ids[i]] for i in keep]
-                report["per_source"][source]["vs_truth"] = {
-                    name: evaluate.adjusted_rand_index(
-                        [vectors[name][i] for i in keep], truth_vector
-                    )
-                    for name in ("ensemble",) + DETECTOR_NAMES
-                }
+        if not truth_path.is_file():
+            logger.warning("%s: no truth file %s, so no vs_truth", source, truth_path)
+            continue
+        truth = dict(_read_rows(truth_path, "truth", lambda doc: (doc["record_id"], int(doc["label"]))))
+        shared = [(truth[row_id], votes) for row_id, votes in rows if row_id in truth]
+        if len(shared) < 2:
+            logger.warning("%s: %d row ids shared with %s, need >= 2, so no vs_truth", source, len(shared), truth_path)
+            continue
+        report["per_source"][source]["vs_truth"] = {
+            name: evaluate.adjusted_rand_index([votes[name] for _, votes in shared], [label for label, _ in shared])
+            for name in ("ensemble",) + DETECTOR_NAMES
+        }
     report_path = args.run / "report.json"
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"mean pairwise ARI: {report['mean_pairwise_ari']:.4f} (report: {report_path})")

@@ -95,15 +95,20 @@ class PipelineConfig:
 
 
 def parse_config_text(text: str) -> dict[str, str]:
+    """key -> value of each ``key = value`` line; a key set on two lines is refused."""
     entries: dict[str, str] = {}
+    set_on: dict[str, int] = {}
     for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"line {line_number}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in set_on:
+            raise ConfigError(f"line {line_number}: {key} is already set on line {set_on[key]}")
+        set_on[key] = line_number
+        entries[key] = value
     return entries
 
 

@@ -23,8 +23,8 @@ def as_matrix(data) -> np.ndarray:
     return check_dimensions(array.shape[1], array)
 
 
-def check_dimensions(expected: int, row_or_matrix: np.ndarray, allow_inf: bool = False) -> np.ndarray:
-    """Rows to score as a 2-D float array; NaN is refused, and so is +-inf unless the model routes it."""
+def check_dimensions(expected: int, row_or_matrix: np.ndarray) -> np.ndarray:
+    """Rows to score as a 2-D float array; NaN and +-inf are refused."""
     array = np.asarray(row_or_matrix, dtype=float)
     if array.ndim == 1:
         array = array[None, :]
@@ -32,6 +32,6 @@ def check_dimensions(expected: int, row_or_matrix: np.ndarray, allow_inf: bool =
         raise DimensionMismatch(f"model expects {expected} features, got {array.shape[1]}")
     if np.isnan(array).any():
         raise ValueError("detector input contains missing values; impute first")
-    if not allow_inf and np.isinf(array).any():
+    if np.isinf(array).any():
         raise ValueError("detector input contains infinite values")
     return array

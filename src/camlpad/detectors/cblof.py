@@ -2,7 +2,8 @@
 
 Clusters are split into large and small by the size rules: walking sizes in
 descending order, the boundary is the first index where the cumulative size
-reaches alpha*n or where the size ratio to the next cluster reaches beta.
+reaches alpha*n or where the size ratio to the next cluster reaches beta
+(a fit uses alpha = 0.9 and beta = 5).
 A row in a large cluster scores its distance to that centroid; a row in a
 small cluster scores its distance to the nearest large centroid.
 """
@@ -14,15 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import TooFewRows, as_matrix, check_dimensions
-from .kmeans import (
-    DEFAULT_CLUSTERS,
-    DEFAULT_MAX_ITERATIONS,
-    DEFAULT_TOLERANCE,
-    KMeansModel,
-    assign_clusters,
-    fit_kmeans,
-    squared_distances,
-)
+from .kmeans import DEFAULT_CLUSTERS, KMeansModel, assign_clusters, fit_kmeans, squared_distances
 
 DEFAULT_ALPHA = 0.9
 DEFAULT_BETA = 5.0
@@ -58,30 +51,15 @@ def large_cluster_flags(sizes: np.ndarray, alpha: float, beta: float) -> np.ndar
     return flags
 
 
-def fit_cblof(
-    data,
-    k: int = DEFAULT_CLUSTERS,
-    alpha: float = DEFAULT_ALPHA,
-    beta: float = DEFAULT_BETA,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    tolerance: float = DEFAULT_TOLERANCE,
-    seed: int = 0,
-) -> CblofModel:
+def fit_cblof(data, k: int = DEFAULT_CLUSTERS, seed: int = 0) -> CblofModel:
     X = as_matrix(data)
     if X.shape[0] < k:
         raise TooFewRows(f"cblof needs >= k={k} rows, got {X.shape[0]}")
-    if not (0.5 < alpha <= 1.0):
-        raise ValueError(f"alpha must be in (0.5, 1], got {alpha}")
-    if beta < 1.0:
-        raise ValueError(f"beta must be >= 1, got {beta}")
-    kmeans = fit_kmeans(X, k, max_iterations, tolerance, seed)
+    kmeans = fit_kmeans(X, k, seed)
     assignment = assign_clusters(X, kmeans.centroids)
     sizes = np.bincount(assignment, minlength=k)
-    flags = large_cluster_flags(sizes, alpha, beta)
-    return CblofModel(
-        kmeans=kmeans,
-        large_flags=flags,
-    )
+    flags = large_cluster_flags(sizes, DEFAULT_ALPHA, DEFAULT_BETA)
+    return CblofModel(kmeans=kmeans, large_flags=flags)
 
 
 def score_cblof_rows(model: CblofModel, rows) -> np.ndarray:

@@ -173,7 +173,7 @@ def _forest_tables(model: IsolationForestModel):
 
 def score_iforest_rows(model: IsolationForestModel, rows) -> np.ndarray:
     """Anomaly scores in (0,1); higher means shorter average isolation path."""
-    X = check_dimensions(model.n_features, np.asarray(rows, dtype=float), allow_inf=True)
+    X = check_dimensions(model.n_features, np.asarray(rows, dtype=float))
     roots, height, child, feature, threshold, value = _forest_tables(model)
     n, d = X.shape
     flat, offset, totals = X.ravel(), np.arange(n) * d, np.zeros(n)

@@ -140,22 +140,16 @@ def _lloyd(
     return centroids, iterations
 
 
-def fit_kmeans(
-    data,
-    k: int = DEFAULT_CLUSTERS,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    tolerance: float = DEFAULT_TOLERANCE,
-    seed: int = 0,
-) -> KMeansModel:
+def fit_kmeans(data, k: int = DEFAULT_CLUSTERS, seed: int = 0) -> KMeansModel:
     X = as_matrix(data)
     if X.shape[0] < k:
         raise TooFewRows(f"k-means needs >= k={k} rows, got {X.shape[0]}")
     rng = np.random.default_rng(seed)
     centroids = _seed_centroids(X, k, rng)
-    centroids, iterations = _lloyd(X, centroids, max_iterations, tolerance)
+    centroids, iterations = _lloyd(X, centroids, DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE)
     return KMeansModel(
         centroids=centroids,
         iterations=iterations,
-        params={"k": k, "max_iterations": max_iterations, "tolerance": tolerance, "seed": seed},
+        params={"k": k, "max_iterations": DEFAULT_MAX_ITERATIONS, "tolerance": DEFAULT_TOLERANCE, "seed": seed},
     )
 

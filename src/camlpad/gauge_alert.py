@@ -237,18 +237,16 @@ def emit_alert(
     return outcomes
 
 
-def reindex_gauge(locator: StoreLocator, reading: GaugeReading) -> str:
-    """Persist a gauge document into the store's append-only gauges index."""
+def reindex_gauge(locator: StoreLocator, reading: GaugeReading) -> None:
+    """Append a gauge document to the store's append-only gauges index."""
     payload = gauge_json_bytes(reading)
     if isinstance(locator, DirectoryStore):
         index_dir = locator.root / GAUGES_INDEX
         try:
             index_dir.mkdir(parents=True, exist_ok=True)
-            path = index_dir / f"{reading.window_id}.jsonl"
-            ordinal = path.read_bytes().count(b"\n") if path.exists() else 0
-            with open(path, "ab") as sink:
+            with open(index_dir / f"{reading.window_id}.jsonl", "ab") as sink:
                 sink.write(payload)
         except OSError as exc:
             raise StoreUnreachable(f"cannot write gauge to {index_dir}: {exc}") from None
-        return f"{reading.scope}-{reading.window_id}-{ordinal}"
-    return index_document(locator, GAUGES_INDEX, payload)
+    else:
+        index_document(locator, GAUGES_INDEX, payload)

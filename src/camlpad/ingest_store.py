@@ -23,9 +23,9 @@ import urllib.error
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from itertools import groupby
-from math import isfinite
+from math import floor, isfinite
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -38,6 +38,7 @@ logger = logging.getLogger(__name__)
 DEFAULT_TIME_FIELD = "timestamp"
 DEFAULT_MIN_HISTORY = 50
 DEFAULT_DISCRIMINATOR = "log_type"
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 # discriminator values of the two BRO log types the pipeline analyses
 BRO_DNS_VALUE = "dns"
 BRO_CONN_VALUE = "conn"
@@ -186,8 +187,8 @@ def post_json(url: str, body: bytes, token: str | None = None) -> tuple[int, byt
         raise StoreUnreachable(f"{shown}: {exc}") from None
 
 
-def index_document(store: HttpStore, index: str, payload: bytes) -> str:
-    """POST one JSON document to ``{base}/{index}/_doc``; the id the store assigned, or ""."""
+def index_document(store: HttpStore, index: str, payload: bytes) -> None:
+    """POST one JSON document to ``{base}/{index}/_doc``; a reply must be HTTP 200 or 201 with a JSON object."""
     url = f"{store.base_url}/{index}/_doc"
     status, raw = post_json(url, payload, store.token)
     if status not in (200, 201):
@@ -198,11 +199,10 @@ def index_document(store: HttpStore, index: str, payload: bytes) -> str:
         reply = None
     if not isinstance(reply, dict):
         raise StoreUnreachable(f"{url}: reply is not a JSON object: {raw[:80]!r}")
-    return str(reply.get("_id", ""))
 
 
 def to_epoch_ms(value: object) -> int | None:
-    """Normalize a raw time value to epoch milliseconds UTC, or None.
+    """Normalize a raw time value to epoch milliseconds UTC, floored to a whole ms, or None.
 
     Non-finite values ("inf", "1e999", NaN) are unparseable, not errors.
     """
@@ -216,7 +216,7 @@ def to_epoch_ms(value: object) -> int | None:
             return _iso_epoch_ms(text)
     if isinstance(value, (int, float)):
         try:
-            return int(value)
+            return floor(value)
         except (OverflowError, ValueError):
             return None
     return None
@@ -229,7 +229,7 @@ def _iso_epoch_ms(text: str) -> int | None:
         return None
     if parsed.tzinfo is None:
         parsed = parsed.replace(tzinfo=timezone.utc)
-    return int(parsed.timestamp() * 1000)
+    return (parsed - EPOCH) // timedelta(milliseconds=1)
 
 
 def _field_value(raw: object) -> float | str | None:

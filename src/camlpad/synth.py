@@ -18,7 +18,7 @@ import numpy as np
 from .config import DAY_MS, ConfigError, window_id_for
 from .datamodel import DataSourceKind, RecordBatch, SensorRecord, time_buckets
 from .ensemble import LabelVector
-from .ingest_store import DEFAULT_TIME_FIELD, record_to_json_line
+from .ingest_store import record_to_json_line
 
 BASE_EPOCH_MS = 1_614_556_800_000  # 2021-03-01T00:00:00Z
 HOUR_MS = 3_600_000
@@ -26,10 +26,13 @@ HOUR_MS = 3_600_000
 TRUTH_DIR = "truth"
 
 ALL_SOURCES = tuple(DataSourceKind)
+ANOMALY_STYLES = ("shift", "scatter")
 
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """The options of ``camlpad synth``; a value out of range is refused naming its flag."""
+
     seed: int = 1
     days_history: int = 7
     records_per_source_per_day: int = 500
@@ -39,11 +42,12 @@ class SynthConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.contamination < 0.5:
-            raise ConfigError(f"contamination must be in [0, 0.5), got {self.contamination}")
-        if self.anomaly_style not in ("shift", "scatter"):
-            raise ConfigError(f"anomaly_style must be 'shift' or 'scatter', got {self.anomaly_style!r}")
-        if self.days_history < 1 or self.records_per_source_per_day < 1:
-            raise ConfigError("days_history and records_per_source_per_day must be >= 1")
+            raise ConfigError(f"--contamination must be in [0, 0.5), got {self.contamination}")
+        if self.anomaly_style not in ANOMALY_STYLES:
+            raise ConfigError(f"--style must be one of {ANOMALY_STYLES}, got {self.anomaly_style!r}")
+        for flag, value in (("--days", self.days_history), ("--records", self.records_per_source_per_day)):
+            if value < 1:
+                raise ConfigError(f"{flag} must be >= 1, got {value}")
 
     @property
     def total_days(self) -> int:
@@ -181,7 +185,7 @@ def generate(config: SynthConfig = SynthConfig()) -> SynthResult:
     return SynthResult(config=config, batches=batches, truth=truth, bucket_truth=bucket_truth)
 
 
-def write_store(result: SynthResult, root: Path | str, time_field: str = DEFAULT_TIME_FIELD) -> None:
+def write_store(result: SynthResult, root: Path | str) -> None:
     """Write the DirectoryStore layout: <root>/<source>/<date>.jsonl plus truth files."""
     root = Path(root)
     for source, batch in result.batches.items():
@@ -190,7 +194,7 @@ def write_store(result: SynthResult, root: Path | str, time_field: str = DEFAULT
         by_date: dict[str, list[str]] = {}
         for record in batch.records:
             by_date.setdefault(window_id_for(record.timestamp // DAY_MS * DAY_MS), []).append(
-                record_to_json_line(record, time_field)
+                record_to_json_line(record)
             )
         for date, lines in sorted(by_date.items()):
             (index_dir / f"{date}.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 import re
 import shutil
 from pathlib import Path
@@ -16,6 +17,7 @@ from camlpad.config import (
     load_config,
     parse_config_text,
     resolve_boundary,
+    window_id_for,
 )
 from camlpad.datamodel import DataSourceKind
 
@@ -25,7 +27,8 @@ BRO_CONN, BRO_DNS = DataSourceKind.BRO_CONN, DataSourceKind.BRO_DNS
 
 
 def write_config(path, store_root, out_dir, extra=()):
-    lines = [
+    """A config for the store; each line of ``extra`` comes last and drops the base line setting its key."""
+    base = [
         "# pipeline under test",
         "store.kind = directory",
         f"store.root = {store_root}",
@@ -36,8 +39,9 @@ def write_config(path, store_root, out_dir, extra=()):
         f"run.output_dir = {out_dir}",
         "detectors.iforest.trees = 40",
         "detectors.iforest.subsample = 64",
-        *extra,
     ]
+    overridden = {line.partition("=")[0].strip() for line in extra}
+    lines = [line for line in base if line.partition("=")[0].strip() not in overridden] + list(extra)
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -164,6 +168,24 @@ class TestConfigParsing:
     def test_range_ends_are_accepted(self, entries):
         config_from_entries(entries)
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["run.contamination = 0.05", "run.contamination = 0.2"],
+             "line 11: run.contamination is already set on line 10"),
+            (["sources.yaf.index = a", "sources.yaf.index = a"],
+             "line 12: sources.yaf.index is already set on line 11"),
+        ],
+    )
+    def test_key_set_twice_fails_run_and_dry_run(self, tmp_path, capsys, extra, message):
+        store = tmp_path / "store"
+        main(["synth", "--out", str(store), "--days", "1", "--records", "10"])
+        config = write_config(tmp_path / "c.conf", store, tmp_path / "out", extra=extra)
+        for dry_run in (["--dry-run"], []):
+            assert main(["run", "--config", str(config), *dry_run]) == 1
+            assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.conf")
@@ -173,6 +195,11 @@ class TestConfigParsing:
         assert resolve_boundary("1970-01-01T00:00:01Z") == 1000
         with pytest.raises(ConfigError):
             resolve_boundary("not a date")
+
+    def test_millisecond_boundary_names_and_starts_its_window_exactly(self):
+        boundary = resolve_boundary("2004-03-15T07:55:47.472")
+        assert boundary == 1_079_337_347_472
+        assert window_id_for(boundary) == "2004-03-15T075547.472Z"
 
 
 class TestSynthCommand:
@@ -192,9 +219,10 @@ class TestSynthCommand:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--contamination", "0.7"], "contamination must be in [0, 0.5), got 0.7"),
-            (["--days", "0"], "days_history and records_per_source_per_day must be >= 1"),
-            (["--records", "0"], "days_history and records_per_source_per_day must be >= 1"),
+            (["--contamination", "0.7"], "--contamination must be in [0, 0.5), got 0.7"),
+            (["--days", "0"], "--days must be >= 1, got 0"),
+            (["--records", "-3"], "--records must be >= 1, got -3"),
+            (["--days", "0", "--records", "0"], "--days must be >= 1, got 0"),
         ],
     )
     def test_out_of_range_option_exits_one_with_an_error_line(self, tmp_path, capsys, flags, message):
@@ -367,6 +395,23 @@ class TestEvaluateCommand:
         (broken / "labels" / "yaf.jsonl").write_text("{nope\n")
         assert main(["evaluate", "--run", str(broken), "--truth", str(store / "truth")]) == 1
         assert "yaf.jsonl" in capsys.readouterr().err
+
+    def test_a_source_without_usable_truth_is_named_in_a_warning(self, small_run, tmp_path, caplog):
+        _, store, out, _ = small_run
+        truth = tmp_path / "truth"
+        shutil.copytree(store / "truth", truth)
+        (truth / "yaf.jsonl").unlink()
+        (truth / "snort.jsonl").write_text('{"label":1,"record_id":"snort-d0-0000"}\n{"label":0,"record_id":"x"}\n')
+        with caplog.at_level(logging.WARNING, logger="camlpad.cli"):
+            assert main(["evaluate", "--run", str(out), "--truth", str(truth)]) == 0
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == [
+            f"snort: 1 row ids shared with {truth / 'snort.jsonl'}, need >= 2, so no vs_truth",
+            f"yaf: no truth file {truth / 'yaf.jsonl'}, so no vs_truth",
+        ]
+        report = json.loads((out / "report.json").read_text())
+        assert [s for s, entry in sorted(report["per_source"].items()) if "vs_truth" in entry] == [
+            "bro_conn", "bro_dns", "meraki"
+        ]
 
     def test_missing_directories_exit_one(self, tmp_path):
         assert main(["evaluate", "--run", str(tmp_path), "--truth", str(tmp_path)]) == 1

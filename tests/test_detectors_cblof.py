@@ -191,15 +191,15 @@ class TestLargeClusterRule:
 
 class TestCblofScores:
     def test_small_cluster_scores_distance_to_large_centroid(self):
-        model = fit_cblof(TWO_CLUSTERS, k=2, alpha=0.9, beta=5.0, seed=0)
+        model = fit_cblof(TWO_CLUSTERS, k=2, seed=0)
         assert score_cblof(model, [10.0, 10.0]) == pytest.approx(math.sqrt(200.0), abs=1e-9)
 
     def test_point_at_large_centroid_scores_zero(self):
-        model = fit_cblof(TWO_CLUSTERS, k=2, alpha=0.9, beta=5.0, seed=0)
+        model = fit_cblof(TWO_CLUSTERS, k=2, seed=0)
         assert score_cblof(model, [0.0, 0.0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_large_member_scores_distance_to_own_centroid(self):
-        model = fit_cblof(TWO_CLUSTERS, k=2, alpha=0.9, beta=5.0, seed=0)
+        model = fit_cblof(TWO_CLUSTERS, k=2, seed=0)
         assert score_cblof(model, [3.0, 4.0]) == pytest.approx(5.0, abs=1e-9)
 
     def test_too_few_rows(self):

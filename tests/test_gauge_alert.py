@@ -307,24 +307,22 @@ class TestBuildAlert:
 class TestReindexGauge:
     def test_directory_store_appends_line(self, tmp_path):
         store = DirectoryStore(tmp_path)
-        doc_id = reindex_gauge(store, reading())
+        reindex_gauge(store, reading())
         path = tmp_path / "gauges" / "2021-03-08.jsonl"
         assert path.read_bytes() == gauge_json_bytes(reading())
-        assert doc_id == "yaf-2021-03-08-0"
 
     def test_duplicate_window_appends_second_document(self, tmp_path):
         store = DirectoryStore(tmp_path)
-        reindex_gauge(store, reading())
-        doc_id = reindex_gauge(store, reading())
+        first, second = reading(), reading(score=0.25, scope="combined")
+        reindex_gauge(store, first)
+        reindex_gauge(store, second)
         path = tmp_path / "gauges" / "2021-03-08.jsonl"
-        assert len(path.read_text().splitlines()) == 2
-        assert doc_id == "yaf-2021-03-08-1"
+        assert path.read_bytes() == gauge_json_bytes(first) + gauge_json_bytes(second)
 
-    def test_http_store_returns_assigned_id(self, stub_server):
+    def test_http_store_posts_the_gauge_document(self, stub_server):
         url, state = stub_server
-        doc_id = reindex_gauge(HttpStore(url), reading())
-        assert doc_id == "g-0"
-        assert state.gauge_docs[0]["scope"] == "yaf"
+        reindex_gauge(HttpStore(url), reading())
+        assert state.gauge_docs == [json.loads(gauge_json_bytes(reading()))]
         assert state.content_types == ["application/json"]
 
     @pytest.mark.parametrize("body", [b"not json", b"[1]"])

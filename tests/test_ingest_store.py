@@ -3,6 +3,7 @@ import math
 import random
 import socket
 import tempfile
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -73,6 +74,24 @@ class TestParseJsonl:
     def test_iso_timestamps_normalize_to_epoch_ms(self):
         batch = parse_jsonl(b'{"ts":"1970-01-01T00:00:01Z","x":1}', YAF, time_field="ts")
         assert batch.records[0].timestamp == 1000
+
+    def test_iso_millisecond_times_convert_exactly(self):
+        # in floats 1079337347.472 * 1000 is 1079337347471.9999, one ms short when truncated
+        assert to_epoch_ms("2004-03-15T07:55:47.472Z") == 1079337347472
+        batch = parse_jsonl(b'{"ts":"2004-03-15T07:55:47.472Z","x":1}', YAF, time_field="ts")
+        assert batch.records[0].timestamp == 1079337347472
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 4_102_444_800_000))
+    def test_iso_times_with_milliseconds_round_trip(self, ms):
+        moment = datetime(1970, 1, 1, tzinfo=timezone.utc) + timedelta(milliseconds=ms)
+        assert to_epoch_ms(moment.isoformat(timespec="milliseconds").replace("+00:00", "Z")) == ms
+
+    @pytest.mark.parametrize("raw", ["-0.5", '"-0.5"', '"1969-12-31T23:59:59.9995Z"'])
+    def test_times_just_before_the_epoch_floor_to_a_negative_ms(self, raw):
+        # each lies in [-1, 0) ms, so it floors to -1, outside [0, 2**63)
+        with pytest.raises(MalformedLine, match="time -1 outside"):
+            parse_jsonl(f'{{"ts":1}}\n{{"ts":{raw},"x":1}}', YAF, time_field="ts")
 
     def test_infinite_timestamps_are_missing(self):
         assert to_epoch_ms("inf") is None and to_epoch_ms("1e999") is None
