@@ -113,10 +113,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_rows(path: Path, kind: str, row: Callable[[dict], tuple]) -> list[tuple]:
-    """``row(doc)`` of each non-blank line of a JSONL file; a line it cannot read is a corrupted ``kind`` file."""
+def _read_rows(path: Path, kind: str, row: Callable[[dict], tuple], collect: Callable) -> list | dict:
+    """``collect`` of ``row(doc)`` over the non-blank lines of a JSONL file; a row it cannot read or collect
+    makes a corrupted ``kind`` file."""
     try:
-        return [row(json.loads(line)) for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
+        return collect(row(json.loads(line)) for line in path.read_text(encoding="utf-8").splitlines() if line.strip())
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise CamlpadError(f"corrupted {kind} file {path}: {exc}") from None
 
@@ -133,7 +134,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         raise CamlpadError(f"truth directory not found: {args.truth}")
 
     labels = {
-        DataSourceKind.from_name(path.stem).value: _read_rows(path, "label", _label_row)
+        DataSourceKind.from_name(path.stem).value: _read_rows(path, "label", _label_row, list)
         for path in sorted(labels_dir.glob("*.jsonl"))
     }
     if not labels:
@@ -150,7 +151,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         if not truth_path.is_file():
             logger.warning("%s: no truth file %s, so no vs_truth", source, truth_path)
             continue
-        truth = dict(_read_rows(truth_path, "truth", lambda doc: (doc["record_id"], int(doc["label"]))))
+        truth = _read_rows(truth_path, "truth", lambda doc: (doc["record_id"], int(doc["label"])), dict)
         shared = [(truth[row_id], votes) for row_id, votes in rows if row_id in truth]
         if len(shared) < 2:
             logger.warning("%s: %d row ids shared with %s, need >= 2, so no vs_truth", source, len(shared), truth_path)

@@ -203,9 +203,7 @@ def load_config(path: Path | str) -> PipelineConfig:
 def resolve_boundary(value: str) -> int:
     """Epoch ms for a boundary: 'today' (UTC midnight) or an ISO date/datetime."""
     if value.strip().lower() == "today":
-        now = datetime.now(timezone.utc)
-        midnight = now.replace(hour=0, minute=0, second=0, microsecond=0)
-        return int(midnight.timestamp() * 1000)
+        return _iso_epoch_ms(datetime.now(timezone.utc).date().isoformat())
     parsed = _iso_epoch_ms(value.strip())
     if parsed is None:
         raise ConfigError(f"boundary must be 'today' or an ISO date or date-time, got {value!r}")

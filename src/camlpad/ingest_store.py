@@ -369,13 +369,13 @@ def _record_from_document(
     return SensorRecord.trusted(timestamp, fields, record_id)
 
 
-def record_to_document(record: SensorRecord, time_field: str = DEFAULT_TIME_FIELD) -> dict:
+def record_to_document(record: SensorRecord) -> dict:
     """JSON-document form of a record; inverse of the parse_jsonl rules."""
-    return {"_id": record.record_id, time_field: record.timestamp, **record.fields}
+    return {"_id": record.record_id, DEFAULT_TIME_FIELD: record.timestamp, **record.fields}
 
 
-def record_to_json_line(record: SensorRecord, time_field: str = DEFAULT_TIME_FIELD) -> str:
-    return json.dumps(record_to_document(record, time_field), separators=(",", ":"))
+def record_to_json_line(record: SensorRecord) -> str:
+    return json.dumps(record_to_document(record), separators=(",", ":"))
 
 
 class BroSplit(NamedTuple):

@@ -3,6 +3,7 @@ import json
 import logging
 import re
 import shutil
+import time
 from pathlib import Path
 
 import pytest
@@ -195,6 +196,12 @@ class TestConfigParsing:
         assert resolve_boundary("1970-01-01T00:00:01Z") == 1000
         with pytest.raises(ConfigError):
             resolve_boundary("not a date")
+
+    def test_today_is_the_latest_utc_midnight(self):
+        before = time.time() * 1000
+        boundary = resolve_boundary(" Today ")
+        assert boundary % 86_400_000 == 0
+        assert before - 86_400_000 < boundary <= time.time() * 1000
 
     def test_millisecond_boundary_names_and_starts_its_window_exactly(self):
         boundary = resolve_boundary("2004-03-15T07:55:47.472")
@@ -395,6 +402,14 @@ class TestEvaluateCommand:
         (broken / "labels" / "yaf.jsonl").write_text("{nope\n")
         assert main(["evaluate", "--run", str(broken), "--truth", str(store / "truth")]) == 1
         assert "yaf.jsonl" in capsys.readouterr().err
+
+    def test_truth_row_whose_id_cannot_be_a_key_exits_one(self, small_run, tmp_path, capsys):
+        _, store, out, _ = small_run
+        truth = tmp_path / "truth"
+        shutil.copytree(store / "truth", truth)
+        (truth / "yaf.jsonl").write_text('{"record_id":[1],"label":0}\n')
+        assert main(["evaluate", "--run", str(out), "--truth", str(truth)]) == 1
+        assert f"corrupted truth file {truth / 'yaf.jsonl'}: unhashable type" in capsys.readouterr().err
 
     def test_a_source_without_usable_truth_is_named_in_a_warning(self, small_run, tmp_path, caplog):
         _, store, out, _ = small_run
