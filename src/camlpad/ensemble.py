@@ -148,7 +148,8 @@ def labels_to_jsonl(
         *(detector_labels[name].labels.tolist() for name in names),
     )
     lines = [template % row for row in rows]
-    return "\n".join(lines) + "\n" if lines else ""
+    lines.append("")  # ends every line, without copying the document for it
+    return "\n".join(lines)
 
 
 def verdicts_to_jsonl(verdicts: Sequence[BucketVerdict]) -> str:
@@ -159,4 +160,5 @@ def verdicts_to_jsonl(verdicts: Sequence[BucketVerdict]) -> str:
         template % (v.bucket_start, v.final, ", ".join(vote[kind] % flag for kind, flag in sorted(v.votes.items())))
         for v in verdicts
     ]
-    return "\n".join(lines) + "\n" if lines else ""
+    lines.append("")
+    return "\n".join(lines)

@@ -4,13 +4,16 @@ Every plot is 600x600 px on a #111111 background, with a 40 px margin around
 the min-max scaled points. Points are PCA projections shaded by outlier
 score: lighter fill means more anomalous. History rows draw first as small
 markers (radius 3); current rows draw on top as large ones (radius 8).
-Identical inputs always produce byte-identical SVG output.
+Identical inputs always produce byte-identical SVG output. Circles are
+formatted and encoded ``CHUNK_ROWS`` points at a time, so a large plane's
+document is never held whole as text beside its bytes.
 """
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 from xml.sax.saxutils import escape
 
@@ -25,6 +28,8 @@ MARGIN = 40
 HISTORY_RADIUS = 3
 CURRENT_RADIUS = 8
 BACKGROUND = "#111111"
+# points converted to floats, formatted and encoded at a time
+CHUNK_ROWS = 4096
 
 
 class MisalignedScores(CamlpadError):
@@ -72,26 +77,31 @@ def _scale(values: np.ndarray, out_low: float, out_high: float) -> np.ndarray:
     return out_low + normalize_scores(values) * (out_high - out_low)
 
 
-# grayscale luminance 25% + 70% * score: score 1 renders lightest; each closes its circle
-_FILL_TAILS = [f'#{c:02x}{c:02x}{c:02x}"/>' for c in range(256)]
+# grayscale luminance 25% + 70% * score: score 1 renders lightest; each closes its circle and line
+_FILL_TAILS = [f'#{c:02x}{c:02x}{c:02x}"/>\n' for c in range(256)]
 
 
 def circle_heads(points: HeatmapPoints) -> Iterator[str]:
-    """Each point's ``<circle cx=".." cy=".." r=".." fill="``, in drawing order, formatted lazily.
+    """Each point's ``<circle cx=".." cy=".." r=".." fill="``, in drawing order.
 
-    Only the fill differs between shadings of one plane (same ``xy`` and
-    ``n_history``), so a caller rendering several can list these once and
-    pass them to each ``render_svg``.
+    The plane is scaled once, then converted to Python floats and formatted
+    ``CHUNK_ROWS`` points at a time as the heads are drawn. Only the fill
+    differs between shadings of one plane (same ``xy`` and ``n_history``), so
+    a caller rendering several can list these once and pass them to each
+    ``render_svg``.
     """
     if not len(points):
-        return iter(())
+        return
     xs = _scale(points.xy[:, 0], MARGIN, WIDTH - MARGIN)
     # larger data-space y renders higher on the canvas
     ys = _scale(-points.xy[:, 1], MARGIN, HEIGHT - MARGIN)
     history = f'<circle cx="%.2f" cy="%.2f" r="{HISTORY_RADIUS}" fill="'
     current = f'<circle cx="%.2f" cy="%.2f" r="{CURRENT_RADIUS}" fill="'
-    xy = zip(xs.tolist(), ys.tolist())
-    return chain((history % p for p in islice(xy, points.n_history)), (current % p for p in xy))
+    for start in range(0, len(points), CHUNK_ROWS):
+        stop = start + CHUNK_ROWS
+        xy = zip(xs[start:stop].tolist(), ys[start:stop].tolist())
+        yield from (history % p for p in islice(xy, max(0, points.n_history - start)))
+        yield from (current % p for p in xy)
 
 
 def render_svg(points: HeatmapPoints, title: str = "", heads: Iterable[str] | None = None) -> bytes:
@@ -99,9 +109,11 @@ def render_svg(points: HeatmapPoints, title: str = "", heads: Iterable[str] | No
 
     ``heads``, when given, are ``circle_heads`` of a plane with the same
     ``xy`` and ``n_history`` as ``points`` (a count that differs raises
-    ValueError); otherwise they are formatted here.
+    ValueError); otherwise they are formatted here. Circles are formatted
+    and encoded ``CHUNK_ROWS`` at a time into one buffer, so the document's
+    text is never held whole beside its bytes.
     """
-    lines = [
+    chrome = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         (
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -112,12 +124,18 @@ def render_svg(points: HeatmapPoints, title: str = "", heads: Iterable[str] | No
             f'<text x="{WIDTH // 2}" y="{MARGIN // 2 + 7}" fill="#cccccc" '
             f'font-family="monospace" font-size="14" text-anchor="middle">{escape(title)}</text>'
         ),
+        "",
     ]
-    if len(points):
+    out = io.BytesIO()
+    out.write("\n".join(chrome).encode("utf-8"))
+    heads = iter(circle_heads(points) if heads is None else heads)
+    for start in range(0, len(points), CHUNK_ROWS):
         # np.rint rounds halves to even, as round() does
-        channels = np.rint(255 * (0.25 + 0.70 * points.scores)).astype(int)
+        channels = np.rint(255 * (0.25 + 0.70 * points.scores[start : start + CHUNK_ROWS])).astype(int)
         tails = map(_FILL_TAILS.__getitem__, channels.tolist())
-        heads = circle_heads(points) if heads is None else heads
-        lines += [head + tail for head, tail in zip(heads, tails, strict=True)]
-    lines.append("</svg>")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+        lines = [head + tail for head, tail in zip(islice(heads, len(channels)), tails, strict=True)]
+        out.write("".join(lines).encode("utf-8"))
+    if next(heads, None) is not None:
+        raise ValueError(f"more circle heads than the {len(points)} points")
+    out.write(b"</svg>\n")
+    return out.getvalue()

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from xml.sax.saxutils import escape
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from camlpad.detectors import fit_pca
 from camlpad.gauge_alert import GaugeReading, gauge_json_bytes
 from camlpad.viz import (
+    CHUNK_ROWS,
     HeatmapPoints,
     MisalignedScores,
     build_heatmap_points,
@@ -33,6 +35,11 @@ def points(*rows, n_history=None):
 GOLDEN_POINTS = points(
     (-2.0, -1.0, 0.1), (0.0, 0.5, 0.4), (1.5, -0.5, 0.9), (2.0, 2.0, 1.0), (-1.0, 1.0, 0.0), n_history=3
 )
+
+
+def seeded_plane(n, n_history, seed):
+    rng = np.random.default_rng(seed)
+    return HeatmapPoints(xy=rng.normal(0, 1, (n, 2)), scores=rng.random(n), n_history=n_history)
 
 
 def circles(svg: bytes):
@@ -158,6 +165,17 @@ class TestRenderSvg:
         svg = render_svg(GOLDEN_POINTS, "golden fixture")
         assert svg == GOLDEN.read_bytes()
 
+    def test_peak_memory_stays_near_the_document(self):
+        plane = seeded_plane(60_000, 52_500, seed=7)
+        tracemalloc.start()
+        try:
+            svg = render_svg(plane, "memory")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(circles(svg)) == 60_000
+        assert peak <= 2.5 * len(svg)
+
 
 def _scores_with_half_fills():
     """Scores whose fill channel 255 * (0.25 + 0.70 * s) is exactly k + 0.5."""
@@ -213,10 +231,26 @@ class TestAgainstReferenceRenderer:
             shaded = [(x, y, s, current) for (x, y, _, current), s in zip(rows, scores)]
             assert render_svg(shading, model, heads) == reference_svg(shaded, model)
 
-    def test_heads_of_another_point_count_are_refused(self):
-        plane = points((0, 0, 0.1), (1, 1, 0.2), n_history=1)
+    # too few heads within the first chunk, too few past it, and heads left over
+    @pytest.mark.parametrize(
+        "n_points, n_heads", [(2, 1), (CHUNK_ROWS + 4, CHUNK_ROWS + 2), (CHUNK_ROWS + 4, CHUNK_ROWS + 6)]
+    )
+    def test_heads_of_another_point_count_are_refused(self, n_points, n_heads):
+        plane = seeded_plane(n_points, 1, seed=5)
         with pytest.raises(ValueError):
-            render_svg(plane, "", list(circle_heads(points((0, 0, 0.1)))))
+            render_svg(plane, "", list(circle_heads(seeded_plane(n_heads, 1, seed=6))))
+
+    @pytest.mark.parametrize("n", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("history_at", ["chunk_edge", "inside_chunk"])
+    def test_planes_around_chunk_edges_match_per_point_reference(self, n, history_at):
+        n_history = n // CHUNK_ROWS * CHUNK_ROWS if history_at == "chunk_edge" else n - 3
+        plane = seeded_plane(n, n_history, seed=n + n_history)
+        xy, scores = plane.xy.tolist(), plane.scores.tolist()
+        rows = [(x, y, s, i >= n_history) for i, ((x, y), s) in enumerate(zip(xy, scores))]
+        expected = reference_svg(rows, "chunked")
+        assert render_svg(plane, "chunked") == expected
+        assert render_svg(plane, "chunked", list(circle_heads(plane))) == expected
+        assert render_svg(plane, "chunked", circle_heads(plane)) == expected
 
     def test_combined_keeps_history_blocks_before_current_blocks(self):
         a = points((0, 0, 0.1), (1, 0, 0.2), (2, 0, 0.3), n_history=2)
