@@ -114,10 +114,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _read_rows(path: Path, kind: str, row: Callable[[dict], tuple], collect: Callable) -> list | dict:
-    """``collect`` of ``row(doc)`` over the non-blank lines of a JSONL file; a row it cannot read or collect
-    makes a corrupted ``kind`` file."""
+    """``collect`` of ``row(doc)`` over the non-blank lines of a JSONL file, which end at a line feed only, as in a
+    store; a row it cannot read or collect makes a corrupted ``kind`` file."""
     try:
-        return collect(row(json.loads(line)) for line in path.read_text(encoding="utf-8").splitlines() if line.strip())
+        return collect(row(json.loads(line)) for line in path.read_text(encoding="utf-8").split("\n") if line.strip())
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise CamlpadError(f"corrupted {kind} file {path}: {exc}") from None
 

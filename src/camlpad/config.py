@@ -138,6 +138,9 @@ def _sources(key: str, value: str) -> list[DataSourceKind]:
     sources = [DataSourceKind.from_name(s) for s in value.split(",") if s.strip()]
     if not sources:
         raise ConfigError(f"{key}: expected at least one source, got {value!r}")
+    for i, source in enumerate(sources):
+        if source in sources[:i]:
+            raise ConfigError(f"{key}: {source.value} is listed twice")
     return sources
 
 
@@ -176,6 +179,9 @@ def config_from_entries(entries: dict[str, str]) -> PipelineConfig:
             raise ConfigError(f"unknown config key: {key}")
         target, name, parse = _KEYS[key]
         setattr(getattr(config, target) if target else config, name, parse(key, value))
+    for source in BRO_SOURCES:
+        if config.bro_index and source in config.indexes:
+            raise ConfigError(f"sources.{source.value}.index cannot be set with run.bro_index, which serves it")
     if not 0.0 < config.contamination < 1.0:
         raise ConfigError(f"run.contamination must be in (0,1), got {config.contamination}")
     if not 0.0 <= config.threshold_percentile <= 100.0:  # NaN fails too

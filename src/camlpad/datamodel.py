@@ -12,10 +12,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -106,29 +105,13 @@ def time_buckets(timestamps: Sequence[int] | np.ndarray, width: int) -> tuple[np
 
 @dataclass(frozen=True)
 class RecordBatch:
-    """A sequence of records from a single source plus the union schema.
-
-    ``schema`` lists every field name appearing in any record, in first-seen
-    order across the batch. It is derived automatically when omitted.
-    """
+    """A sequence of records from a single source."""
 
     source: DataSourceKind
     records: tuple[SensorRecord, ...]
-    schema: tuple[str, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "records", tuple(self.records))
-        if not self.schema:
-            object.__setattr__(self, "schema", union_schema(self.records))
-        else:
-            object.__setattr__(self, "schema", tuple(self.schema))
 
     def __len__(self) -> int:
         return len(self.records)
-
-
-def union_schema(records: Iterable[SensorRecord]) -> tuple[str, ...]:
-    return tuple(dict.fromkeys(chain.from_iterable(record.fields for record in records)))
 
 
 @dataclass(frozen=True)

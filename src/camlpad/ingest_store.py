@@ -262,7 +262,7 @@ def _canonical(records: list[SensorRecord]) -> list[SensorRecord]:
     ``<id>-1``, ``<id>-2``, ... (the first free one). Records that tie on
     both time and id are walked in the order of their serialized documents,
     so the renaming does not depend on which backend, file or page a record
-    came from.
+    came from. One INFO line counts the renamed ids and names the first.
     """
     records = sorted(records, key=_CANONICAL_ORDER)
     if len({record.record_id for record in records}) == len(records):
@@ -272,6 +272,7 @@ def _canonical(records: list[SensorRecord]) -> list[SensorRecord]:
         tie = list(tie)
         ordered.extend(sorted(tie, key=record_to_json_line) if len(tie) > 1 else tie)
     taken: set[str] = set()
+    renamed: list[tuple[str, str]] = []
     for i, record in enumerate(ordered):
         rid, n = record.record_id, 1
         while rid in taken:
@@ -280,39 +281,29 @@ def _canonical(records: list[SensorRecord]) -> list[SensorRecord]:
         taken.add(rid)
         if rid != record.record_id:
             ordered[i] = dataclasses.replace(record, record_id=rid)
+            renamed.append((record.record_id, rid))
+    logger.info("query_store renamed %d repeated record ids, the first %r to %r", len(renamed), *renamed[0])
     return sorted(ordered, key=_CANONICAL_ORDER)
 
 
-def parse_jsonl(data: bytes | str, source: DataSourceKind, time_field: str = DEFAULT_TIME_FIELD) -> RecordBatch:
-    """One SensorRecord per non-empty JSONL line, in (timestamp, record_id) order.
-
-    Numbers become finite floats, non-empty strings stay strings, and null,
-    NaN, infinities, integers past float range and empty strings become None.
-    The time field is extracted and removed from the feature fields; a
-    document-level ``_id`` becomes the record id, otherwise one is derived;
-    repeated ids get a ``-<n>`` suffix as in :func:`query_store`.
-    """
-    return RecordBatch(source=source, records=tuple(_canonical(_read_jsonl(data, source, time_field))))
-
-
 def _read_jsonl(
-    data: bytes | str,
+    data: bytes,
     source: DataSourceKind,
     time_field: str,
-    window: tuple[int, int] | None = None,
+    window: tuple[int, int],
 ) -> list[SensorRecord]:
-    """Records of the JSONL lines in line order, with the ids the documents give.
+    """Records of the JSONL lines timed inside ``window`` = (time_from, time_to), in line order.
 
-    With ``window`` = (time_from, time_to), lines timed outside it are skipped.
-    Each line goes first through the C scanner of ``_raw_decode``; its result
-    stands only when it is an object spanning the whole line. Any other line
-    (blank, padded with whitespace, malformed, or not an object) is decoded
-    again by ``json.loads``, so what passes and the message of what fails are
-    ``json.loads``'s.
+    Lines end at a line feed only: a raw U+2028, U+2029 or U+0085 is legal
+    inside a JSON string, and the carriage return of a CRLF line is trailing
+    whitespace to ``json.loads``. Each line goes first through the C scanner
+    of ``_raw_decode``; its result stands only when it is an object spanning
+    the whole line. Any other line (blank, padded with whitespace, malformed,
+    or not an object) is decoded again by ``json.loads``, so what passes and
+    the message of what fails are ``json.loads``'s.
     """
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
     records: list[SensorRecord] = []
-    for line_number, line in enumerate(text.splitlines(), start=1):
+    for line_number, line in enumerate(data.decode("utf-8").split("\n"), start=1):
         try:
             doc, end = _raw_decode(line)
         except ValueError:
@@ -337,9 +328,9 @@ def _record_from_document(
     source: DataSourceKind,
     time_field: str,
     line_number: int,
-    window: tuple[int, int] | None = None,
+    window: tuple[int, int],
 ) -> SensorRecord | None:
-    """The document's record under its store or derived id, or None when ``window`` excludes its time.
+    """The document's record under its store or derived id, or None when it is timed outside ``window``.
 
     Cells are built in one pass into a fresh dict: a finite float or a
     non-empty str is kept as it is, and only the rare kinds (int, bool,
@@ -355,7 +346,7 @@ def _record_from_document(
         raise MissingTimestamp(line_number, time_field)
     if not 0 <= timestamp < 2**63:  # rejected before the window test, so no backend drops it unnoticed
         raise MalformedLine(line_number, f"time {timestamp} outside [0, 2**63) ms")
-    if window is not None and not window[0] <= timestamp < window[1]:
+    if not window[0] <= timestamp < window[1]:
         return None
     store_id = doc.get("_id")
     fields = {
@@ -370,7 +361,7 @@ def _record_from_document(
 
 
 def record_to_document(record: SensorRecord) -> dict:
-    """JSON-document form of a record; inverse of the parse_jsonl rules."""
+    """JSON-document form of a record; the store reader reads it back as the same record."""
     return {"_id": record.record_id, DEFAULT_TIME_FIELD: record.timestamp, **record.fields}
 
 
@@ -391,8 +382,8 @@ def split_bro_by_protocol(batch: RecordBatch, discriminator: str = DEFAULT_DISCR
     BRO_CONN_VALUE are dropped and counted; real BRO emits many log types
     beyond these two.
     """
-    if len(batch) > 0 and discriminator not in batch.schema:
-        raise DiscriminatorMissing(f"discriminator field {discriminator!r} absent from batch schema")
+    if batch.records and not any(discriminator in record.fields for record in batch.records):
+        raise DiscriminatorMissing(f"discriminator field {discriminator!r} absent from every record")
     dns_records: list[SensorRecord] = []
     conn_records: list[SensorRecord] = []
     dropped = 0
@@ -419,7 +410,7 @@ def query_store(
     source: DataSourceKind,
     time_field: str = DEFAULT_TIME_FIELD,
 ) -> RecordBatch:
-    """All records with time_from <= t < time_to.
+    """All records with time_from <= t < time_to; either backend skips a document timed outside.
 
     Results are in canonical ascending (timestamp, record_id) order; an id
     seen again in that order is suffixed ``-1``, ``-2``, ... Partial results
@@ -466,6 +457,7 @@ def _query_http(
     time_field: str,
 ) -> list[SensorRecord]:
     url = f"{store.base_url}/{query.index}/_search"
+    window = (query.time_from, query.time_to)
     records: list[SensorRecord] = []
     offset = 0
     # a full page at the cap is followed by one more, to tell "exactly max_records" from "more"
@@ -485,7 +477,9 @@ def _query_http(
             doc = dict(hit["_source"])
             if "_id" in hit:
                 doc["_id"] = hit["_id"]
-            records.append(_record_from_document(doc, source, time_field, offset + position + 1))
+            record = _record_from_document(doc, source, time_field, offset + position + 1, window)
+            if record is not None:
+                records.append(record)
         if len(hits) < query.page_size:
             break
         offset += len(hits)
@@ -525,7 +519,7 @@ def window_split(
             f"{len(history)} history records before boundary {boundary} for {batch.source.value}, need {min_history}"
         )
     return WindowSplit(
-        history=RecordBatch(source=batch.source, records=tuple(history), schema=batch.schema),
-        current=RecordBatch(source=batch.source, records=tuple(current), schema=batch.schema),
+        history=RecordBatch(source=batch.source, records=tuple(history)),
+        current=RecordBatch(source=batch.source, records=tuple(current)),
         boundary=boundary,
     )

@@ -10,6 +10,7 @@ import copy
 import logging
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -61,7 +62,7 @@ def encode(
     batch: RecordBatch,
     dictionary: EncodingDictionary | None = None,
 ) -> tuple[FeatureMatrix, EncodingDictionary]:
-    """Ordinal-encode a batch: one column per schema field.
+    """Ordinal-encode a batch: one column per field any record carries, in first-seen order.
 
     Float cells pass through, str cells map through the dictionary (codes
     assigned 0,1,2,... in first-seen order), None cells stay NaN. The input
@@ -69,9 +70,9 @@ def encode(
     so a category unseen in the input shows as a column that grew.
     """
     result: EncodingDictionary = copy.deepcopy(dictionary) if dictionary else {}
-    columns = list(batch.schema)
-    values = np.empty((len(batch.records), len(columns)))
     cells_by_row = [record.fields for record in batch.records]
+    columns = list(dict.fromkeys(chain.from_iterable(cells_by_row)))
+    values = np.empty((len(batch.records), len(columns)))
 
     for col, name in enumerate(columns):
         column = [cells.get(name) for cells in cells_by_row]
@@ -183,7 +184,7 @@ def conform_columns(
     """Reindex a matrix onto a reference column set.
 
     Columns absent from the matrix come back all-missing (imputation fills
-    them); columns absent from the reference are dropped.
+    them); columns absent from the reference are dropped and logged.
     """
     values = np.full((matrix.n_rows, len(column_names)), np.nan)
     have = {name: i for i, name in enumerate(matrix.column_names)}

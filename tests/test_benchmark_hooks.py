@@ -21,8 +21,8 @@ from camlpad.config import DetectorParams
 from camlpad.datamodel import DataSourceKind
 from camlpad.detectors import fit_cblof, fit_iforest, fit_pca
 from camlpad.detectors.kmeans import DEFAULT_MAX_ITERATIONS
-from camlpad.ingest_store import BroSplit, parse_jsonl, split_bro_by_protocol, window_split
-from camlpad.synth import SynthConfig, generate, write_store
+from camlpad.ingest_store import BroSplit, DirectoryStore, StoreQuery, query_store, split_bro_by_protocol, window_split
+from camlpad.synth import DAY_MS, SynthConfig, generate, write_store
 from camlpad.viz import build_heatmap_points, render_svg
 
 from conftest import make_batch, make_record
@@ -127,8 +127,10 @@ def test_workload_bro_index_parses_back_to_the_synth_records(tmp_path):
     }
 
     workloads._write_bro_index(result, tmp_path)
-    data = (tmp_path / workloads.BRO_INDEX / "window.jsonl").read_bytes()
-    split = split_bro_by_protocol(parse_jsonl(data, DataSourceKind.BRO_CONN))
+    # read as `camlpad run` reads a combined BRO index: its history days and current day, under the bro_conn tag
+    boundary, history = result.config.boundary_ms, result.config.days_history * DAY_MS
+    query = StoreQuery(index=workloads.BRO_INDEX, time_from=boundary - history, time_to=boundary + DAY_MS)
+    split = split_bro_by_protocol(query_store(DirectoryStore(tmp_path), query, DataSourceKind.BRO_CONN))
     assert split.dropped == 0
     for source, batch in ((DataSourceKind.BRO_DNS, split.dns), (DataSourceKind.BRO_CONN, split.conn)):
         tag = source.value.removeprefix("bro_")

@@ -187,6 +187,28 @@ class TestConfigParsing:
             assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["run.bro_index = bro", "sources.bro_dns.index = dnsonly"],
+             "sources.bro_dns.index cannot be set with run.bro_index, which serves it"),
+            (["sources.bro_conn.index = connonly", "run.bro_index = bro"],
+             "sources.bro_conn.index cannot be set with run.bro_index, which serves it"),
+            (["run.sources = yaf, snort, YAF"], "run.sources: yaf is listed twice"),
+        ],
+        ids=["bro_dns_index", "bro_conn_index", "repeated_source"],
+    )
+    def test_an_override_the_run_would_ignore_fails_run_and_dry_run(self, tmp_path, capsys, extra, message):
+        config = write_config(tmp_path / "c.conf", tmp_path / "store", tmp_path / "out", extra=extra)
+        for dry_run in (["--dry-run"], []):
+            assert main(["run", "--config", str(config), *dry_run]) == 1
+            assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "out").exists()
+
+    def test_bro_index_overrides_stand_without_run_bro_index(self):
+        config = config_from_entries({"run.bro_index": "", "sources.bro_dns.index": "dnsonly"})
+        assert config.index_plan()[1] == ("dnsonly", (BRO_DNS,))
+
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.conf")
@@ -427,6 +449,22 @@ class TestEvaluateCommand:
         assert [s for s, entry in sorted(report["per_source"].items()) if "vs_truth" in entry] == [
             "bro_conn", "bro_dns", "meraki"
         ]
+
+    def test_ids_holding_a_raw_line_separator_read_from_label_and_truth_files(self, tmp_path):
+        ids = ["yaf\u2028a", "yaf\u2029b", "yaf\x85c", "yaf-d"]
+        votes = [{"iforest": i % 2, "hbos": i // 2, "cblof": int(i == 3)} for i in range(4)]
+        run, truth = tmp_path / "out", tmp_path / "truth"
+        (run / "labels").mkdir(parents=True)
+        truth.mkdir()
+        (run / "labels" / "yaf.jsonl").write_text(
+            "".join(json.dumps({"row_id": i, "label": v["cblof"], "votes": v}) + "\n" for i, v in zip(ids, votes))
+        )
+        (truth / "yaf.jsonl").write_text(
+            "".join(json.dumps({"record_id": i, "label": n % 2}, ensure_ascii=False) + "\n" for n, i in enumerate(ids)),
+            encoding="utf-8",
+        )
+        assert main(["evaluate", "--run", str(run), "--truth", str(truth)]) == 0
+        assert json.loads((run / "report.json").read_text())["per_source"]["yaf"]["vs_truth"]["iforest"] == 1.0
 
     def test_missing_directories_exit_one(self, tmp_path):
         assert main(["evaluate", "--run", str(tmp_path), "--truth", str(tmp_path)]) == 1

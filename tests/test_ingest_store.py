@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import random
 import socket
@@ -26,7 +27,6 @@ from camlpad.ingest_store import (
     TooManyRecords,
     _canonical,
     _read_jsonl,
-    parse_jsonl,
     query_store,
     record_to_json_line,
     split_bro_by_protocol,
@@ -39,46 +39,53 @@ from conftest import make_batch, make_record
 YAF = DataSourceKind.YAF
 
 
+def read_store(data, time_field="timestamp"):
+    """The batch ``query_store`` reads over all valid times from a directory store whose one file holds ``data``."""
+    with tempfile.TemporaryDirectory() as root:
+        (Path(root) / "flows").mkdir()
+        (Path(root) / "flows" / "a.jsonl").write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        return query_store(DirectoryStore(root), StoreQuery(index="flows", time_from=0, time_to=2**63), YAF, time_field)
+
+
 class TestParseJsonl:
     def test_numbers_strings_and_time_extraction(self):
-        batch = parse_jsonl(b'{"ts":0,"proto":"udp","bytes":42}', YAF, time_field="ts")
+        batch = read_store(b'{"ts":0,"proto":"udp","bytes":42}', time_field="ts")
         assert len(batch) == 1
         record = batch.records[0]
         assert record.timestamp == 0
         assert record.fields == {"proto": "udp", "bytes": 42.0}
         assert type(record.fields["bytes"]) is float
-        assert "ts" not in batch.schema
 
     def test_empty_input_gives_empty_batch(self):
-        assert len(parse_jsonl(b"", YAF)) == 0
+        assert len(read_store(b"")) == 0
 
     def test_null_maps_to_missing(self):
-        batch = parse_jsonl(b'{"ts":5,"x":null}', YAF, time_field="ts")
+        batch = read_store(b'{"ts":5,"x":null}', time_field="ts")
         assert batch.records[0].fields["x"] is None
 
     def test_malformed_line_reports_line_number(self):
         data = b'{"ts":1}\nnot json\n'
         with pytest.raises(MalformedLine) as err:
-            parse_jsonl(data, YAF, time_field="ts")
+            read_store(data, time_field="ts")
         assert err.value.line_number == 2
 
     def test_missing_time_field_reports_line_number(self):
         with pytest.raises(MissingTimestamp) as err:
-            parse_jsonl(b'{"ts":1}\n{"other":2}', YAF, time_field="ts")
+            read_store(b'{"ts":1}\n{"other":2}', time_field="ts")
         assert err.value.line_number == 2
 
     def test_store_assigned_id_wins(self):
-        batch = parse_jsonl(b'{"ts":1,"_id":"doc-9","x":1}', YAF, time_field="ts")
+        batch = read_store(b'{"ts":1,"_id":"doc-9","x":1}', time_field="ts")
         assert batch.records[0].record_id == "doc-9"
 
     def test_iso_timestamps_normalize_to_epoch_ms(self):
-        batch = parse_jsonl(b'{"ts":"1970-01-01T00:00:01Z","x":1}', YAF, time_field="ts")
+        batch = read_store(b'{"ts":"1970-01-01T00:00:01Z","x":1}', time_field="ts")
         assert batch.records[0].timestamp == 1000
 
     def test_iso_millisecond_times_convert_exactly(self):
         # in floats 1079337347.472 * 1000 is 1079337347471.9999, one ms short when truncated
         assert to_epoch_ms("2004-03-15T07:55:47.472Z") == 1079337347472
-        batch = parse_jsonl(b'{"ts":"2004-03-15T07:55:47.472Z","x":1}', YAF, time_field="ts")
+        batch = read_store(b'{"ts":"2004-03-15T07:55:47.472Z","x":1}', time_field="ts")
         assert batch.records[0].timestamp == 1079337347472
 
     @settings(max_examples=300, deadline=None)
@@ -91,39 +98,39 @@ class TestParseJsonl:
     def test_times_just_before_the_epoch_floor_to_a_negative_ms(self, raw):
         # each lies in [-1, 0) ms, so it floors to -1, outside [0, 2**63)
         with pytest.raises(MalformedLine, match="time -1 outside"):
-            parse_jsonl(f'{{"ts":1}}\n{{"ts":{raw},"x":1}}', YAF, time_field="ts")
+            read_store(f'{{"ts":1}}\n{{"ts":{raw},"x":1}}', time_field="ts")
 
     def test_infinite_timestamps_are_missing(self):
         assert to_epoch_ms("inf") is None and to_epoch_ms("1e999") is None
         for text in ("inf", "1e999"):
             with pytest.raises(MissingTimestamp) as err:
-                parse_jsonl(f'{{"ts":1}}\n{{"ts":"{text}"}}', YAF, time_field="ts")
+                read_store(f'{{"ts":1}}\n{{"ts":"{text}"}}', time_field="ts")
             assert err.value.line_number == 2
 
     def test_negative_timestamp_is_a_malformed_line(self):
         with pytest.raises(MalformedLine) as err:
-            parse_jsonl(b'{"ts":1}\n{"ts":-5,"x":1}', YAF, time_field="ts")
+            read_store(b'{"ts":1}\n{"ts":-5,"x":1}', time_field="ts")
         assert err.value.line_number == 2
 
     def test_timestamp_past_int64_is_a_malformed_line(self):
         for text in (str(2**63), "1e30"):
             with pytest.raises(MalformedLine) as err:
-                parse_jsonl(f'{{"ts":1}}\n{{"ts":{text},"x":1}}', YAF, time_field="ts")
+                read_store(f'{{"ts":1}}\n{{"ts":{text},"x":1}}', time_field="ts")
             assert err.value.line_number == 2
-        assert parse_jsonl(f'{{"ts":{2**63 - 1}}}', YAF, time_field="ts").records[0].timestamp == 2**63 - 1
+        assert read_store(f'{{"ts":{2**63 - 1}}}', time_field="ts").records[0].timestamp == 2**63 - 1
 
     def test_integer_past_float_range_is_missing(self):
-        batch = parse_jsonl('{"ts":5,"x":1' + "0" * 400 + ',"y":-1' + "0" * 400 + "}", YAF, time_field="ts")
+        batch = read_store('{"ts":5,"x":1' + "0" * 400 + ',"y":-1' + "0" * 400 + "}", time_field="ts")
         assert batch.records[0].fields == {"x": None, "y": None}
 
     def test_empty_store_id_is_a_malformed_line(self):
         with pytest.raises(MalformedLine) as err:
-            parse_jsonl(b'{"ts":1}\n{"ts":2,"_id":""}', YAF, time_field="ts")
+            read_store(b'{"ts":1}\n{"ts":2,"_id":""}', time_field="ts")
         assert err.value.line_number == 2
 
     def test_duplicate_lines_still_get_unique_ids(self):
         line = b'{"ts":1,"x":1}\n{"ts":1,"x":1}'
-        batch = parse_jsonl(line, YAF, time_field="ts")
+        batch = read_store(line, time_field="ts")
         assert len({r.record_id for r in batch.records}) == 2
 
 
@@ -243,6 +250,30 @@ class TestDirectoryStore:
         )
         assert [r.record_id for r in batch.records] == ["x", "x-1"]
 
+    def test_renamed_ids_are_reported_in_one_info_line(self, tmp_path, caplog):
+        self._write_index(tmp_path, "flows", {"a.jsonl": [{"_id": "x", "timestamp": 1}, {"_id": "x", "timestamp": 2}]})
+        with caplog.at_level(logging.INFO, logger="camlpad.ingest_store"):
+            batch = query_store(DirectoryStore(tmp_path), StoreQuery(index="flows", time_from=0, time_to=10), YAF)
+        assert [r.record_id for r in batch.records] == ["x", "x-1"]
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("camlpad.ingest_store", logging.INFO, "query_store renamed 1 repeated record ids, the first 'x' to 'x-1'")
+        ]
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+    def test_raw_line_separator_in_a_string_reads_alike_from_both_backends(self, tmp_path, stub_server, separator):
+        # only a line feed ends a line; the CRLF endings here are read as trailing whitespace
+        docs = [{"_id": "a", "timestamp": 1, "ua": f"a{separator}b"}, {"_id": "b", "timestamp": 2, "ua": "c"}]
+        (tmp_path / "flows").mkdir()
+        (tmp_path / "flows" / "a.jsonl").write_text(
+            "".join(json.dumps(doc, ensure_ascii=False) + "\r\n" for doc in docs), encoding="utf-8", newline=""
+        )
+        url, state = stub_server
+        state.datasets["flows"] = docs
+        query = StoreQuery(index="flows", time_from=0, time_to=10)
+        directory = query_store(DirectoryStore(tmp_path), query, YAF)
+        assert [r.fields["ua"] for r in directory.records] == [f"a{separator}b", "c"]
+        assert directory.records == query_store(HttpStore(url), query, YAF).records
+
     def test_ids_match_http_store_for_the_same_docs(self, tmp_path, stub_server):
         # An out-of-window line must not claim an id: the HTTP store never
         # returns it, so both backends have to name the window rows alike.
@@ -319,6 +350,18 @@ class TestDirectoryStore:
 
 
 class TestHttpStore:
+    def test_hit_outside_the_window_is_skipped_like_a_directory_line(self, tmp_path, stub_server):
+        docs = [{"_id": "early", "timestamp": 2}, {"_id": "in", "timestamp": 5}, {"_id": "late", "timestamp": 10}]
+        url, state = stub_server
+        hits = [{"_id": doc["_id"], "_source": {"timestamp": doc["timestamp"]}} for doc in docs]
+        state.raw_replies["flows/_search"] = json.dumps({"hits": hits}).encode()  # a reply that ignores the range
+        (tmp_path / "flows").mkdir()
+        (tmp_path / "flows" / "a.jsonl").write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        query = StoreQuery(index="flows", time_from=3, time_to=10)
+        http = query_store(HttpStore(url), query, YAF)
+        assert [r.record_id for r in http.records] == ["in"]
+        assert http.records == query_store(DirectoryStore(tmp_path), query, YAF).records
+
     def test_more_than_max_records_raises(self, stub_server):
         url, state = stub_server
         state.datasets["flows"] = [{"_id": f"d{i:04d}", "timestamp": i, "v": i} for i in range(300)]
@@ -486,7 +529,7 @@ class TestJsonRoundTrip:
                     fields[f"f{f}"] = round(rng.uniform(-100, 100), 6)
             record = make_record(timestamp=rng.randint(0, 10**9), record_id=f"case-{case}", **fields)
             line = record_to_json_line(record)
-            parsed = parse_jsonl(line, YAF)
+            parsed = read_store(line)
             assert parsed.records[0] == record
 
 
@@ -509,7 +552,7 @@ def _reference_field_value(raw):
     return json.dumps(raw, sort_keys=True)
 
 
-def _reference_record_from_document(doc, source, time_field, line_number, window=None):
+def _reference_record_from_document(doc, source, time_field, line_number, window):
     if time_field not in doc:
         raise MissingTimestamp(line_number, time_field)
     timestamp = to_epoch_ms(doc[time_field])
@@ -517,7 +560,7 @@ def _reference_record_from_document(doc, source, time_field, line_number, window
         raise MissingTimestamp(line_number, time_field)
     if not 0 <= timestamp < 2**63:
         raise MalformedLine(line_number, f"time {timestamp} outside [0, 2**63) ms")
-    if window is not None and not window[0] <= timestamp < window[1]:
+    if not window[0] <= timestamp < window[1]:
         return None
     store_id = doc.get("_id")
     fields = {name: _reference_field_value(raw) for name, raw in doc.items() if name != time_field and name != "_id"}
@@ -528,9 +571,9 @@ def _reference_record_from_document(doc, source, time_field, line_number, window
         raise MalformedLine(line_number, str(exc)) from None
 
 
-def _reference_read_jsonl(text, source, time_field, window=None):
+def _reference_read_jsonl(text, source, time_field, window):
     records = []
-    for line_number, line in enumerate(text.splitlines(), start=1):
+    for line_number, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -595,10 +638,10 @@ def documents(draw):
 
 @st.composite
 def jsonl_texts(draw):
-    """Lines of documents, some padded with whitespace, mixed with blank and malformed lines."""
+    """Lines of documents, some padded with whitespace or ending CRLF, mixed with blank and malformed lines."""
     lines = []
     for _ in range(draw(st.integers(0, 6))):
-        pad = st.sampled_from(["", "", " ", "\t "])
+        pad = st.sampled_from(["", "", " ", "\t ", "\r"])
         line = draw(pad) + json.dumps(draw(documents()), ensure_ascii=draw(st.booleans())) + draw(pad)
         lines.append(_rarely(draw, BLANK_OR_BROKEN, st.just(line)))
     return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
@@ -613,7 +656,7 @@ class TestOnePassWalkMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(jsonl_texts(), st.data())
     def test_parse_matches_reference(self, text, data):
-        window = _window(data) if data.draw(st.booleans()) else None
+        window = _window(data)
         expected = _outcome(lambda: _reference_read_jsonl(text, YAF, "timestamp", window))
         assert _outcome(lambda: _read_jsonl(text.encode("utf-8"), YAF, "timestamp", window)) == expected
 
@@ -632,14 +675,15 @@ class TestOnePassWalkMatchesReference:
         assert got == expected
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(st.lists(documents(), max_size=6))
-    def test_http_store_matches_reference(self, stub_server, docs):
+    @given(st.lists(documents(), max_size=6), st.data())
+    def test_http_store_matches_reference(self, stub_server, docs, data):
         url, state = stub_server
         hits = [
             {"_source": {k: v for k, v in doc.items() if k != "_id"}, **({"_id": doc["_id"]} if "_id" in doc else {})}
             for doc in docs
         ]
-        state.raw_replies["flows/_search"] = json.dumps({"hits": hits}).encode()
+        state.raw_replies["flows/_search"] = json.dumps({"hits": hits}, ensure_ascii=data.draw(st.booleans())).encode()
+        window = _window(data)
 
         def reference():
             records = []
@@ -647,30 +691,32 @@ class TestOnePassWalkMatchesReference:
                 doc = dict(hit["_source"])
                 if "_id" in hit:
                     doc["_id"] = hit["_id"]
-                records.append(_reference_record_from_document(doc, YAF, "timestamp", position))
+                record = _reference_record_from_document(doc, YAF, "timestamp", position, window)
+                if record is not None:
+                    records.append(record)
             return _canonical(records)
 
-        query = StoreQuery(index="flows", time_from=0, time_to=10)
+        query = StoreQuery(index="flows", time_from=window[0], time_to=window[1])
         assert _outcome(lambda: query_store(HttpStore(url), query, YAF).records) == _outcome(reference)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(documents(), max_size=6))
+    @given(st.lists(st.tuples(documents(), st.booleans()), max_size=6))
     def test_every_parsed_record_passes_the_record_check(self, docs):
         lines = []
-        for doc in docs:
-            line = json.dumps(doc)
+        for doc, ensure_ascii in docs:
+            line = json.dumps(doc, ensure_ascii=ensure_ascii)
             try:
-                parse_jsonl(line, YAF)
+                read_store(line)
             except (MalformedLine, MissingTimestamp):
                 continue
             lines.append(line)
-        for record in parse_jsonl("\n".join(lines), YAF).records:
+        for record in read_store("\n".join(lines)).records:
             checked = SensorRecord(timestamp=record.timestamp, fields=record.fields, record_id=record.record_id)
             assert checked == record
             assert type(record.timestamp) is int
 
     def test_bro_split_retags_without_rebuilding(self):
-        batch = parse_jsonl(b'{"ts":1,"log_type":"dns","x":1}\n{"ts":2,"log_type":"conn","x":2}', YAF, time_field="ts")
+        batch = read_store(b'{"ts":1,"log_type":"dns","x":1}\n{"ts":2,"log_type":"conn","x":2}', time_field="ts")
         split = split_bro_by_protocol(batch)
         for part, source, original in ((split.dns, DataSourceKind.BRO_DNS, 0), (split.conn, DataSourceKind.BRO_CONN, 1)):
             assert part.source is source

@@ -76,6 +76,8 @@ class TestAnalyzeSource:
             analysis = analyze_source(split, FAST_DETECTORS, contamination=0.1, window_id="w")
         assert np.isfinite(analysis.ensemble_scores).all()
         assert "encode extended dictionary with unseen categories: extra+1, proto+1" in caplog.messages
+        # the model's columns are history's, so a field only current rows carry is dropped, not imputed
+        assert "conform_columns dropped columns not in reference: ['extra']" in caplog.messages
 
     def test_planted_outliers_dominate_top_scores(self):
         split, result = small_split(records=120, contamination=0.05)

@@ -217,7 +217,7 @@ def _reference_encode(batch, dictionary=None):
     """The per-cell ``encode`` the column-wise one replaced: one matrix setitem per cell."""
     fitted = dictionary is not None
     result = copy.deepcopy(dictionary) if dictionary else {}
-    columns = list(batch.schema)
+    columns = list(dict.fromkeys(name for record in batch.records for name in record.fields))
     values = np.full((len(batch.records), len(columns)), np.nan)
     col_index = {name: i for i, name in enumerate(columns)}
     drift = {}

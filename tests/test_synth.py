@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camlpad.datamodel import DataSourceKind
-from camlpad.ingest_store import parse_jsonl
+from camlpad.ingest_store import DirectoryStore, StoreQuery, query_store
 from camlpad.synth import BASE_EPOCH_MS, DAY_MS, HOUR_MS, SynthConfig, generate, write_store
 
 
@@ -106,8 +106,8 @@ class TestWriteStore:
         for source in config.sources:
             files = sorted((tmp_path / source.value).glob("*.jsonl"))
             assert len(files) == config.total_days  # one file per day
-            parsed = parse_jsonl(files[0].read_bytes(), source)
-            assert len(parsed) > 0
+            query = StoreQuery(index=source.value, time_from=0, time_to=2**63)
+            assert query_store(DirectoryStore(tmp_path), query, source).records == result.batches[source].records
         truth_lines = (tmp_path / "truth" / "yaf.jsonl").read_text().splitlines()
         assert len(truth_lines) == len(result.batches[DataSourceKind.YAF])
         doc = json.loads(truth_lines[0])
