@@ -1,4 +1,4 @@
-"""Score normalization, contamination-quantile labeling, and democratic votes.
+"""History-fitted score scale, contamination-quantile labeling, and democratic votes.
 
 Two voting layers: a per-row majority over the three detectors within one
 source, and a per-time-bucket majority across sources. Exact cross-source
@@ -52,15 +52,15 @@ class BucketVerdict:
     final: int = 0
 
 
-def normalize_scores(scores: np.ndarray) -> np.ndarray:
-    """Min-max scale into [0,1]; a constant vector maps to all 0.5."""
+def normalize_scores(scores: np.ndarray, n_history: int) -> np.ndarray:
+    """Min-max scale by the first ``n_history`` (history) scores, clipped into [0,1]; constant history gives 0.5."""
     scores = np.asarray(scores, dtype=float)
-    if scores.size == 0:
-        raise ValueError("cannot normalize an empty score vector")
-    low, high = scores.min(), scores.max()
+    if not 0 < n_history <= scores.size:
+        raise ValueError(f"cannot fit a score scale on {n_history} of {scores.size} scores")
+    low, high = scores[:n_history].min(), scores[:n_history].max()
     if high == low:
         return np.full_like(scores, 0.5)
-    return (scores - low) / (high - low)
+    return np.clip((scores - low) / (high - low), 0.0, 1.0)
 
 
 def binarize(

@@ -74,12 +74,7 @@ class SourceModel:
 def fit_source(history: RecordBatch, params: DetectorParams) -> tuple[SourceModel, FeatureMatrix]:
     """Fit the encoding, column stats and four models on history; the standardized history rows come too."""
     raw, dictionary = encode(history)
-    # a finite cell too large to impute, scale or score overflows to inf or NaN; each is refused by its record
-    with np.errstate(over="ignore", invalid="ignore"):
-        imputed = impute(raw)
-        _refuse_overflowed_column(raw, imputed.values, "an imputed cell")
-        matrix, stats = standardize(imputed)
-        _refuse_overflowed_column(raw, np.transpose(stats), "the history stddev")
+    matrix, stats = _standardized(raw, None)
     return SourceModel(
         dictionary,
         raw.column_names,
@@ -95,17 +90,14 @@ def fit_source(history: RecordBatch, params: DetectorParams) -> tuple[SourceMode
 
 
 def features(model: SourceModel, batch: RecordBatch) -> FeatureMatrix:
-    """A later batch's rows standardized under the model; categories history never showed are logged."""
+    """A later batch's rows standardized under the model; its model columns' unseen categories are logged."""
     raw, dictionary = encode(batch, model.dictionary)
-    known = {name: len(codes) for name, codes in model.dictionary.items()}
-    drift = [f"{k}+{len(v) - known.get(k, 0)}" for k, v in sorted(dictionary.items()) if len(v) > known.get(k, 0)]
+    raw = conform_columns(raw, model.column_names, model.column_kinds)
+    unseen = {name: len(dictionary.get(name, ())) - len(model.dictionary.get(name, ())) for name in raw.column_names}
+    drift = [f"{name}+{count}" for name, count in sorted(unseen.items()) if count]
     if drift:
         logger.info("encode extended dictionary with unseen categories: %s", ", ".join(drift))
-    raw = conform_columns(raw, model.column_names, model.column_kinds)
-    with np.errstate(over="ignore", invalid="ignore"):
-        imputed = impute(raw)
-        _refuse_overflowed_column(raw, imputed.values, "an imputed cell")
-        return standardize(imputed, model.stats)[0]
+    return _standardized(raw, model.stats)[0]
 
 
 def score_source(model: SourceModel, rows: FeatureMatrix) -> dict[str, np.ndarray]:
@@ -135,15 +127,15 @@ def analyze_source(
         history, values=np.vstack([history.values, current.values]), row_ids=history.row_ids + current.row_ids
     )
     timestamps = np.array([r.timestamp for r in split.history.records + split.current.records], dtype=np.int64)
+    n_history = history.n_rows
     scores = score_source(model, rows)
     detector_labels = {name: ensemble.binarize(scores[name], contamination, rows.row_ids) for name in DETECTOR_NAMES}
     ensemble_labels = ensemble.vote(
         detector_labels["iforest"], detector_labels["hbos"], detector_labels["cblof"]
     )
-    normalized = [ensemble.normalize_scores(scores[name]) for name in DETECTOR_NAMES]
+    normalized = [ensemble.normalize_scores(scores[name], n_history) for name in DETECTOR_NAMES]
     ensemble_scores = ensemble.ensemble_score(normalized)
 
-    n_history = history.n_rows
     plane = viz.build_heatmap_points(model.pca, rows.values, n_history, ensemble_scores)
     heatmap_points = {name: replace(plane, scores=vector) for name, vector in zip(DETECTOR_NAMES, normalized)}
     heatmap_points["ensemble"] = plane
@@ -166,6 +158,17 @@ def analyze_source(
         history_day_scores=history_day_scores,
         gauge=gauge,
     )
+
+
+def _standardized(raw: FeatureMatrix, stats: ColumnStats | None) -> tuple[FeatureMatrix, ColumnStats]:
+    """Impute, then standardize under ``stats``, or under stats fitted here when None; an overflow is refused."""
+    # a finite cell too large to impute, scale or score overflows to inf or NaN; each is refused by its record
+    with np.errstate(over="ignore", invalid="ignore"):
+        imputed = impute(raw)
+        _refuse_overflowed_column(raw, imputed.values, "an imputed cell")
+        matrix, stats = standardize(imputed, stats)
+        _refuse_overflowed_column(raw, np.transpose(stats), "the history stddev")
+    return matrix, stats
 
 
 def _refuse_non_finite(row_ids: list[str], values: np.ndarray, what: str) -> None:

@@ -74,7 +74,7 @@ def build_heatmap_points(pca: PcaModel, rows, n_history: int, scores: Sequence[f
 
 
 def _scale(values: np.ndarray, out_low: float, out_high: float) -> np.ndarray:
-    return out_low + normalize_scores(values) * (out_high - out_low)
+    return out_low + normalize_scores(values, len(values)) * (out_high - out_low)  # min-max over the whole plane
 
 
 # grayscale luminance 25% + 70% * score: score 1 renders lightest; each closes its circle and line

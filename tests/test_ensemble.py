@@ -24,15 +24,27 @@ from camlpad.ensemble import (
 
 class TestNormalize:
     def test_min_max_scaling(self):
-        assert normalize_scores(np.array([1.0, 3.0, 5.0])).tolist() == [0.0, 0.5, 1.0]
+        assert normalize_scores(np.array([1.0, 3.0, 5.0]), 3).tolist() == [0.0, 0.5, 1.0]
 
     def test_constant_vector_maps_to_half(self):
-        assert normalize_scores(np.array([7.0, 7.0])).tolist() == [0.5, 0.5]
+        assert normalize_scores(np.array([7.0, 7.0]), 2).tolist() == [0.5, 0.5]
+
+    def test_constant_history_maps_every_row_to_half(self):
+        assert normalize_scores(np.array([7.0, 7.0, 9.0, 1.0]), 2).tolist() == [0.5] * 4
 
     def test_order_preserved(self):
         rng = np.random.default_rng(1)
         scores = rng.normal(0, 10, 50)
-        assert np.array_equal(np.argsort(scores), np.argsort(normalize_scores(scores)))
+        assert np.array_equal(np.argsort(scores), np.argsort(normalize_scores(scores, 50)))
+
+    def test_scale_is_fitted_on_history_and_later_rows_are_clipped(self):
+        scaled = normalize_scores(np.array([1.0, 3.0, 5.0, 4.0, 9.0, -1.0]), 3)
+        assert scaled.tolist() == [0.0, 0.5, 1.0, 0.75, 1.0, 0.0]
+
+    @pytest.mark.parametrize("n_history", [0, 4, -1])
+    def test_history_must_be_a_non_empty_prefix(self, n_history):
+        with pytest.raises(ValueError, match="score scale"):
+            normalize_scores(np.array([1.0, 2.0, 3.0]), n_history)
 
 
 class TestBinarize:
@@ -102,7 +114,7 @@ class TestVote:
 
 class TestEnsembleScore:
     def _normalized(self, *vectors):
-        return [normalize_scores(np.asarray(vector, dtype=float)) for vector in vectors]
+        return [normalize_scores(np.asarray(vector, dtype=float), len(vector)) for vector in vectors]
 
     def test_identical_normalized_vectors_pass_through(self):
         v = [0.0, 0.5, 1.0]

@@ -75,7 +75,8 @@ class TestAnalyzeSource:
         with caplog.at_level(logging.INFO, logger="camlpad"):
             analysis = analyze_source(split, FAST_DETECTORS, contamination=0.1, window_id="w")
         assert np.isfinite(analysis.ensemble_scores).all()
-        assert "encode extended dictionary with unseen categories: extra+1, proto+1" in caplog.messages
+        # drift is counted over the model's columns only, so the dropped "extra" is not counted
+        assert "encode extended dictionary with unseen categories: proto+1" in caplog.messages
         # the model's columns are history's, so a field only current rows carry is dropped, not imputed
         assert "conform_columns dropped columns not in reference: ['extra']" in caplog.messages
 
@@ -99,7 +100,9 @@ class TestSourceModel:
         current_scores = score_source(model, features(model, split.current))
         analysis = analyze_source(split, FAST_DETECTORS, contamination=0.05, window_id="w")
         for name in ensemble.DETECTOR_NAMES:
-            both = ensemble.normalize_scores(np.concatenate([history_scores[name], current_scores[name]]))
+            both = ensemble.normalize_scores(
+                np.concatenate([history_scores[name], current_scores[name]]), history.n_rows
+            )
             np.testing.assert_allclose(both, analysis.heatmap_points[name].scores, rtol=0, atol=1e-12)
 
 
