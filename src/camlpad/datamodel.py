@@ -1,10 +1,11 @@
 """Canonical record and dataset types shared by every pipeline stage.
 
-All types here are frozen after construction. A record's cells are plain
-values (finite float, non-empty str, or None for missing), checked once:
-by :class:`SensorRecord`, or by the store parser, which builds its records
-through ``SensorRecord.trusted``. Serialization to/from the store's JSON
-form lives in :mod:`camlpad.ingest_store`.
+Records and batches are frozen after construction. A cell is a plain value
+(finite float, non-empty str, or None for missing), checked once: by
+:class:`SensorRecord`, or by the store parser, which appends the cells it
+checked to a batch's columns through :class:`BatchBuilder`. A batch holds
+its rows as columns; records are only a view of them. Serialization to/from
+the store's JSON form lives in :mod:`camlpad.ingest_store`.
 """
 
 from __future__ import annotations
@@ -12,13 +13,17 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import CamlpadError
+
+_NAN = float("nan")
 
 
 class DataSourceKind(str, Enum):
@@ -72,8 +77,9 @@ class SensorRecord:
     def trusted(cls, timestamp: int, fields: dict[str, float | str | None], record_id: str) -> "SensorRecord":
         """A record built without the ``__post_init__`` check, for callers that have applied its rules.
 
-        The store parser, which checks time, id and every cell as it reads
-        them, builds records this way; every other construction is checked.
+        A batch's ``records`` view, whose cells were checked on their way
+        into its columns, builds records this way; every other construction
+        is checked.
         """
         record = object.__new__(cls)
         object.__setattr__(record, "timestamp", timestamp)
@@ -103,15 +109,165 @@ def time_buckets(timestamps: Sequence[int] | np.ndarray, width: int) -> tuple[np
     return np.unique(np.asarray(timestamps, dtype=np.int64) // width * width, return_inverse=True)
 
 
-@dataclass(frozen=True)
+class Column(NamedTuple):
+    """One field's cells over the rows of a batch.
+
+    A float cell is held in ``numbers``, a str cell as its index into
+    ``categories`` in ``codes``; every other row (its cell None, or the field
+    absent from it) holds NaN and -1. Cells are never NaN, so a NaN number
+    with code -1 is always a row without a number or a category.
+    """
+
+    numbers: np.ndarray  # float64
+    codes: np.ndarray  # int32
+    categories: tuple[str, ...]
+
+    def cells(self) -> list[float | str | None]:
+        categories = self.categories
+        return [
+            categories[code] if code >= 0 else (None if number != number else number)
+            for number, code in zip(self.numbers.tolist(), self.codes.tolist())
+        ]
+
+
+@dataclass(frozen=True, eq=False)
 class RecordBatch:
-    """A sequence of records from a single source."""
+    """The rows of a single source, held as columns.
+
+    Row i is timed ``timestamps[i]`` (int64 epoch ms) and named
+    ``record_ids[i]``; its fields, in the row's own key order, are
+    ``shapes[row_shapes[i]]``, and its cell of a field is row i of that
+    field's column. ``columns`` holds each field some row carries, in
+    first-seen order over the rows.
+    """
 
     source: DataSourceKind
-    records: tuple[SensorRecord, ...]
+    timestamps: np.ndarray
+    record_ids: tuple[str, ...]
+    columns: dict[str, Column]
+    shapes: tuple[tuple[str, ...], ...]
+    row_shapes: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.record_ids)
+
+    @classmethod
+    def from_records(cls, source: DataSourceKind, records: Iterable[SensorRecord]) -> "RecordBatch":
+        """The batch of hand-built records, in their order."""
+        rows = BatchBuilder(source)
+        for record in records:
+            rows.add(record.timestamp, record.record_id, record.fields)
+        return rows.batch()
+
+    @property
+    def records(self) -> tuple[SensorRecord, ...]:
+        """The rows as records, built anew on each access; the pipeline never reads them."""
+        cells = {name: column.cells() for name, column in self.columns.items()}
+        return tuple(
+            SensorRecord.trusted(timestamp, {name: cells[name][row] for name in self.shapes[shape]}, record_id)
+            for row, (timestamp, record_id, shape) in enumerate(
+                zip(self.timestamps.tolist(), self.record_ids, self.row_shapes.tolist())
+            )
+        )
+
+    def take(self, rows: np.ndarray) -> "RecordBatch":
+        """The batch of the rows at the given indices, in that order."""
+        row_shapes = self.row_shapes[rows]
+        used, first = np.unique(row_shapes, return_index=True)
+        columns = {}
+        for name in dict.fromkeys(chain.from_iterable(self.shapes[shape] for shape in used[np.argsort(first)])):
+            column = self.columns[name]
+            columns[name] = Column(column.numbers[rows], column.codes[rows], column.categories)
+        return replace(
+            self,
+            timestamps=self.timestamps[rows],
+            record_ids=tuple(map(self.record_ids.__getitem__, rows.tolist())),
+            columns=columns,
+            row_shapes=row_shapes,
+        )
+
+
+class BatchBuilder:
+    """Rows added one at a time, each cell appended to its field's column as it comes.
+
+    A row's key order is kept as its index into a table of the distinct
+    orders (shapes) seen, so that absent and null cells stay apart.
+    """
+
+    def __init__(self, source: DataSourceKind):
+        self.source = source
+        self.record_ids: list[str] = []
+        self._timestamps = array("q")
+        self._row_shapes = array("i")
+        self._shapes: dict[tuple[str, ...], int] = {}
+        self._columns: dict[str, _ColumnBuilder] = {}
+        # shape -> (its index, the columns of its fields in its order, the columns it lacks)
+        self._plans: dict[tuple[str, ...], tuple[int, list[_ColumnBuilder], list[_ColumnBuilder]]] = {}
+
+    def __len__(self) -> int:
+        return len(self.record_ids)
+
+    def add(self, timestamp: int, record_id: str, fields: Mapping[str, float | str | None]) -> None:
+        """Append a row whose time, id and cells have met every ``SensorRecord`` rule."""
+        shape = tuple(fields)
+        index, present, absent = self._plans.get(shape) or self._plan(shape)
+        self._timestamps.append(timestamp)
+        self.record_ids.append(record_id)
+        self._row_shapes.append(index)
+        for column, cell in zip(present, fields.values()):
+            if type(cell) is str:
+                column.numbers.append(_NAN)
+                column.codes.append(column.categories.setdefault(cell, len(column.categories)))
+            else:
+                column.numbers.append(_NAN if cell is None else cell)
+                column.codes.append(-1)
+        for column in absent:
+            column.numbers.append(_NAN)
+            column.codes.append(-1)
+
+    def _plan(self, shape: tuple[str, ...]) -> tuple[int, list["_ColumnBuilder"], list["_ColumnBuilder"]]:
+        index = self._shapes.setdefault(shape, len(self._shapes))
+        for name in shape:
+            if name not in self._columns:
+                self._columns[name] = _ColumnBuilder(len(self))
+                self._plans.clear()  # every other shape now lacks this column
+        present = [self._columns[name] for name in shape]
+        absent = [column for name, column in self._columns.items() if name not in shape]
+        self._plans[shape] = plan = (index, present, absent)
+        return plan
+
+    def batch(self) -> RecordBatch:
+        """The rows added so far, in the order they were added."""
+        return RecordBatch(
+            source=self.source,
+            timestamps=np.frombuffer(self._timestamps, dtype=np.int64),
+            record_ids=tuple(self.record_ids),
+            columns={
+                name: Column(
+                    np.frombuffer(column.numbers, dtype=np.float64),
+                    np.frombuffer(column.codes, dtype=np.int32),
+                    tuple(column.categories),
+                )
+                for name, column in self._columns.items()
+            },
+            shapes=tuple(self._shapes),
+            row_shapes=np.frombuffer(self._row_shapes, dtype=np.int32),
+        )
+
+
+class _ColumnBuilder:
+    __slots__ = ("numbers", "codes", "categories")
+
+    def __init__(self, rows_before: int):
+        self.numbers = array("d", [_NAN]) * rows_before
+        self.codes = array("i", [-1]) * rows_before
+        self.categories: dict[str, int] = {}
+
+
+def canonical_order(timestamps: np.ndarray, record_ids: Sequence[str]) -> np.ndarray:
+    """Row indices in ascending (timestamp, record_id) order; rows tying on both keep their order."""
+    by_id = np.array(sorted(range(len(record_ids)), key=record_ids.__getitem__), dtype=np.intp)
+    return by_id[np.argsort(timestamps[by_id], kind="stable")]
 
 
 @dataclass(frozen=True)
@@ -125,13 +281,13 @@ class WindowSplit:
     def __post_init__(self) -> None:
         if self.history.source is not self.current.source:
             raise ValueError("history and current must share the same source kind")
-        for record in self.history.records:
-            if record.timestamp >= self.boundary:
+        for name, batch, misplaced, place in (
+            ("history", self.history, self.history.timestamps >= self.boundary, "not before"),
+            ("current", self.current, self.current.timestamps < self.boundary, "before"),
+        ):
+            if misplaced.any():
+                row = int(np.argmax(misplaced))
                 raise ValueError(
-                    f"history record {record.record_id} at t={record.timestamp} not before boundary {self.boundary}"
-                )
-        for record in self.current.records:
-            if record.timestamp < self.boundary:
-                raise ValueError(
-                    f"current record {record.record_id} at t={record.timestamp} before boundary {self.boundary}"
+                    f"{name} record {batch.record_ids[row]} at t={batch.timestamps[row]} "
+                    f"{place} boundary {self.boundary}"
                 )

@@ -4,17 +4,16 @@ Two store backends speak the same contract: a directory of ``.jsonl`` files
 (one subdirectory per index) and a minimal HTTP search API
 (``POST {base}/{index}/_search`` with a range query and from/size paging).
 
-Each document is walked once on its way to a record: a JSONL line holding
-one object is decoded once at C level (``_read_jsonl``), its cells are
-built and checked in one pass into a fresh dict (``_record_from_document``),
-and its ``SensorRecord`` is built once, unchecked a second time. A record's
-source is its batch's, so the BRO split moves the records it read into the
-dns and conn batches as they are.
+Each document is walked once on its way into a batch's columns: a JSONL
+line holding one object is decoded once at C level (``_read_jsonl``), its
+cells are built and checked in one pass (``_Rows.add_document``), and each
+is appended to its field's column. No per-row object outlives its line. A
+row's source is its batch's, so the BRO split takes the rows it read into
+the dns and conn batches as they are.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import http.client
 import json
@@ -22,15 +21,18 @@ import logging
 import urllib.error
 import urllib.parse
 import urllib.request
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from itertools import groupby
 from math import floor, isfinite
-from operator import attrgetter
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
-from .datamodel import DataSourceKind, RecordBatch, SensorRecord, WindowSplit, derive_record_id
+import numpy as np
+
+from .datamodel import (
+    BatchBuilder, DataSourceKind, RecordBatch, SensorRecord, WindowSplit, canonical_order, derive_record_id
+)
 from .errors import CamlpadError
 
 logger = logging.getLogger(__name__)
@@ -42,9 +44,10 @@ EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 # discriminator values of the two BRO log types the pipeline analyses
 BRO_DNS_VALUE = "dns"
 BRO_CONN_VALUE = "conn"
-_CANONICAL_ORDER = attrgetter("timestamp", "record_id")
 _HTTP_SCHEMES = ("http://", "https://")
 _raw_decode = json.JSONDecoder().raw_decode
+_escape = json.encoder.encode_basestring_ascii  # how json.dumps writes a str under ensure_ascii
+_ROW_ID, _ROW_TIME = object(), object()  # json_lines: where a row's id and time go
 
 
 class MalformedLine(CamlpadError):
@@ -255,44 +258,45 @@ def _field_value(raw: object) -> float | str | None:
     return json.dumps(raw, sort_keys=True)
 
 
-def _canonical(records: list[SensorRecord]) -> list[SensorRecord]:
-    """Records in ascending (timestamp, record_id) order with unique ids.
+def _canonical(batch: RecordBatch) -> RecordBatch:
+    """The batch's rows in ascending (timestamp, record_id) order with unique ids.
 
     Walking that order, each repeat of an id already taken is renamed
-    ``<id>-1``, ``<id>-2``, ... (the first free one). Records that tie on
+    ``<id>-1``, ``<id>-2``, ... (the first free one). Rows that tie on
     both time and id are walked in the order of their serialized documents,
-    so the renaming does not depend on which backend, file or page a record
+    so the renaming does not depend on which backend, file or page a row
     came from. One INFO line counts the renamed ids and names the first.
     """
-    records = sorted(records, key=_CANONICAL_ORDER)
-    if len({record.record_id for record in records}) == len(records):
-        return records
-    ordered: list[SensorRecord] = []
-    for _, tie in groupby(records, _CANONICAL_ORDER):
+    batch = batch.take(canonical_order(batch.timestamps, batch.record_ids))
+    if len(set(batch.record_ids)) == len(batch):
+        return batch
+    keys = list(zip(batch.timestamps.tolist(), batch.record_ids))
+    walk: list[int] = []
+    for _, tie in groupby(range(len(batch)), keys.__getitem__):
         tie = list(tie)
-        ordered.extend(sorted(tie, key=record_to_json_line) if len(tie) > 1 else tie)
+        if len(tie) > 1:
+            tie = [row for _, row in sorted(zip(json_lines(batch.take(np.array(tie))), tie))]
+        walk.extend(tie)
+    batch = batch.take(np.array(walk))
     taken: set[str] = set()
     renamed: list[tuple[str, str]] = []
-    for i, record in enumerate(ordered):
-        rid, n = record.record_id, 1
+    ids = list(batch.record_ids)
+    for i, record_id in enumerate(ids):
+        rid, n = record_id, 1
         while rid in taken:
-            rid = f"{record.record_id}-{n}"
+            rid = f"{record_id}-{n}"
             n += 1
         taken.add(rid)
-        if rid != record.record_id:
-            ordered[i] = dataclasses.replace(record, record_id=rid)
-            renamed.append((record.record_id, rid))
+        if rid != record_id:
+            ids[i] = rid
+            renamed.append((record_id, rid))
     logger.info("query_store renamed %d repeated record ids, the first %r to %r", len(renamed), *renamed[0])
-    return sorted(ordered, key=_CANONICAL_ORDER)
+    batch = replace(batch, record_ids=tuple(ids))
+    return batch.take(canonical_order(batch.timestamps, batch.record_ids))
 
 
-def _read_jsonl(
-    data: bytes,
-    source: DataSourceKind,
-    time_field: str,
-    window: tuple[int, int],
-) -> list[SensorRecord]:
-    """Records of the JSONL lines timed inside ``window`` = (time_from, time_to), in line order.
+def _read_jsonl(data: bytes, rows: "_Rows", cap: int) -> None:
+    """Add the JSONL lines timed inside the window to ``rows``, in line order, until it holds more than ``cap``.
 
     Lines end at a line feed only: a raw U+2028, U+2029 or U+0085 is legal
     inside a JSON string, and the carriage return of a CRLF line is trailing
@@ -302,7 +306,6 @@ def _read_jsonl(
     or not an object) is decoded again by ``json.loads``, so what passes and
     the message of what fails are ``json.loads``'s.
     """
-    records: list[SensorRecord] = []
     for line_number, line in enumerate(data.decode("utf-8").split("\n"), start=1):
         try:
             doc, end = _raw_decode(line)
@@ -317,47 +320,47 @@ def _read_jsonl(
                 raise MalformedLine(line_number, str(exc)) from None
             if not isinstance(doc, dict):
                 raise MalformedLine(line_number, "expected a JSON object")
-        record = _record_from_document(doc, source, time_field, line_number, window)
-        if record is not None:
-            records.append(record)
-    return records
+        if rows.add_document(doc, doc.get("_id"), line_number) and len(rows) > cap:
+            return
 
 
-def _record_from_document(
-    doc: dict,
-    source: DataSourceKind,
-    time_field: str,
-    line_number: int,
-    window: tuple[int, int],
-) -> SensorRecord | None:
-    """The document's record under its store or derived id, or None when it is timed outside ``window``.
+class _Rows(BatchBuilder):
+    """The rows of one query: each document timed inside ``window`` = (time_from, time_to), as columns."""
 
-    Cells are built in one pass into a fresh dict: a finite float or a
-    non-empty str is kept as it is, and only the rare kinds (int, bool,
-    null, NaN/inf, "", nested values) go through ``_field_value``. Time, id
-    and cells have then met every ``SensorRecord`` rule, so the record is
-    built once through ``SensorRecord.trusted``.
-    """
-    if time_field not in doc:
-        raise MissingTimestamp(line_number, time_field)
-    raw_time = doc[time_field]
-    timestamp = raw_time if type(raw_time) is int else to_epoch_ms(raw_time)
-    if timestamp is None:
-        raise MissingTimestamp(line_number, time_field)
-    if not 0 <= timestamp < 2**63:  # rejected before the window test, so no backend drops it unnoticed
-        raise MalformedLine(line_number, f"time {timestamp} outside [0, 2**63) ms")
-    if not window[0] <= timestamp < window[1]:
-        return None
-    store_id = doc.get("_id")
-    fields = {
-        name: raw if (type(raw) is float and isfinite(raw)) or (type(raw) is str and raw) else _field_value(raw)
-        for name, raw in doc.items()
-        if name != time_field and name != "_id"
-    }
-    record_id = str(store_id) if store_id is not None else derive_record_id(source, timestamp, fields)
-    if not record_id:
-        raise MalformedLine(line_number, "record_id must be non-empty")
-    return SensorRecord.trusted(timestamp, fields, record_id)
+    def __init__(self, source: DataSourceKind, time_field: str, window: tuple[int, int]):
+        super().__init__(source)
+        self.time_field = time_field
+        self.window = window
+
+    def add_document(self, doc: dict, store_id: object, line_number: int) -> bool:
+        """Add the document's row under its store or derived id; False when it is timed outside the window.
+
+        Cells are built in one pass: a finite float or a non-empty str is
+        kept as it is, and only the rare kinds (int, bool, null, NaN/inf, "",
+        nested values) go through ``_field_value``. Time, id and cells have
+        then met every ``SensorRecord`` rule.
+        """
+        time_field = self.time_field
+        if time_field not in doc:
+            raise MissingTimestamp(line_number, time_field)
+        raw_time = doc[time_field]
+        timestamp = raw_time if type(raw_time) is int else to_epoch_ms(raw_time)
+        if timestamp is None:
+            raise MissingTimestamp(line_number, time_field)
+        if not 0 <= timestamp < 2**63:  # rejected before the window test, so no backend drops it unnoticed
+            raise MalformedLine(line_number, f"time {timestamp} outside [0, 2**63) ms")
+        if not self.window[0] <= timestamp < self.window[1]:
+            return False
+        fields = {
+            name: raw if (type(raw) is float and isfinite(raw)) or (type(raw) is str and raw) else _field_value(raw)
+            for name, raw in doc.items()
+            if name != time_field and name != "_id"
+        }
+        record_id = str(store_id) if store_id is not None else derive_record_id(self.source, timestamp, fields)
+        if not record_id:
+            raise MalformedLine(line_number, "record_id must be non-empty")
+        self.add(timestamp, record_id, fields)
+        return True
 
 
 def record_to_document(record: SensorRecord) -> dict:
@@ -367,6 +370,38 @@ def record_to_document(record: SensorRecord) -> dict:
 
 def record_to_json_line(record: SensorRecord) -> str:
     return json.dumps(record_to_document(record), separators=(",", ":"))
+
+
+def json_lines(batch: RecordBatch) -> Iterator[str]:
+    """Each row's ``record_to_json_line``, written without building its record or document.
+
+    As ``json.dumps`` writes it: keys and strings escaped to ASCII, floats by
+    ``repr``, and a field named ``_id`` or ``timestamp`` taking that key's
+    place, as the dict merge of ``record_to_document`` does.
+    """
+    cells = {
+        name: (column.numbers.tolist(), column.codes.tolist(), [_escape(c) for c in column.categories])
+        for name, column in batch.columns.items()
+    }
+    layouts = {}
+    for shape in np.unique(batch.row_shapes).tolist():
+        doc: dict[str, object] = {"_id": _ROW_ID, DEFAULT_TIME_FIELD: _ROW_TIME}
+        doc.update((name, cells[name]) for name in batch.shapes[shape])
+        layouts[shape] = [(_escape(key) + ":", source) for key, source in doc.items()]
+    for row, (timestamp, record_id, shape) in enumerate(
+        zip(batch.timestamps.tolist(), batch.record_ids, batch.row_shapes.tolist())
+    ):
+        parts = []
+        for key, source in layouts[shape]:
+            if source is _ROW_ID:
+                parts.append(key + _escape(record_id))
+            elif source is _ROW_TIME:
+                parts.append(f"{key}{timestamp}")
+            else:
+                numbers, codes, categories = source
+                code, number = codes[row], numbers[row]
+                parts.append(key + (categories[code] if code >= 0 else "null" if number != number else repr(number)))
+        yield "{" + ",".join(parts) + "}"
 
 
 class BroSplit(NamedTuple):
@@ -382,26 +417,19 @@ def split_bro_by_protocol(batch: RecordBatch, discriminator: str = DEFAULT_DISCR
     BRO_CONN_VALUE are dropped and counted; real BRO emits many log types
     beyond these two.
     """
-    if batch.records and not any(discriminator in record.fields for record in batch.records):
+    shapes = np.unique(batch.row_shapes)
+    if len(batch) and not any(discriminator in batch.shapes[shape] for shape in shapes):
         raise DiscriminatorMissing(f"discriminator field {discriminator!r} absent from every record")
-    dns_records: list[SensorRecord] = []
-    conn_records: list[SensorRecord] = []
-    dropped = 0
-    for record in batch.records:
-        label = record.fields.get(discriminator)
-        if label == BRO_DNS_VALUE:
-            dns_records.append(record)
-        elif label == BRO_CONN_VALUE:
-            conn_records.append(record)
-        else:
-            dropped += 1
+    labels = batch.columns.get(discriminator)
+    categories = labels.categories if labels else ()
+    halves = []
+    for source, value in ((DataSourceKind.BRO_DNS, BRO_DNS_VALUE), (DataSourceKind.BRO_CONN, BRO_CONN_VALUE)):
+        rows = np.flatnonzero(labels.codes == categories.index(value)) if value in categories else np.arange(0)
+        halves.append(replace(batch.take(rows), source=source))
+    dropped = len(batch) - len(halves[0]) - len(halves[1])
     if dropped:
         logger.info("split_bro_by_protocol dropped %d records with unknown %r", dropped, discriminator)
-    return BroSplit(
-        dns=RecordBatch(source=DataSourceKind.BRO_DNS, records=tuple(dns_records)),
-        conn=RecordBatch(source=DataSourceKind.BRO_CONN, records=tuple(conn_records)),
-        dropped=dropped,
-    )
+    return BroSplit(dns=halves[0], conn=halves[1], dropped=dropped)
 
 
 def query_store(
@@ -419,51 +447,39 @@ def query_store(
     directory-store line that does not parse raises with its file's name
     before its message.
     """
+    rows = _Rows(source, time_field, (query.time_from, query.time_to))
     if isinstance(locator, DirectoryStore):
-        records = _query_directory(locator, query, source, time_field)
+        _query_directory(locator, query, rows)
     else:
-        records = _query_http(locator, query, source, time_field)
-    if len(records) > query.max_records:
+        _query_http(locator, query, rows)
+    if len(rows) > query.max_records:
         raise TooManyRecords(f"index {query.index}: more than max_records={query.max_records} records in the window")
-    return RecordBatch(source=source, records=tuple(_canonical(records)))
+    return _canonical(rows.batch())
 
 
-def _query_directory(
-    store: DirectoryStore,
-    query: StoreQuery,
-    source: DataSourceKind,
-    time_field: str,
-) -> list[SensorRecord]:
+def _query_directory(store: DirectoryStore, query: StoreQuery, rows: _Rows) -> None:
     if not store.root.is_dir():
         raise StoreUnreachable(f"store root does not exist: {store.root}")
     index_dir = store.root / query.index
     if not index_dir.is_dir():
         raise IndexNotFound(query.index)
-    records: list[SensorRecord] = []
-    window = (query.time_from, query.time_to)
     for path in sorted(index_dir.glob("*.jsonl")):
         try:
-            records.extend(_read_jsonl(path.read_bytes(), source, time_field, window))
+            _read_jsonl(path.read_bytes(), rows, query.max_records)
         except (MalformedLine, MissingTimestamp) as exc:
             exc.args = (f"{path.name}: {exc}",)
             raise
-    return records
+        if len(rows) > query.max_records:
+            return
 
 
-def _query_http(
-    store: HttpStore,
-    query: StoreQuery,
-    source: DataSourceKind,
-    time_field: str,
-) -> list[SensorRecord]:
+def _query_http(store: HttpStore, query: StoreQuery, rows: _Rows) -> None:
     url = f"{store.base_url}/{query.index}/_search"
-    window = (query.time_from, query.time_to)
-    records: list[SensorRecord] = []
     offset = 0
     # a full page at the cap is followed by one more, to tell "exactly max_records" from "more"
-    while len(records) <= query.max_records:
+    while len(rows) <= query.max_records:
         body = {
-            "range": {time_field: {"gte": query.time_from, "lt": query.time_to}},
+            "range": {rows.time_field: {"gte": query.time_from, "lt": query.time_to}},
             "from": offset,
             "size": query.page_size,
         }
@@ -471,19 +487,14 @@ def _query_http(
         if status == 404:
             raise IndexNotFound(query.index)
         if status != 200:
-            raise PageFailure(len(records), f"HTTP {status} at offset {offset}")
-        hits = _page_hits(raw, len(records))
+            raise PageFailure(len(rows), f"HTTP {status} at offset {offset}")
+        hits = _page_hits(raw, len(rows))
         for position, hit in enumerate(hits):
-            doc = dict(hit["_source"])
-            if "_id" in hit:
-                doc["_id"] = hit["_id"]
-            record = _record_from_document(doc, source, time_field, offset + position + 1, window)
-            if record is not None:
-                records.append(record)
+            doc = hit["_source"]
+            rows.add_document(doc, hit["_id"] if "_id" in hit else doc.get("_id"), offset + position + 1)
         if len(hits) < query.page_size:
             break
         offset += len(hits)
-    return records
 
 
 def _page_hits(raw: bytes, records_so_far: int) -> list[dict]:
@@ -510,16 +521,13 @@ def window_split(
     Input order is preserved on both sides. Scoring with no current rows or
     too little history is meaningless, so both degenerate cases raise.
     """
-    history = [r for r in batch.records if r.timestamp < boundary]
-    current = [r for r in batch.records if r.timestamp >= boundary]
-    if not current:
+    before = batch.timestamps < boundary
+    history = batch.take(np.flatnonzero(before))
+    current = batch.take(np.flatnonzero(~before))
+    if not len(current):
         raise EmptyCurrent(f"no records at or after boundary {boundary} for {batch.source.value}")
     if len(history) < min_history:
         raise EmptyHistory(
             f"{len(history)} history records before boundary {boundary} for {batch.source.value}, need {min_history}"
         )
-    return WindowSplit(
-        history=RecordBatch(source=batch.source, records=tuple(history)),
-        current=RecordBatch(source=batch.source, records=tuple(current)),
-        boundary=boundary,
-    )
+    return WindowSplit(history=history, current=current, boundary=boundary)

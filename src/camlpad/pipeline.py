@@ -126,7 +126,7 @@ def analyze_source(
     rows = replace(
         history, values=np.vstack([history.values, current.values]), row_ids=history.row_ids + current.row_ids
     )
-    timestamps = np.array([r.timestamp for r in split.history.records + split.current.records], dtype=np.int64)
+    timestamps = np.concatenate([split.history.timestamps, split.current.timestamps])
     n_history = history.n_rows
     scores = score_source(model, rows)
     detector_labels = {name: ensemble.binarize(scores[name], contamination, rows.row_ids) for name in DETECTOR_NAMES}

@@ -10,7 +10,6 @@ import copy
 import logging
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import chain
 
 import numpy as np
 
@@ -62,26 +61,28 @@ def encode(
     batch: RecordBatch,
     dictionary: EncodingDictionary | None = None,
 ) -> tuple[FeatureMatrix, EncodingDictionary]:
-    """Ordinal-encode a batch: one column per field any record carries, in first-seen order.
+    """Ordinal-encode a batch: one matrix column per batch column, in its first-seen order.
 
     Float cells pass through, str cells map through the dictionary (codes
-    assigned 0,1,2,... in first-seen order), None cells stay NaN. The input
-    dictionary is never mutated; the returned one carries any extensions,
-    so a category unseen in the input shows as a column that grew.
+    assigned 0,1,2,... in first-seen row order), None cells stay NaN. The
+    input dictionary is never mutated; the returned one carries any
+    extensions, so a category unseen in the input shows as a column that grew.
     """
     result: EncodingDictionary = copy.deepcopy(dictionary) if dictionary else {}
-    cells_by_row = [record.fields for record in batch.records]
-    columns = list(dict.fromkeys(chain.from_iterable(cells_by_row)))
-    values = np.empty((len(batch.records), len(columns)))
-
-    for col, name in enumerate(columns):
-        column = [cells.get(name) for cells in cells_by_row]
-        if str in set(map(type, column)):
+    values = np.empty((len(batch), len(batch.columns)))
+    for col, (name, column) in enumerate(batch.columns.items()):
+        values[:, col] = column.numbers  # NaN where a cell is a str or None
+        is_str = column.codes >= 0
+        if is_str.any():
             codes = result.setdefault(name, {})
-            # setdefault gives an unseen category the next code, so codes follow first-seen order
-            column = [codes.setdefault(value, len(codes)) if type(value) is str else value for value in column]
-        values[:, col] = column  # None becomes NaN
+            present, first = np.unique(column.codes[is_str], return_index=True)
+            code_of = np.zeros(len(column.categories))
+            for category in present[np.argsort(first)].tolist():
+                # setdefault gives an unseen category the next code, so codes follow first-seen order
+                code_of[category] = codes.setdefault(column.categories[category], len(codes))
+            values[is_str, col] = code_of[column.codes[is_str]]
 
+    columns = list(batch.columns)
     kinds = [
         ColumnKind.ENCODED if name in result else ColumnKind.NUMERIC
         for name in columns
@@ -90,7 +91,7 @@ def encode(
         values=values,
         column_names=columns,
         column_kinds=kinds,
-        row_ids=[r.record_id for r in batch.records],
+        row_ids=list(batch.record_ids),
     )
     return matrix, result
 

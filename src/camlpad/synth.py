@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import DAY_MS, ConfigError, window_id_for
-from .datamodel import DataSourceKind, RecordBatch, SensorRecord, time_buckets
+from .datamodel import Column, DataSourceKind, RecordBatch, canonical_order, time_buckets
 from .ensemble import LabelVector
-from .ingest_store import record_to_json_line
+from .ingest_store import json_lines
 
 BASE_EPOCH_MS = 1_614_556_800_000  # 2021-03-01T00:00:00Z
 HOUR_MS = 3_600_000
@@ -113,37 +113,43 @@ class SynthResult:
     bucket_truth: list[tuple[int, int]] = field(default_factory=list)  # (hour start, any anomaly in it)
 
 
-def _pick_category(rng: np.random.Generator, choices: tuple[tuple[str, float], ...]) -> str:
-    values = [v for v, _ in choices]
+def _pick_category(rng: np.random.Generator, choices: tuple[tuple[str, float], ...]) -> int:
+    """The index of a category drawn from ``choices``."""
     probs = np.asarray([p for _, p in choices])
-    return values[int(rng.choice(len(values), p=probs / probs.sum()))]
+    return int(rng.choice(len(choices), p=probs / probs.sum()))
 
 
-def _day_records(
+def _categories(profile: SourceProfile, name: str) -> tuple[str, ...]:
+    """A categorical field's values: its choices, then its rare anomaly-only value."""
+    return (*(value for value, _ in profile.categorical[name]), profile.rare[name])
+
+
+def _draw_day(
     source: DataSourceKind,
     source_index: int,
     day: int,
     config: SynthConfig,
-) -> list[tuple[SensorRecord, int]]:
+    timestamps: np.ndarray,
+    cells: dict[str, np.ndarray],
+    labels: np.ndarray,
+) -> None:
+    """Draw one source-day's rows, in id order, into its slices: times, each field's numbers or category codes, labels."""
     profile = PROFILES[source]
     rng = np.random.default_rng([config.seed, source_index, day])
     n = config.records_per_source_per_day
     m = math.ceil(config.contamination * n)
-    anomalous = np.zeros(n, dtype=bool)
     if m > 0:
-        anomalous[rng.choice(n, size=m, replace=False)] = True
+        labels[rng.choice(n, size=m, replace=False)] = 1
 
     day_start = BASE_EPOCH_MS + day * DAY_MS
     burst_start = day_start + int(rng.integers(0, 23)) * HOUR_MS
 
-    rows: list[tuple[SensorRecord, int]] = []
     for i in range(n):
-        outlier = bool(anomalous[i])
+        outlier = bool(labels[i])
         if outlier:
-            timestamp = burst_start + int(rng.integers(0, HOUR_MS))
+            timestamps[i] = burst_start + int(rng.integers(0, HOUR_MS))
         else:
-            timestamp = day_start + int(rng.integers(0, DAY_MS))
-        fields: dict[str, float | str | None] = {}
+            timestamps[i] = day_start + int(rng.integers(0, DAY_MS))
         for name, (mean, std) in profile.numeric.items():
             if not outlier:
                 value = rng.normal(mean, std)
@@ -151,36 +157,45 @@ def _day_records(
                 value = rng.normal(mean + 6.0 * std, std)
             else:
                 value = rng.uniform(mean - 10.0 * std, mean + 10.0 * std)
-            fields[name] = round(float(value), 6)
+            cells[name][i] = round(float(value), 6)
         for name, choices in profile.categorical.items():
-            if outlier:
-                fields[name] = profile.rare[name]
-            else:
-                fields[name] = _pick_category(rng, choices)
-        record = SensorRecord(timestamp=timestamp, fields=fields, record_id=f"{source.value}-d{day}-{i:04d}")
-        rows.append((record, int(outlier)))
-    return rows
+            cells[name][i] = len(choices) if outlier else _pick_category(rng, choices)
+
+
+def _source_rows(source: DataSourceKind, source_index: int, config: SynthConfig) -> tuple[RecordBatch, np.ndarray]:
+    """A source's rows over every day, in canonical order, with their labels."""
+    profile = PROFILES[source]
+    n = config.records_per_source_per_day
+    total = n * config.total_days
+    timestamps = np.empty(total, dtype=np.int64)
+    cells = {name: np.empty(total) for name in profile.numeric}
+    cells.update((name, np.empty(total, dtype=np.int32)) for name in profile.categorical)
+    labels = np.zeros(total, dtype=int)
+    for day in range(config.total_days):
+        rows = slice(day * n, (day + 1) * n)
+        day_cells = {name: column[rows] for name, column in cells.items()}
+        _draw_day(source, source_index, day, config, timestamps[rows], day_cells, labels[rows])
+    record_ids = tuple(f"{source.value}-d{day}-{i:04d}" for day in range(config.total_days) for i in range(n))
+    columns = {name: Column(cells[name], np.full(total, -1, dtype=np.int32), ()) for name in profile.numeric}
+    columns.update(
+        (name, Column(np.full(total, np.nan), cells[name], _categories(profile, name))) for name in profile.categorical
+    )
+    batch = RecordBatch(source, timestamps, record_ids, columns, (tuple(columns),), np.zeros(total, dtype=np.int32))
+    order = canonical_order(timestamps, record_ids)
+    return batch.take(order), labels[order]
 
 
 def generate(config: SynthConfig = SynthConfig()) -> SynthResult:
     """Build per-source batches in canonical order plus record/bucket truth."""
     batches: dict[DataSourceKind, RecordBatch] = {}
     truth: dict[DataSourceKind, LabelVector] = {}
-    all_timestamps: list[int] = []
-    all_labels: list[int] = []
     for source_index, source in enumerate(config.sources):
-        rows: list[tuple[SensorRecord, int]] = []
-        for day in range(config.total_days):
-            rows.extend(_day_records(source, source_index, day, config))
-        rows.sort(key=lambda pair: (pair[0].timestamp, pair[0].record_id))
-        records = tuple(record for record, _ in rows)
-        labels = [label for _, label in rows]
-        batches[source] = RecordBatch(source=source, records=records)
-        truth[source] = LabelVector(row_ids=[r.record_id for r in records], labels=np.asarray(labels))
-        all_timestamps.extend(r.timestamp for r in records)
-        all_labels.extend(labels)
-    hours, index = time_buckets(all_timestamps, HOUR_MS)
-    hit = np.bincount(index, weights=all_labels) > 0
+        batch, labels = _source_rows(source, source_index, config)
+        batches[source] = batch
+        truth[source] = LabelVector(row_ids=list(batch.record_ids), labels=labels)
+    none = np.empty(0, dtype=np.int64)  # what each concatenation starts from, so no sources give no buckets
+    hours, index = time_buckets(np.concatenate([none, *(batch.timestamps for batch in batches.values())]), HOUR_MS)
+    hit = np.bincount(index, weights=np.concatenate([none, *(vector.labels for vector in truth.values())])) > 0
     bucket_truth = list(zip(hours.tolist(), hit.astype(int).tolist()))
     return SynthResult(config=config, batches=batches, truth=truth, bucket_truth=bucket_truth)
 
@@ -191,13 +206,10 @@ def write_store(result: SynthResult, root: Path | str) -> None:
     for source, batch in result.batches.items():
         index_dir = root / source.value
         index_dir.mkdir(parents=True, exist_ok=True)
-        by_date: dict[str, list[str]] = {}
-        for record in batch.records:
-            by_date.setdefault(window_id_for(record.timestamp // DAY_MS * DAY_MS), []).append(
-                record_to_json_line(record)
-            )
-        for date, lines in sorted(by_date.items()):
-            (index_dir / f"{date}.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        days = batch.timestamps // DAY_MS
+        for day in np.unique(days).tolist():
+            lines = json_lines(batch.take(np.flatnonzero(days == day)))
+            (index_dir / f"{window_id_for(day * DAY_MS)}.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     truth_dir = root / TRUTH_DIR
     truth_dir.mkdir(parents=True, exist_ok=True)

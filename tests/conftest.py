@@ -139,4 +139,4 @@ def make_record(timestamp: int = 0, record_id: str = "r0", **fields) -> SensorRe
 
 
 def make_batch(source: DataSourceKind, *records: SensorRecord) -> RecordBatch:
-    return RecordBatch(source=source, records=tuple(records))
+    return RecordBatch.from_records(source, records)

@@ -134,8 +134,9 @@ def test_workload_bro_index_parses_back_to_the_synth_records(tmp_path):
     assert split.dropped == 0
     for source, batch in ((DataSourceKind.BRO_DNS, split.dns), (DataSourceKind.BRO_CONN, split.conn)):
         tag = source.value.removeprefix("bro_")
-        assert all(record.fields.pop("log_type") == tag for record in batch.records)
-        assert batch.records == result.batches[source].records
+        records = batch.records
+        assert all(record.fields.pop("log_type") == tag for record in records)
+        assert records == result.batches[source].records
 
 
 def test_worker_reads_the_run_result(tmp_path, monkeypatch):

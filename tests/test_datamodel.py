@@ -1,13 +1,16 @@
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camlpad.datamodel import (
     DataSourceKind,
+    RecordBatch,
     SensorRecord,
     WindowSplit,
     derive_record_id,
 )
+from camlpad.ingest_store import json_lines, record_to_json_line
 
 from conftest import make_batch, make_record
 
@@ -98,3 +101,30 @@ class TestRecordIdentity:
     def test_negative_timestamp_rejected(self):
         with pytest.raises(ValueError):
             SensorRecord(timestamp=-1, fields={}, record_id="r")
+
+
+@st.composite
+def record_lists(draw):
+    """Records of varied key orders, absent and null cells, -0.0, and fields named like the document keys."""
+    names = st.sampled_from(["a", "b", "c", "_id", "timestamp", "\u00fc"])
+    cells = st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False), st.text(min_size=1, max_size=3))
+    times = st.integers(0, 2**63 - 1)
+    return [
+        SensorRecord(timestamp=draw(times), fields=draw(st.dictionaries(names, cells)), record_id=f"r{i}")
+        for i in range(draw(st.integers(0, 8)))
+    ]
+
+
+class TestColumns:
+    @settings(max_examples=200, deadline=None)
+    @given(record_lists(), st.data())
+    def test_taken_rows_keep_their_records_and_documents(self, records, data):
+        batch = RecordBatch.from_records(DataSourceKind.YAF, records)
+        rows = data.draw(st.lists(st.integers(0, len(records) - 1), max_size=10)) if records else []
+        part = batch.take(np.array(rows, dtype=np.intp))
+        expected = [records[row] for row in rows]
+        assert part.records == tuple(expected)
+        assert [list(record.fields) for record in part.records] == [list(record.fields) for record in expected]
+        assert list(part.columns) == list(dict.fromkeys(name for record in expected for name in record.fields))
+        assert list(json_lines(part)) == [record_to_json_line(record) for record in expected]
+        assert part.records[0] is not part.records[0] if rows else part.records == ()

@@ -1,9 +1,11 @@
+import gc
 import json
 import logging
 import math
 import random
 import socket
 import tempfile
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from camlpad.datamodel import DataSourceKind, SensorRecord, derive_record_id
+from camlpad.datamodel import DataSourceKind, RecordBatch, SensorRecord, derive_record_id
 from camlpad.ingest_store import (
     DirectoryStore,
     DiscriminatorMissing,
@@ -27,12 +29,14 @@ from camlpad.ingest_store import (
     TooManyRecords,
     _canonical,
     _read_jsonl,
+    _Rows,
     query_store,
     record_to_json_line,
     split_bro_by_protocol,
     to_epoch_ms,
     window_split,
 )
+from camlpad.synth import SynthConfig, generate, write_store
 
 from conftest import make_batch, make_record
 
@@ -45,6 +49,17 @@ def read_store(data, time_field="timestamp"):
         (Path(root) / "flows").mkdir()
         (Path(root) / "flows" / "a.jsonl").write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
         return query_store(DirectoryStore(root), StoreQuery(index="flows", time_from=0, time_to=2**63), YAF, time_field)
+
+
+def read_jsonl(data, window):
+    """The records of the JSONL lines of ``data`` timed inside ``window``, in line order."""
+    rows = _Rows(YAF, "timestamp", window)
+    _read_jsonl(data, rows, cap=10**6)
+    return rows.batch().records
+
+
+def canonical(records):
+    return _canonical(RecordBatch.from_records(YAF, records)).records
 
 
 class TestParseJsonl:
@@ -150,8 +165,9 @@ class TestBroSplit:
         assert split.dropped == 0
         assert split.dns.source is DataSourceKind.BRO_DNS
         assert split.conn.source is DataSourceKind.BRO_CONN
-        assert all(split.dns.records[i] is batch.records[j] for i, j in enumerate((0, 2, 3)))
-        assert all(split.conn.records[i] is batch.records[j] for i, j in enumerate((1, 4)))
+        records = batch.records
+        assert split.dns.records == tuple(records[j] for j in (0, 2, 3))
+        assert split.conn.records == tuple(records[j] for j in (1, 4))
 
     def test_empty_batch_splits_to_two_empty(self):
         split = split_bro_by_protocol(make_batch(DataSourceKind.BRO_CONN))
@@ -347,6 +363,30 @@ class TestDirectoryStore:
         for time_to, cap in ((100, 50), (20, 20)):  # records outside the window do not count
             query = StoreQuery(index="flows", time_from=0, time_to=time_to, page_size=5, max_records=cap)
             assert [r.timestamp for r in query_store(DirectoryStore(tmp_path), query, YAF).records] == list(range(cap))
+
+    def test_reading_stops_at_the_cap(self, tmp_path):
+        self._write_index(tmp_path, "flows", {"a.jsonl": [{"timestamp": t} for t in range(15)]})
+        (tmp_path / "flows" / "b.jsonl").write_text("not json\n")  # never reached: the cap is passed in a.jsonl
+        query = StoreQuery(index="flows", time_from=0, time_to=100, page_size=5, max_records=10)
+        with pytest.raises(TooManyRecords, match=r"^index flows: more than max_records=10 records"):
+            query_store(DirectoryStore(tmp_path), query, YAF)
+
+    def test_a_read_holds_its_rows_as_columns(self, tmp_path):
+        source = DataSourceKind.BRO_DNS  # the widest synth source: three numbers and two categories
+        config = SynthConfig(seed=4242, days_history=7, records_per_source_per_day=1500, sources=(source,))
+        write_store(generate(config), tmp_path)
+        query = StoreQuery(index=source.value, time_from=0, time_to=2**63)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            batch = query_store(DirectoryStore(tmp_path), query, source)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(batch) == 12_000
+        # five cells, a time and an id per row; held as one record object per row they took about 790 B
+        assert held / len(batch) <= 300
 
 
 class TestHttpStore:
@@ -658,7 +698,7 @@ class TestOnePassWalkMatchesReference:
     def test_parse_matches_reference(self, text, data):
         window = _window(data)
         expected = _outcome(lambda: _reference_read_jsonl(text, YAF, "timestamp", window))
-        assert _outcome(lambda: _read_jsonl(text.encode("utf-8"), YAF, "timestamp", window)) == expected
+        assert _outcome(lambda: read_jsonl(text.encode("utf-8"), window)) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(jsonl_texts(), st.data())
@@ -669,7 +709,7 @@ class TestOnePassWalkMatchesReference:
             (Path(root) / "flows" / "a.jsonl").write_text(text, encoding="utf-8")
             query = StoreQuery(index="flows", time_from=time_from, time_to=time_to)
             got = _outcome(lambda: query_store(DirectoryStore(root), query, YAF).records)
-        expected = _outcome(lambda: _canonical(_reference_read_jsonl(text, YAF, "timestamp", (time_from, time_to))))
+        expected = _outcome(lambda: canonical(_reference_read_jsonl(text, YAF, "timestamp", (time_from, time_to))))
         if isinstance(expected, tuple):
             expected = (expected[0], f"a.jsonl: {expected[1]}", expected[2])
         assert got == expected
@@ -694,7 +734,7 @@ class TestOnePassWalkMatchesReference:
                 record = _reference_record_from_document(doc, YAF, "timestamp", position, window)
                 if record is not None:
                     records.append(record)
-            return _canonical(records)
+            return canonical(records)
 
         query = StoreQuery(index="flows", time_from=window[0], time_to=window[1])
         assert _outcome(lambda: query_store(HttpStore(url), query, YAF).records) == _outcome(reference)
@@ -720,5 +760,5 @@ class TestOnePassWalkMatchesReference:
         split = split_bro_by_protocol(batch)
         for part, source, original in ((split.dns, DataSourceKind.BRO_DNS, 0), (split.conn, DataSourceKind.BRO_CONN, 1)):
             assert part.source is source
-            assert part.records[0] is batch.records[original] and len(part) == 1
+            assert part.records == (batch.records[original],)
         assert batch.source is YAF

@@ -146,14 +146,14 @@ def test_an_extreme_current_row_rescales_no_other_row(seed, source):
     """Every score scale is fitted on history: one more current row changes no history score, no
     history day's gauge, and no other current row's score."""
     records, boundary = synth_records(seed, [source])
-    split = window_split(RecordBatch(source, records[source]), boundary, min_history=10)
+    split = window_split(RecordBatch.from_records(source, records[source]), boundary, min_history=10)
     name = next(iter(PROFILES[source].numeric))
     column = np.array([record.fields[name] for record in split.history.records])
     last = split.current.records[-1]
     extreme = dataclasses.replace(
         last, record_id="extreme", fields={**last.fields, name: float(column.mean() + 50 * column.std())}
     )
-    grown = dataclasses.replace(split, current=RecordBatch(source, split.current.records + (extreme,)))
+    grown = dataclasses.replace(split, current=RecordBatch.from_records(source, split.current.records + (extreme,)))
     before = analyze_source(split, DETECTORS, 0.05, "w")
     after = analyze_source(grown, DETECTORS, 0.05, "w")
     assert after.history_day_scores == before.history_day_scores

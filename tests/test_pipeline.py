@@ -6,7 +6,7 @@ import pytest
 
 from camlpad import ensemble, pipeline, viz
 from camlpad.config import PipelineConfig, DetectorParams, resolve_boundary, window_id_for
-from camlpad.datamodel import DataSourceKind, derive_record_id
+from camlpad.datamodel import DataSourceKind, SensorRecord, derive_record_id
 from camlpad.detectors import TooFewRows
 from camlpad.ingest_store import MissingTimestamp, record_to_document, window_split
 from camlpad.pipeline import analyze_source, features, fetch_batches, fit_source, run_pipeline, score_source
@@ -211,6 +211,34 @@ class TestSourceErrors:
         )
         with pytest.raises(TooFewRows, match=r"^yaf: isolation forest needs >= 2 rows, got 1$"):
             run_pipeline(config)
+
+
+def test_synth_and_run_build_no_record_per_row(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a SensorRecord was built")
+
+    monkeypatch.setattr(SensorRecord, "__init__", refuse)
+    monkeypatch.setattr(SensorRecord, "trusted", refuse)
+    synth_config = SynthConfig(seed=2, days_history=2, records_per_source_per_day=40)
+    store = tmp_path / "store"
+    write_store(generate(synth_config), store)
+    (store / "bro").mkdir()
+    for tag in ("dns", "conn"):  # the BRO sources again as one index, so the run splits it
+        for path in (store / f"bro_{tag}").glob("*.jsonl"):
+            docs = [{**json.loads(line), "log_type": tag} for line in path.read_text().splitlines()]
+            (store / "bro" / f"{tag}-{path.name}").write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    config = PipelineConfig(
+        store_root=store,
+        output_dir=tmp_path / "out",
+        bro_index="bro",
+        boundary=window_id_for(synth_config.boundary_ms),
+        history_days=2,
+        min_history=10,
+        detectors=FAST_DETECTORS,
+        alert_file="",
+    )
+    run = run_pipeline(config)
+    assert sorted(run.analyses) == sorted(DataSourceKind)
 
 
 class TestNoonBoundary:
