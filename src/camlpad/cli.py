@@ -172,7 +172,7 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"run": _cmd_run, "synth": _cmd_synth, "evaluate": _cmd_evaluate}
     try:
         return handlers[args.command](args)
-    except CamlpadError as exc:
+    except (CamlpadError, OSError) as exc:  # an OSError names its path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -203,7 +203,13 @@ def load_config(path: Path | str) -> PipelineConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    return config_from_entries(parse_config_text(path.read_text(encoding="utf-8")))
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_number = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}: line {line_number}: not UTF-8: {exc.reason} {data[exc.start:exc.end]!r}") from None
+    return config_from_entries(parse_config_text(text))
 
 
 def resolve_boundary(value: str) -> int:

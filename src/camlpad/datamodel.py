@@ -1,10 +1,10 @@
 """Canonical record and dataset types shared by every pipeline stage.
 
 Records and batches are frozen after construction. A cell is a plain value
-(finite float, non-empty str, or None for missing), checked once: by
-:class:`SensorRecord`, or by the store parser, which appends the cells it
+(finite float, non-empty str, or None for missing), checked on its way in:
+by :class:`SensorRecord`, or by the store parser, which appends the cells it
 checked to a batch's columns through :class:`BatchBuilder`. A batch holds
-its rows as columns; records are only a view of them. Serialization to/from
+its rows as columns; records are only a checked view. Serialization to/from
 the store's JSON form lives in :mod:`camlpad.ingest_store`.
 """
 
@@ -17,7 +17,7 @@ from array import array
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import chain
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,20 +72,6 @@ class SensorRecord:
                 raise ValueError(
                     f"field {name!r}: cell must be a finite float, a non-empty str or None, got {value!r}"
                 )
-
-    @classmethod
-    def trusted(cls, timestamp: int, fields: dict[str, float | str | None], record_id: str) -> "SensorRecord":
-        """A record built without the ``__post_init__`` check, for callers that have applied its rules.
-
-        A batch's ``records`` view, whose cells were checked on their way
-        into its columns, builds records this way; every other construction
-        is checked.
-        """
-        record = object.__new__(cls)
-        object.__setattr__(record, "timestamp", timestamp)
-        object.__setattr__(record, "fields", fields)
-        object.__setattr__(record, "record_id", record_id)
-        return record
 
 
 def derive_record_id(source: DataSourceKind, timestamp: int, fields: Mapping[str, float | str | None]) -> str:
@@ -159,16 +145,19 @@ class RecordBatch:
             rows.add(record.timestamp, record.record_id, record.fields)
         return rows.batch()
 
+    def rows(self) -> Iterator[tuple[int, dict[str, float | str | None], str]]:
+        """Each row as (timestamp, fields, record_id): the fields in the row's own key order,
+        a field absent from the row left out and a null cell None."""
+        cells = {name: column.cells() for name, column in self.columns.items()}
+        for row, (timestamp, record_id, shape) in enumerate(
+            zip(self.timestamps.tolist(), self.record_ids, self.row_shapes.tolist())
+        ):
+            yield timestamp, {name: cells[name][row] for name in self.shapes[shape]}, record_id
+
     @property
     def records(self) -> tuple[SensorRecord, ...]:
-        """The rows as records, built anew on each access; the pipeline never reads them."""
-        cells = {name: column.cells() for name, column in self.columns.items()}
-        return tuple(
-            SensorRecord.trusted(timestamp, {name: cells[name][row] for name in self.shapes[shape]}, record_id)
-            for row, (timestamp, record_id, shape) in enumerate(
-                zip(self.timestamps.tolist(), self.record_ids, self.row_shapes.tolist())
-            )
-        )
+        """The rows as checked records, built anew on each access; the pipeline never reads them."""
+        return tuple(SensorRecord(*row) for row in self.rows())
 
     def take(self, rows: np.ndarray) -> "RecordBatch":
         """The batch of the rows at the given indices, in that order."""

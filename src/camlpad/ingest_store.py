@@ -46,8 +46,7 @@ BRO_DNS_VALUE = "dns"
 BRO_CONN_VALUE = "conn"
 _HTTP_SCHEMES = ("http://", "https://")
 _raw_decode = json.JSONDecoder().raw_decode
-_escape = json.encoder.encode_basestring_ascii  # how json.dumps writes a str under ensure_ascii
-_ROW_ID, _ROW_TIME = object(), object()  # json_lines: where a row's id and time go
+_compact = json.JSONEncoder(separators=(",", ":")).encode  # what json.dumps(doc, separators=(",", ":")) writes
 
 
 class MalformedLine(CamlpadError):
@@ -304,9 +303,15 @@ def _read_jsonl(data: bytes, rows: "_Rows", cap: int) -> None:
     of ``_raw_decode``; its result stands only when it is an object spanning
     the whole line. Any other line (blank, padded with whitespace, malformed,
     or not an object) is decoded again by ``json.loads``, so what passes and
-    the message of what fails are ``json.loads``'s.
+    the message of what fails are ``json.loads``'s. Data that is not UTF-8
+    fails on the line of its first bad byte, wherever that line is timed.
     """
-    for line_number, line in enumerate(data.decode("utf-8").split("\n"), start=1):
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        bad = data[exc.start:exc.end]
+        raise MalformedLine(data.count(b"\n", 0, exc.start) + 1, f"not UTF-8: {exc.reason} {bad!r}") from None
+    for line_number, line in enumerate(text.split("\n"), start=1):
         try:
             doc, end = _raw_decode(line)
         except ValueError:
@@ -363,45 +368,22 @@ class _Rows(BatchBuilder):
         return True
 
 
+def _document(timestamp: int, fields: dict[str, float | str | None], record_id: str) -> dict:
+    return {"_id": record_id, DEFAULT_TIME_FIELD: timestamp, **fields}
+
+
 def record_to_document(record: SensorRecord) -> dict:
     """JSON-document form of a record; the store reader reads it back as the same record."""
-    return {"_id": record.record_id, DEFAULT_TIME_FIELD: record.timestamp, **record.fields}
+    return _document(record.timestamp, record.fields, record.record_id)
 
 
 def record_to_json_line(record: SensorRecord) -> str:
-    return json.dumps(record_to_document(record), separators=(",", ":"))
+    return _compact(record_to_document(record))
 
 
 def json_lines(batch: RecordBatch) -> Iterator[str]:
-    """Each row's ``record_to_json_line``, written without building its record or document.
-
-    As ``json.dumps`` writes it: keys and strings escaped to ASCII, floats by
-    ``repr``, and a field named ``_id`` or ``timestamp`` taking that key's
-    place, as the dict merge of ``record_to_document`` does.
-    """
-    cells = {
-        name: (column.numbers.tolist(), column.codes.tolist(), [_escape(c) for c in column.categories])
-        for name, column in batch.columns.items()
-    }
-    layouts = {}
-    for shape in np.unique(batch.row_shapes).tolist():
-        doc: dict[str, object] = {"_id": _ROW_ID, DEFAULT_TIME_FIELD: _ROW_TIME}
-        doc.update((name, cells[name]) for name in batch.shapes[shape])
-        layouts[shape] = [(_escape(key) + ":", source) for key, source in doc.items()]
-    for row, (timestamp, record_id, shape) in enumerate(
-        zip(batch.timestamps.tolist(), batch.record_ids, batch.row_shapes.tolist())
-    ):
-        parts = []
-        for key, source in layouts[shape]:
-            if source is _ROW_ID:
-                parts.append(key + _escape(record_id))
-            elif source is _ROW_TIME:
-                parts.append(f"{key}{timestamp}")
-            else:
-                numbers, codes, categories = source
-                code, number = codes[row], numbers[row]
-                parts.append(key + (categories[code] if code >= 0 else "null" if number != number else repr(number)))
-        yield "{" + ",".join(parts) + "}"
+    """Each row's ``record_to_json_line``, written without building its record."""
+    return (_compact(_document(*row)) for row in batch.rows())
 
 
 class BroSplit(NamedTuple):

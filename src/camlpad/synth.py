@@ -113,12 +113,6 @@ class SynthResult:
     bucket_truth: list[tuple[int, int]] = field(default_factory=list)  # (hour start, any anomaly in it)
 
 
-def _pick_category(rng: np.random.Generator, choices: tuple[tuple[str, float], ...]) -> int:
-    """The index of a category drawn from ``choices``."""
-    probs = np.asarray([p for _, p in choices])
-    return int(rng.choice(len(choices), p=probs / probs.sum()))
-
-
 def _categories(profile: SourceProfile, name: str) -> tuple[str, ...]:
     """A categorical field's values: its choices, then its rare anomaly-only value."""
     return (*(value for value, _ in profile.categorical[name]), profile.rare[name])
@@ -141,6 +135,8 @@ def _draw_day(
     if m > 0:
         labels[rng.choice(n, size=m, replace=False)] = 1
 
+    weights = {name: np.asarray([p for _, p in choices]) for name, choices in profile.categorical.items()}
+    probs = {name: w / w.sum() for name, w in weights.items()}  # each field's draw probabilities, computed once
     day_start = BASE_EPOCH_MS + day * DAY_MS
     burst_start = day_start + int(rng.integers(0, 23)) * HOUR_MS
 
@@ -158,8 +154,8 @@ def _draw_day(
             else:
                 value = rng.uniform(mean - 10.0 * std, mean + 10.0 * std)
             cells[name][i] = round(float(value), 6)
-        for name, choices in profile.categorical.items():
-            cells[name][i] = len(choices) if outlier else _pick_category(rng, choices)
+        for name, p in probs.items():
+            cells[name][i] = len(p) if outlier else rng.choice(len(p), p=p)
 
 
 def _source_rows(source: DataSourceKind, source_index: int, config: SynthConfig) -> tuple[RecordBatch, np.ndarray]:

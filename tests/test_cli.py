@@ -205,6 +205,15 @@ class TestConfigParsing:
             assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not (tmp_path / "out").exists()
 
+    def test_a_config_file_not_utf8_fails_run_and_dry_run(self, tmp_path, capsys):
+        config = write_config(tmp_path / "c.conf", tmp_path / "store", tmp_path / "out")
+        config.write_bytes("# café\n".encode("latin-1") + config.read_bytes())
+        for dry_run in (["--dry-run"], []):
+            assert main(["run", "--config", str(config), *dry_run]) == 1
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: {config}: line 1: not UTF-8: invalid continuation byte b'\\xe9'"
+            ]
+
     def test_bro_index_overrides_stand_without_run_bro_index(self):
         config = config_from_entries({"run.bro_index": "", "sources.bro_dns.index": "dnsonly"})
         assert config.index_plan()[1] == ("dnsonly", (BRO_DNS,))
@@ -311,6 +320,41 @@ class TestRunCommand:
         assert main(["run", "--config", str(config)]) == 1
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
         assert errors == ["error: yaf: 2021-03-02.jsonl: line 31: record_id must be non-empty"]
+
+    @pytest.mark.parametrize("time", [1614643200000, 1612137600000], ids=["in_window", "outside_window"])
+    def test_a_store_byte_that_is_not_utf8_exits_one_and_names_its_line(self, tmp_path, capsys, time):
+        store = tmp_path / "store"
+        main(["synth", "--out", str(store), "--days", "2", "--records", "30"])
+        (store / "yaf" / "extra.jsonl").write_bytes(
+            b'{"_id":"e-0","timestamp":%d,"direction":"in"}\n{"_id":"e-1","timestamp":%d,"direction":"\xff"}\n'
+            % (time, time)
+        )
+        config = write_config(tmp_path / "c.conf", store, tmp_path / "out")
+        assert main(["run", "--config", str(config)]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == ["error: yaf: extra.jsonl: line 2: not UTF-8: invalid start byte b'\\xff'"]
+
+    def test_an_output_dir_that_is_a_file_exits_one_naming_it(self, tmp_path, capsys):
+        store, out = tmp_path / "store", tmp_path / "out"
+        main(["synth", "--out", str(store), "--days", "2", "--records", "30"])
+        out.write_text("a file\n")
+        config = write_config(tmp_path / "c.conf", store, out)
+        assert main(["run", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and str(out) in errors[0]
+
+    def test_an_index_entry_that_is_a_directory_exits_one_naming_it(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        main(["synth", "--out", str(store), "--days", "2", "--records", "30"])
+        (store / "yaf" / "extra.jsonl").mkdir()
+        config = write_config(tmp_path / "c.conf", store, tmp_path / "out")
+        assert main(["run", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and str(store / "yaf" / "extra.jsonl") in errors[0]
 
     @pytest.mark.parametrize(
         "day, column, blank_next, what",

@@ -351,6 +351,14 @@ class TestDirectoryStore:
             query_store(DirectoryStore(tmp_path), StoreQuery(index="flows", time_from=0, time_to=10), YAF)
         assert err.value.line_number == 1
 
+    @pytest.mark.parametrize("time", [5, 50], ids=["in_window", "outside_window"])
+    def test_a_byte_that_is_not_utf8_fails_its_line(self, tmp_path, time):
+        (tmp_path / "flows").mkdir()
+        (tmp_path / "flows" / "a.jsonl").write_bytes(b'{"timestamp": 1}\n{"timestamp": %d, "v": "\xff"}\n' % time)
+        with pytest.raises(MalformedLine, match=r"^a\.jsonl: line 2: not UTF-8: invalid start byte b'\\xff'$") as err:
+            query_store(DirectoryStore(tmp_path), StoreQuery(index="flows", time_from=0, time_to=10), YAF)
+        assert err.value.line_number == 2
+
     def test_more_than_max_records_raises(self, tmp_path):
         docs = [{"timestamp": t} for t in range(50)]
         self._write_index(tmp_path, "flows", {"a.jsonl": docs})

@@ -218,7 +218,6 @@ def test_synth_and_run_build_no_record_per_row(tmp_path, monkeypatch):
         raise AssertionError("a SensorRecord was built")
 
     monkeypatch.setattr(SensorRecord, "__init__", refuse)
-    monkeypatch.setattr(SensorRecord, "trusted", refuse)
     synth_config = SynthConfig(seed=2, days_history=2, records_per_source_per_day=40)
     store = tmp_path / "store"
     write_store(generate(synth_config), store)
