@@ -115,10 +115,18 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _read_rows(path: Path, kind: str, row: Callable[[dict], tuple], collect: Callable) -> list | dict:
     """``collect`` of ``row(doc)`` over the non-blank lines of a JSONL file, which end at a line feed only, as in a
-    store; a row it cannot read or collect makes a corrupted ``kind`` file."""
+    store; a row it cannot read or collect makes a corrupted ``kind`` file, naming the line of a row it cannot read."""
+
+    def read(line_number: int, line: str) -> tuple:
+        try:
+            return row(json.loads(line))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"line {line_number}: {exc}") from None
+
     try:
-        return collect(row(json.loads(line)) for line in path.read_text(encoding="utf-8").split("\n") if line.strip())
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        lines = path.read_text(encoding="utf-8").split("\n")
+        return collect(read(line_number, line) for line_number, line in enumerate(lines, start=1) if line.strip())
+    except (TypeError, ValueError) as exc:
         raise CamlpadError(f"corrupted {kind} file {path}: {exc}") from None
 
 

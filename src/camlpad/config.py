@@ -95,10 +95,14 @@ class PipelineConfig:
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """key -> value of each ``key = value`` line; a key set on two lines is refused."""
+    """key -> value of each ``key = value`` line; a key set on two lines is refused.
+
+    Lines end at a line feed only, as in a store: a value may hold any other
+    line separator, and the carriage return of a CRLF line is trailing space.
+    """
     entries: dict[str, str] = {}
     set_on: dict[str, int] = {}
-    for line_number, raw in enumerate(text.splitlines(), start=1):
+    for line_number, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -2,10 +2,11 @@
 
 Records and batches are frozen after construction. A cell is a plain value
 (finite float, non-empty str, or None for missing), checked on its way in:
-by :class:`SensorRecord`, or by the store parser, which appends the cells it
-checked to a batch's columns through :class:`BatchBuilder`. A batch holds
-its rows as columns; records are only a checked view. Serialization to/from
-the store's JSON form lives in :mod:`camlpad.ingest_store`.
+by :class:`SensorRecord`, the store parser or the synth generator. Rows enter
+a batch only through :class:`BatchBuilder` and leave it only through
+:meth:`RecordBatch.rows`. A batch holds its rows as columns; records are only
+a checked view. Serialization to/from the store's JSON form lives in
+:mod:`camlpad.ingest_store`.
 """
 
 from __future__ import annotations
@@ -177,10 +178,14 @@ class RecordBatch:
 
 
 class BatchBuilder:
-    """Rows added one at a time, each cell appended to its field's column as it comes.
+    """Rows added one at a time, each row's cells kept with those of its shape until ``batch()``.
 
-    A row's key order is kept as its index into a table of the distinct
-    orders (shapes) seen, so that absent and null cells stay apart.
+    A row's key order (its shape) is kept as its index into a table of the
+    distinct shapes seen, so that absent and null cells stay apart. A shape
+    holds its rows' cells, row after row, in arrays of its own; each field
+    has one category table, shared by every shape that holds the field. A
+    builder makes one batch: ``batch()`` releases the cells, and a later
+    ``add`` or ``batch`` raises.
     """
 
     def __init__(self, source: DataSourceKind):
@@ -188,10 +193,9 @@ class BatchBuilder:
         self.record_ids: list[str] = []
         self._timestamps = array("q")
         self._row_shapes = array("i")
-        self._shapes: dict[tuple[str, ...], int] = {}
-        self._columns: dict[str, _ColumnBuilder] = {}
-        # shape -> (its index, the columns of its fields in its order, the columns it lacks)
-        self._plans: dict[tuple[str, ...], tuple[int, list[_ColumnBuilder], list[_ColumnBuilder]]] = {}
+        # shape -> (its index, its cells' numbers and codes, its fields' category tables in its order)
+        self._shapes: dict[tuple[str, ...], tuple[int, array, array, list[dict[str, int]]]] = {}
+        self._categories: dict[str, dict[str, int]] | None = {}  # field -> category -> code, fields first-seen
 
     def __len__(self) -> int:
         return len(self.record_ids)
@@ -199,58 +203,47 @@ class BatchBuilder:
     def add(self, timestamp: int, record_id: str, fields: Mapping[str, float | str | None]) -> None:
         """Append a row whose time, id and cells have met every ``SensorRecord`` rule."""
         shape = tuple(fields)
-        index, present, absent = self._plans.get(shape) or self._plan(shape)
+        index, numbers, codes, tables = self._shapes.get(shape) or self._new_shape(shape)
         self._timestamps.append(timestamp)
         self.record_ids.append(record_id)
         self._row_shapes.append(index)
-        for column, cell in zip(present, fields.values()):
+        for table, cell in zip(tables, fields.values()):
             if type(cell) is str:
-                column.numbers.append(_NAN)
-                column.codes.append(column.categories.setdefault(cell, len(column.categories)))
+                numbers.append(_NAN)
+                codes.append(table.setdefault(cell, len(table)))
             else:
-                column.numbers.append(_NAN if cell is None else cell)
-                column.codes.append(-1)
-        for column in absent:
-            column.numbers.append(_NAN)
-            column.codes.append(-1)
+                numbers.append(_NAN if cell is None else cell)
+                codes.append(-1)
 
-    def _plan(self, shape: tuple[str, ...]) -> tuple[int, list["_ColumnBuilder"], list["_ColumnBuilder"]]:
-        index = self._shapes.setdefault(shape, len(self._shapes))
-        for name in shape:
-            if name not in self._columns:
-                self._columns[name] = _ColumnBuilder(len(self))
-                self._plans.clear()  # every other shape now lacks this column
-        present = [self._columns[name] for name in shape]
-        absent = [column for name, column in self._columns.items() if name not in shape]
-        self._plans[shape] = plan = (index, present, absent)
-        return plan
+    def _new_shape(self, shape: tuple[str, ...]) -> tuple[int, array, array, list[dict[str, int]]]:
+        categories = self._open_categories()
+        tables = [categories.setdefault(name, {}) for name in shape]
+        self._shapes[shape] = entry = (len(self._shapes), array("d"), array("i"), tables)
+        return entry
+
+    def _open_categories(self) -> dict[str, dict[str, int]]:
+        if self._categories is None:
+            raise ValueError("this BatchBuilder has made its batch; a builder makes one batch")
+        return self._categories
 
     def batch(self) -> RecordBatch:
-        """The rows added so far, in the order they were added."""
-        return RecordBatch(
-            source=self.source,
-            timestamps=np.frombuffer(self._timestamps, dtype=np.int64),
-            record_ids=tuple(self.record_ids),
-            columns={
-                name: Column(
-                    np.frombuffer(column.numbers, dtype=np.float64),
-                    np.frombuffer(column.codes, dtype=np.int32),
-                    tuple(column.categories),
-                )
-                for name, column in self._columns.items()
-            },
-            shapes=tuple(self._shapes),
-            row_shapes=np.frombuffer(self._row_shapes, dtype=np.int32),
-        )
-
-
-class _ColumnBuilder:
-    __slots__ = ("numbers", "codes", "categories")
-
-    def __init__(self, rows_before: int):
-        self.numbers = array("d", [_NAN]) * rows_before
-        self.codes = array("i", [-1]) * rows_before
-        self.categories: dict[str, int] = {}
+        """The rows added so far, in the order they were added; each shape's cells are placed, then released."""
+        categories, self._categories = self._open_categories(), None
+        columns = {
+            name: Column(np.full(len(self), _NAN), np.full(len(self), -1, dtype=np.int32), tuple(table))
+            for name, table in categories.items()
+        }
+        shapes = tuple(self._shapes)
+        row_shapes = np.frombuffer(self._row_shapes, dtype=np.int32)
+        for shape in shapes:
+            index, numbers, codes, _ = self._shapes.pop(shape)
+            rows = np.flatnonzero(row_shapes == index)
+            numbers, codes = np.frombuffer(numbers, dtype=np.float64), np.frombuffer(codes, dtype=np.int32)
+            for at, name in enumerate(shape):
+                columns[name].numbers[rows] = numbers[at :: len(shape)]
+                columns[name].codes[rows] = codes[at :: len(shape)]
+        timestamps = np.frombuffer(self._timestamps, dtype=np.int64)
+        return RecordBatch(self.source, timestamps, tuple(self.record_ids), columns, shapes, row_shapes)
 
 
 def canonical_order(timestamps: np.ndarray, record_ids: Sequence[str]) -> np.ndarray:

@@ -6,8 +6,8 @@ Two store backends speak the same contract: a directory of ``.jsonl`` files
 
 Each document is walked once on its way into a batch's columns: a JSONL
 line holding one object is decoded once at C level (``_read_jsonl``), its
-cells are built and checked in one pass (``_Rows.add_document``), and each
-is appended to its field's column. No per-row object outlives its line. A
+cells are built and checked in one pass (``_Rows.add_document``), and the
+row is added to a ``BatchBuilder``. No per-row object outlives its line. A
 row's source is its batch's, so the BRO split takes the rows it read into
 the dns and conn batches as they are.
 """
@@ -426,8 +426,8 @@ def query_store(
     seen again in that order is suffixed ``-1``, ``-2``, ... Partial results
     are never returned silently: any page failure raises, and so does a
     window holding more than max_records records (TooManyRecords). A
-    directory-store line that does not parse raises with its file's name
-    before its message.
+    directory-store line that does not parse, or a day file that cannot be
+    read, raises with its file's name before its message.
     """
     rows = _Rows(source, time_field, (query.time_from, query.time_to))
     if isinstance(locator, DirectoryStore):
@@ -451,6 +451,8 @@ def _query_directory(store: DirectoryStore, query: StoreQuery, rows: _Rows) -> N
         except (MalformedLine, MissingTimestamp) as exc:
             exc.args = (f"{path.name}: {exc}",)
             raise
+        except OSError as exc:  # a *.jsonl directory, say
+            raise CamlpadError(f"{path.name}: {exc}") from None
         if len(rows) > query.max_records:
             return
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import DAY_MS, ConfigError, window_id_for
-from .datamodel import Column, DataSourceKind, RecordBatch, canonical_order, time_buckets
+from .datamodel import BatchBuilder, DataSourceKind, RecordBatch, canonical_order, time_buckets
 from .ensemble import LabelVector
 from .ingest_store import json_lines
 
@@ -113,21 +113,10 @@ class SynthResult:
     bucket_truth: list[tuple[int, int]] = field(default_factory=list)  # (hour start, any anomaly in it)
 
 
-def _categories(profile: SourceProfile, name: str) -> tuple[str, ...]:
-    """A categorical field's values: its choices, then its rare anomaly-only value."""
-    return (*(value for value, _ in profile.categorical[name]), profile.rare[name])
-
-
 def _draw_day(
-    source: DataSourceKind,
-    source_index: int,
-    day: int,
-    config: SynthConfig,
-    timestamps: np.ndarray,
-    cells: dict[str, np.ndarray],
-    labels: np.ndarray,
+    source: DataSourceKind, source_index: int, day: int, config: SynthConfig, rows: BatchBuilder, labels: np.ndarray
 ) -> None:
-    """Draw one source-day's rows, in id order, into its slices: times, each field's numbers or category codes, labels."""
+    """Draw one source-day's rows, in id order, adding each to ``rows`` and marking its anomalies in ``labels``."""
     profile = PROFILES[source]
     rng = np.random.default_rng([config.seed, source_index, day])
     n = config.records_per_source_per_day
@@ -142,10 +131,8 @@ def _draw_day(
 
     for i in range(n):
         outlier = bool(labels[i])
-        if outlier:
-            timestamps[i] = burst_start + int(rng.integers(0, HOUR_MS))
-        else:
-            timestamps[i] = day_start + int(rng.integers(0, DAY_MS))
+        timestamp = burst_start + int(rng.integers(0, HOUR_MS)) if outlier else day_start + int(rng.integers(0, DAY_MS))
+        fields: dict[str, float | str | None] = {}
         for name, (mean, std) in profile.numeric.items():
             if not outlier:
                 value = rng.normal(mean, std)
@@ -153,31 +140,21 @@ def _draw_day(
                 value = rng.normal(mean + 6.0 * std, std)
             else:
                 value = rng.uniform(mean - 10.0 * std, mean + 10.0 * std)
-            cells[name][i] = round(float(value), 6)
+            fields[name] = round(float(value), 6)
         for name, p in probs.items():
-            cells[name][i] = len(p) if outlier else rng.choice(len(p), p=p)
+            fields[name] = profile.rare[name] if outlier else profile.categorical[name][rng.choice(len(p), p=p)][0]
+        rows.add(timestamp, f"{source.value}-d{day}-{i:04d}", fields)
 
 
 def _source_rows(source: DataSourceKind, source_index: int, config: SynthConfig) -> tuple[RecordBatch, np.ndarray]:
     """A source's rows over every day, in canonical order, with their labels."""
-    profile = PROFILES[source]
     n = config.records_per_source_per_day
-    total = n * config.total_days
-    timestamps = np.empty(total, dtype=np.int64)
-    cells = {name: np.empty(total) for name in profile.numeric}
-    cells.update((name, np.empty(total, dtype=np.int32)) for name in profile.categorical)
-    labels = np.zeros(total, dtype=int)
+    rows = BatchBuilder(source)
+    labels = np.zeros(n * config.total_days, dtype=int)
     for day in range(config.total_days):
-        rows = slice(day * n, (day + 1) * n)
-        day_cells = {name: column[rows] for name, column in cells.items()}
-        _draw_day(source, source_index, day, config, timestamps[rows], day_cells, labels[rows])
-    record_ids = tuple(f"{source.value}-d{day}-{i:04d}" for day in range(config.total_days) for i in range(n))
-    columns = {name: Column(cells[name], np.full(total, -1, dtype=np.int32), ()) for name in profile.numeric}
-    columns.update(
-        (name, Column(np.full(total, np.nan), cells[name], _categories(profile, name))) for name in profile.categorical
-    )
-    batch = RecordBatch(source, timestamps, record_ids, columns, (tuple(columns),), np.zeros(total, dtype=np.int32))
-    order = canonical_order(timestamps, record_ids)
+        _draw_day(source, source_index, day, config, rows, labels[day * n : (day + 1) * n])
+    batch = rows.batch()
+    order = canonical_order(batch.timestamps, batch.record_ids)
     return batch.take(order), labels[order]
 
 

@@ -76,6 +76,12 @@ class TestConfigParsing:
         entries = parse_config_text("# hello\n\nstore.kind = directory\n")
         assert entries == {"store.kind": "directory"}
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085", "\x1c", "\v", "\f", "\r"])
+    def test_a_value_may_hold_any_line_separator_but_a_line_feed(self, tmp_path, separator):
+        config = tmp_path / "c.conf"
+        config.write_bytes(f"store.kind = http\r\nstore.url = http://a{separator}b\r\n".encode("utf-8"))
+        assert load_config(config).store_url == f"http://a{separator}b"
+
     def test_unknown_key_rejected(self):
         retired = [
             "run.bucket_width_ms", "run.tie_breaks_anomalous", "detectors.iforest.seed", "detectors.hbos.bins",
@@ -355,6 +361,7 @@ class TestRunCommand:
         assert "Traceback" not in err
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and str(store / "yaf" / "extra.jsonl") in errors[0]
+        assert errors[0].startswith("error: yaf: extra.jsonl: ")
 
     @pytest.mark.parametrize(
         "day, column, blank_next, what",
@@ -468,6 +475,20 @@ class TestEvaluateCommand:
         (broken / "labels" / "yaf.jsonl").write_text("{nope\n")
         assert main(["evaluate", "--run", str(broken), "--truth", str(store / "truth")]) == 1
         assert "yaf.jsonl" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["label", "truth"])
+    def test_a_bad_row_is_named_by_its_line_in_the_file(self, small_run, tmp_path, capsys, kind):
+        _, store, out, _ = small_run
+        shutil.copytree(out, tmp_path / "run")
+        shutil.copytree(store / "truth", tmp_path / "truth")
+        path = tmp_path / ("run/labels" if kind == "label" else "truth") / "yaf.jsonl"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:2]) + "{nope\n")
+        assert main(["evaluate", "--run", str(tmp_path / "run"), "--truth", str(tmp_path / "truth")]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == [
+            f"error: corrupted {kind} file {path}: line 3: "
+            "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+        ]
 
     def test_truth_row_whose_id_cannot_be_a_key_exits_one(self, small_run, tmp_path, capsys):
         _, store, out, _ = small_run

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camlpad.datamodel import (
+    BatchBuilder,
     DataSourceKind,
     RecordBatch,
     SensorRecord,
@@ -128,3 +129,16 @@ class TestColumns:
         assert list(part.columns) == list(dict.fromkeys(name for record in expected for name in record.fields))
         assert list(json_lines(part)) == [record_to_json_line(record) for record in expected]
         assert part.records[0] is not part.records[0] if rows else part.records == ()
+
+
+class TestBatchBuilder:
+    def test_a_builder_makes_one_batch(self):
+        rows = BatchBuilder(DataSourceKind.YAF)
+        rows.add(1, "a", {"x": 1.0, "k": "in"})
+        rows.add(2, "b", {"k": "out", "y": None})
+        batch = rows.batch()
+        assert list(batch.rows()) == [(1, {"x": 1.0, "k": "in"}, "a"), (2, {"k": "out", "y": None}, "b")]
+        assert list(batch.columns) == ["x", "k", "y"] and batch.columns["k"].categories == ("in", "out")
+        for late in (lambda: rows.add(3, "c", {"x": 2.0, "k": "in"}), lambda: rows.add(3, "c", {}), rows.batch):
+            with pytest.raises(ValueError, match="makes one batch"):
+                late()
