@@ -20,7 +20,7 @@ from .ensemble import DETECTOR_NAMES
 from .errors import CamlpadError
 from .ingest_store import DirectoryStore, HttpStore, StoreQuery, StoreUnreachable, TooManyRecords, query_store
 from .pipeline import run_pipeline
-from .synth import ANOMALY_STYLES, SynthConfig, generate, write_store
+from .synth import ANOMALY_STYLES, HOUR_MS, SynthConfig, generate, write_store
 
 logger = logging.getLogger(__name__)
 
@@ -134,6 +134,10 @@ def _label_row(doc: dict) -> tuple[str, dict[str, int]]:
     return doc["row_id"], {"ensemble": int(doc["label"]), **{name: int(doc["votes"][name]) for name in DETECTOR_NAMES}}
 
 
+def _bucket_row(doc: dict, flag: str) -> tuple[int, int]:
+    return int(doc["bucket_start"]), int(doc[flag])
+
+
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     labels_dir = args.run / "labels"
     if not labels_dir.is_dir():
@@ -168,6 +172,13 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             name: evaluate.adjusted_rand_index([votes[name] for _, votes in shared], [label for label, _ in shared])
             for name in ("ensemble",) + DETECTOR_NAMES
         }
+    buckets_path = args.truth / "buckets.jsonl"
+    if buckets_path.is_file():
+        verdicts = _read_rows(args.run / "verdicts.jsonl", "verdict", lambda doc: _bucket_row(doc, "final"), list)
+        truth_hours = _read_rows(buckets_path, "truth", lambda doc: _bucket_row(doc, "label"), list)
+        report["vs_truth_buckets"] = evaluate.vote_vs_truth_hours(verdicts, truth_hours, HOUR_MS)
+    else:
+        logger.warning("no bucket truth file %s, so no vs_truth_buckets", buckets_path)
     report_path = args.run / "report.json"
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"mean pairwise ARI: {report['mean_pairwise_ari']:.4f} (report: {report_path})")

@@ -23,6 +23,8 @@ from .ingest_store import (
     HttpStore,
     StoreLocator,
     _iso_epoch_ms,
+    redact_url,
+    url_refusal,
 )
 
 DAY_MS = 86_400_000
@@ -177,6 +179,8 @@ def config_from_entries(entries: dict[str, str]) -> PipelineConfig:
     for key, value in entries.items():
         parts = key.split(".")
         if len(parts) == 3 and parts[0] == "sources" and parts[2] == "index":
+            if not value:  # the store root itself is no index
+                raise ConfigError(f"{key}: expected an index name, got ''")
             config.indexes[DataSourceKind.from_name(parts[1])] = value
             continue
         if key not in _KEYS:
@@ -186,6 +190,9 @@ def config_from_entries(entries: dict[str, str]) -> PipelineConfig:
     for source in BRO_SOURCES:
         if config.bro_index and source in config.indexes:
             raise ConfigError(f"sources.{source.value}.index cannot be set with run.bro_index, which serves it")
+    refusal = config.webhook_url and url_refusal(config.webhook_url)
+    if refusal:  # no alert could ever be sent to it
+        raise ConfigError(f"alerts.webhook_url: {redact_url(config.webhook_url)}: {refusal}")
     if not 0.0 < config.contamination < 1.0:
         raise ConfigError(f"run.contamination must be in (0,1), got {config.contamination}")
     if not 0.0 <= config.threshold_percentile <= 100.0:  # NaN fails too

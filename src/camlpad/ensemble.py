@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Mapping, Sequence
 
@@ -43,13 +43,17 @@ class LabelVector:
             raise ValueError("labels must be 0 or 1")
 
 
-@dataclass
-class BucketVerdict:
-    """Cross-source outcome for one fixed-width time bucket."""
+@dataclass(frozen=True)
+class VoteTable:
+    """Cross-source outcome per fixed-width time bucket: one row per bucket, one column per source."""
 
-    bucket_start: int
-    votes: dict[DataSourceKind, int] = field(default_factory=dict)
-    final: int = 0
+    bucket_starts: np.ndarray  # int64, ascending
+    sources: tuple[DataSourceKind, ...]
+    votes: np.ndarray  # int8 (bucket, source): 1 or 0, -1 where the source has no row in the bucket
+    final: np.ndarray  # int8 per bucket: 1 when at least half the sources present vote 1
+
+    def __len__(self) -> int:
+        return len(self.bucket_starts)
 
 
 def normalize_scores(scores: np.ndarray, n_history: int) -> np.ndarray:
@@ -106,8 +110,8 @@ def cross_source_vote(
     labeled: Mapping[DataSourceKind, tuple[np.ndarray, np.ndarray]],
     bucket_width_ms: int = DEFAULT_BUCKET_WIDTH_MS,
     contamination: float = DEFAULT_CONTAMINATION,
-) -> list[BucketVerdict]:
-    """Democratic vote across sources per fixed-width time bucket.
+) -> VoteTable:
+    """Democratic vote across sources per fixed-width time bucket: a row per bucket, a column per source.
 
     ``labeled`` maps each source to its row (timestamps_ms, labels) arrays. A
     source votes 1 in a bucket iff its outlier fraction there exceeds the
@@ -118,17 +122,14 @@ def cross_source_vote(
         raise ValueError("cross_source_vote needs at least one source")
     if bucket_width_ms <= 0:
         raise ValueError("bucket_width_ms must be positive")
-    votes: dict[int, dict[DataSourceKind, int]] = {}
-    for source, (timestamps, labels) in labeled.items():
-        starts, index = time_buckets(timestamps, bucket_width_ms)
+    buckets = [time_buckets(timestamps, bucket_width_ms) for timestamps, _ in labeled.values()]
+    bucket_starts = np.unique(np.concatenate([starts for starts, _ in buckets]))
+    votes = np.full((len(bucket_starts), len(labeled)), -1, dtype=np.int8)
+    for column, ((starts, index), (_, labels)) in enumerate(zip(buckets, labeled.values())):
         outlying = np.bincount(index, weights=labels) / np.bincount(index) > contamination
-        for start, flag in zip(starts.tolist(), outlying.tolist()):
-            votes.setdefault(start, {})[source] = int(flag)
-    verdicts: list[BucketVerdict] = []
-    for bucket in sorted(votes):
-        final = int(2 * sum(votes[bucket].values()) >= len(votes[bucket]))
-        verdicts.append(BucketVerdict(bucket_start=bucket, votes=votes[bucket], final=final))
-    return verdicts
+        votes[np.searchsorted(bucket_starts, starts), column] = outlying
+    final = 2 * (votes == 1).sum(axis=1) >= (votes >= 0).sum(axis=1)
+    return VoteTable(bucket_starts, tuple(labeled), votes, final.astype(np.int8))
 
 
 def labels_to_jsonl(
@@ -152,13 +153,14 @@ def labels_to_jsonl(
     return "\n".join(lines)
 
 
-def verdicts_to_jsonl(verdicts: Sequence[BucketVerdict]) -> str:
+def verdicts_to_jsonl(table: VoteTable) -> str:
     """One {"bucket_start", "final", "votes"} JSON object per bucket, as json.dumps(doc, sort_keys=True) writes it."""
-    vote = {kind: json.dumps(kind.value) + ": %d" for kind in DataSourceKind}
+    order = sorted(range(len(table.sources)), key=lambda column: table.sources[column].value)
+    names = [json.dumps(table.sources[column].value) + ": " for column in order]
     template = '{"bucket_start": %d, "final": %d, "votes": {%s}}'
     lines = [
-        template % (v.bucket_start, v.final, ", ".join(vote[kind] % flag for kind, flag in sorted(v.votes.items())))
-        for v in verdicts
+        template % (start, final, ", ".join([f"{name}{flag}" for name, flag in zip(names, row) if flag >= 0]))
+        for start, final, row in zip(table.bucket_starts.tolist(), table.final.tolist(), table.votes[:, order].tolist())
     ]
     lines.append("")
     return "\n".join(lines)

@@ -1,4 +1,4 @@
-"""Adjusted Rand Index agreement between label assignments.
+"""Adjusted Rand Index agreement between label assignments, and the vote against hourly truth.
 
 The index is computed from the contingency table, counted by numpy over any
 label values, in exact rational arithmetic before the final float
@@ -75,3 +75,23 @@ def pairwise_ari_report(labelings: Mapping[str, Mapping[str, Sequence[int]]]) ->
         means.append(mean)
         per_source[source] = {"pairwise_ari": pairwise, "mean_pairwise_ari": mean}
     return {"per_source": per_source, "mean_pairwise_ari": sum(means) / len(means) if means else None}
+
+
+def vote_vs_truth_hours(
+    verdicts: Sequence[tuple[int, int]], truth: Sequence[tuple[int, int]], hour_ms: int
+) -> dict[str, int]:
+    """Count the hours the cross-source vote found: (bucket_start, final) verdicts against (hour start, label) truth.
+
+    An hour is voted when a verdict bucket starting inside it is final 1.
+    Only the truth hours from the first verdict bucket's hour to the last
+    one's are counted.
+    """
+    hours = [start // hour_ms * hour_ms for start, _ in verdicts]
+    voted = {hour for hour, (_, final) in zip(hours, verdicts) if final}
+    first, last = min(hours, default=0), max(hours, default=-1)
+    counted = [(hour, label) for hour, label in truth if first <= hour <= last]
+    anomalous = [hour in voted for hour, label in counted if label]
+    clean = [hour in voted for hour, label in counted if not label]
+    return {
+        "anomalous_hours": len(anomalous), "found": sum(anomalous), "clean_hours": len(clean), "false_hours": sum(clean)
+    }

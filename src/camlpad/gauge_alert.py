@@ -21,7 +21,9 @@ import numpy as np
 
 from .datamodel import time_buckets
 from .errors import CamlpadError
-from .ingest_store import DirectoryStore, StoreLocator, StoreUnreachable, index_document, post_json, redact_url
+from .ingest_store import (
+    DirectoryStore, StoreLocator, StoreUnreachable, index_document, post_json, redact_url, url_refusal
+)
 
 logger = logging.getLogger(__name__)
 
@@ -192,8 +194,10 @@ def _deliver_webhook(
 ) -> SinkOutcome:
     body = json.dumps(alert_document(event)).encode()
     sink = f"webhook:{redact_url(url)}"
+    # a URL that post_json refuses unsent fails alike on every attempt: it gets one, and no wait
+    attempts = 1 if url_refusal(url) else WEBHOOK_ATTEMPTS
     detail = ""
-    for attempt in range(1, WEBHOOK_ATTEMPTS + 1):
+    for attempt in range(1, attempts + 1):
         try:
             status, _ = post_json(url, body)
             if 200 <= status < 300:
@@ -201,12 +205,12 @@ def _deliver_webhook(
             detail = f"HTTP {status}"
         except StoreUnreachable as exc:
             detail = str(exc)
-        if attempt < WEBHOOK_ATTEMPTS:
+        if attempt < attempts:
             sleep(WEBHOOK_BACKOFF_SECONDS[attempt - 1])
     return SinkOutcome(
         sink=sink, ok=False,
-        detail=f"failed after {WEBHOOK_ATTEMPTS} attempts: {detail}",
-        attempts=WEBHOOK_ATTEMPTS,
+        detail=f"failed after {attempts} attempt{'s' if attempts > 1 else ''}: {detail}",
+        attempts=attempts,
     )
 
 

@@ -163,22 +163,39 @@ def redact_url(url: str) -> str:
     return urllib.parse.urlunsplit((parts.scheme, parts.netloc.rpartition("@")[2], parts.path, "", ""))
 
 
+def url_refusal(url: str) -> str | None:
+    """Why ``post_json`` refuses ``url`` without sending, or None.
+
+    It must be http(s), parse, name its port (if any) as a number in range,
+    and carry no user:password@.
+    """
+    if not url.lower().startswith(_HTTP_SCHEMES):
+        return "only http:// and https:// URLs are supported"
+    try:
+        parts = urllib.parse.urlsplit(url)
+        parts.port  # raises for a port that is not a number in range
+    except ValueError as exc:
+        return str(exc)
+    if "@" in parts.netloc:  # urllib would take user:password for part of the host name
+        return "user:password@ in a URL is not supported"
+    return None
+
+
 def post_json(url: str, body: bytes, token: str | None = None) -> tuple[int, bytes]:
     """POST a JSON body, with a Bearer header when a token is set; (status, body) of any reply.
 
-    Every failure that leaves no reply, a non-http(s) URL or one carrying user:password@
+    Every failure that leaves no reply, a URL that ``url_refusal`` refuses
     included, is StoreUnreachable, naming the URL by ``redact_url``.
     """
     shown = redact_url(url)
-    if not url.lower().startswith(_HTTP_SCHEMES):
-        raise StoreUnreachable(f"{shown}: only http:// and https:// URLs are supported")
+    refusal = url_refusal(url)
+    if refusal:
+        raise StoreUnreachable(f"{shown}: {refusal}")
     headers = {"Content-Type": "application/json"}
     if token:
         headers["Authorization"] = f"Bearer {token}"
     request = urllib.request.Request(url, data=body, headers=headers, method="POST")
     try:
-        if "@" in urllib.parse.urlsplit(url).netloc:  # urllib would take user:password for part of the host name
-            raise StoreUnreachable(f"{shown}: user:password@ in a URL is not supported")
         try:
             response = _opener().open(request, timeout=30)
         except urllib.error.HTTPError as reply:  # a non-2xx reply still has a status and a body

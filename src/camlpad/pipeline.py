@@ -22,7 +22,7 @@ from .config import BRO_SOURCES, DAY_MS, DetectorParams, PipelineConfig, resolve
 from .datamodel import DataSourceKind, RecordBatch, WindowSplit
 from .ensemble import DETECTOR_NAMES, LabelVector
 from .errors import CamlpadError
-from .ingest_store import StoreQuery, query_store, split_bro_by_protocol, window_split
+from .ingest_store import EmptyHistory, StoreQuery, query_store, split_bro_by_protocol, window_split
 from .preprocess import (
     ColumnKind, ColumnStats, EncodingDictionary, FeatureMatrix, conform_columns, encode, impute, standardize
 )
@@ -51,7 +51,7 @@ class SourceAnalysis:
 class RunResult:
     window_id: str
     analyses: dict[DataSourceKind, SourceAnalysis]
-    verdicts: list[ensemble.BucketVerdict]
+    verdicts: ensemble.VoteTable
     gauges: list[gauge_alert.GaugeReading]
     alert: gauge_alert.AlertEvent | None = None
     evaluation: dict = field(default_factory=dict)
@@ -160,6 +160,15 @@ def analyze_source(
     )
 
 
+def _refuse_missing_history_day(split: WindowSplit, history_days: int) -> None:
+    """Raise naming the earliest of the ``history_days`` days before the boundary on which the split has no row."""
+    present = set(np.unique((split.history.timestamps - split.boundary) // DAY_MS).tolist())
+    missing = [day for day in range(-history_days, 0) if day not in present]
+    if missing:
+        day = window_id_for(split.boundary + missing[0] * DAY_MS)
+        raise EmptyHistory(f"{split.history.source.value}: no records on history day {day}")
+
+
 def _standardized(raw: FeatureMatrix, stats: ColumnStats | None) -> tuple[FeatureMatrix, ColumnStats]:
     """Impute, then standardize under ``stats``, or under stats fitted here when None; an overflow is refused."""
     # a finite cell too large to impute, scale or score overflows to inf or NaN; each is refused by its record
@@ -266,9 +275,7 @@ def write_artifacts(result: RunResult, out_dir: Path) -> None:
         viz.render_svg(overall, f"combined ensemble {result.window_id}")
     )
 
-    (out_dir / "verdicts.jsonl").write_text(
-        ensemble.verdicts_to_jsonl(result.verdicts), encoding="utf-8"
-    )
+    (out_dir / "verdicts.jsonl").write_text(ensemble.verdicts_to_jsonl(result.verdicts), encoding="utf-8")
     for reading in result.gauges:
         (gauges_dir / f"{reading.scope}_{reading.window_id}.json").write_bytes(
             gauge_alert.gauge_json_bytes(reading)
@@ -291,6 +298,7 @@ def run_pipeline(config: PipelineConfig, boundary_override: str | None = None) -
         for source in sources:
             logger.info("analyzing %s (%d records)", source.value, len(batches[source]))
             split = window_split(batches.pop(source), boundary_ms, config.min_history)
+            _refuse_missing_history_day(split, config.history_days)
             try:
                 analyses[source] = analyze_source(split, config.detectors, config.contamination, window_id)
             except CamlpadError as exc:  # same type, now naming the source

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from camlpad.datamodel import DataSourceKind
 from camlpad.ensemble import (
-    BucketVerdict,
     LabelVector,
     MisalignedRows,
     binarize,
@@ -17,6 +17,7 @@ from camlpad.ensemble import (
     ensemble_score,
     labels_to_jsonl,
     normalize_scores,
+    VoteTable,
     verdicts_to_jsonl,
     vote,
 )
@@ -168,6 +169,14 @@ def reference_cross_source_vote(labeled, bucket_width_ms, contamination, tie_bre
     return verdicts
 
 
+def table_rows(table):
+    """A vote table in the reference's shape: each bucket's present sources, in column order."""
+    return [
+        (start, [(source, flag) for source, flag in zip(table.sources, row) if flag >= 0], final)
+        for start, row, final in zip(table.bucket_starts.tolist(), table.votes.tolist(), table.final.tolist())
+    ]
+
+
 class TestCrossSourceVote:
     YAF, SNORT, MERAKI = DataSourceKind.YAF, DataSourceKind.SNORT, DataSourceKind.MERAKI
 
@@ -179,11 +188,12 @@ class TestCrossSourceVote:
     def test_single_source_degenerate_majority(self):
         (t1, l1), (t2, l2) = self._rows(0, 5, 10), self._rows(60_000, 0, 10)
         labeled = {self.YAF: (np.concatenate([t1, t2]), np.concatenate([l1, l2]))}
-        verdicts = cross_source_vote(labeled, contamination=0.1)
-        assert [(v.bucket_start, v.final) for v in verdicts] == [(0, 1), (60_000, 0)]
+        table = cross_source_vote(labeled, contamination=0.1)
+        assert table_rows(table) == [(0, [(self.YAF, 1)], 1), (60_000, [(self.YAF, 0)], 0)]
+        assert len(table) == 2
 
     def test_three_sources_majority(self):
-        verdicts = cross_source_vote(
+        table = cross_source_vote(
             {
                 self.YAF: self._rows(0, 5, 10),
                 self.SNORT: self._rows(0, 5, 10),
@@ -191,26 +201,24 @@ class TestCrossSourceVote:
             },
             contamination=0.1,
         )
-        assert verdicts[0].final == 1
-        assert verdicts[0].votes == {self.YAF: 1, self.SNORT: 1, self.MERAKI: 0}
+        assert table_rows(table) == [(0, [(self.YAF, 1), (self.SNORT, 1), (self.MERAKI, 0)], 1)]
 
     def test_two_source_tie_resolves_to_alert(self):
         labeled = {self.YAF: self._rows(0, 5, 10), self.SNORT: self._rows(0, 0, 10)}
-        assert cross_source_vote(labeled, contamination=0.1)[0].final == 1
+        assert cross_source_vote(labeled, contamination=0.1).final.tolist() == [1]
 
     def test_fraction_must_strictly_exceed_contamination(self):
-        verdicts = cross_source_vote({self.YAF: self._rows(0, 1, 10)}, contamination=0.1)
-        assert verdicts[0].final == 0
+        assert cross_source_vote({self.YAF: self._rows(0, 1, 10)}, contamination=0.1).final.tolist() == [0]
 
     def test_every_record_in_exactly_one_bucket(self):
         rng = np.random.default_rng(13)
         labeled = {source: (rng.integers(0, 10**7, 200), rng.integers(0, 2, 200)) for source in (self.YAF, self.SNORT)}
         width = 60_000
-        verdicts = cross_source_vote(labeled, bucket_width_ms=width)
-        assert all(v.bucket_start % width == 0 for v in verdicts)
-        for source, (timestamps, _) in labeled.items():
+        table = cross_source_vote(labeled, bucket_width_ms=width)
+        assert (table.bucket_starts % width == 0).all()
+        for column, (timestamps, _) in enumerate(labeled.values()):
             starts = {(int(t) // width) * width for t in timestamps}
-            covered = {v.bucket_start for v in verdicts if source in v.votes}
+            covered = set(table.bucket_starts[table.votes[:, column] >= 0].tolist())
             assert starts == covered
 
     @settings(max_examples=300, deadline=None)
@@ -232,24 +240,43 @@ class TestCrossSourceVote:
             source: (np.array(timestamps, dtype=np.int64), np.array(labels, dtype=int))
             for source, (timestamps, labels) in reference_input.items()
         }
-        verdicts = cross_source_vote(labeled, width, contamination)
+        table = cross_source_vote(labeled, width, contamination)
         expected = reference_cross_source_vote(reference_input, width, contamination, tie_breaks_anomalous=True)
-        assert [(v.bucket_start, list(v.votes.items()), v.final) for v in verdicts] == expected
-        assert all(type(v.bucket_start) is int for v in verdicts)
+        assert table_rows(table) == expected
+        assert table.sources == tuple(rows)
+        assert (table.bucket_starts.dtype, table.votes.dtype) == (np.int64, np.int8)
+        assert table.votes.shape == (len(table), len(rows)) and table.final.shape == (len(table),)
 
     def test_exact_contamination_fraction_and_one_to_one_tie(self):
         # 1 of 4 rows is exactly 0.25: not above it; 2 of 4 is. A 1:1 split alerts.
         times = np.array([0, 1, 2, 3])
         labeled = {self.YAF: (times, np.array([1, 0, 0, 0])), self.SNORT: (times, np.array([1, 1, 0, 0]))}
-        [verdict] = cross_source_vote(labeled, bucket_width_ms=4, contamination=0.25)
-        assert list(verdict.votes.items()) == [(self.YAF, 0), (self.SNORT, 1)]
-        assert verdict.final == 1
+        table = cross_source_vote(labeled, bucket_width_ms=4, contamination=0.25)
+        assert table_rows(table) == [(0, [(self.YAF, 0), (self.SNORT, 1)], 1)]
 
     def test_source_with_no_rows_casts_no_vote(self):
         empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=int))
-        verdicts = cross_source_vote({self.YAF: empty, self.SNORT: self._rows(0, 5, 10)}, contamination=0.1)
-        assert [(v.votes, v.final) for v in verdicts] == [({self.SNORT: 1}, 1)]
-        assert cross_source_vote({self.YAF: empty}) == []
+        table = cross_source_vote({self.YAF: empty, self.SNORT: self._rows(0, 5, 10)}, contamination=0.1)
+        assert table_rows(table) == [(0, [(self.SNORT, 1)], 1)]
+        assert table.votes.tolist() == [[-1, 1]]
+        assert len(cross_source_vote({self.YAF: empty})) == 0
+
+    def test_result_holds_at_most_64_bytes_per_bucket(self):
+        # 5 sources, each with a row in 12,000 one-minute buckets of its own: 60,000 buckets in all
+        labeled = {
+            source: (np.arange(12_000, dtype=np.int64) * 300_000 + k * 60_000, np.arange(12_000) % 2)
+            for k, source in enumerate(DataSourceKind)
+        }
+        cross_source_vote(labeled)  # numpy's one-off allocations on a first call are not the result's
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = cross_source_vote(labeled)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 60_000
+        assert held <= 64 * len(table)
 
 
 class TestJsonlExports:
@@ -292,17 +319,25 @@ class TestJsonlExports:
         assert text.endswith("\n")
 
     def test_verdicts_jsonl_is_json_dumps_with_sorted_keys(self):
-        verdicts = [
-            BucketVerdict(bucket_start=0, votes={}, final=0),
-            BucketVerdict(3_600_000, {DataSourceKind.YAF: 1, DataSourceKind.BRO_DNS: 0, DataSourceKind.SNORT: 1}, 1),
-            BucketVerdict(1_614_556_800_000, {kind: i % 2 for i, kind in enumerate(reversed(DataSourceKind))}, 0),
-        ]
+        flags = {
+            0: {},
+            3_600_000: {DataSourceKind.YAF: 1, DataSourceKind.BRO_DNS: 0, DataSourceKind.SNORT: 1},
+            1_614_556_800_000: {kind: i % 2 for i, kind in enumerate(reversed(DataSourceKind))},
+        }
         expected = [
             json.dumps(
-                {"bucket_start": v.bucket_start, "final": v.final, "votes": {k.value: f for k, f in v.votes.items()}},
+                {"bucket_start": start, "final": final, "votes": {k.value: f for k, f in votes.items()}},
                 sort_keys=True,
             )
-            for v in verdicts
+            for (start, votes), final in zip(flags.items(), [0, 1, 0])
         ]
-        assert verdicts_to_jsonl(verdicts) == "\n".join(expected) + "\n"
-        assert verdicts_to_jsonl([]) == ""
+        for sources in (tuple(DataSourceKind), tuple(reversed(DataSourceKind))):  # either column order
+            table = VoteTable(
+                bucket_starts=np.array(list(flags), dtype=np.int64),
+                sources=sources,
+                votes=np.array([[votes.get(kind, -1) for kind in sources] for votes in flags.values()], dtype=np.int8),
+                final=np.array([0, 1, 0], dtype=np.int8),
+            )
+            assert verdicts_to_jsonl(table) == "\n".join(expected) + "\n"
+            empty = VoteTable(table.bucket_starts[:0], sources, table.votes[:0], table.final[:0])
+            assert verdicts_to_jsonl(empty) == ""

@@ -14,6 +14,7 @@ from camlpad.evaluate import (
     TooFewItems,
     adjusted_rand_index,
     pairwise_ari_report,
+    vote_vs_truth_hours,
 )
 
 
@@ -166,3 +167,26 @@ class TestMeanPairwise:
 
     def test_empty_report_has_no_mean(self):
         assert pairwise_ari_report({}) == {"per_source": {}, "mean_pairwise_ari": None}
+
+
+class TestVoteVsTruthHours:
+    HOUR = 3_600_000
+
+    def test_counts_the_truth_hours_the_verdicts_span(self):
+        base = 1_614_556_800_000
+        verdicts = [(base, 0), (base + 60_000, 1), (base + self.HOUR, 0), (base + 2 * self.HOUR + 120_000, 1)]
+        truth = [
+            (base - self.HOUR, 1),  # before the first verdict's hour: not counted
+            (base, 1),  # voted by its second minute: found
+            (base + self.HOUR, 1),  # no bucket of it voted: missed
+            (base + 2 * self.HOUR, 0),  # voted: a false hour
+            (base + 3 * self.HOUR, 1),  # after the last verdict's hour: not counted
+        ]
+        assert vote_vs_truth_hours(verdicts, truth, self.HOUR) == {
+            "anomalous_hours": 2, "found": 1, "clean_hours": 1, "false_hours": 1
+        }
+
+    def test_no_verdicts_count_no_hour(self):
+        assert vote_vs_truth_hours([], [(0, 1), (self.HOUR, 0)], self.HOUR) == {
+            "anomalous_hours": 0, "found": 0, "clean_hours": 0, "false_hours": 0
+        }

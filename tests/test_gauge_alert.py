@@ -232,9 +232,20 @@ class TestEmitAlert:
             webhook_url=webhook_url.format(tmp=tmp_path),
             sleep=sleeps.append,
         )
-        assert [(o.ok, o.attempts) for o in outcomes] == [(True, 1), (False, 3)]
-        assert sleeps == [1.0, 2.0]
+        assert [(o.ok, o.attempts) for o in outcomes] == [(True, 1), (False, 1)]
+        assert sleeps == []  # no later attempt could send it
         assert opened == []
+
+    def test_env_var_webhook_that_cannot_be_sent_gets_one_attempt_and_no_wait(self, monkeypatch):
+        monkeypatch.setenv("CAMLPAD_WEBHOOK_URL", "ftp://hooks.example/x")
+        sleeps = []
+        with pytest.raises(AllSinksFailed) as failed:
+            emit_alert(self._event(), webhook_url="http://127.0.0.1:1/nowhere", sleep=sleeps.append)
+        [outcome] = failed.value.outcomes
+        assert (outcome.sink, outcome.attempts, sleeps) == ("webhook:ftp://hooks.example/x", 1, [])
+        assert outcome.detail == (
+            "failed after 1 attempt: ftp://hooks.example/x: only http:// and https:// URLs are supported"
+        )
 
     def test_webhook_url_with_credentials_is_a_failed_sink_naming_why(self, stub_server, tmp_path):
         url, state = stub_server
@@ -244,7 +255,7 @@ class TestEmitAlert:
             webhook_url=url.replace("http://", "http://alice:pw-secret@") + "/webhook/ok",
             sleep=lambda _: None,
         )
-        assert [(o.ok, o.attempts) for o in outcomes] == [(True, 1), (False, 3)]
+        assert [(o.ok, o.attempts) for o in outcomes] == [(True, 1), (False, 1)]
         assert "user:password@ in a URL is not supported" in outcomes[1].detail
         assert "pw-secret" not in outcomes[1].detail
         assert state.webhook_bodies == []
