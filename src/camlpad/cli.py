@@ -18,7 +18,7 @@ from .config import load_config
 from .datamodel import DataSourceKind
 from .ensemble import DETECTOR_NAMES
 from .errors import CamlpadError
-from .ingest_store import DirectoryStore, HttpStore, StoreQuery, StoreUnreachable, TooManyRecords, query_store
+from .ingest_store import MalformedLine, utf8_lines
 from .pipeline import run_pipeline
 from .synth import ANOMALY_STYLES, HOUR_MS, SynthConfig, generate, write_store
 
@@ -60,25 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _dry_run(config_path: Path) -> int:
     """Check, or probe with a one-record query, every index that `run` would read."""
     config = load_config(config_path)
-    locator = config.locator()
-    plan = config.index_plan()
-    if isinstance(locator, DirectoryStore):
-        if not locator.root.is_dir():
-            raise StoreUnreachable(f"store root does not exist: {locator.root}")
-        missing = [index for index, _ in plan if not (locator.root / index).is_dir()]
-        if missing:
-            raise StoreUnreachable(f"missing index directories: {', '.join(missing)}")
-    elif isinstance(locator, HttpStore):
-        for index, sources in plan:
-            try:
-                query_store(
-                    locator,
-                    StoreQuery(index=index, time_from=0, time_to=1, page_size=1, max_records=1),
-                    sources[0],
-                    config.time_field,
-                )
-            except TooManyRecords:
-                pass  # the store answered; a one-record probe only checks that
+    config.locator().check(config.index_plan(), config.time_field)
     print(f"config ok: {len(config.sources)} sources, store reachable")
     return EXIT_OK
 
@@ -124,9 +106,9 @@ def _read_rows(path: Path, kind: str, row: Callable[[dict], tuple], collect: Cal
             raise ValueError(f"line {line_number}: {exc}") from None
 
     try:
-        lines = path.read_text(encoding="utf-8").split("\n")
+        lines = utf8_lines(path.read_bytes())
         return collect(read(line_number, line) for line_number, line in enumerate(lines, start=1) if line.strip())
-    except (TypeError, ValueError) as exc:
+    except (MalformedLine, TypeError, ValueError) as exc:
         raise CamlpadError(f"corrupted {kind} file {path}: {exc}") from None
 
 

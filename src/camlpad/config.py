@@ -21,10 +21,12 @@ from .ingest_store import (
     DEFAULT_TIME_FIELD,
     DirectoryStore,
     HttpStore,
+    MalformedLine,
     StoreLocator,
     _iso_epoch_ms,
     redact_url,
     url_refusal,
+    utf8_lines,
 )
 
 DAY_MS = 86_400_000
@@ -97,14 +99,15 @@ class PipelineConfig:
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """key -> value of each ``key = value`` line; a key set on two lines is refused.
+    """``_entries`` of ``text`` split at line feeds, as ``utf8_lines`` splits a config file."""
+    return _entries(text.split("\n"))
 
-    Lines end at a line feed only, as in a store: a value may hold any other
-    line separator, and the carriage return of a CRLF line is trailing space.
-    """
+
+def _entries(lines: list[str]) -> dict[str, str]:
+    """key -> value of each ``key = value`` line; a key set on two lines is refused."""
     entries: dict[str, str] = {}
     set_on: dict[str, int] = {}
-    for line_number, raw in enumerate(text.split("\n"), start=1):
+    for line_number, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -214,13 +217,11 @@ def load_config(path: Path | str) -> PipelineConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    data = path.read_bytes()
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line_number = data.count(b"\n", 0, exc.start) + 1
-        raise ConfigError(f"{path}: line {line_number}: not UTF-8: {exc.reason} {data[exc.start:exc.end]!r}") from None
-    return config_from_entries(parse_config_text(text))
+        lines = utf8_lines(path.read_bytes())
+    except MalformedLine as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return config_from_entries(_entries(lines))
 
 
 def resolve_boundary(value: str) -> int:

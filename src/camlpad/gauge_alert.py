@@ -21,9 +21,7 @@ import numpy as np
 
 from .datamodel import time_buckets
 from .errors import CamlpadError
-from .ingest_store import (
-    DirectoryStore, StoreLocator, StoreUnreachable, index_document, post_json, redact_url, url_refusal
-)
+from .ingest_store import StoreLocator, StoreUnreachable, post_json, redact_url, url_refusal
 
 logger = logging.getLogger(__name__)
 
@@ -243,14 +241,4 @@ def emit_alert(
 
 def reindex_gauge(locator: StoreLocator, reading: GaugeReading) -> None:
     """Append a gauge document to the store's append-only gauges index."""
-    payload = gauge_json_bytes(reading)
-    if isinstance(locator, DirectoryStore):
-        index_dir = locator.root / GAUGES_INDEX
-        try:
-            index_dir.mkdir(parents=True, exist_ok=True)
-            with open(index_dir / f"{reading.window_id}.jsonl", "ab") as sink:
-                sink.write(payload)
-        except OSError as exc:
-            raise StoreUnreachable(f"cannot write gauge to {index_dir}: {exc}") from None
-    else:
-        index_document(locator, GAUGES_INDEX, payload)
+    locator.append(GAUGES_INDEX, reading.window_id, gauge_json_bytes(reading))

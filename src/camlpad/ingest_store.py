@@ -18,6 +18,7 @@ import functools
 import http.client
 import json
 import logging
+import re
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -121,6 +122,42 @@ class DirectoryStore:
     def __post_init__(self) -> None:
         object.__setattr__(self, "root", Path(self.root))
 
+    def read(self, query: StoreQuery, rows: _Rows) -> None:
+        """Add the rows of the index's ``*.jsonl`` files to ``rows``, in file name order."""
+        index_dir = self._root() / query.index
+        if not index_dir.is_dir():
+            raise IndexNotFound(query.index)
+        for path in sorted(index_dir.glob("*.jsonl")):
+            try:
+                _read_jsonl(path.read_bytes(), rows)
+            except (MalformedLine, MissingTimestamp) as exc:
+                exc.args = (f"{path.name}: {exc}",)
+                raise
+            except OSError as exc:  # a *.jsonl directory, say
+                raise CamlpadError(f"{path.name}: {exc}") from None
+
+    def check(self, plan: list[tuple[str, tuple[DataSourceKind, ...]]], time_field: str) -> None:
+        """The root and each planned index directory exist; every missing one is named at once."""
+        root = self._root()
+        missing = [index for index, _ in plan if not (root / index).is_dir()]
+        if missing:
+            raise StoreUnreachable(f"missing index directories: {', '.join(missing)}")
+
+    def append(self, index: str, name: str, payload: bytes) -> None:
+        """Append ``payload`` to ``<index>/<name>.jsonl``, making the directory when it is missing."""
+        index_dir = self.root / index
+        try:
+            index_dir.mkdir(parents=True, exist_ok=True)
+            with open(index_dir / f"{name}.jsonl", "ab") as sink:
+                sink.write(payload)
+        except OSError as exc:
+            raise StoreUnreachable(f"cannot write gauge to {index_dir}: {exc}") from None
+
+    def _root(self) -> Path:
+        if not self.root.is_dir():
+            raise StoreUnreachable(f"store root does not exist: {self.root}")
+        return self.root
+
 
 @dataclass(frozen=True)
 class HttpStore:
@@ -131,6 +168,50 @@ class HttpStore:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "base_url", self.base_url.rstrip("/"))
+
+    def read(self, query: StoreQuery, rows: _Rows) -> None:
+        """Add ``_search`` hits to ``rows`` until a page comes back short, so a full page at the cap gets one more."""
+        url = f"{self.base_url}/{query.index}/_search"
+        offset = 0
+        while True:
+            body = {
+                "range": {rows.time_field: {"gte": query.time_from, "lt": query.time_to}},
+                "from": offset,
+                "size": query.page_size,
+            }
+            status, raw = post_json(url, json.dumps(body).encode(), self.token)
+            if status == 404:
+                raise IndexNotFound(query.index)
+            if status != 200:
+                raise PageFailure(len(rows), f"HTTP {status} at offset {offset}")
+            hits = _page_hits(raw, len(rows))
+            for position, hit in enumerate(hits):
+                doc = hit["_source"]
+                rows.add_document(doc, hit["_id"] if "_id" in hit else doc.get("_id"), offset + position + 1)
+            if len(hits) < query.page_size:
+                return
+            offset += len(hits)
+
+    def check(self, plan: list[tuple[str, tuple[DataSourceKind, ...]]], time_field: str) -> None:
+        """Each planned index answers a one-record query."""
+        for index, sources in plan:
+            try:
+                query_store(self, StoreQuery(index, 0, 1, page_size=1, max_records=1), sources[0], time_field)
+            except TooManyRecords:
+                pass  # the store answered; a one-record probe only checks that
+
+    def append(self, index: str, name: str, payload: bytes) -> None:
+        """POST ``payload`` to ``{base}/{index}/_doc``; a reply must be HTTP 200 or 201 with a JSON object."""
+        url = f"{self.base_url}/{index}/_doc"
+        status, raw = post_json(url, payload, self.token)
+        if status not in (200, 201):
+            raise StoreUnreachable(f"{url}: HTTP {status}")
+        try:
+            reply = json.loads(raw)
+        except ValueError:
+            reply = None
+        if not isinstance(reply, dict):
+            raise StoreUnreachable(f"{url}: reply is not a JSON object: {raw[:80]!r}")
 
 
 StoreLocator = DirectoryStore | HttpStore
@@ -166,11 +247,14 @@ def redact_url(url: str) -> str:
 def url_refusal(url: str) -> str | None:
     """Why ``post_json`` refuses ``url`` without sending, or None.
 
-    It must be http(s), parse, name its port (if any) as a number in range,
-    and carry no user:password@.
+    It must be http(s), hold no space or control character, parse, name
+    its port (if any) as a number in range, and carry no user:password@.
     """
     if not url.lower().startswith(_HTTP_SCHEMES):
         return "only http:// and https:// URLs are supported"
+    unsendable = re.search("[\x00-\x20\x7f]", url)  # http.client sends none of these
+    if unsendable:
+        return f"a URL cannot hold {unsendable.group()!r}, a space or control character"
     try:
         parts = urllib.parse.urlsplit(url)
         parts.port  # raises for a port that is not a number in range
@@ -204,20 +288,6 @@ def post_json(url: str, body: bytes, token: str | None = None) -> tuple[int, byt
             return response.status, response.read()
     except (OSError, ValueError, http.client.HTTPException) as exc:
         raise StoreUnreachable(f"{shown}: {exc}") from None
-
-
-def index_document(store: HttpStore, index: str, payload: bytes) -> None:
-    """POST one JSON document to ``{base}/{index}/_doc``; a reply must be HTTP 200 or 201 with a JSON object."""
-    url = f"{store.base_url}/{index}/_doc"
-    status, raw = post_json(url, payload, store.token)
-    if status not in (200, 201):
-        raise StoreUnreachable(f"{url}: HTTP {status}")
-    try:
-        reply = json.loads(raw)
-    except ValueError:
-        reply = None
-    if not isinstance(reply, dict):
-        raise StoreUnreachable(f"{url}: reply is not a JSON object: {raw[:80]!r}")
 
 
 def to_epoch_ms(value: object) -> int | None:
@@ -311,24 +381,31 @@ def _canonical(batch: RecordBatch) -> RecordBatch:
     return batch.take(canonical_order(batch.timestamps, batch.record_ids))
 
 
-def _read_jsonl(data: bytes, rows: "_Rows", cap: int) -> None:
-    """Add the JSONL lines timed inside the window to ``rows``, in line order, until it holds more than ``cap``.
+def utf8_lines(data: bytes) -> list[str]:
+    """The lines of UTF-8 ``data``; data that is not UTF-8 is a MalformedLine on the line of its first bad byte.
 
     Lines end at a line feed only: a raw U+2028, U+2029 or U+0085 is legal
     inside a JSON string, and the carriage return of a CRLF line is trailing
-    whitespace to ``json.loads``. Each line goes first through the C scanner
-    of ``_raw_decode``; its result stands only when it is an object spanning
+    whitespace to ``json.loads``. Every line file camlpad reads is split so.
+    """
+    try:
+        return data.decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        bad = data[exc.start:exc.end]
+        raise MalformedLine(data.count(b"\n", 0, exc.start) + 1, f"not UTF-8: {exc.reason} {bad!r}") from None
+
+
+def _read_jsonl(data: bytes, rows: _Rows) -> None:
+    """Add the JSONL lines timed inside the window to ``rows``, in line order.
+
+    Each of the ``utf8_lines`` goes first through the C scanner of
+    ``_raw_decode``; its result stands only when it is an object spanning
     the whole line. Any other line (blank, padded with whitespace, malformed,
     or not an object) is decoded again by ``json.loads``, so what passes and
     the message of what fails are ``json.loads``'s. Data that is not UTF-8
     fails on the line of its first bad byte, wherever that line is timed.
     """
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        bad = data[exc.start:exc.end]
-        raise MalformedLine(data.count(b"\n", 0, exc.start) + 1, f"not UTF-8: {exc.reason} {bad!r}") from None
-    for line_number, line in enumerate(text.split("\n"), start=1):
+    for line_number, line in enumerate(utf8_lines(data), start=1):
         try:
             doc, end = _raw_decode(line)
         except ValueError:
@@ -342,27 +419,27 @@ def _read_jsonl(data: bytes, rows: "_Rows", cap: int) -> None:
                 raise MalformedLine(line_number, str(exc)) from None
             if not isinstance(doc, dict):
                 raise MalformedLine(line_number, "expected a JSON object")
-        if rows.add_document(doc, doc.get("_id"), line_number) and len(rows) > cap:
-            return
+        rows.add_document(doc, doc.get("_id"), line_number)
 
 
 class _Rows(BatchBuilder):
-    """The rows of one query: each document timed inside ``window`` = (time_from, time_to), as columns."""
+    """The rows of one query: each document timed inside its window, as columns, at most ``max_records`` of them."""
 
-    def __init__(self, source: DataSourceKind, time_field: str, window: tuple[int, int]):
+    def __init__(self, source: DataSourceKind, time_field: str, query: StoreQuery):
         super().__init__(source)
         self.time_field = time_field
-        self.window = window
+        self.query = query
 
-    def add_document(self, doc: dict, store_id: object, line_number: int) -> bool:
-        """Add the document's row under its store or derived id; False when it is timed outside the window.
+    def add_document(self, doc: dict, store_id: object, line_number: int) -> None:
+        """Add the document's row under its store or derived id, unless it is timed outside the window.
 
         Cells are built in one pass: a finite float or a non-empty str is
         kept as it is, and only the rare kinds (int, bool, null, NaN/inf, "",
         nested values) go through ``_field_value``. Time, id and cells have
-        then met every ``SensorRecord`` rule.
+        then met every ``SensorRecord`` rule. The first row past the query's
+        ``max_records`` raises TooManyRecords, whichever backend it came from.
         """
-        time_field = self.time_field
+        time_field, query = self.time_field, self.query
         if time_field not in doc:
             raise MissingTimestamp(line_number, time_field)
         raw_time = doc[time_field]
@@ -371,8 +448,8 @@ class _Rows(BatchBuilder):
             raise MissingTimestamp(line_number, time_field)
         if not 0 <= timestamp < 2**63:  # rejected before the window test, so no backend drops it unnoticed
             raise MalformedLine(line_number, f"time {timestamp} outside [0, 2**63) ms")
-        if not self.window[0] <= timestamp < self.window[1]:
-            return False
+        if not query.time_from <= timestamp < query.time_to:
+            return
         fields = {
             name: raw if (type(raw) is float and isfinite(raw)) or (type(raw) is str and raw) else _field_value(raw)
             for name, raw in doc.items()
@@ -381,8 +458,9 @@ class _Rows(BatchBuilder):
         record_id = str(store_id) if store_id is not None else derive_record_id(self.source, timestamp, fields)
         if not record_id:
             raise MalformedLine(line_number, "record_id must be non-empty")
+        if len(self.record_ids) >= query.max_records:
+            raise TooManyRecords(f"index {query.index}: more than max_records={query.max_records} records in the window")
         self.add(timestamp, record_id, fields)
-        return True
 
 
 def _document(timestamp: int, fields: dict[str, float | str | None], record_id: str) -> dict:
@@ -446,56 +524,9 @@ def query_store(
     directory-store line that does not parse, or a day file that cannot be
     read, raises with its file's name before its message.
     """
-    rows = _Rows(source, time_field, (query.time_from, query.time_to))
-    if isinstance(locator, DirectoryStore):
-        _query_directory(locator, query, rows)
-    else:
-        _query_http(locator, query, rows)
-    if len(rows) > query.max_records:
-        raise TooManyRecords(f"index {query.index}: more than max_records={query.max_records} records in the window")
+    rows = _Rows(source, time_field, query)
+    locator.read(query, rows)
     return _canonical(rows.batch())
-
-
-def _query_directory(store: DirectoryStore, query: StoreQuery, rows: _Rows) -> None:
-    if not store.root.is_dir():
-        raise StoreUnreachable(f"store root does not exist: {store.root}")
-    index_dir = store.root / query.index
-    if not index_dir.is_dir():
-        raise IndexNotFound(query.index)
-    for path in sorted(index_dir.glob("*.jsonl")):
-        try:
-            _read_jsonl(path.read_bytes(), rows, query.max_records)
-        except (MalformedLine, MissingTimestamp) as exc:
-            exc.args = (f"{path.name}: {exc}",)
-            raise
-        except OSError as exc:  # a *.jsonl directory, say
-            raise CamlpadError(f"{path.name}: {exc}") from None
-        if len(rows) > query.max_records:
-            return
-
-
-def _query_http(store: HttpStore, query: StoreQuery, rows: _Rows) -> None:
-    url = f"{store.base_url}/{query.index}/_search"
-    offset = 0
-    # a full page at the cap is followed by one more, to tell "exactly max_records" from "more"
-    while len(rows) <= query.max_records:
-        body = {
-            "range": {rows.time_field: {"gte": query.time_from, "lt": query.time_to}},
-            "from": offset,
-            "size": query.page_size,
-        }
-        status, raw = post_json(url, json.dumps(body).encode(), store.token)
-        if status == 404:
-            raise IndexNotFound(query.index)
-        if status != 200:
-            raise PageFailure(len(rows), f"HTTP {status} at offset {offset}")
-        hits = _page_hits(raw, len(rows))
-        for position, hit in enumerate(hits):
-            doc = hit["_source"]
-            rows.add_document(doc, hit["_id"] if "_id" in hit else doc.get("_id"), offset + position + 1)
-        if len(hits) < query.page_size:
-            break
-        offset += len(hits)
 
 
 def _page_hits(raw: bytes, records_so_far: int) -> list[dict]:

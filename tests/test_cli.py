@@ -231,6 +231,25 @@ class TestConfigParsing:
             assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "url, shown, char",
+        [
+            ("http://exa mple/", "http://exa mple/", "' '"),
+            ("http://example/a b", "http://example/a b", "' '"),
+            ("http://exa\tmple/", "http://example/", "'\\t'"),  # the shown URL is urlsplit's, without the tab
+            ("http://example/\x7f", "http://example/\x7f", "'\\x7f'"),
+        ],
+        ids=["space_in_host", "space_in_path", "tab_in_host", "del_in_path"],
+    )
+    def test_a_webhook_url_http_client_cannot_send_fails_run_and_dry_run(self, tmp_path, capsys, url, shown, char):
+        config = write_config(tmp_path / "c.conf", tmp_path / "store", tmp_path / "out", [f"alerts.webhook_url = {url}"])
+        for dry_run in (["--dry-run"], []):
+            assert main(["run", "--config", str(config), *dry_run]) == 1
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: alerts.webhook_url: {shown}: a URL cannot hold {char}, a space or control character"
+            ]
+        assert not (tmp_path / "out").exists()
+
     def test_a_config_file_not_utf8_fails_run_and_dry_run(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.conf", tmp_path / "store", tmp_path / "out")
         config.write_bytes("# café\n".encode("latin-1") + config.read_bytes())
@@ -556,6 +575,23 @@ class TestEvaluateCommand:
             f"error: corrupted {kind} file {path}: line 3: "
             "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
         ]
+
+    @pytest.mark.parametrize("kind", ["label", "truth", "verdict"])
+    def test_a_byte_that_is_not_utf8_is_named_by_its_line(self, small_run, tmp_path, capsys, kind):
+        _, store, out, _ = small_run
+        shutil.copytree(out, tmp_path / "run")
+        shutil.copytree(store / "truth", tmp_path / "truth")
+        path = {
+            "label": tmp_path / "run" / "labels" / "yaf.jsonl",
+            "truth": tmp_path / "truth" / "yaf.jsonl",
+            "verdict": tmp_path / "run" / "verdicts.jsonl",
+        }[kind]
+        lines = path.read_bytes().split(b"\n")
+        lines[3] = lines[3][:-1] + b"\xff}"
+        path.write_bytes(b"\n".join(lines))
+        assert main(["evaluate", "--run", str(tmp_path / "run"), "--truth", str(tmp_path / "truth")]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: corrupted {kind} file {path}: line 4: not UTF-8: invalid start byte b'\\xff'"]
 
     def test_truth_row_whose_id_cannot_be_a_key_exits_one(self, small_run, tmp_path, capsys):
         _, store, out, _ = small_run

@@ -247,6 +247,16 @@ class TestEmitAlert:
             "failed after 1 attempt: ftp://hooks.example/x: only http:// and https:// URLs are supported"
         )
 
+    @pytest.mark.parametrize("webhook_url", ["http://127.0.0.1:1/a b", "http://127.0.0.1:1/a\tb", "http://127.0.0.1:1/\x7f"])
+    def test_env_var_webhook_http_client_cannot_send_gets_one_attempt_and_no_wait(self, monkeypatch, webhook_url):
+        monkeypatch.setenv("CAMLPAD_WEBHOOK_URL", webhook_url)
+        sleeps = []
+        with pytest.raises(AllSinksFailed) as failed:
+            emit_alert(self._event(), sleep=sleeps.append)
+        [outcome] = failed.value.outcomes
+        assert (outcome.attempts, sleeps) == (1, [])
+        assert "a URL cannot hold" in outcome.detail
+
     def test_webhook_url_with_credentials_is_a_failed_sink_naming_why(self, stub_server, tmp_path):
         url, state = stub_server
         outcomes = emit_alert(

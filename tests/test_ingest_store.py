@@ -53,8 +53,8 @@ def read_store(data, time_field="timestamp"):
 
 def read_jsonl(data, window):
     """The records of the JSONL lines of ``data`` timed inside ``window``, in line order."""
-    rows = _Rows(YAF, "timestamp", window)
-    _read_jsonl(data, rows, cap=10**6)
+    rows = _Rows(YAF, "timestamp", StoreQuery("flows", *window))
+    _read_jsonl(data, rows)
     return rows.batch().records
 
 

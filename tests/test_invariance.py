@@ -9,6 +9,7 @@ draws a fixed set of examples (``derandomize``), so tier-1 stays repeatable.
 
 import dataclasses
 import json
+import random
 import tempfile
 from pathlib import Path
 
@@ -160,3 +161,74 @@ def test_an_extreme_current_row_rescales_no_other_row(seed, source):
     assert np.array_equal(after.ensemble_scores[:-1], before.ensemble_scores)
     for model, points in before.heatmap_points.items():
         assert np.array_equal(after.heatmap_points[model].scores[:-1], points.scores), model
+
+
+def pop_lines(path):
+    """The lines of a file, which is then deleted."""
+    lines = path.read_text().splitlines(keepends=True)
+    path.unlink()
+    return lines
+
+
+def moved(line, by):
+    """A JSONL line with its time moved by ``by`` ms."""
+    doc = json.loads(line)
+    return json.dumps({**doc, "timestamp": doc["timestamp"] + by}) + "\n"
+
+
+def run_rewritten(root, records, boundary_ms, rewrite):
+    """``out/`` after a run on the day files of ``records``, each index directory first passed to ``rewrite``."""
+    write_day_files(records, root / "store")
+    for index_dir in sorted((root / "store").iterdir()):
+        rewrite(index_dir)
+    return run(root, boundary_ms, records, store_root=root / "store")[0]
+
+
+@RELATION
+@given(seeds, source_pairs)
+def test_regrouping_an_index_into_other_jsonl_files_leaves_out_byte_identical(seed, sources):
+    records, boundary = synth_records(seed, sources)
+    rng = random.Random(seed)
+
+    def one_file(index_dir):
+        lines = [line for day_file in sorted(index_dir.glob("*.jsonl")) for line in pop_lines(day_file)]
+        (index_dir / "all.jsonl").write_text("".join(lines))
+
+    def two_files_a_day(index_dir):
+        for day_file in sorted(index_dir.glob("*.jsonl")):
+            halves = ([], [])
+            for line in pop_lines(day_file):
+                halves[rng.random() < 0.5].append(line)
+            for half, lines in zip("ab", halves):
+                (index_dir / f"{day_file.stem}-{half}.jsonl").write_text("".join(lines))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        base, _ = run_directory(Path(tmp) / "base", records, boundary)
+        for rewrite in (one_file, two_files_a_day):
+            assert run_rewritten(Path(tmp) / rewrite.__name__, records, boundary, rewrite) == base, rewrite.__name__
+
+
+@RELATION
+@given(seeds, source_pairs)
+def test_lines_timed_outside_the_window_leave_out_byte_identical(seed, sources):
+    records, boundary = synth_records(seed, sources)
+    rng = random.Random(seed)
+    first_day = boundary - HISTORY_DAYS * DAY_MS
+    out_of_window = (HISTORY_DAYS + 1) * DAY_MS  # moves any time of the window out of it, either way
+
+    def inside_day_files(index_dir):
+        for day_file in sorted(index_dir.glob("*.jsonl")):
+            lines = day_file.read_text().splitlines(keepends=True)
+            for line in rng.sample(lines, k=len(lines) // 4):
+                lines.insert(rng.randrange(len(lines) + 1), moved(line, rng.choice((-1, 1)) * out_of_window))
+            day_file.write_text("".join(lines))
+
+    def whole_days_around(index_dir):
+        for day, step in ((first_day, -DAY_MS), (boundary, DAY_MS)):  # the first history day and the current day
+            lines = (index_dir / f"{window_id_for(day)}.jsonl").read_text().splitlines(keepends=True)
+            (index_dir / f"{window_id_for(day + step)}.jsonl").write_text("".join(moved(line, step) for line in lines))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        base, _ = run_directory(Path(tmp) / "base", records, boundary)
+        for rewrite in (inside_day_files, whole_days_around):
+            assert run_rewritten(Path(tmp) / rewrite.__name__, records, boundary, rewrite) == base, rewrite.__name__
