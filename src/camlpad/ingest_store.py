@@ -46,6 +46,7 @@ EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 BRO_DNS_VALUE = "dns"
 BRO_CONN_VALUE = "conn"
 _HTTP_SCHEMES = ("http://", "https://")
+_SHOWN_ESCAPES = str.maketrans({"\t": "\\t", "\n": "\\n", "\r": "\\r"})
 _raw_decode = json.JSONDecoder().raw_decode
 _compact = json.JSONEncoder(separators=(",", ":")).encode  # what json.dumps(doc, separators=(",", ":")) writes
 
@@ -217,28 +218,28 @@ class HttpStore:
 StoreLocator = DirectoryStore | HttpStore
 
 
-class _HttpRedirectsOnly(urllib.request.HTTPRedirectHandler):
-    """Refuses a redirect to a non-http(s) URL (urllib alone follows ftp://) as a reply of its own,
-    and keeps the Bearer token off any redirect to another scheme, host or port."""
+class _NoRedirect(urllib.request.HTTPRedirectHandler):
+    """Follows no redirect: urllib would re-send a POST answered 301, 302 or 303 as a GET without its body.
+
+    A 3xx then reaches ``post_json`` as the HTTPError that any other non-2xx reply is.
+    """
 
     def redirect_request(self, req, fp, code, msg, headers, newurl):
-        if not newurl.lower().startswith(_HTTP_SCHEMES):
-            raise urllib.error.HTTPError(newurl, code, f"{msg} - redirect to {newurl} refused", headers, fp)
-        redirected = super().redirect_request(req, fp, code, msg, headers, newurl)
-        if urllib.parse.urlsplit(newurl)[:2] != urllib.parse.urlsplit(req.full_url)[:2]:
-            redirected.remove_header("Authorization")
-        return redirected
+        return None
 
 
 @functools.cache
 def _opener() -> urllib.request.OpenerDirector:
-    return urllib.request.build_opener(_HttpRedirectsOnly)
+    return urllib.request.build_opener(_NoRedirect)
 
 
 def redact_url(url: str) -> str:
-    """``url`` without the user:password@, query and fragment that may hold a secret."""
+    """``url`` without the user:password@, query and fragment that may hold a secret.
+
+    A tab, CR or LF, which ``urlsplit`` deletes, is shown escaped, so the rest reads as configured.
+    """
     try:
-        parts = urllib.parse.urlsplit(url)
+        parts = urllib.parse.urlsplit(url.translate(_SHOWN_ESCAPES))
     except ValueError:
         return "<unparseable URL>"
     return urllib.parse.urlunsplit((parts.scheme, parts.netloc.rpartition("@")[2], parts.path, "", ""))
@@ -248,7 +249,9 @@ def url_refusal(url: str) -> str | None:
     """Why ``post_json`` refuses ``url`` without sending, or None.
 
     It must be http(s), hold no space or control character, parse, name
-    its port (if any) as a number in range, and carry no user:password@.
+    its port (if any) as a number in range, hold no non-ASCII character in
+    its path or query (http.client writes the request line as ASCII), and
+    carry no user:password@.
     """
     if not url.lower().startswith(_HTTP_SCHEMES):
         return "only http:// and https:// URLs are supported"
@@ -260,6 +263,9 @@ def url_refusal(url: str) -> str | None:
         parts.port  # raises for a port that is not a number in range
     except ValueError as exc:
         return str(exc)
+    foreign = re.search("[^\x00-\x7f]", parts.path + parts.query)
+    if foreign:
+        return f"a URL cannot hold {foreign.group()!r}, a non-ASCII character, in its path or query"
     if "@" in parts.netloc:  # urllib would take user:password for part of the host name
         return "user:password@ in a URL is not supported"
     return None

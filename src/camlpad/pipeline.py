@@ -31,6 +31,7 @@ logger = logging.getLogger(__name__)
 
 HEATMAP_MODELS = DETECTOR_NAMES + ("ensemble",)
 DETECTOR_SEED = 7  # iForest and CBLOF (k-means++) seed
+SPARSE_DAY_SHARE = 0.5  # a history day holding at most this share of the median day's rows is logged
 
 
 @dataclass
@@ -160,13 +161,20 @@ def analyze_source(
     )
 
 
-def _refuse_missing_history_day(split: WindowSplit, history_days: int) -> None:
-    """Raise naming the earliest of the ``history_days`` days before the boundary on which the split has no row."""
-    present = set(np.unique((split.history.timestamps - split.boundary) // DAY_MS).tolist())
-    missing = [day for day in range(-history_days, 0) if day not in present]
-    if missing:
-        day = window_id_for(split.boundary + missing[0] * DAY_MS)
-        raise EmptyHistory(f"{split.history.source.value}: no records on history day {day}")
+def _check_history_days(split: WindowSplit, history_days: int) -> None:
+    """Raise naming the earliest of the ``history_days`` days before the boundary on which the split has no row,
+    and log a WARNING for each day holding at most ``SPARSE_DAY_SHARE`` of the median day's rows."""
+    counts = np.bincount((split.history.timestamps - split.boundary) // DAY_MS + history_days, minlength=history_days)
+    source = split.history.source.value
+    if not counts.all():
+        day = window_id_for(split.boundary + (int(np.argmin(counts)) - history_days) * DAY_MS)
+        raise EmptyHistory(f"{source}: no records on history day {day}")
+    median = np.median(counts)
+    for k in np.flatnonzero(counts <= SPARSE_DAY_SHARE * median).tolist():
+        logger.warning(
+            "%s: history day %s holds %d records, at most half the median day's %g",
+            source, window_id_for(split.boundary + (k - history_days) * DAY_MS), counts[k], median,
+        )
 
 
 def _standardized(raw: FeatureMatrix, stats: ColumnStats | None) -> tuple[FeatureMatrix, ColumnStats]:
@@ -298,7 +306,7 @@ def run_pipeline(config: PipelineConfig, boundary_override: str | None = None) -
         for source in sources:
             logger.info("analyzing %s (%d records)", source.value, len(batches[source]))
             split = window_split(batches.pop(source), boundary_ms, config.min_history)
-            _refuse_missing_history_day(split, config.history_days)
+            _check_history_days(split, config.history_days)
             try:
                 analyses[source] = analyze_source(split, config.detectors, config.contamination, window_id)
             except CamlpadError as exc:  # same type, now naming the source

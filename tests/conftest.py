@@ -27,6 +27,7 @@ class StubState:
     search_calls: int = 0
     raw_replies: dict[str, bytes] = field(default_factory=dict)  # route -> body sent verbatim with HTTP 200
     redirects: dict[str, str] = field(default_factory=dict)  # route -> Location sent with HTTP 302
+    get_paths: list[str] = field(default_factory=list)
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -43,8 +44,12 @@ class _StubHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def do_GET(self) -> None:  # urllib follows a 302 to a POST with a GET
+    def do_GET(self) -> None:  # a tripwire: camlpad only POSTs, so a GET is a redirect that was followed
         self.state.auth_headers.append(self.headers.get("Authorization"))
+        self.state.get_paths.append(self.path)
+        if self.path == "/landing":  # a page that is also a JSON object, so following a redirect here would pass
+            self._reply(200, {"hits": [{"_id": "landed", "_source": {"timestamp": 1}}]})
+            return
         self._reply(405, {"error": "GET not served"})
 
     def do_POST(self) -> None:

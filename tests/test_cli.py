@@ -43,7 +43,7 @@ def write_config(path, store_root, out_dir, extra=()):
     ]
     overridden = {line.partition("=")[0].strip() for line in extra}
     lines = [line for line in base if line.partition("=")[0].strip() not in overridden] + list(extra)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
 
@@ -232,22 +232,22 @@ class TestConfigParsing:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "url, shown, char",
+        "url, shown, held",
         [
-            ("http://exa mple/", "http://exa mple/", "' '"),
-            ("http://example/a b", "http://example/a b", "' '"),
-            ("http://exa\tmple/", "http://example/", "'\\t'"),  # the shown URL is urlsplit's, without the tab
-            ("http://example/\x7f", "http://example/\x7f", "'\\x7f'"),
+            ("http://exa mple/", "http://exa mple/", "' ', a space or control character"),
+            ("http://example/a b", "http://example/a b", "' ', a space or control character"),
+            ("http://exa\tmple/", "http://exa\\tmple/", "'\\t', a space or control character"),
+            ("http://example/\x7f", "http://example/\x7f", "'\\x7f', a space or control character"),
+            ("http://127.0.0.1:1/café", "http://127.0.0.1:1/café", "'é', a non-ASCII character, in its path or query"),
+            ("http://127.0.0.1:1/x?q=é", "http://127.0.0.1:1/x", "'é', a non-ASCII character, in its path or query"),
         ],
-        ids=["space_in_host", "space_in_path", "tab_in_host", "del_in_path"],
+        ids=["space_in_host", "space_in_path", "tab_in_host", "del_in_path", "non_ascii_in_path", "non_ascii_in_query"],
     )
-    def test_a_webhook_url_http_client_cannot_send_fails_run_and_dry_run(self, tmp_path, capsys, url, shown, char):
+    def test_a_webhook_url_http_client_cannot_send_fails_run_and_dry_run(self, tmp_path, capsys, url, shown, held):
         config = write_config(tmp_path / "c.conf", tmp_path / "store", tmp_path / "out", [f"alerts.webhook_url = {url}"])
         for dry_run in (["--dry-run"], []):
             assert main(["run", "--config", str(config), *dry_run]) == 1
-            assert capsys.readouterr().err.splitlines() == [
-                f"error: alerts.webhook_url: {shown}: a URL cannot hold {char}, a space or control character"
-            ]
+            assert capsys.readouterr().err.splitlines() == [f"error: alerts.webhook_url: {shown}: a URL cannot hold {held}"]
         assert not (tmp_path / "out").exists()
 
     def test_a_config_file_not_utf8_fails_run_and_dry_run(self, tmp_path, capsys):
@@ -374,6 +374,23 @@ class TestRunCommand:
         assert main(["run", "--config", str(config)]) == 1
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
         assert errors == ["error: bro_dns: no records on history day 2021-03-02"]
+
+    @pytest.mark.parametrize("cut", [False, True], ids=["uncut", "yaf_day_cut_to_half"])
+    def test_a_history_day_at_most_half_the_median_day_logs_one_warning(self, tmp_path, caplog, cut):
+        store = tmp_path / "store"
+        main(["synth", "--out", str(store), "--seed", "3", "--records", "300"])
+        day_file = store / "yaf" / "2021-03-04.jsonl"
+        if cut:
+            day_file.write_text("".join(day_file.read_text().splitlines(keepends=True)[:150]))
+        config = write_config(
+            tmp_path / "c.conf", store, tmp_path / "out", extra=["run.boundary = 2021-03-08", "run.history_days = 7"]
+        )
+        with caplog.at_level(logging.WARNING, logger="camlpad.pipeline"):
+            assert main(["run", "--config", str(config)]) in (0, 2)
+        warnings = [r.getMessage() for r in caplog.records if "median day" in r.getMessage()]
+        expected = "yaf: history day 2021-03-04 holds 150 records, at most half the median day's 300"
+        assert warnings == ([expected] if cut else [])
+        assert (tmp_path / "out" / "verdicts.jsonl").exists()
 
     def test_bad_store_line_exits_one_and_names_its_line(self, tmp_path, capsys):
         store = tmp_path / "store"

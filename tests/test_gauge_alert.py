@@ -190,6 +190,16 @@ class TestEmitAlert:
         assert state.webhook_fail_calls == 3
         assert sleeps == [1.0, 2.0]
 
+    def test_webhook_answering_302_is_retried_as_a_failure_and_the_landing_route_gets_nothing(self, stub_server):
+        url, state = stub_server
+        state.redirects["webhook/moved"] = f"{url}/landing"
+        sleeps = []
+        with pytest.raises(AllSinksFailed) as failed:
+            emit_alert(self._event(), webhook_url=f"{url}/webhook/moved", sleep=sleeps.append)
+        [outcome] = failed.value.outcomes
+        assert (outcome.attempts, outcome.detail, sleeps) == (3, "failed after 3 attempts: HTTP 302", [1.0, 2.0])
+        assert state.get_paths == []
+
     def test_webhook_success_posts_event_json(self, stub_server):
         url, state = stub_server
         outcomes = emit_alert(self._event(), webhook_url=f"{url}/webhook/ok", sleep=lambda _: None)
@@ -247,7 +257,13 @@ class TestEmitAlert:
             "failed after 1 attempt: ftp://hooks.example/x: only http:// and https:// URLs are supported"
         )
 
-    @pytest.mark.parametrize("webhook_url", ["http://127.0.0.1:1/a b", "http://127.0.0.1:1/a\tb", "http://127.0.0.1:1/\x7f"])
+    @pytest.mark.parametrize(
+        "webhook_url",
+        [
+            "http://127.0.0.1:1/a b", "http://127.0.0.1:1/a\tb", "http://127.0.0.1:1/\x7f",
+            "http://127.0.0.1:1/café", "http://127.0.0.1:1/x?q=é",
+        ],
+    )
     def test_env_var_webhook_http_client_cannot_send_gets_one_attempt_and_no_wait(self, monkeypatch, webhook_url):
         monkeypatch.setenv("CAMLPAD_WEBHOOK_URL", webhook_url)
         sleeps = []
@@ -352,6 +368,14 @@ class TestReindexGauge:
         state.raw_replies["gauges/_doc"] = body
         with pytest.raises(StoreUnreachable, match=re.escape(f"{url}/gauges/_doc")):
             reindex_gauge(HttpStore(url), reading())
+
+    def test_http_store_answering_302_is_unreachable_and_the_landing_route_gets_nothing(self, stub_server):
+        url, state = stub_server
+        state.redirects["gauges/_doc"] = f"{url}/landing"
+        with pytest.raises(StoreUnreachable) as err:
+            reindex_gauge(HttpStore(url), reading())
+        assert str(err.value) == f"{url}/gauges/_doc: HTTP 302"
+        assert state.get_paths == []
 
 
 class TestGaugeJson:

@@ -34,6 +34,7 @@ from camlpad.ingest_store import (
     record_to_json_line,
     split_bro_by_protocol,
     to_epoch_ms,
+    url_refusal,
     window_split,
 )
 from camlpad.synth import SynthConfig, generate, write_store
@@ -486,21 +487,33 @@ class TestHttpStore:
             with pytest.raises(BlockingIOError):
                 ftp.accept()  # no connection is waiting
 
-    def test_token_stays_off_a_redirect_to_another_host(self, stub_server, other_stub_server):
+    def test_a_redirect_to_another_host_is_a_failed_page_after_one_request(self, stub_server, other_stub_server):
         url, state = stub_server
         other_url, other_state = other_stub_server
         state.redirects["flows/_search"] = f"{other_url}/flows/_search"
-        with pytest.raises(PageFailure, match="HTTP 405"):
+        with pytest.raises(PageFailure, match="HTTP 302"):
             query_store(HttpStore(url, token="sekrit"), StoreQuery(index="flows", time_from=0, time_to=10), YAF)
         assert state.auth_headers == ["Bearer sekrit"]
-        assert other_state.auth_headers == [None]
+        assert other_state.auth_headers == []
 
-    def test_token_follows_a_redirect_on_the_same_host(self, stub_server):
+    def test_a_redirect_on_the_same_host_is_a_failed_page_after_one_request(self, stub_server):
         url, state = stub_server
         state.redirects["flows/_search"] = f"{url}/moved/_search"
-        with pytest.raises(PageFailure, match="HTTP 405"):
+        with pytest.raises(PageFailure, match="HTTP 302"):
             query_store(HttpStore(url, token="sekrit"), StoreQuery(index="flows", time_from=0, time_to=10), YAF)
-        assert state.auth_headers == ["Bearer sekrit", "Bearer sekrit"]
+        assert state.auth_headers == ["Bearer sekrit"]
+
+    def test_a_search_answered_302_is_a_failed_page_and_the_landing_route_gets_nothing(self, stub_server):
+        url, state = stub_server
+        state.redirects["flows/_search"] = f"{url}/landing"
+        with pytest.raises(PageFailure, match="HTTP 302 at offset 0") as err:
+            query_store(HttpStore(url), StoreQuery(index="flows", time_from=0, time_to=10), YAF)
+        assert err.value.records_so_far == 0
+        assert state.get_paths == []
+
+    @pytest.mark.parametrize("url", ["http://127.0.0.1:1/x#é", "http://bücher.example/x"], ids=["fragment", "idn_host"])
+    def test_a_non_ascii_fragment_or_host_is_not_refused(self, url):
+        assert url_refusal(url) is None  # urllib drops the fragment, and http.client sends the host as IDNA
 
     def test_credentials_in_url_are_unreachable_and_not_echoed(self, stub_server):
         url, state = stub_server
