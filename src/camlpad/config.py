@@ -193,9 +193,11 @@ def config_from_entries(entries: dict[str, str]) -> PipelineConfig:
     for source in BRO_SOURCES:
         if config.bro_index and source in config.indexes:
             raise ConfigError(f"sources.{source.value}.index cannot be set with run.bro_index, which serves it")
-    refusal = config.webhook_url and url_refusal(config.webhook_url)
-    if refusal:  # no alert could ever be sent to it
-        raise ConfigError(f"alerts.webhook_url: {redact_url(config.webhook_url)}: {refusal}")
+    store_url = config.store_kind == "http" and config.store_url
+    for key, url in (("store.url", store_url), ("alerts.webhook_url", config.webhook_url)):
+        refusal = url and url_refusal(url)
+        if refusal:  # no request could ever be sent to it
+            raise ConfigError(f"{key}: {redact_url(url)}: {refusal}")
     if not 0.0 < config.contamination < 1.0:
         raise ConfigError(f"run.contamination must be in (0,1), got {config.contamination}")
     if not 0.0 <= config.threshold_percentile <= 100.0:  # NaN fails too

@@ -15,13 +15,10 @@ the dns and conn batches as they are.
 from __future__ import annotations
 
 import functools
-import http.client
 import json
 import logging
 import re
-import urllib.error
-import urllib.parse
-import urllib.request
+import urllib.parse  # pathlib imports it anyway; http.client and urllib.request load on the first request
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from itertools import groupby
@@ -47,6 +44,8 @@ BRO_DNS_VALUE = "dns"
 BRO_CONN_VALUE = "conn"
 _HTTP_SCHEMES = ("http://", "https://")
 _SHOWN_ESCAPES = str.maketrans({"\t": "\\t", "\n": "\\n", "\r": "\\r"})
+_C0_OR_SPACE = "".join(map(chr, range(0x21)))  # what urlsplit strips from the start of a URL
+_LEADING_ESCAPES = str.maketrans({c: f"\\x{ord(c):02x}" for c in _C0_OR_SPACE}) | _SHOWN_ESCAPES
 _raw_decode = json.JSONDecoder().raw_decode
 _compact = json.JSONEncoder(separators=(",", ":")).encode  # what json.dumps(doc, separators=(",", ":")) writes
 
@@ -218,46 +217,53 @@ class HttpStore:
 StoreLocator = DirectoryStore | HttpStore
 
 
-class _NoRedirect(urllib.request.HTTPRedirectHandler):
-    """Follows no redirect: urllib would re-send a POST answered 301, 302 or 303 as a GET without its body.
-
-    A 3xx then reaches ``post_json`` as the HTTPError that any other non-2xx reply is.
-    """
-
-    def redirect_request(self, req, fp, code, msg, headers, newurl):
-        return None
-
-
 @functools.cache
 def _opener() -> urllib.request.OpenerDirector:
+    """An opener that follows no redirect, built on the first request: a run that sends none loads no HTTP stack."""
+    import urllib.request
+
+    class _NoRedirect(urllib.request.HTTPRedirectHandler):
+        """urllib would re-send a POST answered 301, 302 or 303 as a GET without its body.
+
+        A 3xx then reaches ``post_json`` as the HTTPError that any other non-2xx reply is.
+        """
+
+        def redirect_request(self, req, fp, code, msg, headers, newurl):
+            return None
+
     return urllib.request.build_opener(_NoRedirect)
 
 
 def redact_url(url: str) -> str:
     """``url`` without the user:password@, query and fragment that may hold a secret.
 
-    A tab, CR or LF, which ``urlsplit`` deletes, is shown escaped, so the rest reads as configured.
+    A tab, CR or LF, which ``urlsplit`` deletes, and a leading space or C0
+    control character, which it strips, are shown escaped, so the rest reads
+    as configured.
     """
+    rest = url.lstrip(_C0_OR_SPACE)
+    lead = url[: len(url) - len(rest)].translate(_LEADING_ESCAPES)
     try:
-        parts = urllib.parse.urlsplit(url.translate(_SHOWN_ESCAPES))
+        parts = urllib.parse.urlsplit(rest.translate(_SHOWN_ESCAPES))
     except ValueError:
         return "<unparseable URL>"
-    return urllib.parse.urlunsplit((parts.scheme, parts.netloc.rpartition("@")[2], parts.path, "", ""))
+    return lead + urllib.parse.urlunsplit((parts.scheme, parts.netloc.rpartition("@")[2], parts.path, "", ""))
 
 
 def url_refusal(url: str) -> str | None:
     """Why ``post_json`` refuses ``url`` without sending, or None.
 
-    It must be http(s), hold no space or control character, parse, name
+    It must hold no space or control character, be http(s), parse, name
     its port (if any) as a number in range, hold no non-ASCII character in
     its path or query (http.client writes the request line as ASCII), and
-    carry no user:password@.
+    carry no user:password@. The characters come first: a leading one would
+    otherwise be refused for the scheme behind it.
     """
-    if not url.lower().startswith(_HTTP_SCHEMES):
-        return "only http:// and https:// URLs are supported"
     unsendable = re.search("[\x00-\x20\x7f]", url)  # http.client sends none of these
     if unsendable:
         return f"a URL cannot hold {unsendable.group()!r}, a space or control character"
+    if not url.lower().startswith(_HTTP_SCHEMES):
+        return "only http:// and https:// URLs are supported"
     try:
         parts = urllib.parse.urlsplit(url)
         parts.port  # raises for a port that is not a number in range
@@ -281,6 +287,10 @@ def post_json(url: str, body: bytes, token: str | None = None) -> tuple[int, byt
     refusal = url_refusal(url)
     if refusal:
         raise StoreUnreachable(f"{shown}: {refusal}")
+    import http.client
+    import urllib.error
+    import urllib.request
+
     headers = {"Content-Type": "application/json"}
     if token:
         headers["Authorization"] = f"Bearer {token}"

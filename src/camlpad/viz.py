@@ -15,7 +15,6 @@ import io
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -113,6 +112,8 @@ def render_svg(points: HeatmapPoints, title: str = "", heads: Iterable[str] | No
     and encoded ``CHUNK_ROWS`` at a time into one buffer, so the document's
     text is never held whole beside its bytes.
     """
+    # what xml.sax.saxutils.escape writes; that module imports urllib.request, which the SVG needs none of
+    text = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     chrome = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         (
@@ -122,7 +123,7 @@ def render_svg(points: HeatmapPoints, title: str = "", heads: Iterable[str] | No
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="{BACKGROUND}"/>',
         (
             f'<text x="{WIDTH // 2}" y="{MARGIN // 2 + 7}" fill="#cccccc" '
-            f'font-family="monospace" font-size="14" text-anchor="middle">{escape(title)}</text>'
+            f'font-family="monospace" font-size="14" text-anchor="middle">{text}</text>'
         ),
         "",
     ]

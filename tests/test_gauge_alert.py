@@ -273,6 +273,23 @@ class TestEmitAlert:
         assert (outcome.attempts, sleeps) == (1, [])
         assert "a URL cannot hold" in outcome.detail
 
+    # urlsplit strips a leading space or C0 control character, so unescaped the URL shown would look valid
+    @pytest.mark.parametrize(
+        "webhook_url, shown, held",
+        [("\x01http://127.0.0.1:1/a", "\\x01http://127.0.0.1:1/a", "'\\x01'"),
+         (" http://127.0.0.1:1/a", "\\x20http://127.0.0.1:1/a", "' '")],
+    )
+    def test_env_var_webhook_with_a_leading_control_is_shown_escaped(self, monkeypatch, webhook_url, shown, held):
+        monkeypatch.setenv("CAMLPAD_WEBHOOK_URL", webhook_url)
+        sleeps = []
+        with pytest.raises(AllSinksFailed) as failed:
+            emit_alert(self._event(), sleep=sleeps.append)
+        [outcome] = failed.value.outcomes
+        assert (outcome.sink, outcome.attempts, sleeps) == (f"webhook:{shown}", 1, [])
+        assert outcome.detail == (
+            f"failed after 1 attempt: {shown}: a URL cannot hold {held}, a space or control character"
+        )
+
     def test_webhook_url_with_credentials_is_a_failed_sink_naming_why(self, stub_server, tmp_path):
         url, state = stub_server
         outcomes = emit_alert(
