@@ -198,6 +198,8 @@ def config_from_entries(entries: dict[str, str]) -> PipelineConfig:
         refusal = url and url_refusal(url)
         if refusal:  # no request could ever be sent to it
             raise ConfigError(f"{key}: {redact_url(url)}: {refusal}")
+    if store_url and ("?" in store_url or "#" in store_url):  # HttpStore's /{index}/_search would land in it
+        raise ConfigError(f"store.url: {redact_url(store_url)}: a query or fragment in a store URL is not supported")
     if not 0.0 < config.contamination < 1.0:
         raise ConfigError(f"run.contamination must be in (0,1), got {config.contamination}")
     if not 0.0 <= config.threshold_percentile <= 100.0:  # NaN fails too

@@ -43,9 +43,8 @@ EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 BRO_DNS_VALUE = "dns"
 BRO_CONN_VALUE = "conn"
 _HTTP_SCHEMES = ("http://", "https://")
-_SHOWN_ESCAPES = str.maketrans({"\t": "\\t", "\n": "\\n", "\r": "\\r"})
-_C0_OR_SPACE = "".join(map(chr, range(0x21)))  # what urlsplit strips from the start of a URL
-_LEADING_ESCAPES = str.maketrans({c: f"\\x{ord(c):02x}" for c in _C0_OR_SPACE}) | _SHOWN_ESCAPES
+_SPACE_OR_CONTROL = "".join(map(chr, range(0x21))) + "\x7f"  # http.client sends none of these
+_ESCAPES = str.maketrans({c: f"\\x{ord(c):02x}" for c in _SPACE_OR_CONTROL} | {"\t": "\\t", "\n": "\\n", "\r": "\\r"})
 _raw_decode = json.JSONDecoder().raw_decode
 _compact = json.JSONEncoder(separators=(",", ":")).encode  # what json.dumps(doc, separators=(",", ":")) writes
 
@@ -205,13 +204,13 @@ class HttpStore:
         url = f"{self.base_url}/{index}/_doc"
         status, raw = post_json(url, payload, self.token)
         if status not in (200, 201):
-            raise StoreUnreachable(f"{url}: HTTP {status}")
+            raise StoreUnreachable(f"{redact_url(url)}: HTTP {status}")
         try:
             reply = json.loads(raw)
         except ValueError:
             reply = None
         if not isinstance(reply, dict):
-            raise StoreUnreachable(f"{url}: reply is not a JSON object: {raw[:80]!r}")
+            raise StoreUnreachable(f"{redact_url(url)}: reply is not a JSON object: {raw[:80]!r}")
 
 
 StoreLocator = DirectoryStore | HttpStore
@@ -235,19 +234,13 @@ def _opener() -> urllib.request.OpenerDirector:
 
 
 def redact_url(url: str) -> str:
-    """``url`` without the user:password@, query and fragment that may hold a secret.
+    """``url`` cut at its first ``?`` or ``#``, each ``[^/]*@`` run deleted, and each space or control escaped.
 
-    A tab, CR or LF, which ``urlsplit`` deletes, and a leading space or C0
-    control character, which it strips, are shown escaped, so the rest reads
-    as configured.
+    It parses nothing, so no malformed URL makes it show a user:password@,
+    query or fragment. An ``@`` in a path takes the text before it in that
+    segment along: that hides more than it must, but never a secret.
     """
-    rest = url.lstrip(_C0_OR_SPACE)
-    lead = url[: len(url) - len(rest)].translate(_LEADING_ESCAPES)
-    try:
-        parts = urllib.parse.urlsplit(rest.translate(_SHOWN_ESCAPES))
-    except ValueError:
-        return "<unparseable URL>"
-    return lead + urllib.parse.urlunsplit((parts.scheme, parts.netloc.rpartition("@")[2], parts.path, "", ""))
+    return re.sub("[^/]*@", "", re.split("[?#]", url, maxsplit=1)[0]).translate(_ESCAPES)
 
 
 def url_refusal(url: str) -> str | None:
@@ -255,11 +248,11 @@ def url_refusal(url: str) -> str | None:
 
     It must hold no space or control character, be http(s), parse, name
     its port (if any) as a number in range, hold no non-ASCII character in
-    its path or query (http.client writes the request line as ASCII), and
-    carry no user:password@. The characters come first: a leading one would
-    otherwise be refused for the scheme behind it.
+    its path or query (http.client writes the request line as ASCII), carry
+    no user:password@, and name a host. The characters come first: a leading
+    one would otherwise be refused for the scheme behind it.
     """
-    unsendable = re.search("[\x00-\x20\x7f]", url)  # http.client sends none of these
+    unsendable = re.search(f"[{_SPACE_OR_CONTROL}]", url)
     if unsendable:
         return f"a URL cannot hold {unsendable.group()!r}, a space or control character"
     if not url.lower().startswith(_HTTP_SCHEMES):
@@ -274,6 +267,8 @@ def url_refusal(url: str) -> str | None:
         return f"a URL cannot hold {foreign.group()!r}, a non-ASCII character, in its path or query"
     if "@" in parts.netloc:  # urllib would take user:password for part of the host name
         return "user:password@ in a URL is not supported"
+    if not parts.hostname:
+        return "the URL names no host"
     return None
 
 

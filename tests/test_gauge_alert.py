@@ -273,7 +273,7 @@ class TestEmitAlert:
         assert (outcome.attempts, sleeps) == (1, [])
         assert "a URL cannot hold" in outcome.detail
 
-    # urlsplit strips a leading space or C0 control character, so unescaped the URL shown would look valid
+    # unescaped, a leading space or C0 control character would leave a URL shown that looks valid
     @pytest.mark.parametrize(
         "webhook_url, shown, held",
         [("\x01http://127.0.0.1:1/a", "\\x01http://127.0.0.1:1/a", "'\\x01'"),

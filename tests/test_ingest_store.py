@@ -32,6 +32,7 @@ from camlpad.ingest_store import (
     _Rows,
     query_store,
     record_to_json_line,
+    redact_url,
     split_bro_by_protocol,
     to_epoch_ms,
     url_refusal,
@@ -42,6 +43,7 @@ from camlpad.synth import SynthConfig, generate, write_store
 from conftest import make_batch, make_record
 
 YAF = DataSourceKind.YAF
+SPACE_OR_CONTROL = [chr(code) for code in (*range(0x21), 0x7f)]
 
 
 def read_store(data, time_field="timestamp"):
@@ -522,6 +524,28 @@ class TestHttpStore:
             query_store(HttpStore(with_userinfo), StoreQuery(index="flows", time_from=0, time_to=10), YAF)
         assert "pw-secret" not in str(err.value)
         assert state.auth_headers == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(["http", "https", "HTTP", "ht", "ftp", ""]),
+        st.sampled_from(["://", ":/", "//", ":"]),
+        st.sampled_from(["hooks.example", "127.0.0.1:9200", ""]),
+        st.sampled_from(["", "/", "/x", "/a@b/c", "/@", "/x/y@z"]),
+        st.permutations([("?", "QTOKEN"), ("#", "FTOKEN")]),
+        st.lists(st.tuples(st.integers(0, 99), st.sampled_from(SPACE_OR_CONTROL)), max_size=4),
+    )
+    def test_a_shown_url_holds_no_secret_and_no_raw_control_however_malformed(
+        self, scheme, separator, host, path, query_and_fragment, controls
+    ):
+        # the three tokens are single pieces, so a control character lands anywhere but inside one
+        pieces = [*scheme, *separator, *"alice:", "SECRET", "@", *host, *path]
+        for mark, token in query_and_fragment:
+            pieces += [mark, token]
+        for at, control in controls:
+            pieces.insert(at % (len(pieces) + 1), control)
+        shown = redact_url("".join(pieces))
+        assert [token for token in ("SECRET", "QTOKEN", "FTOKEN") if token in shown] == []
+        assert set(shown).isdisjoint(SPACE_OR_CONTROL)
 
     @pytest.mark.parametrize("body", [b"[]", b'{"hits": 5}', b'{"hits": [1]}', b'{"hits": [{"_source": 3}]}'])
     def test_bad_response_body_is_a_page_failure(self, stub_server, body):
