@@ -72,8 +72,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     result = run_pipeline(config, boundary_override=args.boundary)
     print(f"run complete: window {result.window_id}, artifacts in {config.output_dir}")
     for reading in result.gauges:
-        rank = "n/a" if reading.history_percentile is None else f"{reading.history_percentile:.1f}"
-        print(f"  gauge {reading.scope}: score {reading.score:.6f}, percentile {rank}")
+        print(f"  gauge {reading.scope}: score {reading.score:.6f}, percentile {reading.history_percentile:.1f}")
     if result.alert is not None:
         print(f"  ALERT: {result.alert.message}")
         return EXIT_ALERT_FIRED

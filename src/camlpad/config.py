@@ -193,6 +193,12 @@ def config_from_entries(entries: dict[str, str]) -> PipelineConfig:
     for source in BRO_SOURCES:
         if config.bro_index and source in config.indexes:
             raise ConfigError(f"sources.{source.value}.index cannot be set with run.bro_index, which serves it")
+    served: dict[str, str] = {}
+    for index, sources in config.index_plan():  # two plan entries on one index would read its documents twice
+        names = "+".join(source.value for source in sources)
+        if served.setdefault(index, names) != names:
+            hint = "; set run.bro_index to serve both" if {served[index], names} == {"bro_conn", "bro_dns"} else ""
+            raise ConfigError(f"index {index!r} would serve both {served[index]} and {names}{hint}")
     store_url = config.store_kind == "http" and config.store_url
     for key, url in (("store.url", store_url), ("alerts.webhook_url", config.webhook_url)):
         refusal = url and url_refusal(url)

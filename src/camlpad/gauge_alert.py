@@ -3,7 +3,8 @@
 A window's gauge is the mean of its rows' ensemble scores. The current
 window's gauge is ranked against the distribution of historical window
 gauges; strictly passing the threshold percentile (default 75) fires an
-alert. Warm-up windows with no history never alert.
+alert. Every reading has history days to rank against: a run refuses a
+history day holding no records, and the combined gauge pools every source's.
 """
 
 from __future__ import annotations
@@ -57,12 +58,12 @@ class GaugeReading:
     scope: str
     window_id: str
     score: float
-    history_percentile: float | None
+    history_percentile: float
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"gauge score must be in [0,1], got {self.score}")
-        if self.history_percentile is not None and not 0.0 <= self.history_percentile <= 100.0:
+        if not 0.0 <= self.history_percentile <= 100.0:  # a None raises TypeError
             raise ValueError(f"history_percentile must be in [0,100], got {self.history_percentile}")
 
 
@@ -108,19 +109,17 @@ def day_gauges(
     return {boundary_ms + day: window_score(day_scores) for day, day_scores in zip(days.tolist(), per_day)}
 
 
-def percentile_rank(current: float, history: Sequence[float]) -> float | None:
-    """100 * |{h in history : h < current}| / |history|; None when history is empty."""
+def percentile_rank(current: float, history: Sequence[float]) -> float:
+    """100 * |{h in history : h < current}| / |history|; an empty history raises EmptyWindow."""
     history = list(history)
     if not history:
-        return None
+        raise EmptyWindow("cannot rank against an empty history")
     below = sum(1 for h in history if h < current)
     return 100.0 * below / len(history)
 
 
 def alert_decision(reading: GaugeReading, threshold: float = DEFAULT_THRESHOLD_PERCENTILE) -> bool:
-    """Fire iff the reading has a percentile and it strictly passes the threshold."""
-    if reading.history_percentile is None:
-        return False
+    """Fire iff the reading's history percentile strictly passes the threshold."""
     return reading.history_percentile > threshold
 
 
@@ -132,16 +131,12 @@ def compare_recent_previous(recent: float, previous: float) -> Comparison:
     return Comparison.EQUAL
 
 
-def _round6(value: float | None) -> float | None:
-    return None if value is None else round(float(value), 6)
-
-
 def gauge_document(reading: GaugeReading) -> dict:
     return {
         "scope": reading.scope,
         "window_id": reading.window_id,
-        "score": _round6(reading.score),
-        "history_percentile": _round6(reading.history_percentile),
+        "score": round(reading.score, 6),
+        "history_percentile": round(reading.history_percentile, 6),
     }
 
 

@@ -505,10 +505,9 @@ def split_bro_by_protocol(batch: RecordBatch, discriminator: str = DEFAULT_DISCR
     BRO_CONN_VALUE are dropped and counted; real BRO emits many log types
     beyond these two.
     """
-    shapes = np.unique(batch.row_shapes)
-    if len(batch) and not any(discriminator in batch.shapes[shape] for shape in shapes):
+    labels = batch.columns.get(discriminator)  # a batch holds a column for each field some row carries
+    if len(batch) and labels is None:
         raise DiscriminatorMissing(f"discriminator field {discriminator!r} absent from every record")
-    labels = batch.columns.get(discriminator)
     categories = labels.categories if labels else ()
     halves = []
     for source, value in ((DataSourceKind.BRO_DNS, BRO_DNS_VALUE), (DataSourceKind.BRO_CONN, BRO_CONN_VALUE)):

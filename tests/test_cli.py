@@ -232,11 +232,17 @@ class TestConfigParsing:
             (["store.kind = http", "store.url = http://127.0.0.1:9200/?pretty#x"],
              "store.url: http://127.0.0.1:9200/: a query or fragment in a store URL is not supported"),
             (["sources.yaf.index ="], "sources.yaf.index: expected an index name, got ''"),
+            (["run.sources = yaf, snort", "sources.snort.index = yaf"], "index 'yaf' would serve both snort and yaf"),
+            (["run.bro_index = bro", "sources.yaf.index = bro"],
+             "index 'bro' would serve both bro_conn+bro_dns and yaf"),
+            (["sources.bro_dns.index = bro", "sources.bro_conn.index = bro"],
+             "index 'bro' would serve both bro_conn and bro_dns; set run.bro_index to serve both"),
         ],
         ids=[
             "webhook_not_http", "webhook_with_credentials", "webhook_port_not_a_number", "webhook_leading_control",
             "webhook_tab_in_scheme", "webhook_no_host", "store_url_not_http", "store_url_with_credentials",
-            "store_url_with_query_or_fragment", "empty_index",
+            "store_url_with_query_or_fragment", "empty_index", "index_shared_by_two_sources",
+            "index_shared_with_bro_index", "bro_sources_sharing_an_index_without_bro_index",
         ],
     )
     def test_a_value_the_run_can_never_use_fails_run_and_dry_run(self, tmp_path, capsys, extra, message):
@@ -361,6 +367,20 @@ class TestRunCommand:
         line = json.loads((out / "labels" / "yaf.jsonl").read_text().splitlines()[0])
         assert set(line) == {"row_id", "label", "votes"}
         assert set(line["votes"]) == {"iforest", "hbos", "cblof"}
+
+    @pytest.mark.parametrize("sources", [None, "yaf, snort"], ids=["all_sources", "two_sources"])
+    def test_stdout_has_a_gauge_line_per_source_and_combined_with_a_percentile(self, tmp_path, capsys, sources):
+        store = tmp_path / "store"
+        main(["synth", "--out", str(store), "--days", "2", "--records", "30"])
+        extra = [f"run.sources = {sources}"] if sources else []
+        config = write_config(tmp_path / "c.conf", store, tmp_path / "out", extra=extra)
+        capsys.readouterr()
+        assert main(["run", "--config", str(config)]) in (0, 2)
+        gauges = re.findall(r"^  gauge (\w+): score \d\.\d{6}, percentile (.*)$", capsys.readouterr().out, re.M)
+        configured = [s.strip() for s in sources.split(",")] if sources else [k.value for k in DataSourceKind]
+        assert sorted(scope for scope, _ in gauges[:-1]) == sorted(configured)
+        assert gauges[-1][0] == "combined"
+        assert all(0.0 <= float(rank) <= 100.0 for _, rank in gauges)
 
     def test_missing_index_exits_one_and_names_it(self, tmp_path, capsys):
         store = tmp_path / "store"

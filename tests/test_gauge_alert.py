@@ -106,8 +106,9 @@ class TestPercentileRank:
     def test_count_rule(self):
         assert percentile_rank(3, [1, 2, 4, 5]) == 50.0
 
-    def test_empty_history_is_none(self):
-        assert percentile_rank(3, []) is None
+    def test_empty_history_raises_empty_window(self):
+        with pytest.raises(EmptyWindow):
+            percentile_rank(3, [])
 
     def test_matches_bruteforce_count_and_stays_bounded(self):
         rng = random.Random(3)
@@ -124,8 +125,9 @@ class TestAlertDecision:
     def test_fires_above_threshold(self):
         assert alert_decision(reading(percentile=100.0)) is True
 
-    def test_warm_up_never_fires(self):
-        assert alert_decision(reading(percentile=None)) is False
+    def test_a_reading_without_a_percentile_is_refused(self):
+        with pytest.raises(TypeError):
+            reading(percentile=None)
 
     def test_exact_threshold_does_not_fire(self):
         assert alert_decision(reading(percentile=75.0)) is False
@@ -396,10 +398,9 @@ class TestReindexGauge:
 
 
 class TestGaugeJson:
-    def test_round_trip_and_null_percentile(self):
-        raw = gauge_json_bytes(reading(percentile=None))
-        doc = json.loads(raw)
-        assert doc["history_percentile"] is None
+    def test_percentile_is_a_number_rounded_to_six_places(self):
+        raw = gauge_json_bytes(reading(percentile=100.0 / 7))
+        assert json.loads(raw)["history_percentile"] == 14.285714
         assert raw.endswith(b"\n")
 
     def test_score_has_no_float_noise(self):

@@ -296,12 +296,8 @@ class TestExportGaugeJson:
             history_percentile=doc["history_percentile"],
         ) == reading
 
-    def test_absent_percentile_is_null(self):
-        reading = GaugeReading(scope="snort", window_id="w", score=0.1, history_percentile=None)
-        assert json.loads(gauge_json_bytes(reading))["history_percentile"] is None
-
     def test_six_decimal_formatting(self):
         reading = GaugeReading(
-            scope="snort", window_id="w", score=0.123456789, history_percentile=None
+            scope="snort", window_id="w", score=0.123456789, history_percentile=50.0
         )
         assert json.loads(gauge_json_bytes(reading))["score"] == 0.123457
