@@ -14,13 +14,13 @@ from pathlib import Path
 from typing import Callable
 
 from . import evaluate
-from .config import load_config
+from .config import load_config, resolve_boundary
 from .datamodel import DataSourceKind
 from .ensemble import DETECTOR_NAMES
 from .errors import CamlpadError
 from .ingest_store import MalformedLine, utf8_lines
 from .pipeline import run_pipeline
-from .synth import ANOMALY_STYLES, HOUR_MS, SynthConfig, generate, write_store
+from .synth import ANOMALY_STYLES, SynthConfig, generate, write_store
 
 logger = logging.getLogger(__name__)
 
@@ -57,9 +57,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dry_run(config_path: Path) -> int:
-    """Check, or probe with a one-record query, every index that `run` would read."""
+def _dry_run(config_path: Path, boundary: str | None) -> int:
+    """Resolve the boundary, and check or probe with a one-record query every index, that `run` would."""
     config = load_config(config_path)
+    resolve_boundary(boundary or config.boundary)  # as run_pipeline resolves it
     config.locator().check(config.index_plan(), config.time_field)
     print(f"config ok: {len(config.sources)} sources, store reachable")
     return EXIT_OK
@@ -67,7 +68,7 @@ def _dry_run(config_path: Path) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.dry_run:
-        return _dry_run(args.config)
+        return _dry_run(args.config, args.boundary)
     config = load_config(args.config)
     result = run_pipeline(config, boundary_override=args.boundary)
     print(f"run complete: window {result.window_id}, artifacts in {config.output_dir}")
@@ -157,7 +158,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if buckets_path.is_file():
         verdicts = _read_rows(args.run / "verdicts.jsonl", "verdict", lambda doc: _bucket_row(doc, "final"), list)
         truth_hours = _read_rows(buckets_path, "truth", lambda doc: _bucket_row(doc, "label"), list)
-        report["vs_truth_buckets"] = evaluate.vote_vs_truth_hours(verdicts, truth_hours, HOUR_MS)
+        report["vs_truth_buckets"] = evaluate.vote_vs_truth_hours(verdicts, truth_hours)
     else:
         logger.warning("no bucket truth file %s, so no vs_truth_buckets", buckets_path)
     report_path = args.run / "report.json"

@@ -7,11 +7,12 @@ rejected so typos fail loudly.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .datamodel import DataSourceKind
+from .datamodel import DAY_MS, DataSourceKind
 from .ensemble import DEFAULT_CONTAMINATION
 from .errors import CamlpadError
 from .gauge_alert import DEFAULT_THRESHOLD_PERCENTILE
@@ -29,7 +30,7 @@ from .ingest_store import (
     utf8_lines,
 )
 
-DAY_MS = 86_400_000
+WEBHOOK_ENV_VAR = "CAMLPAD_WEBHOOK_URL"  # when set, config_from_entries takes it for alerts.webhook_url
 # the sources a combined BRO index (run.bro_index) serves, split by protocol
 BRO_SOURCES = (DataSourceKind.BRO_CONN, DataSourceKind.BRO_DNS)
 
@@ -96,11 +97,6 @@ class PipelineConfig:
             return None
         path = Path(self.alert_file)
         return path if path.is_absolute() else self.output_dir / path
-
-
-def parse_config_text(text: str) -> dict[str, str]:
-    """``_entries`` of ``text`` split at line feeds, as ``utf8_lines`` splits a config file."""
-    return _entries(text.split("\n"))
 
 
 def _entries(lines: list[str]) -> dict[str, str]:
@@ -200,12 +196,15 @@ def config_from_entries(entries: dict[str, str]) -> PipelineConfig:
             hint = "; set run.bro_index to serve both" if {served[index], names} == {"bro_conn", "bro_dns"} else ""
             raise ConfigError(f"index {index!r} would serve both {served[index]} and {names}{hint}")
     store_url = config.store_kind == "http" and config.store_url
-    for key, url in (("store.url", store_url), ("alerts.webhook_url", config.webhook_url)):
+    webhook_key = WEBHOOK_ENV_VAR if os.environ.get(WEBHOOK_ENV_VAR) else "alerts.webhook_url"
+    config.webhook_url = os.environ.get(WEBHOOK_ENV_VAR) or config.webhook_url
+    for key, url in (("store.url", store_url), (webhook_key, config.webhook_url)):
         refusal = url and url_refusal(url)
         if refusal:  # no request could ever be sent to it
             raise ConfigError(f"{key}: {redact_url(url)}: {refusal}")
     if store_url and ("?" in store_url or "#" in store_url):  # HttpStore's /{index}/_search would land in it
         raise ConfigError(f"store.url: {redact_url(store_url)}: a query or fragment in a store URL is not supported")
+    resolve_boundary(config.boundary)  # refused here, a boundary no run could parse fails --dry-run too
     if not 0.0 < config.contamination < 1.0:
         raise ConfigError(f"run.contamination must be in (0,1), got {config.contamination}")
     if not 0.0 <= config.threshold_percentile <= 100.0:  # NaN fails too

@@ -18,13 +18,15 @@ from array import array
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import CamlpadError
 
 _NAN = float("nan")
+DAY_MS = 86_400_000  # the widths of a run's days and of the synth truth's hours, for time_buckets
+HOUR_MS = 3_600_000
 
 
 class DataSourceKind(str, Enum):
@@ -137,14 +139,6 @@ class RecordBatch:
 
     def __len__(self) -> int:
         return len(self.record_ids)
-
-    @classmethod
-    def from_records(cls, source: DataSourceKind, records: Iterable[SensorRecord]) -> "RecordBatch":
-        """The batch of hand-built records, in their order."""
-        rows = BatchBuilder(source)
-        for record in records:
-            rows.add(record.timestamp, record.record_id, record.fields)
-        return rows.batch()
 
     def rows(self) -> Iterator[tuple[int, dict[str, float | str | None], str]]:
         """Each row as (timestamp, fields, record_id): the fields in the row's own key order,

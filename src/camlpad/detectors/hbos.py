@@ -29,12 +29,6 @@ class FeatureHistogram:
     def degenerate(self) -> bool:
         return self.high == self.low
 
-    @property
-    def edges(self) -> np.ndarray:
-        if self.degenerate:
-            return np.asarray([self.low, self.high])
-        return np.linspace(self.low, self.high, len(self.counts) + 1)
-
     def bin_index(self, values: np.ndarray) -> np.ndarray:
         """Each value's bin, out-of-range values clamped to the edge bins; bin 0 when degenerate."""
         if self.degenerate:
@@ -51,7 +45,6 @@ class FeatureHistogram:
 class HbosModel:
     histograms: list[FeatureHistogram]
     n_training: int
-    epsilon: float = EPSILON
 
     @property
     def n_features(self) -> int:
@@ -81,7 +74,7 @@ def score_hbos_rows(model: HbosModel, rows) -> np.ndarray:
     totals = np.zeros(X.shape[0])
     for column, hist in zip(X.T, model.histograms):
         counts = hist.counts[hist.bin_index(column)].astype(float)
-        totals += -np.log(counts / model.n_training + model.epsilon)
+        totals += -np.log(counts / model.n_training + EPSILON)
     # a row sitting in full-occupancy bins everywhere sums to -d*eps; keep >= 0
     return np.maximum(totals, 0.0)
 

@@ -19,7 +19,7 @@ from .datamodel import DataSourceKind, time_buckets
 from .errors import CamlpadError
 
 DEFAULT_CONTAMINATION = 0.1
-DEFAULT_BUCKET_WIDTH_MS = 60_000
+BUCKET_WIDTH_MS = 60_000  # the cross-source vote's one-minute buckets
 
 DETECTOR_NAMES = ("iforest", "hbos", "cblof")
 
@@ -108,7 +108,6 @@ def ensemble_score(normalized: Sequence[np.ndarray]) -> np.ndarray:
 
 def cross_source_vote(
     labeled: Mapping[DataSourceKind, tuple[np.ndarray, np.ndarray]],
-    bucket_width_ms: int = DEFAULT_BUCKET_WIDTH_MS,
     contamination: float = DEFAULT_CONTAMINATION,
 ) -> VoteTable:
     """Democratic vote across sources per fixed-width time bucket: a row per bucket, a column per source.
@@ -120,9 +119,7 @@ def cross_source_vote(
     """
     if not labeled:
         raise ValueError("cross_source_vote needs at least one source")
-    if bucket_width_ms <= 0:
-        raise ValueError("bucket_width_ms must be positive")
-    buckets = [time_buckets(timestamps, bucket_width_ms) for timestamps, _ in labeled.values()]
+    buckets = [time_buckets(timestamps, BUCKET_WIDTH_MS) for timestamps, _ in labeled.values()]
     bucket_starts = np.unique(np.concatenate([starts for starts, _ in buckets]))
     votes = np.full((len(bucket_starts), len(labeled)), -1, dtype=np.int8)
     for column, ((starts, index), (_, labels)) in enumerate(zip(buckets, labeled.values())):

@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .datamodel import HOUR_MS
 from .errors import CamlpadError
 
 
@@ -77,16 +78,14 @@ def pairwise_ari_report(labelings: Mapping[str, Mapping[str, Sequence[int]]]) ->
     return {"per_source": per_source, "mean_pairwise_ari": sum(means) / len(means) if means else None}
 
 
-def vote_vs_truth_hours(
-    verdicts: Sequence[tuple[int, int]], truth: Sequence[tuple[int, int]], hour_ms: int
-) -> dict[str, int]:
+def vote_vs_truth_hours(verdicts: Sequence[tuple[int, int]], truth: Sequence[tuple[int, int]]) -> dict[str, int]:
     """Count the hours the cross-source vote found: (bucket_start, final) verdicts against (hour start, label) truth.
 
     An hour is voted when a verdict bucket starting inside it is final 1.
     Only the truth hours from the first verdict bucket's hour to the last
     one's are counted.
     """
-    hours = [start // hour_ms * hour_ms for start, _ in verdicts]
+    hours = [start // HOUR_MS * HOUR_MS for start, _ in verdicts]
     voted = {hour for hour, (_, final) in zip(hours, verdicts) if final}
     first, last = min(hours, default=0), max(hours, default=-1)
     counted = [(hour, label) for hour, label in truth if first <= hour <= last]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -20,14 +19,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .datamodel import time_buckets
+from .datamodel import DAY_MS, time_buckets
 from .errors import CamlpadError
 from .ingest_store import StoreLocator, StoreUnreachable, post_json, redact_url, url_refusal
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_THRESHOLD_PERCENTILE = 75.0
-WEBHOOK_ENV_VAR = "CAMLPAD_WEBHOOK_URL"
 WEBHOOK_ATTEMPTS = 3
 WEBHOOK_BACKOFF_SECONDS = (1.0, 2.0)  # slept between the attempts
 GAUGES_INDEX = "gauges"
@@ -94,16 +92,14 @@ def window_score(ensemble_scores: Sequence[float]) -> float:
     return float(scores.mean())
 
 
-def day_gauges(
-    timestamps: Sequence[int], scores: Sequence[float], boundary_ms: int, day_ms: int
-) -> dict[int, float]:
+def day_gauges(timestamps: Sequence[int], scores: Sequence[float], boundary_ms: int) -> dict[int, float]:
     """Day start -> window_score of that day's rows, for each day present, in day order.
 
-    History day k spans [boundary - k * day_ms, boundary - (k - 1) * day_ms), so
+    History day k spans [boundary - k * DAY_MS, boundary - (k - 1) * DAY_MS), so
     every day is as long as the current window whatever the boundary's time of
     day. Each day's scores keep their row order, so its mean sums them in that order.
     """
-    days, index = time_buckets(np.asarray(timestamps, dtype=np.int64) - boundary_ms, day_ms)
+    days, index = time_buckets(np.asarray(timestamps, dtype=np.int64) - boundary_ms, DAY_MS)
     order = np.argsort(index, kind="stable")
     per_day = np.split(np.asarray(scores, dtype=float)[order], np.cumsum(np.bincount(index))[:-1])
     return {boundary_ms + day: window_score(day_scores) for day, day_scores in zip(days.tolist(), per_day)}
@@ -215,11 +211,9 @@ def emit_alert(
 ) -> list[SinkOutcome]:
     """Deliver an alert to the configured sinks; failures never cross sinks.
 
-    CAMLPAD_WEBHOOK_URL in the environment overrides the configured webhook.
     With no sink there is nothing to deliver and the result is []. Raises
     AllSinksFailed only when every configured sink failed.
     """
-    webhook_url = os.environ.get(WEBHOOK_ENV_VAR) or webhook_url
     outcomes: list[SinkOutcome] = []
     if file_path is not None:
         outcomes.append(_deliver_file(event, Path(file_path)))

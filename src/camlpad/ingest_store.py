@@ -121,11 +121,11 @@ class DirectoryStore:
     def __post_init__(self) -> None:
         object.__setattr__(self, "root", Path(self.root))
 
-    def read(self, query: StoreQuery, rows: _Rows) -> None:
-        """Add the rows of the index's ``*.jsonl`` files to ``rows``, in file name order."""
-        index_dir = self._root() / query.index
+    def read(self, rows: _Rows) -> None:
+        """Add the rows of the query's index's ``*.jsonl`` files to ``rows``, in file name order."""
+        index_dir = self._root() / rows.query.index
         if not index_dir.is_dir():
-            raise IndexNotFound(query.index)
+            raise IndexNotFound(rows.query.index)
         for path in sorted(index_dir.glob("*.jsonl")):
             try:
                 _read_jsonl(path.read_bytes(), rows)
@@ -168,8 +168,9 @@ class HttpStore:
     def __post_init__(self) -> None:
         object.__setattr__(self, "base_url", self.base_url.rstrip("/"))
 
-    def read(self, query: StoreQuery, rows: _Rows) -> None:
+    def read(self, rows: _Rows) -> None:
         """Add ``_search`` hits to ``rows`` until a page comes back short, so a full page at the cap gets one more."""
+        query = rows.query
         url = f"{self.base_url}/{query.index}/_search"
         offset = 0
         while True:
@@ -483,12 +484,8 @@ def record_to_document(record: SensorRecord) -> dict:
     return _document(record.timestamp, record.fields, record.record_id)
 
 
-def record_to_json_line(record: SensorRecord) -> str:
-    return _compact(record_to_document(record))
-
-
 def json_lines(batch: RecordBatch) -> Iterator[str]:
-    """Each row's ``record_to_json_line``, written without building its record."""
+    """Each row's ``record_to_document`` as a compact JSON line, written without building its record."""
     return (_compact(_document(*row)) for row in batch.rows())
 
 
@@ -535,7 +532,7 @@ def query_store(
     read, raises with its file's name before its message.
     """
     rows = _Rows(source, time_field, query)
-    locator.read(query, rows)
+    locator.read(rows)
     return _canonical(rows.batch())
 
 

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import detectors, ensemble, evaluate, gauge_alert, viz
-from .config import BRO_SOURCES, DAY_MS, DetectorParams, PipelineConfig, resolve_boundary, window_id_for
-from .datamodel import DataSourceKind, RecordBatch, WindowSplit
+from .config import BRO_SOURCES, DetectorParams, PipelineConfig, resolve_boundary, window_id_for
+from .datamodel import DAY_MS, DataSourceKind, RecordBatch, WindowSplit
 from .ensemble import DETECTOR_NAMES, LabelVector
 from .errors import CamlpadError
 from .ingest_store import EmptyHistory, StoreQuery, query_store, split_bro_by_protocol, window_split
@@ -220,7 +220,7 @@ def _gauge(
     current_scores: np.ndarray,
 ) -> tuple[dict[int, float], gauge_alert.GaugeReading]:
     """Each history day's gauge, and the current window's reading ranked against them."""
-    day_scores = gauge_alert.day_gauges(history_timestamps, history_scores, boundary_ms, DAY_MS)
+    day_scores = gauge_alert.day_gauges(history_timestamps, history_scores, boundary_ms)
     score = gauge_alert.window_score(current_scores)
     reading = gauge_alert.GaugeReading(
         scope=scope,

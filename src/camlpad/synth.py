@@ -15,13 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DAY_MS, ConfigError, window_id_for
-from .datamodel import BatchBuilder, DataSourceKind, RecordBatch, canonical_order, time_buckets
+from .config import ConfigError, window_id_for
+from .datamodel import DAY_MS, HOUR_MS, BatchBuilder, DataSourceKind, RecordBatch, canonical_order, time_buckets
 from .ensemble import LabelVector
 from .ingest_store import json_lines
 
 BASE_EPOCH_MS = 1_614_556_800_000  # 2021-03-01T00:00:00Z
-HOUR_MS = 3_600_000
 
 TRUTH_DIR = "truth"
 

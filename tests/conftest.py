@@ -10,7 +10,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from camlpad.datamodel import DataSourceKind, RecordBatch, SensorRecord
+from camlpad.datamodel import BatchBuilder, DataSourceKind, RecordBatch, SensorRecord
 
 
 @dataclass
@@ -144,4 +144,8 @@ def make_record(timestamp: int = 0, record_id: str = "r0", **fields) -> SensorRe
 
 
 def make_batch(source: DataSourceKind, *records: SensorRecord) -> RecordBatch:
-    return RecordBatch.from_records(source, records)
+    """The batch of hand-built records, in their order."""
+    rows = BatchBuilder(source)
+    for record in records:
+        rows.add(record.timestamp, record.record_id, record.fields)
+    return rows.batch()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,12 +8,11 @@ from hypothesis import strategies as st
 from camlpad.datamodel import (
     BatchBuilder,
     DataSourceKind,
-    RecordBatch,
     SensorRecord,
     WindowSplit,
     derive_record_id,
 )
-from camlpad.ingest_store import json_lines, record_to_json_line
+from camlpad.ingest_store import json_lines, record_to_document
 
 from conftest import make_batch, make_record
 
@@ -120,14 +121,15 @@ class TestColumns:
     @settings(max_examples=200, deadline=None)
     @given(record_lists(), st.data())
     def test_taken_rows_keep_their_records_and_documents(self, records, data):
-        batch = RecordBatch.from_records(DataSourceKind.YAF, records)
+        batch = make_batch(DataSourceKind.YAF, *records)
         rows = data.draw(st.lists(st.integers(0, len(records) - 1), max_size=10)) if records else []
         part = batch.take(np.array(rows, dtype=np.intp))
         expected = [records[row] for row in rows]
         assert part.records == tuple(expected)
         assert [list(record.fields) for record in part.records] == [list(record.fields) for record in expected]
         assert list(part.columns) == list(dict.fromkeys(name for record in expected for name in record.fields))
-        assert list(json_lines(part)) == [record_to_json_line(record) for record in expected]
+        compact = [json.dumps(record_to_document(record), separators=(",", ":")) for record in expected]
+        assert list(json_lines(part)) == compact
         assert part.records[0] is not part.records[0] if rows else part.records == ()
 
 

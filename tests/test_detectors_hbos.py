@@ -31,17 +31,16 @@ def oracle_bin_index(edges, value):
 def oracle_score(model, row):
     total = 0.0
     for hist, value in zip(model.histograms, row):
-        idx = oracle_bin_index(list(hist.edges), float(value))
-        total += -math.log(hist.counts[idx] / model.n_training + model.epsilon)
+        edges = np.linspace(hist.low, hist.high, len(hist.counts) + 1).tolist()  # equal widths over [min, max]
+        idx = oracle_bin_index(edges, float(value))
+        total += -math.log(hist.counts[idx] / model.n_training + EPSILON)
     return max(total, 0.0)
 
 
 class TestHandExample:
-    def test_edges_and_counts(self):
+    def test_counts(self):
         model = fit_hbos(FOUR_POINTS, bins=2)
-        hist = model.histograms[0]
-        assert hist.edges.tolist() == [1.0, 5.0, 9.0]
-        assert hist.counts.tolist() == [3, 1]
+        assert model.histograms[0].counts.tolist() == [3, 1]
 
     def test_common_value_score(self):
         model = fit_hbos(FOUR_POINTS, bins=2)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from camlpad.datamodel import DataSourceKind
 from camlpad.ensemble import (
+    BUCKET_WIDTH_MS,
     LabelVector,
     MisalignedRows,
     binarize,
@@ -213,8 +214,8 @@ class TestCrossSourceVote:
     def test_every_record_in_exactly_one_bucket(self):
         rng = np.random.default_rng(13)
         labeled = {source: (rng.integers(0, 10**7, 200), rng.integers(0, 2, 200)) for source in (self.YAF, self.SNORT)}
-        width = 60_000
-        table = cross_source_vote(labeled, bucket_width_ms=width)
+        width = BUCKET_WIDTH_MS
+        table = cross_source_vote(labeled)
         assert (table.bucket_starts % width == 0).all()
         for column, (timestamps, _) in enumerate(labeled.values()):
             starts = {(int(t) // width) * width for t in timestamps}
@@ -229,19 +230,20 @@ class TestCrossSourceVote:
             min_size=1,
         ),
         offset=st.sampled_from([0, 10**12, 2**62]),
-        width=st.sampled_from([1, 2, 4, 10, 60_000]),
         contamination=st.sampled_from([0.1, 0.25, 0.5, 0.75]),
     )
-    def test_matches_per_row_reference(self, rows, offset, width, contamination):
+    def test_matches_per_row_reference(self, rows, offset, contamination):
+        # times 15 s apart: each one-minute bucket holds up to four of a source's rows, and an example several buckets
         reference_input = {
-            source: ([offset + t for t, _ in pairs], [label for _, label in pairs]) for source, pairs in rows.items()
+            source: ([offset + t * 15_000 for t, _ in pairs], [label for _, label in pairs])
+            for source, pairs in rows.items()
         }
         labeled = {
             source: (np.array(timestamps, dtype=np.int64), np.array(labels, dtype=int))
             for source, (timestamps, labels) in reference_input.items()
         }
-        table = cross_source_vote(labeled, width, contamination)
-        expected = reference_cross_source_vote(reference_input, width, contamination, tie_breaks_anomalous=True)
+        table = cross_source_vote(labeled, contamination)
+        expected = reference_cross_source_vote(reference_input, 60_000, contamination, tie_breaks_anomalous=True)
         assert table_rows(table) == expected
         assert table.sources == tuple(rows)
         assert (table.bucket_starts.dtype, table.votes.dtype) == (np.int64, np.int8)
@@ -251,7 +253,7 @@ class TestCrossSourceVote:
         # 1 of 4 rows is exactly 0.25: not above it; 2 of 4 is. A 1:1 split alerts.
         times = np.array([0, 1, 2, 3])
         labeled = {self.YAF: (times, np.array([1, 0, 0, 0])), self.SNORT: (times, np.array([1, 1, 0, 0]))}
-        table = cross_source_vote(labeled, bucket_width_ms=4, contamination=0.25)
+        table = cross_source_vote(labeled, contamination=0.25)
         assert table_rows(table) == [(0, [(self.YAF, 0), (self.SNORT, 1)], 1)]
 
     def test_source_with_no_rows_casts_no_vote(self):

@@ -182,11 +182,11 @@ class TestVoteVsTruthHours:
             (base + 2 * self.HOUR, 0),  # voted: a false hour
             (base + 3 * self.HOUR, 1),  # after the last verdict's hour: not counted
         ]
-        assert vote_vs_truth_hours(verdicts, truth, self.HOUR) == {
+        assert vote_vs_truth_hours(verdicts, truth) == {
             "anomalous_hours": 2, "found": 1, "clean_hours": 1, "false_hours": 1
         }
 
     def test_no_verdicts_count_no_hour(self):
-        assert vote_vs_truth_hours([], [(0, 1), (self.HOUR, 0)], self.HOUR) == {
+        assert vote_vs_truth_hours([], [(0, 1), (self.HOUR, 0)]) == {
             "anomalous_hours": 0, "found": 0, "clean_hours": 0, "false_hours": 0
         }

@@ -48,7 +48,7 @@ class TestWindowScore:
             window_score([])
 
 
-def reference_day_gauges(timestamps, scores, boundary, day_ms):
+def reference_day_gauges(timestamps, scores, boundary, day_ms=86_400_000):
     """The per-row dict grouping the array code replaced, days counted back from the boundary."""
     buckets = {}
     for ts, score in zip(timestamps, scores):
@@ -75,8 +75,8 @@ class TestDayGauges:
     def test_float_exact_against_per_row_reference(self, rows, boundary):
         timestamps = [day * self.DAY + offset for day, offset, _ in rows]
         scores = [score for _, _, score in rows]
-        expected = reference_day_gauges(timestamps, scores, boundary, self.DAY)
-        got = day_gauges(np.array(timestamps, dtype=np.int64), np.array(scores), boundary, self.DAY)
+        expected = reference_day_gauges(timestamps, scores, boundary)
+        got = day_gauges(np.array(timestamps, dtype=np.int64), np.array(scores), boundary)
         assert list(got.items()) == list(expected.items())
         assert all(type(day) is int for day in got)
         # every history day is a whole day ending at or before the boundary
@@ -88,12 +88,12 @@ class TestDayGauges:
         rng = np.random.default_rng(3)
         timestamps = rng.integers(0, 6 * self.DAY, 5000)
         scores = rng.random(5000) * 10.0 ** rng.integers(-8, 1, 5000)
-        got = day_gauges(timestamps, scores, 6 * self.DAY, self.DAY)
-        expected = reference_day_gauges(timestamps.tolist(), scores.tolist(), 6 * self.DAY, self.DAY)
+        got = day_gauges(timestamps, scores, 6 * self.DAY)
+        expected = reference_day_gauges(timestamps.tolist(), scores.tolist(), 6 * self.DAY)
         assert list(got.items()) == list(expected.items())
 
     def test_no_rows_no_days(self):
-        assert day_gauges(np.zeros(0, dtype=np.int64), np.zeros(0), 0, self.DAY) == {}
+        assert day_gauges(np.zeros(0, dtype=np.int64), np.zeros(0), 0) == {}
 
 
 class TestPercentileRank:
@@ -221,11 +221,14 @@ class TestEmitAlert:
         assert [o.ok for o in outcomes] == [True, False]
         assert path.exists()
 
-    def test_env_var_overrides_configured_webhook(self, stub_server, monkeypatch):
+    def test_env_var_is_not_read_at_alert_time(self, stub_server, monkeypatch, tmp_path):
         url, state = stub_server
         monkeypatch.setenv("CAMLPAD_WEBHOOK_URL", f"{url}/webhook/ok")
-        emit_alert(self._event(), webhook_url="http://127.0.0.1:1/nowhere", sleep=lambda _: None)
-        assert len(state.webhook_bodies) == 1
+        outcomes = emit_alert(self._event(), file_path=tmp_path / "alerts.jsonl", sleep=lambda _: None)
+        assert [o.sink for o in outcomes] == [f"file:{tmp_path / 'alerts.jsonl'}"]
+        with pytest.raises(AllSinksFailed):
+            emit_alert(self._event(), webhook_url="ftp://hooks.example/x", sleep=lambda _: None)
+        assert state.webhook_bodies == []
 
     @pytest.mark.parametrize("webhook_url", ["hooks.example/x", "ftp://127.0.0.1:1/x", "file://{tmp}/secret"])
     def test_non_http_webhook_is_a_failed_sink_and_opens_nothing(self, tmp_path, monkeypatch, webhook_url):
@@ -248,11 +251,10 @@ class TestEmitAlert:
         assert sleeps == []  # no later attempt could send it
         assert opened == []
 
-    def test_env_var_webhook_that_cannot_be_sent_gets_one_attempt_and_no_wait(self, monkeypatch):
-        monkeypatch.setenv("CAMLPAD_WEBHOOK_URL", "ftp://hooks.example/x")
+    def test_webhook_that_cannot_be_sent_gets_one_attempt_and_no_wait(self):
         sleeps = []
         with pytest.raises(AllSinksFailed) as failed:
-            emit_alert(self._event(), webhook_url="http://127.0.0.1:1/nowhere", sleep=sleeps.append)
+            emit_alert(self._event(), webhook_url="ftp://hooks.example/x", sleep=sleeps.append)
         [outcome] = failed.value.outcomes
         assert (outcome.sink, outcome.attempts, sleeps) == ("webhook:ftp://hooks.example/x", 1, [])
         assert outcome.detail == (
@@ -266,11 +268,10 @@ class TestEmitAlert:
             "http://127.0.0.1:1/café", "http://127.0.0.1:1/x?q=é",
         ],
     )
-    def test_env_var_webhook_http_client_cannot_send_gets_one_attempt_and_no_wait(self, monkeypatch, webhook_url):
-        monkeypatch.setenv("CAMLPAD_WEBHOOK_URL", webhook_url)
+    def test_webhook_http_client_cannot_send_gets_one_attempt_and_no_wait(self, webhook_url):
         sleeps = []
         with pytest.raises(AllSinksFailed) as failed:
-            emit_alert(self._event(), sleep=sleeps.append)
+            emit_alert(self._event(), webhook_url=webhook_url, sleep=sleeps.append)
         [outcome] = failed.value.outcomes
         assert (outcome.attempts, sleeps) == (1, [])
         assert "a URL cannot hold" in outcome.detail
@@ -281,11 +282,10 @@ class TestEmitAlert:
         [("\x01http://127.0.0.1:1/a", "\\x01http://127.0.0.1:1/a", "'\\x01'"),
          (" http://127.0.0.1:1/a", "\\x20http://127.0.0.1:1/a", "' '")],
     )
-    def test_env_var_webhook_with_a_leading_control_is_shown_escaped(self, monkeypatch, webhook_url, shown, held):
-        monkeypatch.setenv("CAMLPAD_WEBHOOK_URL", webhook_url)
+    def test_webhook_with_a_leading_control_is_shown_escaped(self, webhook_url, shown, held):
         sleeps = []
         with pytest.raises(AllSinksFailed) as failed:
-            emit_alert(self._event(), sleep=sleeps.append)
+            emit_alert(self._event(), webhook_url=webhook_url, sleep=sleeps.append)
         [outcome] = failed.value.outcomes
         assert (outcome.sink, outcome.attempts, sleeps) == (f"webhook:{shown}", 1, [])
         assert outcome.detail == (

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from camlpad.datamodel import DataSourceKind, RecordBatch, SensorRecord, derive_record_id
+from camlpad.datamodel import DataSourceKind, SensorRecord, derive_record_id
 from camlpad.ingest_store import (
     DirectoryStore,
     DiscriminatorMissing,
@@ -31,7 +31,7 @@ from camlpad.ingest_store import (
     _read_jsonl,
     _Rows,
     query_store,
-    record_to_json_line,
+    record_to_document,
     redact_url,
     split_bro_by_protocol,
     to_epoch_ms,
@@ -62,7 +62,7 @@ def read_jsonl(data, window):
 
 
 def canonical(records):
-    return _canonical(RecordBatch.from_records(YAF, records)).records
+    return _canonical(make_batch(YAF, *records)).records
 
 
 class TestParseJsonl:
@@ -613,7 +613,7 @@ class TestJsonRoundTrip:
                 else:
                     fields[f"f{f}"] = round(rng.uniform(-100, 100), 6)
             record = make_record(timestamp=rng.randint(0, 10**9), record_id=f"case-{case}", **fields)
-            line = record_to_json_line(record)
+            line = json.dumps(record_to_document(record), separators=(",", ":"))
             parsed = read_store(line)
             assert parsed.records[0] == record
 

@@ -18,11 +18,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from camlpad.config import DAY_MS, DetectorParams, PipelineConfig, window_id_for
-from camlpad.datamodel import DataSourceKind, RecordBatch
+from camlpad.datamodel import DataSourceKind
 from camlpad.gauge_alert import DEFAULT_THRESHOLD_PERCENTILE, alert_decision
-from camlpad.ingest_store import record_to_document, record_to_json_line, window_split
+from camlpad.ingest_store import record_to_document, window_split
 from camlpad.pipeline import analyze_source, run_pipeline
 from camlpad.synth import PROFILES, SynthConfig, generate
+
+from conftest import make_batch
 
 DETECTORS = DetectorParams(iforest_trees=30)
 HISTORY_DAYS = 3
@@ -45,7 +47,7 @@ def write_day_files(records, root):
     for source, rows in records.items():
         days = {}
         for record in rows:
-            days.setdefault(record.timestamp // DAY_MS * DAY_MS, []).append(record_to_json_line(record) + "\n")
+            days.setdefault(record.timestamp // DAY_MS * DAY_MS, []).append(json.dumps(record_to_document(record), separators=(",", ":")) + "\n")
         (root / source.value).mkdir(parents=True)
         for day, lines in days.items():
             (root / source.value / f"{window_id_for(day)}.jsonl").write_text("".join(lines))
@@ -147,14 +149,14 @@ def test_an_extreme_current_row_rescales_no_other_row(seed, source):
     """Every score scale is fitted on history: one more current row changes no history score, no
     history day's gauge, and no other current row's score."""
     records, boundary = synth_records(seed, [source])
-    split = window_split(RecordBatch.from_records(source, records[source]), boundary, min_history=10)
+    split = window_split(make_batch(source, *records[source]), boundary, min_history=10)
     name = next(iter(PROFILES[source].numeric))
     column = np.array([record.fields[name] for record in split.history.records])
     last = split.current.records[-1]
     extreme = dataclasses.replace(
         last, record_id="extreme", fields={**last.fields, name: float(column.mean() + 50 * column.std())}
     )
-    grown = dataclasses.replace(split, current=RecordBatch.from_records(source, split.current.records + (extreme,)))
+    grown = dataclasses.replace(split, current=make_batch(source, *split.current.records, extreme))
     before = analyze_source(split, DETECTORS, 0.05, "w")
     after = analyze_source(grown, DETECTORS, 0.05, "w")
     assert after.history_day_scores == before.history_day_scores
