@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import evaluate
-from .config import load_config, resolve_boundary
+from .config import load_config, run_boundary
 from .datamodel import DataSourceKind
 from .ensemble import DETECTOR_NAMES
 from .errors import CamlpadError
@@ -60,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _dry_run(config_path: Path, boundary: str | None) -> int:
     """Resolve the boundary, and check or probe with a one-record query every index, that `run` would."""
     config = load_config(config_path)
-    resolve_boundary(boundary or config.boundary)  # as run_pipeline resolves it
+    run_boundary(config, boundary)  # as run_pipeline resolves it
     config.locator().check(config.index_plan(), config.time_field)
     print(f"config ok: {len(config.sources)} sources, store reachable")
     return EXIT_OK

@@ -35,10 +35,6 @@ WEBHOOK_ENV_VAR = "CAMLPAD_WEBHOOK_URL"  # when set, config_from_entries takes i
 BRO_SOURCES = (DataSourceKind.BRO_CONN, DataSourceKind.BRO_DNS)
 
 
-class ConfigError(CamlpadError):
-    pass
-
-
 @dataclass
 class DetectorParams:
     iforest_trees: int = 100
@@ -88,9 +84,9 @@ class PipelineConfig:
             return DirectoryStore(root=self.store_root)
         if self.store_kind == "http":
             if not self.store_url:
-                raise ConfigError("store.kind is http but store.url is empty")
+                raise CamlpadError("store.kind is http but store.url is empty")
             return HttpStore(base_url=self.store_url, token=self.store_token or None)
-        raise ConfigError(f"store.kind must be 'directory' or 'http', got {self.store_kind!r}")
+        raise CamlpadError(f"store.kind must be 'directory' or 'http', got {self.store_kind!r}")
 
     def alert_file_path(self) -> Path | None:
         if not self.alert_file:
@@ -108,10 +104,10 @@ def _entries(lines: list[str]) -> dict[str, str]:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"line {line_number}: expected 'key = value', got {raw!r}")
+            raise CamlpadError(f"line {line_number}: expected 'key = value', got {raw!r}")
         key, _, value = (part.strip() for part in line.partition("="))
         if key in set_on:
-            raise ConfigError(f"line {line_number}: {key} is already set on line {set_on[key]}")
+            raise CamlpadError(f"line {line_number}: {key} is already set on line {set_on[key]}")
         set_on[key] = line_number
         entries[key] = value
     return entries
@@ -121,14 +117,14 @@ def _to_int(key: str, value: str) -> int:
     try:
         return int(value)
     except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
+        raise CamlpadError(f"{key}: expected an integer, got {value!r}") from None
 
 
 def _to_float(key: str, value: str) -> float:
     try:
         return float(value)
     except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {value!r}") from None
+        raise CamlpadError(f"{key}: expected a number, got {value!r}") from None
 
 
 def _text(key: str, value: str) -> str:
@@ -142,10 +138,10 @@ def _path(key: str, value: str) -> Path:
 def _sources(key: str, value: str) -> list[DataSourceKind]:
     sources = [DataSourceKind.from_name(s) for s in value.split(",") if s.strip()]
     if not sources:
-        raise ConfigError(f"{key}: expected at least one source, got {value!r}")
+        raise CamlpadError(f"{key}: expected at least one source, got {value!r}")
     for i, source in enumerate(sources):
         if source in sources[:i]:
-            raise ConfigError(f"{key}: {source.value} is listed twice")
+            raise CamlpadError(f"{key}: {source.value} is listed twice")
     return sources
 
 
@@ -179,36 +175,37 @@ def config_from_entries(entries: dict[str, str]) -> PipelineConfig:
         parts = key.split(".")
         if len(parts) == 3 and parts[0] == "sources" and parts[2] == "index":
             if not value:  # the store root itself is no index
-                raise ConfigError(f"{key}: expected an index name, got ''")
+                raise CamlpadError(f"{key}: expected an index name, got ''")
             config.indexes[DataSourceKind.from_name(parts[1])] = value
             continue
         if key not in _KEYS:
-            raise ConfigError(f"unknown config key: {key}")
+            raise CamlpadError(f"unknown config key: {key}")
         target, name, parse = _KEYS[key]
         setattr(getattr(config, target) if target else config, name, parse(key, value))
     for source in BRO_SOURCES:
         if config.bro_index and source in config.indexes:
-            raise ConfigError(f"sources.{source.value}.index cannot be set with run.bro_index, which serves it")
+            raise CamlpadError(f"sources.{source.value}.index cannot be set with run.bro_index, which serves it")
     served: dict[str, str] = {}
     for index, sources in config.index_plan():  # two plan entries on one index would read its documents twice
         names = "+".join(source.value for source in sources)
         if served.setdefault(index, names) != names:
             hint = "; set run.bro_index to serve both" if {served[index], names} == {"bro_conn", "bro_dns"} else ""
-            raise ConfigError(f"index {index!r} would serve both {served[index]} and {names}{hint}")
+            raise CamlpadError(f"index {index!r} would serve both {served[index]} and {names}{hint}")
     store_url = config.store_kind == "http" and config.store_url
     webhook_key = WEBHOOK_ENV_VAR if os.environ.get(WEBHOOK_ENV_VAR) else "alerts.webhook_url"
     config.webhook_url = os.environ.get(WEBHOOK_ENV_VAR) or config.webhook_url
     for key, url in (("store.url", store_url), (webhook_key, config.webhook_url)):
         refusal = url and url_refusal(url)
         if refusal:  # no request could ever be sent to it
-            raise ConfigError(f"{key}: {redact_url(url)}: {refusal}")
+            raise CamlpadError(f"{key}: {redact_url(url)}: {refusal}")
     if store_url and ("?" in store_url or "#" in store_url):  # HttpStore's /{index}/_search would land in it
-        raise ConfigError(f"store.url: {redact_url(store_url)}: a query or fragment in a store URL is not supported")
+        raise CamlpadError(f"store.url: {redact_url(store_url)}: a query or fragment in a store URL is not supported")
+    config.locator()  # refused here, a store kind no run could use fails --dry-run too, naming no source
     resolve_boundary(config.boundary)  # refused here, a boundary no run could parse fails --dry-run too
     if not 0.0 < config.contamination < 1.0:
-        raise ConfigError(f"run.contamination must be in (0,1), got {config.contamination}")
+        raise CamlpadError(f"run.contamination must be in (0,1), got {config.contamination}")
     if not 0.0 <= config.threshold_percentile <= 100.0:  # NaN fails too
-        raise ConfigError(f"run.threshold_percentile must be in [0,100], got {config.threshold_percentile}")
+        raise CamlpadError(f"run.threshold_percentile must be in [0,100], got {config.threshold_percentile}")
     params = config.detectors
     for key, value, least in (
         ("run.history_days", config.history_days, 1),
@@ -218,18 +215,18 @@ def config_from_entries(entries: dict[str, str]) -> PipelineConfig:
         ("detectors.cblof.clusters", params.cblof_clusters, 1),
     ):
         if value < least:
-            raise ConfigError(f"{key} must be >= {least}, got {value}")
+            raise CamlpadError(f"{key} must be >= {least}, got {value}")
     return config
 
 
 def load_config(path: Path | str) -> PipelineConfig:
     path = Path(path)
     if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
+        raise CamlpadError(f"config file not found: {path}")
     try:
         lines = utf8_lines(path.read_bytes())
     except MalformedLine as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        raise CamlpadError(f"{path}: {exc}") from None
     return config_from_entries(_entries(lines))
 
 
@@ -239,8 +236,23 @@ def resolve_boundary(value: str) -> int:
         return _iso_epoch_ms(datetime.now(timezone.utc).date().isoformat())
     parsed = _iso_epoch_ms(value.strip())
     if parsed is None:
-        raise ConfigError(f"boundary must be 'today' or an ISO date or date-time, got {value!r}")
+        raise CamlpadError(f"boundary must be 'today' or an ISO date or date-time, got {value!r}")
     return parsed
+
+
+def run_boundary(config: PipelineConfig, override: str | None = None) -> int:
+    """Epoch ms of the run's boundary, ``override`` or run.boundary; a history starting before 1970 is refused.
+
+    No store time is negative, so a history day before 1970-01-01 could hold no record.
+    """
+    boundary_ms = resolve_boundary(override or config.boundary)
+    most = max(boundary_ms // DAY_MS, 0)  # whole days from 1970-01-01 to the boundary
+    if config.history_days > most:
+        raise CamlpadError(
+            f"run.history_days = {config.history_days} starts the history before 1970-01-01, where store time "
+            f"begins; the boundary allows at most {most}"
+        )
+    return boundary_ms
 
 
 def window_id_for(boundary_ms: int) -> str:

@@ -6,7 +6,6 @@ dataclasses that no scoring function mutates.
 
 from __future__ import annotations
 
-from .base import DimensionMismatch, TooFewRows
 from .cblof import CblofModel, fit_cblof, large_cluster_flags, score_cblof, score_cblof_rows
 from .hbos import HbosModel, fit_hbos, score_hbos, score_hbos_rows
 from .iforest import (
@@ -21,12 +20,10 @@ from .pca import PcaModel, fit_pca, project_pca_rows
 
 __all__ = [
     "CblofModel",
-    "DimensionMismatch",
     "HbosModel",
     "IsolationForestModel",
     "KMeansModel",
     "PcaModel",
-    "TooFewRows",
     "average_path_length",
     "fit_cblof",
     "fit_hbos",

@@ -1,18 +1,10 @@
-"""Shared errors and input checks for the detector implementations."""
+"""Shared input checks for the detector implementations."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from ..errors import CamlpadError
-
-
-class TooFewRows(CamlpadError):
-    pass
-
-
-class DimensionMismatch(CamlpadError):
-    pass
 
 
 def as_matrix(data) -> np.ndarray:
@@ -29,7 +21,7 @@ def check_dimensions(expected: int, row_or_matrix: np.ndarray) -> np.ndarray:
     if array.ndim == 1:
         array = array[None, :]
     if array.shape[1] != expected:
-        raise DimensionMismatch(f"model expects {expected} features, got {array.shape[1]}")
+        raise CamlpadError(f"model expects {expected} features, got {array.shape[1]}")
     if np.isnan(array).any():
         raise ValueError("detector input contains missing values; impute first")
     if np.isinf(array).any():

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import TooFewRows, as_matrix, check_dimensions
+from ..errors import CamlpadError
+from .base import as_matrix, check_dimensions
 
 EULER_MASCHERONI = 0.5772156649
 
@@ -82,7 +83,7 @@ def fit_iforest(
     X = as_matrix(data)
     n, d = X.shape
     if n < 2:
-        raise TooFewRows(f"isolation forest needs >= 2 rows, got {n}")
+        raise CamlpadError(f"isolation forest needs >= 2 rows, got {n}")
     if trees < 1 or subsample < 2:
         raise ValueError("trees must be >= 1 and subsample >= 2")
     rng = np.random.default_rng(seed)

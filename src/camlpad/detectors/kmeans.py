@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import TooFewRows, as_matrix
+from ..errors import CamlpadError
+from .base import as_matrix
 
 DEFAULT_CLUSTERS = 8
 DEFAULT_MAX_ITERATIONS = 100
@@ -143,7 +144,7 @@ def _lloyd(
 def fit_kmeans(data, k: int = DEFAULT_CLUSTERS, seed: int = 0) -> KMeansModel:
     X = as_matrix(data)
     if X.shape[0] < k:
-        raise TooFewRows(f"k-means needs >= k={k} rows, got {X.shape[0]}")
+        raise CamlpadError(f"k-means needs >= k={k} rows, got {X.shape[0]}")
     rng = np.random.default_rng(seed)
     centroids = _seed_centroids(X, k, rng)
     centroids, iterations = _lloyd(X, centroids, DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE)

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import TooFewRows, as_matrix, check_dimensions
+from ..errors import CamlpadError
+from .base import as_matrix, check_dimensions
 
 
 @dataclass
@@ -33,7 +34,7 @@ def fit_pca(data) -> PcaModel:
     X = as_matrix(data)
     n, d = X.shape
     if n < 2:
-        raise TooFewRows(f"pca needs >= 2 rows, got {n}")
+        raise CamlpadError(f"pca needs >= 2 rows, got {n}")
     if d < 1:
         raise ValueError("pca needs at least one column")
     mean = X.mean(axis=0)

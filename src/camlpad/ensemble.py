@@ -24,10 +24,6 @@ BUCKET_WIDTH_MS = 60_000  # the cross-source vote's one-minute buckets
 DETECTOR_NAMES = ("iforest", "hbos", "cblof")
 
 
-class MisalignedRows(CamlpadError):
-    pass
-
-
 @dataclass
 class LabelVector:
     """Binary outlier labels aligned with row_ids (1 = outlier)."""
@@ -85,7 +81,7 @@ def binarize(
         raise ValueError("cannot binarize an empty score vector")
     ids = list(row_ids) if row_ids is not None else [str(i) for i in range(n)]
     if len(ids) != n:
-        raise MisalignedRows(f"{len(ids)} row_ids for {n} scores")
+        raise CamlpadError(f"{len(ids)} row_ids for {n} scores")
     m = math.ceil(contamination * n)
     order = np.argsort(-scores, kind="stable")
     labels = np.zeros(n, dtype=int)
@@ -96,7 +92,7 @@ def binarize(
 def vote(a: LabelVector, b: LabelVector, c: LabelVector) -> LabelVector:
     """Per-row majority: outlier iff at least 2 of the 3 detectors agree."""
     if a.row_ids != b.row_ids or a.row_ids != c.row_ids:
-        raise MisalignedRows("label vectors do not share row_ids")
+        raise CamlpadError("label vectors do not share row_ids")
     total = a.labels + b.labels + c.labels
     return LabelVector(row_ids=list(a.row_ids), labels=(total >= 2).astype(int))
 
@@ -136,7 +132,7 @@ def labels_to_jsonl(
     """One {"row_id", "label", "votes"} JSON object per row, as json.dumps(doc, sort_keys=True) writes it."""
     for name, vector in detector_labels.items():
         if vector.row_ids != ensemble_labels.row_ids:
-            raise MisalignedRows(f"detector {name} labels misaligned with ensemble labels")
+            raise CamlpadError(f"detector {name} labels misaligned with ensemble labels")
     names = sorted(detector_labels)
     votes = ", ".join(json.dumps(name).replace("%", "%%") + ": %d" for name in names)
     template = '{"label": %d, "row_id": %s, "votes": {' + votes + "}}"

@@ -1,4 +1,4 @@
-"""Base exception for the package; concrete errors live next to their raisers."""
+"""Base exception for the package; a subclass exists only where camlpad catches it by type."""
 
 
 class CamlpadError(Exception):

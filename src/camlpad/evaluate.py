@@ -19,14 +19,6 @@ from .datamodel import HOUR_MS
 from .errors import CamlpadError
 
 
-class LengthMismatch(CamlpadError):
-    pass
-
-
-class TooFewItems(CamlpadError):
-    pass
-
-
 def adjusted_rand_index(a: Sequence[int] | np.ndarray, b: Sequence[int] | np.ndarray) -> float:
     """Chance-corrected pair agreement; 1 = identical partitions.
 
@@ -34,10 +26,10 @@ def adjusted_rand_index(a: Sequence[int] | np.ndarray, b: Sequence[int] | np.nda
     both clusterings all-singletons) is defined as 1.0.
     """
     if len(a) != len(b):
-        raise LengthMismatch(f"clusterings have lengths {len(a)} and {len(b)}")
+        raise CamlpadError(f"clusterings have lengths {len(a)} and {len(b)}")
     n = len(a)
     if n < 2:
-        raise TooFewItems(f"need >= 2 items, got {n}")
+        raise CamlpadError(f"need >= 2 items, got {n}")
     a_codes, sum_a = _codes_and_pairs(a)
     b_codes, sum_b = _codes_and_pairs(b)
     _, sum_cells = _codes_and_pairs(a_codes * (int(b_codes.max()) + 1) + b_codes)
@@ -68,7 +60,7 @@ def pairwise_ari_report(labelings: Mapping[str, Mapping[str, Sequence[int]]]) ->
     for source in sorted(labelings):
         vectors = labelings[source]
         if len(vectors) < 2:
-            raise TooFewItems(f"{source}: need >= 2 label vectors, got {len(vectors)}")
+            raise CamlpadError(f"{source}: need >= 2 label vectors, got {len(vectors)}")
         pairwise = {
             f"{a}|{b}": adjusted_rand_index(vectors[a], vectors[b]) for a, b in combinations(vectors, 2)
         }

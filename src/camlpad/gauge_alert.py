@@ -33,16 +33,6 @@ GAUGES_INDEX = "gauges"
 COMBINED_SCOPE = "combined"
 
 
-class EmptyWindow(CamlpadError):
-    pass
-
-
-class AllSinksFailed(CamlpadError):
-    def __init__(self, outcomes: list["SinkOutcome"]):
-        super().__init__("no alert sink succeeded: " + "; ".join(o.detail for o in outcomes))
-        self.outcomes = outcomes
-
-
 class Comparison(str, Enum):
     MORE_ANOMALOUS = "more_anomalous"
     LESS_ANOMALOUS = "less_anomalous"
@@ -88,7 +78,7 @@ def window_score(ensemble_scores: Sequence[float]) -> float:
     """Arithmetic mean of the window's per-row ensemble scores."""
     scores = np.asarray(ensemble_scores, dtype=float)
     if scores.size == 0:
-        raise EmptyWindow("cannot score an empty window")
+        raise CamlpadError("cannot score an empty window")
     return float(scores.mean())
 
 
@@ -106,10 +96,10 @@ def day_gauges(timestamps: Sequence[int], scores: Sequence[float], boundary_ms: 
 
 
 def percentile_rank(current: float, history: Sequence[float]) -> float:
-    """100 * |{h in history : h < current}| / |history|; an empty history raises EmptyWindow."""
+    """100 * |{h in history : h < current}| / |history|; an empty history raises."""
     history = list(history)
     if not history:
-        raise EmptyWindow("cannot rank against an empty history")
+        raise CamlpadError("cannot rank against an empty history")
     below = sum(1 for h in history if h < current)
     return 100.0 * below / len(history)
 
@@ -212,7 +202,8 @@ def emit_alert(
     """Deliver an alert to the configured sinks; failures never cross sinks.
 
     With no sink there is nothing to deliver and the result is []. Raises
-    AllSinksFailed only when every configured sink failed.
+    only when every configured sink failed; ``event.delivery`` holds the
+    outcomes either way.
     """
     outcomes: list[SinkOutcome] = []
     if file_path is not None:
@@ -224,7 +215,7 @@ def emit_alert(
         level = logging.INFO if outcome.ok else logging.WARNING
         logger.log(level, "alert sink %s: %s", outcome.sink, outcome.detail)
     if outcomes and not any(o.ok for o in outcomes):
-        raise AllSinksFailed(outcomes)
+        raise CamlpadError("no alert sink succeeded: " + "; ".join(o.detail for o in outcomes))
     return outcomes
 
 

@@ -55,41 +55,11 @@ class MalformedLine(CamlpadError):
         self.line_number = line_number
 
 
-class MissingTimestamp(CamlpadError):
-    def __init__(self, line_number: int, time_field: str):
-        super().__init__(f"line {line_number}: time field {time_field!r} absent or unparseable")
-        self.line_number = line_number
-
-
-class DiscriminatorMissing(CamlpadError):
-    pass
-
-
 class StoreUnreachable(CamlpadError):
     pass
 
 
-class IndexNotFound(CamlpadError):
-    def __init__(self, index: str):
-        super().__init__(f"index not found: {index}")
-        self.index = index
-
-
-class PageFailure(CamlpadError):
-    def __init__(self, records_so_far: int, reason: str):
-        super().__init__(f"page failure after {records_so_far} records: {reason}")
-        self.records_so_far = records_so_far
-
-
 class TooManyRecords(CamlpadError):
-    pass
-
-
-class EmptyCurrent(CamlpadError):
-    pass
-
-
-class EmptyHistory(CamlpadError):
     pass
 
 
@@ -125,11 +95,11 @@ class DirectoryStore:
         """Add the rows of the query's index's ``*.jsonl`` files to ``rows``, in file name order."""
         index_dir = self._root() / rows.query.index
         if not index_dir.is_dir():
-            raise IndexNotFound(rows.query.index)
+            raise CamlpadError(f"index not found: {rows.query.index}")
         for path in sorted(index_dir.glob("*.jsonl")):
             try:
                 _read_jsonl(path.read_bytes(), rows)
-            except (MalformedLine, MissingTimestamp) as exc:
+            except MalformedLine as exc:
                 exc.args = (f"{path.name}: {exc}",)
                 raise
             except OSError as exc:  # a *.jsonl directory, say
@@ -181,9 +151,9 @@ class HttpStore:
             }
             status, raw = post_json(url, json.dumps(body).encode(), self.token)
             if status == 404:
-                raise IndexNotFound(query.index)
+                raise CamlpadError(f"index not found: {query.index}")
             if status != 200:
-                raise PageFailure(len(rows), f"HTTP {status} at offset {offset}")
+                raise CamlpadError(f"page failure after {len(rows)} records: HTTP {status} at offset {offset}")
             hits = _page_hits(raw, len(rows))
             for position, hit in enumerate(hits):
                 doc = hit["_source"]
@@ -453,11 +423,11 @@ class _Rows(BatchBuilder):
         """
         time_field, query = self.time_field, self.query
         if time_field not in doc:
-            raise MissingTimestamp(line_number, time_field)
+            raise MalformedLine(line_number, f"time field {time_field!r} absent or unparseable")
         raw_time = doc[time_field]
         timestamp = raw_time if type(raw_time) is int else to_epoch_ms(raw_time)
         if timestamp is None:
-            raise MissingTimestamp(line_number, time_field)
+            raise MalformedLine(line_number, f"time field {time_field!r} absent or unparseable")
         if not 0 <= timestamp < 2**63:  # rejected before the window test, so no backend drops it unnoticed
             raise MalformedLine(line_number, f"time {timestamp} outside [0, 2**63) ms")
         if not query.time_from <= timestamp < query.time_to:
@@ -504,7 +474,7 @@ def split_bro_by_protocol(batch: RecordBatch, discriminator: str = DEFAULT_DISCR
     """
     labels = batch.columns.get(discriminator)  # a batch holds a column for each field some row carries
     if len(batch) and labels is None:
-        raise DiscriminatorMissing(f"discriminator field {discriminator!r} absent from every record")
+        raise CamlpadError(f"discriminator field {discriminator!r} absent from every record")
     categories = labels.categories if labels else ()
     halves = []
     for source, value in ((DataSourceKind.BRO_DNS, BRO_DNS_VALUE), (DataSourceKind.BRO_CONN, BRO_CONN_VALUE)):
@@ -537,16 +507,19 @@ def query_store(
 
 
 def _page_hits(raw: bytes, records_so_far: int) -> list[dict]:
-    """The hits of a search reply ``{"hits": [{"_source": {...}, ...}, ...]}``, else PageFailure."""
+    """The hits of a search reply ``{"hits": [{"_source": {...}, ...}, ...]}``; else a page failure is raised."""
     try:
         page = json.loads(raw)
     except ValueError as exc:
-        raise PageFailure(records_so_far, f"bad response body: {exc}") from None
+        raise CamlpadError(f"page failure after {records_so_far} records: bad response body: {exc}") from None
     hits = page.get("hits") if isinstance(page, dict) else None
     if not isinstance(hits, list) or not all(
         isinstance(hit, dict) and isinstance(hit.get("_source"), dict) for hit in hits
     ):
-        raise PageFailure(records_so_far, f"bad response body: hits must be objects with a _source object: {raw[:80]!r}")
+        raise CamlpadError(
+            f"page failure after {records_so_far} records: "
+            f"bad response body: hits must be objects with a _source object: {raw[:80]!r}"
+        )
     return hits
 
 
@@ -564,9 +537,9 @@ def window_split(
     history = batch.take(np.flatnonzero(before))
     current = batch.take(np.flatnonzero(~before))
     if not len(current):
-        raise EmptyCurrent(f"no records at or after boundary {boundary} for {batch.source.value}")
+        raise CamlpadError(f"no records at or after boundary {boundary} for {batch.source.value}")
     if len(history) < min_history:
-        raise EmptyHistory(
+        raise CamlpadError(
             f"{len(history)} history records before boundary {boundary} for {batch.source.value}, need {min_history}"
         )
     return WindowSplit(history=history, current=current, boundary=boundary)

@@ -18,11 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from . import detectors, ensemble, evaluate, gauge_alert, viz
-from .config import BRO_SOURCES, DetectorParams, PipelineConfig, resolve_boundary, window_id_for
+from .config import BRO_SOURCES, DetectorParams, PipelineConfig, run_boundary, window_id_for
 from .datamodel import DAY_MS, DataSourceKind, RecordBatch, WindowSplit
 from .ensemble import DETECTOR_NAMES, LabelVector
 from .errors import CamlpadError
-from .ingest_store import EmptyHistory, StoreQuery, query_store, split_bro_by_protocol, window_split
+from .ingest_store import StoreQuery, query_store, split_bro_by_protocol, window_split
 from .preprocess import (
     ColumnKind, ColumnStats, EncodingDictionary, FeatureMatrix, conform_columns, encode, impute, standardize
 )
@@ -168,7 +168,7 @@ def _check_history_days(split: WindowSplit, history_days: int) -> None:
     source = split.history.source.value
     if not counts.all():
         day = window_id_for(split.boundary + (int(np.argmin(counts)) - history_days) * DAY_MS)
-        raise EmptyHistory(f"{source}: no records on history day {day}")
+        raise CamlpadError(f"{source}: no records on history day {day}")
     median = np.median(counts)
     for k in np.flatnonzero(counts <= SPARSE_DAY_SHARE * median).tolist():
         logger.warning(
@@ -295,7 +295,7 @@ def write_artifacts(result: RunResult, out_dir: Path) -> None:
 
 def run_pipeline(config: PipelineConfig, boundary_override: str | None = None) -> RunResult:
     """Execute the full multi-source pipeline and write all artifacts."""
-    boundary_ms = resolve_boundary(boundary_override or config.boundary)
+    boundary_ms = run_boundary(config, boundary_override)
     window_id = window_id_for(boundary_ms)
     if not config.sources:
         raise CamlpadError("no sources configured")

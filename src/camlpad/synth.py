@@ -15,9 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, window_id_for
+from .config import window_id_for
 from .datamodel import DAY_MS, HOUR_MS, BatchBuilder, DataSourceKind, RecordBatch, canonical_order, time_buckets
 from .ensemble import LabelVector
+from .errors import CamlpadError
 from .ingest_store import json_lines
 
 BASE_EPOCH_MS = 1_614_556_800_000  # 2021-03-01T00:00:00Z
@@ -41,12 +42,12 @@ class SynthConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.contamination < 0.5:
-            raise ConfigError(f"--contamination must be in [0, 0.5), got {self.contamination}")
+            raise CamlpadError(f"--contamination must be in [0, 0.5), got {self.contamination}")
         if self.anomaly_style not in ANOMALY_STYLES:
-            raise ConfigError(f"--style must be one of {ANOMALY_STYLES}, got {self.anomaly_style!r}")
+            raise CamlpadError(f"--style must be one of {ANOMALY_STYLES}, got {self.anomaly_style!r}")
         for flag, value in (("--days", self.days_history), ("--records", self.records_per_source_per_day)):
             if value < 1:
-                raise ConfigError(f"{flag} must be >= 1, got {value}")
+                raise CamlpadError(f"{flag} must be >= 1, got {value}")
 
     @property
     def total_days(self) -> int:

@@ -31,10 +31,6 @@ BACKGROUND = "#111111"
 CHUNK_ROWS = 4096
 
 
-class MisalignedScores(CamlpadError):
-    pass
-
-
 @dataclass(frozen=True)
 class HeatmapPoints:
     """PCA coordinates ``xy`` (n, 2) and [0,1] shading scores of n rows; the
@@ -46,7 +42,7 @@ class HeatmapPoints:
 
     def __post_init__(self) -> None:
         if self.xy.shape != (len(self.scores), 2) or not 0 <= self.n_history <= len(self.scores):
-            raise MisalignedScores(
+            raise CamlpadError(
                 f"{self.xy.shape} coordinates, {len(self.scores)} scores, {self.n_history} history rows"
             )
         if not ((self.scores >= 0.0) & (self.scores <= 1.0)).all():  # NaN fails too

@@ -11,16 +11,17 @@ import pytest
 from camlpad.cli import main
 from camlpad.config import (
     _KEYS,
-    ConfigError,
     DetectorParams,
     PipelineConfig,
     _entries,
     config_from_entries,
     load_config,
     resolve_boundary,
+    run_boundary,
     window_id_for,
 )
 from camlpad.datamodel import DataSourceKind
+from camlpad.errors import CamlpadError
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -88,7 +89,7 @@ class TestConfigParsing:
             "detectors.cblof.alpha", "detectors.cblof.beta", "detectors.cblof.seed", "detectors.cblof.weighted",
         ]
         for key in ["store.knid", *retired]:
-            with pytest.raises(ConfigError) as err:
+            with pytest.raises(CamlpadError) as err:
                 config_from_entries({key: "1"})
             assert str(err.value) == f"unknown config key: {key}"
 
@@ -113,7 +114,7 @@ class TestConfigParsing:
         assert config.sources == [DataSourceKind.YAF, DataSourceKind.SNORT]
 
     def test_source_index_key_needs_exactly_three_parts(self):
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(CamlpadError) as err:
             config_from_entries({"sources.yaf.typo.index": "v2"})
         assert "sources.yaf.typo.index" in str(err.value)
 
@@ -153,7 +154,7 @@ class TestConfigParsing:
         ],
     )
     def test_out_of_range_value_fails_the_dry_run(self, tmp_path, capsys, key, value, message):
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(CamlpadError) as err:
             config_from_entries({key: value})
         assert str(err.value) == message
         store = tmp_path / "store"
@@ -237,12 +238,18 @@ class TestConfigParsing:
              "index 'bro' would serve both bro_conn+bro_dns and yaf"),
             (["sources.bro_dns.index = bro", "sources.bro_conn.index = bro"],
              "index 'bro' would serve both bro_conn and bro_dns; set run.bro_index to serve both"),
+            (["store.kind = elastic"], "store.kind must be 'directory' or 'http', got 'elastic'"),
+            (["store.kind = http"], "store.kind is http but store.url is empty"),
+            (["run.history_days = 20000"],
+             "run.history_days = 20000 starts the history before 1970-01-01, where store time begins; "
+             "the boundary allows at most 18689"),
         ],
         ids=[
             "webhook_not_http", "webhook_with_credentials", "webhook_port_not_a_number", "webhook_leading_control",
             "webhook_tab_in_scheme", "webhook_no_host", "store_url_not_http", "store_url_with_credentials",
             "store_url_with_query_or_fragment", "empty_index", "index_shared_by_two_sources",
-            "index_shared_with_bro_index", "bro_sources_sharing_an_index_without_bro_index",
+            "index_shared_with_bro_index", "bro_sources_sharing_an_index_without_bro_index", "store_kind_unknown",
+            "http_store_without_url", "history_before_1970",
         ],
     )
     def test_a_value_the_run_can_never_use_fails_run_and_dry_run(self, tmp_path, capsys, extra, message):
@@ -303,32 +310,49 @@ class TestConfigParsing:
             ]
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("where", ["config", "flag"])
-    def test_a_boundary_the_run_can_never_parse_fails_run_and_dry_run(self, tmp_path, capsys, where):
+    @pytest.mark.parametrize(
+        "where, boundary, message",
+        [
+            ("config", "2021-13-45", "boundary must be 'today' or an ISO date or date-time, got '2021-13-45'"),
+            ("flag", "2021-13-45", "boundary must be 'today' or an ISO date or date-time, got '2021-13-45'"),
+            ("flag", "1970-01-02T12:00",
+             "run.history_days = 2 starts the history before 1970-01-01, where store time begins; "
+             "the boundary allows at most 1"),
+        ],
+        ids=["config", "flag", "flag_history_before_1970"],
+    )
+    def test_a_boundary_the_run_can_never_parse_fails_run_and_dry_run(self, tmp_path, capsys, where, boundary, message):
         for source in DataSourceKind:  # an empty store the dry run finds reachable
             (tmp_path / "store" / source.value).mkdir(parents=True)
-        extra = ["run.boundary = 2021-13-45"] if where == "config" else []
+        extra = [f"run.boundary = {boundary}"] if where == "config" else []
         config = write_config(tmp_path / "c.conf", tmp_path / "store", tmp_path / "out", extra=extra)
-        flag = ["--boundary", "2021-13-45"] if where == "flag" else []
+        flag = ["--boundary", boundary] if where == "flag" else []
         for dry_run in (["--dry-run"], []):
             assert main(["run", "--config", str(config), *flag, *dry_run]) == 1
-            assert capsys.readouterr().err.splitlines() == [
-                "error: boundary must be 'today' or an ISO date or date-time, got '2021-13-45'"
-            ]
+            assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not (tmp_path / "out").exists()
+
+    def test_the_history_is_judged_by_the_boundary_that_applies(self):
+        config = config_from_entries({"run.boundary": "1970-01-03", "run.history_days": "3"})  # loads
+        with pytest.raises(CamlpadError, match=r"^run\.history_days = 3 starts the history .* at most 2$"):
+            run_boundary(config)
+        assert run_boundary(config, "2021-03-08") == resolve_boundary("2021-03-08")  # as `--boundary` replaces it
+        config.history_days = 2  # a history starting on 1970-01-01 itself
+        assert run_boundary(config) == resolve_boundary("1970-01-03")
 
     def test_bro_index_overrides_stand_without_run_bro_index(self):
         config = config_from_entries({"run.bro_index": "", "sources.bro_dns.index": "dnsonly"})
         assert config.index_plan()[1] == ("dnsonly", (BRO_DNS,))
 
     def test_missing_config_file(self, tmp_path):
-        with pytest.raises(ConfigError):
+        with pytest.raises(CamlpadError, match="^config file not found: "):
             load_config(tmp_path / "absent.conf")
 
     def test_boundary_parsing(self):
         assert resolve_boundary("1970-01-02") == 86_400_000
         assert resolve_boundary("1970-01-01T00:00:01Z") == 1000
-        with pytest.raises(ConfigError):
+        refusal = "^boundary must be 'today' or an ISO date or date-time, got 'not a date'$"
+        with pytest.raises(CamlpadError, match=refusal):
             resolve_boundary("not a date")
 
     def test_today_is_the_latest_utc_midnight(self):

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camlpad.detectors import (
-    TooFewRows,
     fit_cblof,
     fit_kmeans,
     large_cluster_flags,
     score_cblof,
 )
 from camlpad.detectors.kmeans import _lloyd, _seed_centroids, assign_clusters, squared_distances
+from camlpad.errors import CamlpadError
 
 TWO_CLUSTERS = np.array([[0.0, 0.0]] * 5 + [[10.0, 10.0]])
 
@@ -38,7 +38,7 @@ class TestKMeans:
         assert np.array_equal(a.centroids, b.centroids)
 
     def test_too_few_rows(self):
-        with pytest.raises(TooFewRows):
+        with pytest.raises(CamlpadError, match=r"^k-means needs >= k=3 rows, got 2$"):
             fit_kmeans(np.array([[1.0], [2.0]]), k=3)
 
     def test_lloyd_inertia_non_increasing(self):
@@ -203,6 +203,6 @@ class TestCblofScores:
         assert score_cblof(model, [3.0, 4.0]) == pytest.approx(5.0, abs=1e-9)
 
     def test_too_few_rows(self):
-        with pytest.raises(TooFewRows):
+        with pytest.raises(CamlpadError, match=r"^cblof needs >= k=4 rows, got 2$"):
             fit_cblof(np.array([[0.0], [1.0]]), k=4)
 

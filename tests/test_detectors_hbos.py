@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from camlpad.detectors import DimensionMismatch, fit_hbos, score_hbos
+from camlpad.detectors import fit_hbos, score_hbos
 from camlpad.detectors.hbos import EPSILON, score_hbos_rows
+from camlpad.errors import CamlpadError
 
 FOUR_POINTS = np.array([[1.0], [1.0], [1.0], [9.0]])
 
@@ -111,5 +112,5 @@ class TestOracleEquivalence:
 class TestSerialization:
     def test_dimension_mismatch(self):
         model = fit_hbos(np.array([[1.0, 2.0]]), bins=3)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(CamlpadError, match=r"^model expects 2 features, got 3$"):
             score_hbos(model, [1.0, 2.0, 3.0])

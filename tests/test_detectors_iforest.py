@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camlpad.detectors import (
-    DimensionMismatch,
-    TooFewRows,
     average_path_length,
     fit_cblof,
     fit_hbos,
@@ -21,6 +19,7 @@ from camlpad.detectors import (
     score_iforest_rows,
 )
 from camlpad.detectors.iforest import EULER_MASCHERONI, IsolationForestModel, IsolationTree
+from camlpad.errors import CamlpadError
 
 
 class TestPathLengthCurve:
@@ -64,7 +63,7 @@ class TestDegenerateData:
         assert score_iforest(model, X[0]) == pytest.approx(0.5, abs=1e-12)
 
     def test_too_few_rows(self):
-        with pytest.raises(TooFewRows):
+        with pytest.raises(CamlpadError, match=r"^isolation forest needs >= 2 rows, got 1$"):
             fit_iforest(np.array([[1.0]]))
 
 
@@ -103,7 +102,7 @@ class TestScoreProperties:
 
     def test_dimension_mismatch(self):
         model = fit_iforest(np.array([[0.0, 1.0], [2.0, 3.0]]), trees=5, seed=0)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(CamlpadError, match=r"^model expects 2 features, got 1$"):
             score_iforest(model, [1.0])
 
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from camlpad.detectors import (
-    TooFewRows,
     fit_pca,
     project_pca_rows,
 )
+from camlpad.errors import CamlpadError
 
 LINE = np.array([[-1.0, -1.0], [0.0, 0.0], [1.0, 1.0]])
 
@@ -48,7 +48,7 @@ class TestSymmetryAndDegenerate:
         assert coords[:, 1].tolist() == [0.0, 0.0]
 
     def test_too_few_rows(self):
-        with pytest.raises(TooFewRows):
+        with pytest.raises(CamlpadError, match=r"^pca needs >= 2 rows, got 1$"):
             fit_pca(np.array([[1.0, 2.0]]))
 
 

@@ -12,7 +12,6 @@ from camlpad.datamodel import DataSourceKind
 from camlpad.ensemble import (
     BUCKET_WIDTH_MS,
     LabelVector,
-    MisalignedRows,
     binarize,
     cross_source_vote,
     ensemble_score,
@@ -22,6 +21,7 @@ from camlpad.ensemble import (
     verdicts_to_jsonl,
     vote,
 )
+from camlpad.errors import CamlpadError
 
 
 class TestNormalize:
@@ -110,7 +110,7 @@ class TestVote:
     def test_misaligned_rows_rejected(self):
         a = LabelVector(row_ids=["x"], labels=np.array([1]))
         b = LabelVector(row_ids=["y"], labels=np.array([1]))
-        with pytest.raises(MisalignedRows):
+        with pytest.raises(CamlpadError, match=r"^label vectors do not share row_ids$"):
             vote(a, a, b)
 
 

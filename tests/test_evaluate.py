@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from camlpad.errors import CamlpadError
 from camlpad.evaluate import (
-    LengthMismatch,
-    TooFewItems,
     adjusted_rand_index,
     pairwise_ari_report,
     vote_vs_truth_hours,
@@ -84,11 +83,11 @@ class TestAdjustedRandIndex:
             assert adjusted_rand_index(a, b) == pytest.approx(oracle_ari(a, b), abs=1e-12)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(CamlpadError, match=r"^clusterings have lengths 2 and 3$"):
             adjusted_rand_index([0, 1], [0, 1, 2])
 
     def test_too_few_items(self):
-        with pytest.raises(TooFewItems):
+        with pytest.raises(CamlpadError, match=r"^need >= 2 items, got 1$"):
             adjusted_rand_index([0], [0])
 
 
@@ -154,7 +153,7 @@ class TestMeanPairwise:
         assert mean_pairwise_ari([a, a, c]) == pytest.approx(expected, abs=1e-12)
 
     def test_needs_at_least_two(self):
-        with pytest.raises(TooFewItems):
+        with pytest.raises(CamlpadError, match=r"^yaf: need >= 2 label vectors, got 1$"):
             mean_pairwise_ari([[0, 1]])
 
     def test_report_pairs_in_vector_order_and_averages_sources(self):

@@ -14,16 +14,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from camlpad.datamodel import DataSourceKind, SensorRecord, derive_record_id
+from camlpad.errors import CamlpadError
 from camlpad.ingest_store import (
     DirectoryStore,
-    DiscriminatorMissing,
-    EmptyCurrent,
-    EmptyHistory,
     HttpStore,
-    IndexNotFound,
     MalformedLine,
-    MissingTimestamp,
-    PageFailure,
     StoreQuery,
     StoreUnreachable,
     TooManyRecords,
@@ -44,6 +39,7 @@ from conftest import make_batch, make_record
 
 YAF = DataSourceKind.YAF
 SPACE_OR_CONTROL = [chr(code) for code in (*range(0x21), 0x7f)]
+TS_ABSENT_ON_LINE_2 = r"^a\.jsonl: line 2: time field 'ts' absent or unparseable$"  # read_store's file is a.jsonl
 
 
 def read_store(data, time_field="timestamp"):
@@ -83,12 +79,12 @@ class TestParseJsonl:
 
     def test_malformed_line_reports_line_number(self):
         data = b'{"ts":1}\nnot json\n'
-        with pytest.raises(MalformedLine) as err:
+        with pytest.raises(MalformedLine, match=r"^a\.jsonl: line 2: Expecting value: ") as err:
             read_store(data, time_field="ts")
         assert err.value.line_number == 2
 
     def test_missing_time_field_reports_line_number(self):
-        with pytest.raises(MissingTimestamp) as err:
+        with pytest.raises(MalformedLine, match=TS_ABSENT_ON_LINE_2) as err:
             read_store(b'{"ts":1}\n{"other":2}', time_field="ts")
         assert err.value.line_number == 2
 
@@ -121,18 +117,19 @@ class TestParseJsonl:
     def test_infinite_timestamps_are_missing(self):
         assert to_epoch_ms("inf") is None and to_epoch_ms("1e999") is None
         for text in ("inf", "1e999"):
-            with pytest.raises(MissingTimestamp) as err:
+            with pytest.raises(MalformedLine, match=TS_ABSENT_ON_LINE_2) as err:
                 read_store(f'{{"ts":1}}\n{{"ts":"{text}"}}', time_field="ts")
             assert err.value.line_number == 2
 
     def test_negative_timestamp_is_a_malformed_line(self):
-        with pytest.raises(MalformedLine) as err:
+        with pytest.raises(MalformedLine, match=r"^a\.jsonl: line 2: time -5 outside \[0, 2\*\*63\) ms$") as err:
             read_store(b'{"ts":1}\n{"ts":-5,"x":1}', time_field="ts")
         assert err.value.line_number == 2
 
     def test_timestamp_past_int64_is_a_malformed_line(self):
-        for text in (str(2**63), "1e30"):
-            with pytest.raises(MalformedLine) as err:
+        for text, time in ((str(2**63), 2**63), ("1e30", int(1e30))):  # int(1e30) is the float's exact value
+            outside = rf"^a\.jsonl: line 2: time {time} outside \[0, 2\*\*63\) ms$"
+            with pytest.raises(MalformedLine, match=outside) as err:
                 read_store(f'{{"ts":1}}\n{{"ts":{text},"x":1}}', time_field="ts")
             assert err.value.line_number == 2
         assert read_store(f'{{"ts":{2**63 - 1}}}', time_field="ts").records[0].timestamp == 2**63 - 1
@@ -142,7 +139,7 @@ class TestParseJsonl:
         assert batch.records[0].fields == {"x": None, "y": None}
 
     def test_empty_store_id_is_a_malformed_line(self):
-        with pytest.raises(MalformedLine) as err:
+        with pytest.raises(MalformedLine, match=r"^a\.jsonl: line 2: record_id must be non-empty$") as err:
             read_store(b'{"ts":1}\n{"ts":2,"_id":""}', time_field="ts")
         assert err.value.line_number == 2
 
@@ -181,7 +178,7 @@ class TestBroSplit:
             DataSourceKind.BRO_CONN,
             make_record(record_id="r0", bytes=1),
         )
-        with pytest.raises(DiscriminatorMissing):
+        with pytest.raises(CamlpadError, match=r"^discriminator field 'log_type' absent from every record$"):
             split_bro_by_protocol(batch)
 
     def test_unknown_log_type_dropped_and_counted(self):
@@ -219,9 +216,8 @@ class TestDirectoryStore:
             StoreQuery(index="flows", time_from=5, time_to=5)
 
     def test_missing_index(self, tmp_path):
-        with pytest.raises(IndexNotFound) as err:
+        with pytest.raises(CamlpadError, match=r"^index not found: nope$"):
             query_store(DirectoryStore(tmp_path), StoreQuery(index="nope", time_from=0, time_to=1), YAF)
-        assert err.value.index == "nope"
 
     def test_missing_root_unreachable(self, tmp_path):
         with pytest.raises(StoreUnreachable):
@@ -340,12 +336,13 @@ class TestDirectoryStore:
     def test_time_outside_int64_range_is_rejected_not_dropped(self, tmp_path, stub_server, time):
         self._write_index(tmp_path, "flows", {"a.jsonl": [{"timestamp": 5}, {"timestamp": time}]})
         query = StoreQuery(index="flows", time_from=0, time_to=10)
-        with pytest.raises(MalformedLine, match=r"^a\.jsonl: line 2: ") as err:
+        outside = rf"time {int(time)} outside \[0, 2\*\*63\) ms$"  # int(1e30) is the float's exact value
+        with pytest.raises(MalformedLine, match=rf"^a\.jsonl: line 2: {outside}") as err:
             query_store(DirectoryStore(tmp_path), query, YAF)
         assert err.value.line_number == 2
         url, state = stub_server
         state.raw_replies["flows/_search"] = json.dumps({"hits": [{"_id": "b", "_source": {"timestamp": time}}]}).encode()
-        with pytest.raises(MalformedLine, match=r"^line 1: "):
+        with pytest.raises(MalformedLine, match=rf"^line 1: {outside}"):
             query_store(HttpStore(url), query, YAF)
 
     def test_bad_line_error_names_its_file(self, tmp_path):
@@ -460,7 +457,7 @@ class TestHttpStore:
 
     def test_unknown_index_404(self, stub_server):
         url, _ = stub_server
-        with pytest.raises(IndexNotFound):
+        with pytest.raises(CamlpadError, match=r"^index not found: ghost$"):
             query_store(HttpStore(url), StoreQuery(index="ghost", time_from=0, time_to=1), YAF)
 
     def test_unreachable_server(self):
@@ -484,7 +481,7 @@ class TestHttpStore:
             ftp.listen(1)
             ftp.setblocking(False)
             state.redirects["flows/_search"] = f"ftp://127.0.0.1:{ftp.getsockname()[1]}/x"
-            with pytest.raises(PageFailure, match="HTTP 302"):
+            with pytest.raises(CamlpadError, match=r"^page failure after 0 records: HTTP 302 at offset 0$"):
                 query_store(HttpStore(url), StoreQuery(index="flows", time_from=0, time_to=10), YAF)
             with pytest.raises(BlockingIOError):
                 ftp.accept()  # no connection is waiting
@@ -493,7 +490,7 @@ class TestHttpStore:
         url, state = stub_server
         other_url, other_state = other_stub_server
         state.redirects["flows/_search"] = f"{other_url}/flows/_search"
-        with pytest.raises(PageFailure, match="HTTP 302"):
+        with pytest.raises(CamlpadError, match=r"^page failure after 0 records: HTTP 302 at offset 0$"):
             query_store(HttpStore(url, token="sekrit"), StoreQuery(index="flows", time_from=0, time_to=10), YAF)
         assert state.auth_headers == ["Bearer sekrit"]
         assert other_state.auth_headers == []
@@ -501,16 +498,15 @@ class TestHttpStore:
     def test_a_redirect_on_the_same_host_is_a_failed_page_after_one_request(self, stub_server):
         url, state = stub_server
         state.redirects["flows/_search"] = f"{url}/moved/_search"
-        with pytest.raises(PageFailure, match="HTTP 302"):
+        with pytest.raises(CamlpadError, match=r"^page failure after 0 records: HTTP 302 at offset 0$"):
             query_store(HttpStore(url, token="sekrit"), StoreQuery(index="flows", time_from=0, time_to=10), YAF)
         assert state.auth_headers == ["Bearer sekrit"]
 
     def test_a_search_answered_302_is_a_failed_page_and_the_landing_route_gets_nothing(self, stub_server):
         url, state = stub_server
         state.redirects["flows/_search"] = f"{url}/landing"
-        with pytest.raises(PageFailure, match="HTTP 302 at offset 0") as err:
+        with pytest.raises(CamlpadError, match=r"^page failure after 0 records: HTTP 302 at offset 0$"):
             query_store(HttpStore(url), StoreQuery(index="flows", time_from=0, time_to=10), YAF)
-        assert err.value.records_so_far == 0
         assert state.get_paths == []
 
     @pytest.mark.parametrize("url", ["http://127.0.0.1:1/x#é", "http://bücher.example/x"], ids=["fragment", "idn_host"])
@@ -551,20 +547,18 @@ class TestHttpStore:
     def test_bad_response_body_is_a_page_failure(self, stub_server, body):
         url, state = stub_server
         state.raw_replies["flows/_search"] = body
-        with pytest.raises(PageFailure, match="bad response body") as err:
+        with pytest.raises(CamlpadError, match=r"^page failure after 0 records: bad response body: "):
             query_store(HttpStore(url), StoreQuery(index="flows", time_from=0, time_to=10), YAF)
-        assert err.value.records_so_far == 0
 
     def test_mid_paging_failure_never_returns_partial_results(self, stub_server):
         url, state = stub_server
         state.datasets["flaky"] = [{"_id": f"d{i}", "timestamp": i} for i in range(10)]
-        with pytest.raises(PageFailure) as err:
+        with pytest.raises(CamlpadError, match=r"^page failure after 5 records: HTTP 500 at offset 5$"):
             query_store(
                 HttpStore(url),
                 StoreQuery(index="flaky", time_from=0, time_to=100, page_size=5, max_records=50),
                 YAF,
             )
-        assert err.value.records_so_far == 5
 
 
 class TestWindowSplit:
@@ -578,15 +572,15 @@ class TestWindowSplit:
         assert [r.timestamp for r in split.current.records] == [3, 4]
 
     def test_boundary_below_all_is_empty_history(self):
-        with pytest.raises(EmptyHistory):
+        with pytest.raises(CamlpadError, match=r"^0 history records before boundary 1 for yaf, need 1$"):
             window_split(self._batch(5, 6), boundary=1, min_history=1)
 
     def test_boundary_above_all_is_empty_current(self):
-        with pytest.raises(EmptyCurrent):
+        with pytest.raises(CamlpadError, match=r"^no records at or after boundary 10 for yaf$"):
             window_split(self._batch(1, 2), boundary=10, min_history=1)
 
     def test_default_min_history_is_50(self):
-        with pytest.raises(EmptyHistory):
+        with pytest.raises(CamlpadError, match=r"^20 history records before boundary 20 for yaf, need 50$"):
             window_split(self._batch(*range(30)), boundary=20)
 
     def test_resplit_is_idempotent(self):
@@ -639,10 +633,10 @@ def _reference_field_value(raw):
 
 def _reference_record_from_document(doc, source, time_field, line_number, window):
     if time_field not in doc:
-        raise MissingTimestamp(line_number, time_field)
+        raise MalformedLine(line_number, f"time field {time_field!r} absent or unparseable")
     timestamp = to_epoch_ms(doc[time_field])
     if timestamp is None:
-        raise MissingTimestamp(line_number, time_field)
+        raise MalformedLine(line_number, f"time field {time_field!r} absent or unparseable")
     if not 0 <= timestamp < 2**63:
         raise MalformedLine(line_number, f"time {timestamp} outside [0, 2**63) ms")
     if not window[0] <= timestamp < window[1]:
@@ -677,7 +671,7 @@ def _outcome(read):
     """Records with their cell types, or the (type, message, line number) of the store error raised."""
     try:
         records = read()
-    except (MalformedLine, MissingTimestamp) as exc:
+    except MalformedLine as exc:
         return type(exc), str(exc), exc.line_number
     return [(record, [type(value) for value in record.fields.values()]) for record in records]
 
@@ -792,7 +786,7 @@ class TestOnePassWalkMatchesReference:
             line = json.dumps(doc, ensure_ascii=ensure_ascii)
             try:
                 read_store(line)
-            except (MalformedLine, MissingTimestamp):
+            except MalformedLine:
                 continue
             lines.append(line)
         for record in read_store("\n".join(lines)).records:

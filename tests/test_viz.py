@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camlpad.detectors import fit_pca
+from camlpad.errors import CamlpadError
 from camlpad.gauge_alert import GaugeReading, gauge_json_bytes
 from camlpad.viz import (
     CHUNK_ROWS,
     HeatmapPoints,
-    MisalignedScores,
     build_heatmap_points,
     circle_heads,
     render_svg,
@@ -114,7 +114,7 @@ class TestBuildHeatmapPoints:
     def test_misaligned_scores_rejected(self):
         pca = self._pca()
         rows = np.random.default_rng(4).normal(0, 1, (3, 3))
-        with pytest.raises(MisalignedScores):
+        with pytest.raises(CamlpadError, match=r"^\(3, 2\) coordinates, 1 scores, 3 history rows$"):
             build_heatmap_points(pca, rows, 3, [0.1])
 
 
@@ -279,9 +279,9 @@ class TestPointsValidation:
             build_heatmap_points(pca, np.vstack([rows, rows]), 2, [0.1, float("nan"), 0.2, 0.3])
 
     def test_misaligned_arrays_rejected(self):
-        with pytest.raises(MisalignedScores):
+        with pytest.raises(CamlpadError, match=r"^\(3, 2\) coordinates, 2 scores, 0 history rows$"):
             HeatmapPoints(xy=np.zeros((3, 2)), scores=np.array([0.1, 0.2]), n_history=0)
-        with pytest.raises(MisalignedScores):
+        with pytest.raises(CamlpadError, match=r"^\(2, 2\) coordinates, 2 scores, 3 history rows$"):
             HeatmapPoints(xy=np.zeros((2, 2)), scores=np.array([0.1, 0.2]), n_history=3)
 
 
