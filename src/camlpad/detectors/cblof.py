@@ -35,21 +35,12 @@ class CblofModel:
 def large_cluster_flags(sizes: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     """Apply the alpha/beta boundary rule; at least one cluster is always large."""
     sizes = np.asarray(sizes)
-    n = int(sizes.sum())
     order = np.argsort(-sizes, kind="stable")
-    flags = np.zeros(len(sizes), dtype=bool)
-    cumulative = 0
-    boundary = len(order) - 1
-    for i, cluster in enumerate(order):
-        cumulative += int(sizes[cluster])
-        if cumulative >= alpha * n:
-            boundary = i
-            break
-        if i + 1 < len(order) and sizes[cluster] >= beta * sizes[order[i + 1]]:
-            boundary = i
-            break
-    flags[order[: boundary + 1]] = True
-    return flags
+    ranked = sizes[order]
+    ends = np.cumsum(ranked) >= alpha * ranked.sum()
+    ends[:-1] |= ranked[:-1] >= beta * ranked[1:]
+    ends[-1] = True  # the last cluster ends the large set when no rule holds (only with alpha > 1)
+    return np.argsort(order) <= np.argmax(ends)  # each cluster's rank against the last large one's
 
 
 def fit_cblof(data, k: int = DEFAULT_CLUSTERS, seed: int = 0) -> CblofModel:

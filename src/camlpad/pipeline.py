@@ -184,7 +184,7 @@ def _standardized(raw: FeatureMatrix, stats: ColumnStats | None) -> tuple[Featur
         imputed = impute(raw)
         _refuse_overflowed_column(raw, imputed.values, "an imputed cell")
         matrix, stats = standardize(imputed, stats)
-        _refuse_overflowed_column(raw, np.transpose(stats), "the history stddev")
+        _refuse_overflowed_column(raw, stats, "the history stddev")
     return matrix, stats
 
 

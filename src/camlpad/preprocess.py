@@ -148,32 +148,27 @@ def impute(matrix: FeatureMatrix) -> FeatureMatrix:
     return replace(matrix, values=values)
 
 
-ColumnStats = list[tuple[float, float]]
+ColumnStats = np.ndarray
 
 
 def standardize(
     matrix: FeatureMatrix,
     stats: ColumnStats | None = None,
 ) -> tuple[FeatureMatrix, ColumnStats]:
-    """Scale each column to (x - mean)/stddev; population stddev, zero-variance
-    columns become all 0. Supplied stats are reused (scoring); otherwise they
-    are computed from the matrix (fitting) and returned either way.
+    """Scale each column to (x - mean)/stddev, a zero-variance one to all 0. ``stats`` holds the means and the
+    population stddevs, shape (2, columns): supplied, it is reused (scoring); else it is fitted here and returned.
     """
     if matrix.has_missing():
         raise ValueError("standardize requires a fully imputed matrix")
-    values = matrix.values.copy()
     if stats is None:
-        stats = [
-            (float(values[:, col].mean()), float(values[:, col].std()))
-            for col in range(values.shape[1])
-        ]
-    if len(stats) != values.shape[1]:
-        raise ValueError(f"{len(stats)} stats for {values.shape[1]} columns")
-    for col, (mean, std) in enumerate(stats):
-        if std == 0.0:
-            values[:, col] = 0.0
-        else:
-            values[:, col] = (values[:, col] - mean) / std
+        columns = np.ascontiguousarray(matrix.values.T)  # a row per column: the bits of its own 1-D mean and std
+        stats = np.array([columns.mean(axis=1), columns.std(axis=1)])
+        del columns  # freed before the result is made, so the fit holds one extra matrix at a time
+    if stats.shape != (2, matrix.values.shape[1]):
+        raise ValueError(f"stats of shape {stats.shape} for {matrix.values.shape[1]} columns")
+    values = matrix.values - stats[0]
+    values /= np.where(stats[1] == 0, 1.0, stats[1])  # in place: a masked divide runs row by row, several times slower
+    values[:, stats[1] == 0] = 0.0
     return replace(matrix, values=values), stats
 
 
@@ -190,9 +185,8 @@ def conform_columns(
     values = np.full((matrix.n_rows, len(column_names)), np.nan)
     have = {name: i for i, name in enumerate(matrix.column_names)}
     dropped = [name for name in matrix.column_names if name not in set(column_names)]
-    for col, name in enumerate(column_names):
-        if name in have:
-            values[:, col] = matrix.values[:, have[name]]
+    kept = [col for col, name in enumerate(column_names) if name in have]
+    values[:, kept] = matrix.values[:, [have[column_names[col]] for col in kept]]
     if dropped:
         logger.info("conform_columns dropped columns not in reference: %s", dropped)
     return replace(matrix, values=values, column_names=column_names, column_kinds=column_kinds)

@@ -188,6 +188,24 @@ class TestLargeClusterRule:
             sizes = rng.integers(1, 50, size=rng.integers(1, 9))
             assert large_cluster_flags(sizes, alpha=0.9, beta=5.0).any()
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        sizes=st.lists(st.integers(0, 12), min_size=1, max_size=10),
+        alpha=st.one_of(st.sampled_from([0.25, 0.5, 0.9, 1.0]), st.floats(0.0, 1.5)),  # above 1 no prefix reaches it
+        beta=st.floats(0.5, 20.0),
+    )
+    def test_matches_the_docstring_rule_walked_by_a_loop(self, sizes, alpha, beta):
+        order = sorted(range(len(sizes)), key=lambda c: -sizes[c])  # descending, ties by index
+        n = sum(sizes)
+        cumulative, boundary = 0, len(order) - 1
+        for i, cluster in enumerate(order):
+            cumulative += sizes[cluster]
+            if cumulative >= alpha * n or (i + 1 < len(order) and sizes[cluster] >= beta * sizes[order[i + 1]]):
+                boundary = i
+                break
+        expected = [cluster in order[: boundary + 1] for cluster in range(len(sizes))]
+        assert large_cluster_flags(np.array(sizes), alpha, beta).tolist() == expected
+
 
 class TestCblofScores:
     def test_small_cluster_scores_distance_to_large_centroid(self):

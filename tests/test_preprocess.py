@@ -132,6 +132,31 @@ class TestBackfill:
         assert impute_categorical_backfill(column).tolist() == expected
 
 
+@st.composite
+def imputed_matrices(draw):
+    """1-40 rows by 1-8 columns. A column is constant (integer-valued, so its stddev is exactly 0),
+    drawn cell by cell, or normal noise whose full mantissas make a sum depend on its order."""
+    rows = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["constant", "cells", "noise"]), min_size=1, max_size=8)):
+        if kind == "constant":
+            columns.append([float(draw(st.integers(-1000, 1000)))] * rows)
+        elif kind == "cells":
+            columns.append(draw(st.lists(st.floats(-1e6, 1e6), min_size=rows, max_size=rows)))
+        else:
+            columns.append(rng.normal(draw(st.floats(-1e6, 1e6)), draw(st.floats(0.0, 1e4)), rows))
+    return np.ascontiguousarray(np.array(columns).T)  # row-major, as the pipeline's matrices are
+
+def _per_cell_standardized(values, stats):
+    """(x - mean) / std per cell in Python floats, +0.0 where the stddev is 0."""
+    means, stds = stats[0].tolist(), stats[1].tolist()
+    return np.array([
+        [0.0 if std == 0.0 else (x - mean) / std for x, mean, std in zip(row, means, stds)]
+        for row in values.tolist()
+    ])
+
+
 class TestStandardize:
     def _matrix(self, values, kinds=None):
         values = np.asarray(values, dtype=float)
@@ -149,22 +174,45 @@ class TestStandardize:
         out, stats = standardize(self._matrix([[1], [2], [3]]))
         assert np.allclose(out.values[:, 0], [(v - mean) / stddev for v in (1, 2, 3)], atol=1e-12)
         assert np.allclose(out.values[:, 0], [-1.2247, 0.0, 1.2247], atol=1e-4)
-        assert stats == [(pytest.approx(mean), pytest.approx(stddev))]
+        assert stats[0].tolist() == [pytest.approx(mean)]
+        assert stats[1].tolist() == [pytest.approx(stddev)]
 
     def test_constant_column_becomes_zero(self):
         out, _ = standardize(self._matrix([[5], [5]]))
         assert out.values[:, 0].tolist() == [0.0, 0.0]
 
     def test_scoring_with_supplied_stats(self):
-        out, _ = standardize(self._matrix([[4]]), stats=[(2.0, 1.0)])
+        out, _ = standardize(self._matrix([[4]]), stats=np.array([[2.0], [1.0]]))
         assert out.values[0, 0] == 2.0
 
     def test_inverse_recovers_original(self):
         rng = np.random.default_rng(9)
         matrix = self._matrix(rng.normal(3, 7, (20, 4)))
         out, stats = standardize(matrix)
-        recovered = out.values * np.array([s for _, s in stats]) + np.array([m for m, _ in stats])
+        recovered = out.values * stats[1] + stats[0]
         assert np.allclose(recovered, matrix.values, atol=1e-9)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(imputed_matrices())
+    def test_fitted_stats_and_cells_match_per_column(self, values):
+        out, stats = standardize(self._matrix(values))
+        expected_stats = np.array([
+            [float(values[:, col].mean()) for col in range(values.shape[1])],
+            [float(values[:, col].std()) for col in range(values.shape[1])],
+        ])
+        assert stats.tobytes() == expected_stats.tobytes()  # bitwise, as each column's own 1-D mean and std
+        assert out.values.tobytes() == _per_cell_standardized(values, stats).tobytes()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(imputed_matrices(), st.data())
+    def test_supplied_stats_and_cells_match_per_column(self, values, data):
+        cols = values.shape[1]
+        means = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=cols, max_size=cols))
+        stds = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e6)), min_size=cols, max_size=cols))
+        supplied = np.array([means, stds])
+        out, stats = standardize(self._matrix(values), supplied)
+        assert stats is supplied
+        assert out.values.tobytes() == _per_cell_standardized(values, supplied).tobytes()
 
 
 class TestFullChain:
