@@ -1,12 +1,12 @@
 """Canonical record and dataset types shared by every pipeline stage.
 
 Records and batches are frozen after construction. A cell is a plain value
-(finite float, non-empty str, or None for missing), checked on its way in:
-by :class:`SensorRecord`, the store parser or the synth generator. Rows enter
-a batch only through :class:`BatchBuilder` and leave it only through
-:meth:`RecordBatch.rows`. A batch holds its rows as columns; records are only
-a checked view. Serialization to/from the store's JSON form lives in
-:mod:`camlpad.ingest_store`.
+(finite float, non-empty str, or None for missing): :class:`SensorRecord`
+checks it, and :class:`BatchBuilder` makes it from a raw value when it makes
+the batch. Rows enter a batch only through :class:`BatchBuilder` and leave it
+only through :meth:`RecordBatch.rows`. A batch holds its rows as columns;
+records are only a checked view. Serialization to/from the store's JSON form
+lives in :mod:`camlpad.ingest_store`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from array import array
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -171,79 +171,135 @@ class RecordBatch:
         )
 
 
-class BatchBuilder:
-    """Rows added one at a time, each row's cells kept with those of its shape until ``batch()``.
+def field_value(raw: object) -> float | str | None:
+    """The cell of a decoded JSON value: a finite float, a non-empty str or None.
 
-    A row's key order (its shape) is kept as its index into a table of the
-    distinct shapes seen, so that absent and null cells stay apart. A shape
-    holds its rows' cells, row after row, in arrays of its own; each field
-    has one category table, shared by every shape that holds the field. A
-    builder makes one batch: ``batch()`` releases the cells, and a later
-    ``add`` or ``batch`` raises.
+    Numbers become floats; NaN, infinities and integers past float range are
+    None, as are null and "". A bool is "true"/"false", and a nested object
+    or array is its ``json.dumps(..., sort_keys=True)`` text.
+    """
+    if raw is None:
+        return None
+    if isinstance(raw, bool):
+        return "true" if raw else "false"
+    if isinstance(raw, (int, float)):
+        # json.loads admits NaN/Infinity and integers past float range; treat them as absent data
+        try:
+            value = float(raw)
+        except OverflowError:
+            return None
+        return value if math.isfinite(value) else None
+    if isinstance(raw, str):
+        return raw or None
+    return json.dumps(raw, sort_keys=True)
+
+
+class BatchBuilder:
+    """Rows added one at a time, each kept whole with the rows of its key layout until ``batch()``.
+
+    A row maps keys to raw values, as a decoded document does; its ``left_out``
+    keys (a store's time field and ``_id``) are no field. Its shape, its other
+    keys in order, is kept as an index into a table of the distinct shapes, so
+    that absent and null cells stay apart. ``batch()`` makes each field's
+    column once, each value held as its ``field_value`` cell: a finite float, a
+    non-empty str or None. An all-float column is one array, an all-non-empty-str
+    column is coded in one pass, and any other is made cell by cell. Each field
+    has one category table, in the order the rows were added. A builder makes
+    one batch: ``batch()`` releases the values, and a later ``add`` or ``batch`` raises.
     """
 
-    def __init__(self, source: DataSourceKind):
+    def __init__(self, source: DataSourceKind, left_out: tuple[str, ...] = ()):
         self.source = source
+        self.left_out = left_out
         self.record_ids: list[str] = []
         self._timestamps = array("q")
-        self._row_shapes = array("i")
-        # shape -> (its index, its cells' numbers and codes, its fields' category tables in its order)
-        self._shapes: dict[tuple[str, ...], tuple[int, array, array, list[dict[str, int]]]] = {}
-        self._categories: dict[str, dict[str, int]] | None = {}  # field -> category -> code, fields first-seen
+        self._row_layouts = array("i")
+        self._layouts: dict[tuple[str, ...], tuple[int, list]] = {}  # layout -> (its index, its rows' values, flat)
+        self._open = True
 
     def __len__(self) -> int:
         return len(self.record_ids)
 
-    def add(self, timestamp: int, record_id: str, fields: Mapping[str, float | str | None]) -> None:
-        """Append a row whose time, id and cells have met every ``SensorRecord`` rule."""
-        shape = tuple(fields)
-        index, numbers, codes, tables = self._shapes.get(shape) or self._new_shape(shape)
+    def add(self, timestamp: int, record_id: str, row: Mapping[str, object]) -> None:
+        """Append a row whose time and id have met every ``SensorRecord`` rule."""
+        layout = tuple(row)
+        index, values = self._layouts.get(layout) or self._new_layout(layout)
+        values += row.values()
         self._timestamps.append(timestamp)
         self.record_ids.append(record_id)
-        self._row_shapes.append(index)
-        for table, cell in zip(tables, fields.values()):
-            if type(cell) is str:
-                numbers.append(_NAN)
-                codes.append(table.setdefault(cell, len(table)))
-            else:
-                numbers.append(_NAN if cell is None else cell)
-                codes.append(-1)
+        self._row_layouts.append(index)
 
-    def _new_shape(self, shape: tuple[str, ...]) -> tuple[int, array, array, list[dict[str, int]]]:
-        categories = self._open_categories()
-        tables = [categories.setdefault(name, {}) for name in shape]
-        self._shapes[shape] = entry = (len(self._shapes), array("d"), array("i"), tables)
+    def _new_layout(self, layout: tuple[str, ...]) -> tuple[int, list]:
+        self._check_open()
+        self._layouts[layout] = entry = (len(self._layouts), [])
         return entry
 
-    def _open_categories(self) -> dict[str, dict[str, int]]:
-        if self._categories is None:
+    def _check_open(self) -> None:
+        if not self._open:
             raise ValueError("this BatchBuilder has made its batch; a builder makes one batch")
-        return self._categories
 
     def batch(self) -> RecordBatch:
-        """The rows added so far, in the order they were added; each shape's cells are placed, then released."""
-        categories, self._categories = self._open_categories(), None
-        columns = {
-            name: Column(np.full(len(self), _NAN), np.full(len(self), -1, dtype=np.int32), tuple(table))
-            for name, table in categories.items()
-        }
-        shapes = tuple(self._shapes)
-        row_shapes = np.frombuffer(self._row_shapes, dtype=np.int32)
-        for shape in shapes:
-            index, numbers, codes, _ = self._shapes.pop(shape)
-            rows = np.flatnonzero(row_shapes == index)
-            numbers, codes = np.frombuffer(numbers, dtype=np.float64), np.frombuffer(codes, dtype=np.int32)
-            for at, name in enumerate(shape):
-                columns[name].numbers[rows] = numbers[at :: len(shape)]
-                columns[name].codes[rows] = codes[at :: len(shape)]
+        """The rows added so far, in the order they were added; each layout's values are taken apart, then released."""
+        self._check_open()
+        self._open = False
+        row_layouts = np.frombuffer(self._row_layouts, dtype=np.int32)
+        shapes: dict[tuple[str, ...], int] = {}
+        layout_shapes = []
+        parts: dict[str, list] = {}  # field -> (rows, values) of each layout holding it, fields first-seen
+        for layout in list(self._layouts):
+            index, values = self._layouts.pop(layout)
+            kept = [(at, name) for at, name in enumerate(layout) if name not in self.left_out]
+            layout_shapes.append(shapes.setdefault(tuple(name for _, name in kept), len(shapes)))
+            rows = np.flatnonzero(row_layouts == index)
+            for at, name in kept:
+                parts.setdefault(name, []).append((rows, values[at :: len(layout)]))
+        columns = {name: _column(len(self), field_parts) for name, field_parts in parts.items()}
+        row_shapes = np.array(layout_shapes, dtype=np.int32)[row_layouts]
         timestamps = np.frombuffer(self._timestamps, dtype=np.int64)
-        return RecordBatch(self.source, timestamps, tuple(self.record_ids), columns, shapes, row_shapes)
+        return RecordBatch(self.source, timestamps, tuple(self.record_ids), columns, tuple(shapes), row_shapes)
+
+
+def _column(n: int, parts: list[tuple[np.ndarray, list]]) -> Column:
+    """A field's column over ``n`` rows from the (rows, values) of each layout holding it."""
+    if len(parts) == 1 and len(parts[0][0]) == n:
+        values = parts[0][1]
+    else:  # a row without the field holds None, missing like a null cell
+        cells = np.full(n, None, dtype=object)
+        for rows, part in parts:
+            cells[rows] = np.fromiter(part, dtype=object, count=len(part))
+        values = cells.tolist()
+    kinds = set(map(type, values)) - {type(None)}
+    if kinds <= {float}:
+        numbers = np.array(values, dtype=np.float64)
+        numbers[~np.isfinite(numbers)] = _NAN
+        return Column(numbers, np.full(n, -1, dtype=np.int32), ())
+    if kinds == {str} and "" not in (categories := dict.fromkeys(values)):
+        numbers = np.full(n, _NAN)
+    else:
+        values = list(map(field_value, values))
+        numbers = np.array([value if type(value) is float else _NAN for value in values])
+        categories = dict.fromkeys(value for value in values if type(value) is str)
+    categories.pop(None, None)
+    categories = {category: code for code, category in enumerate(categories)}
+    codes = np.fromiter(map(categories.get, values, repeat(-1)), dtype=np.int32, count=n)
+    return Column(numbers, codes, tuple(categories))
 
 
 def canonical_order(timestamps: np.ndarray, record_ids: Sequence[str]) -> np.ndarray:
-    """Row indices in ascending (timestamp, record_id) order; rows tying on both keep their order."""
-    by_id = np.array(sorted(range(len(record_ids)), key=record_ids.__getitem__), dtype=np.intp)
-    return by_id[np.argsort(timestamps[by_id], kind="stable")]
+    """Row indices in ascending (timestamp, record_id) order; rows tying on both keep their order.
+
+    When the times never descend, as in a day file or a search reply, only each run of tied times is sorted.
+    """
+    steps = np.diff(timestamps)
+    if (steps < 0).any():
+        by_id = np.array(sorted(range(len(record_ids)), key=record_ids.__getitem__), dtype=np.intp)
+        return by_id[np.argsort(timestamps[by_id], kind="stable")]
+    order = np.arange(len(record_ids), dtype=np.intp)
+    edges = np.concatenate(([0], np.flatnonzero(steps) + 1, [len(order)]))  # where each time's rows start, then the end
+    tied = np.flatnonzero(np.diff(edges) > 1)
+    for start, stop in zip(edges[tied].tolist(), edges[tied + 1].tolist()):
+        order[start:stop] = sorted(range(start, stop), key=record_ids.__getitem__)
+    return order
 
 
 @dataclass(frozen=True)

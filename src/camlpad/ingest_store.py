@@ -4,12 +4,13 @@ Two store backends speak the same contract: a directory of ``.jsonl`` files
 (one subdirectory per index) and a minimal HTTP search API
 (``POST {base}/{index}/_search`` with a range query and from/size paging).
 
-Each document is walked once on its way into a batch's columns: a JSONL
-line holding one object is decoded once at C level (``_read_jsonl``), its
-cells are built and checked in one pass (``_Rows.add_document``), and the
-row is added to a ``BatchBuilder``. No per-row object outlives its line. A
-row's source is its batch's, so the BRO split takes the rows it read into
-the dns and conn batches as they are.
+A JSONL line holding one object is decoded once at C level
+(``_read_jsonl``); its time, window, id and the ``max_records`` cap are
+checked in line order (``_Rows.add_document``), and the document's values
+are added whole to a ``BatchBuilder``, which makes each key layout's cells
+and columns once, when the batch is made. The document itself does not
+outlive its line. A row's source is its batch's, so the BRO split takes the
+rows it read into the dns and conn batches as they are.
 """
 
 from __future__ import annotations
@@ -22,14 +23,14 @@ import urllib.parse  # pathlib imports it anyway; http.client and urllib.request
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from itertools import groupby
-from math import floor, isfinite
+from math import floor
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .datamodel import (
-    BatchBuilder, DataSourceKind, RecordBatch, SensorRecord, WindowSplit, canonical_order, derive_record_id
+    BatchBuilder, DataSourceKind, RecordBatch, SensorRecord, WindowSplit, canonical_order, derive_record_id, field_value
 )
 from .errors import CamlpadError
 
@@ -303,29 +304,6 @@ def _iso_epoch_ms(text: str) -> int | None:
     return (parsed - EPOCH) // timedelta(milliseconds=1)
 
 
-def _field_value(raw: object) -> float | str | None:
-    """The cell of a decoded JSON value: a finite float, a non-empty str or None.
-
-    Numbers become floats; NaN, infinities and integers past float range are
-    None, as are null and "". A bool is "true"/"false", and a nested object
-    or array is its ``json.dumps(..., sort_keys=True)`` text.
-    """
-    if raw is None:
-        return None
-    if isinstance(raw, bool):
-        return "true" if raw else "false"
-    if isinstance(raw, (int, float)):
-        # json.loads admits NaN/Infinity and integers past float range; treat them as absent data
-        try:
-            value = float(raw)
-        except OverflowError:
-            return None
-        return value if isfinite(value) else None
-    if isinstance(raw, str):
-        return raw or None
-    return json.dumps(raw, sort_keys=True)
-
-
 def _canonical(batch: RecordBatch) -> RecordBatch:
     """The batch's rows in ascending (timestamp, record_id) order with unique ids.
 
@@ -408,17 +386,15 @@ class _Rows(BatchBuilder):
     """The rows of one query: each document timed inside its window, as columns, at most ``max_records`` of them."""
 
     def __init__(self, source: DataSourceKind, time_field: str, query: StoreQuery):
-        super().__init__(source)
+        super().__init__(source, left_out=(time_field, "_id"))
         self.time_field = time_field
         self.query = query
 
     def add_document(self, doc: dict, store_id: object, line_number: int) -> None:
-        """Add the document's row under its store or derived id, unless it is timed outside the window.
+        """Add the document whole under its store or derived id, unless it is timed outside the window.
 
-        Cells are built in one pass: a finite float or a non-empty str is
-        kept as it is, and only the rare kinds (int, bool, null, NaN/inf, "",
-        nested values) go through ``_field_value``. Time, id and cells have
-        then met every ``SensorRecord`` rule. The first row past the query's
+        Time and id are checked here, line by line; the cells are made with the
+        batch, except for ``derive_record_id``. The first row past the query's
         ``max_records`` raises TooManyRecords, whichever backend it came from.
         """
         time_field, query = self.time_field, self.query
@@ -432,17 +408,14 @@ class _Rows(BatchBuilder):
             raise MalformedLine(line_number, f"time {timestamp} outside [0, 2**63) ms")
         if not query.time_from <= timestamp < query.time_to:
             return
-        fields = {
-            name: raw if (type(raw) is float and isfinite(raw)) or (type(raw) is str and raw) else _field_value(raw)
-            for name, raw in doc.items()
-            if name != time_field and name != "_id"
-        }
-        record_id = str(store_id) if store_id is not None else derive_record_id(self.source, timestamp, fields)
+        record_id = str(store_id) if store_id is not None else derive_record_id(
+            self.source, timestamp, {name: field_value(raw) for name, raw in doc.items() if name not in self.left_out}
+        )
         if not record_id:
             raise MalformedLine(line_number, "record_id must be non-empty")
         if len(self.record_ids) >= query.max_records:
             raise TooManyRecords(f"index {query.index}: more than max_records={query.max_records} records in the window")
-        self.add(timestamp, record_id, fields)
+        self.add(timestamp, record_id, doc)
 
 
 def _document(timestamp: int, fields: dict[str, float | str | None], record_id: str) -> dict:

@@ -10,6 +10,7 @@ from camlpad.datamodel import (
     DataSourceKind,
     SensorRecord,
     WindowSplit,
+    canonical_order,
     derive_record_id,
 )
 from camlpad.ingest_store import json_lines, record_to_document
@@ -144,3 +145,14 @@ class TestBatchBuilder:
         for late in (lambda: rows.add(3, "c", {"x": 2.0, "k": "in"}), lambda: rows.add(3, "c", {}), rows.batch):
             with pytest.raises(ValueError, match="makes one batch"):
                 late()
+
+
+class TestCanonicalOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.sampled_from(["a", "b", "ab", "b-1"])), max_size=25), st.booleans())
+    def test_it_is_the_full_sort_whether_or_not_times_ascend(self, rows, ascending):
+        if ascending:  # times that never descend, as a day file holds them; the ids stay as drawn
+            rows = sorted(rows, key=lambda row: row[0])
+        order = canonical_order(np.array([time for time, _ in rows], dtype=np.int64), [rid for _, rid in rows])
+        assert order.dtype == np.intp
+        assert order.tolist() == sorted(range(len(rows)), key=rows.__getitem__)  # rows tying on both keep their order

@@ -9,6 +9,7 @@ import tracemalloc
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -731,6 +732,67 @@ def _window(data):
     return time_from, data.draw(st.integers(time_from + 1, 41))
 
 
+def _reference_parts(records):
+    """Column order, each column's (name, numbers, codes, categories), the shapes and each row's shape, of the batch
+    made by placing each record's cells as it is added: a str coded through its field's table, a float as its number.
+    """
+    shapes, row_shapes, tables = {}, [], {}
+    for record in records:
+        row_shapes.append(shapes.setdefault(tuple(record.fields), len(shapes)))
+        for name in record.fields:
+            tables.setdefault(name, {})
+    numbers = {name: [math.nan] * len(records) for name in tables}
+    codes = {name: [-1] * len(records) for name in tables}
+    for row, record in enumerate(records):
+        for name, cell in record.fields.items():
+            if type(cell) is str:
+                codes[name][row] = tables[name].setdefault(cell, len(tables[name]))
+            elif cell is not None:
+                numbers[name][row] = cell
+    columns = [(name, np.array(numbers[name]).tobytes(), codes[name], tuple(table)) for name, table in tables.items()]
+    return columns, tuple(shapes), row_shapes
+
+
+def _parts(batch):
+    """``_reference_parts`` of a batch; numbers compare byte for byte, so NaN equals NaN and -0.0 is not 0.0."""
+    assert [c.numbers.dtype for c in batch.columns.values()] == [np.float64] * len(batch.columns)
+    assert [c.codes.dtype for c in batch.columns.values()] == [np.int32] * len(batch.columns)
+    assert batch.row_shapes.dtype == np.int32
+    columns = [(name, c.numbers.tobytes(), c.codes.tolist(), c.categories) for name, c in batch.columns.items()]
+    return columns, batch.shapes, batch.row_shapes.tolist()
+
+
+SHARED = "shared"  # a field every layout holds, so that its one category table spans layouts
+CATEGORIES = st.sampled_from(["a", "b", "c"])
+LAYOUT_VALUES = (st.floats(), st.text(min_size=1, max_size=2), CATEGORIES, JSON_VALUES)
+SHARED_VALUES = (CATEGORIES, CATEGORIES | JSON_SCALARS)
+ROW_VALUES = {"timestamp": GOOD_TIMES, "_id": st.one_of(st.none(), st.text(min_size=1, max_size=3), st.integers(0, 9))}
+
+
+@st.composite
+def layout_documents(draw):
+    """Rows over one to three key layouts that ``documents()`` draws, each with ``SHARED`` at some position.
+
+    Each other key of a layout draws its rows' values from one of
+    ``LAYOUT_VALUES`` (``SHARED`` from one of ``SHARED_VALUES``), so a
+    layout's column is all floats, all non-empty strs or mixed.
+    """
+    layouts = []
+    for doc in draw(st.lists(documents(), min_size=1, max_size=3)):
+        keys = [key for key in doc if key != SHARED]
+        keys.insert(draw(st.integers(0, len(keys))), SHARED)
+        layouts.append({
+            key: ROW_VALUES[key] if key in ROW_VALUES else draw(
+                st.sampled_from(SHARED_VALUES if key == SHARED else LAYOUT_VALUES)
+            )
+            for key in keys
+        })
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        rows.append({key: draw(values) for key, values in draw(st.sampled_from(layouts)).items()})
+    return rows
+
+
 class TestOnePassWalkMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(jsonl_texts(), st.data())
@@ -793,6 +855,24 @@ class TestOnePassWalkMatchesReference:
             checked = SensorRecord(timestamp=record.timestamp, fields=record.fields, record_id=record.record_id)
             assert checked == record
             assert type(record.timestamp) is int
+
+    @settings(max_examples=300, deadline=None)
+    @given(layout_documents())
+    def test_a_batch_is_the_one_its_cells_make_added_one_by_one(self, docs):
+        window = (0, 2**63)
+        records, lines = [], []
+        for doc in docs:
+            try:
+                records.append(_reference_record_from_document(doc, YAF, "timestamp", 1, window))
+            except MalformedLine:  # its layout has no time field
+                continue
+            lines.append(json.dumps(doc))
+        rows = _Rows(YAF, "timestamp", StoreQuery("flows", *window))
+        _read_jsonl("\n".join(lines).encode("utf-8"), rows)
+        batch = rows.batch()
+        assert batch.timestamps.tolist() == [record.timestamp for record in records]
+        assert batch.record_ids == tuple(record.record_id for record in records)
+        assert _parts(batch) == _reference_parts(records)
 
     def test_bro_split_retags_without_rebuilding(self):
         batch = read_store(b'{"ts":1,"log_type":"dns","x":1}\n{"ts":2,"log_type":"conn","x":2}', time_field="ts")
