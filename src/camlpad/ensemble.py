@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -125,6 +125,27 @@ def cross_source_vote(
     return VoteTable(bucket_starts, tuple(labeled), votes, final.astype(np.int8))
 
 
+def _rows_text(
+    columns: np.ndarray, middles: Iterable[str], head: Callable[[list], str], tail: Callable[[list], str]
+) -> str:
+    """One line per row of ``columns``, an int matrix with cells -1, 0 or 1: ``head(p) + middle + tail(p)``.
+
+    ``p`` is the row's cells as a list. Heads and tails are made once per
+    distinct row, so a row's own text is only its ``middles`` entry.
+    """
+    codes = np.ravel_multi_index(tuple(columns.T + 1), (3,) * columns.shape[1])
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    patterns = columns[first].tolist()
+    heads = [head(p) for p in patterns]
+    tails = [tail(p) + "\n" for p in patterns]
+    which = inverse.tolist()
+    pieces = [""] * (3 * len(which))
+    pieces[0::3] = map(heads.__getitem__, which)
+    pieces[1::3] = middles
+    pieces[2::3] = map(tails.__getitem__, which)
+    return "".join(pieces)
+
+
 def labels_to_jsonl(
     ensemble_labels: LabelVector,
     detector_labels: Mapping[str, LabelVector],
@@ -134,26 +155,24 @@ def labels_to_jsonl(
         if vector.row_ids != ensemble_labels.row_ids:
             raise CamlpadError(f"detector {name} labels misaligned with ensemble labels")
     names = sorted(detector_labels)
-    votes = ", ".join(json.dumps(name).replace("%", "%%") + ": %d" for name in names)
-    template = '{"label": %d, "row_id": %s, "votes": {' + votes + "}}"
-    rows = zip(
-        ensemble_labels.labels.tolist(),
+    keys = [json.dumps(name) for name in names]
+    return _rows_text(
+        np.column_stack([ensemble_labels.labels] + [detector_labels[name].labels for name in names]),
         map(encode_basestring_ascii, ensemble_labels.row_ids),  # what json.dumps(str) returns
-        *(detector_labels[name].labels.tolist() for name in names),
+        lambda p: f'{{"label": {p[0]}, "row_id": ',
+        lambda p: ', "votes": {' + ", ".join(f"{key}: {flag}" for key, flag in zip(keys, p[1:])) + "}}",
     )
-    lines = [template % row for row in rows]
-    lines.append("")  # ends every line, without copying the document for it
-    return "\n".join(lines)
 
 
 def verdicts_to_jsonl(table: VoteTable) -> str:
     """One {"bucket_start", "final", "votes"} JSON object per bucket, as json.dumps(doc, sort_keys=True) writes it."""
     order = sorted(range(len(table.sources)), key=lambda column: table.sources[column].value)
-    names = [json.dumps(table.sources[column].value) + ": " for column in order]
-    template = '{"bucket_start": %d, "final": %d, "votes": {%s}}'
-    lines = [
-        template % (start, final, ", ".join([f"{name}{flag}" for name, flag in zip(names, row) if flag >= 0]))
-        for start, final, row in zip(table.bucket_starts.tolist(), table.final.tolist(), table.votes[:, order].tolist())
-    ]
-    lines.append("")
-    return "\n".join(lines)
+    keys = [json.dumps(table.sources[column].value) for column in order]
+    return _rows_text(
+        np.column_stack([table.final, table.votes[:, order]]),
+        map(str, table.bucket_starts.tolist()),
+        lambda p: '{"bucket_start": ',
+        lambda p: f', "final": {p[0]}, "votes": {{'
+        + ", ".join(f"{key}: {flag}" for key, flag in zip(keys, p[1:]) if flag >= 0)
+        + "}}",
+    )

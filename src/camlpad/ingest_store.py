@@ -313,7 +313,9 @@ def _canonical(batch: RecordBatch) -> RecordBatch:
     so the renaming does not depend on which backend, file or page a row
     came from. One INFO line counts the renamed ids and names the first.
     """
-    batch = batch.take(canonical_order(batch.timestamps, batch.record_ids))
+    order = canonical_order(batch.timestamps, batch.record_ids)
+    if (order != np.arange(len(order))).any():  # a day file or a search reply usually is already
+        batch = batch.take(order)
     if len(set(batch.record_ids)) == len(batch):
         return batch
     keys = list(zip(batch.timestamps.tolist(), batch.record_ids))

@@ -267,13 +267,10 @@ def write_artifacts(result: RunResult, out_dir: Path) -> None:
     sources = sorted(result.analyses, key=lambda s: s.value)
     for source in sources:
         analysis = result.analyses[source]
-        # analyze_source shades one plane four ways, so the circles' positions are formatted once
-        heads = list(viz.circle_heads(analysis.heatmap_points["ensemble"]))
         for model in HEATMAP_MODELS:
             title = f"{source.value} {model} {result.window_id}"
             path = heatmap_dir / f"{source.value}_{model}_{result.window_id}.svg"
-            path.write_bytes(viz.render_svg(analysis.heatmap_points[model], title, heads))
-        del heads  # not held through the next source
+            path.write_bytes(viz.render_svg(analysis.heatmap_points[model], title))
         (labels_dir / f"{source.value}.jsonl").write_text(
             ensemble.labels_to_jsonl(analysis.ensemble_labels, analysis.detector_labels),
             encoding="utf-8",

@@ -343,3 +343,61 @@ class TestJsonlExports:
             assert verdicts_to_jsonl(table) == "\n".join(expected) + "\n"
             empty = VoteTable(table.bucket_starts[:0], sources, table.votes[:0], table.final[:0])
             assert verdicts_to_jsonl(empty) == ""
+
+
+@st.composite
+def labelled_rows(draw):
+    """Row ids and (label, cblof, hbos, iforest) codes 0-15, every one of the 16 patterns among them."""
+    codes = draw(st.permutations(range(16))) + draw(st.lists(st.integers(0, 15), max_size=24))
+    ids = draw(st.lists(st.text(max_size=6), min_size=len(codes), max_size=len(codes)))
+    return ids, np.array([[code >> bit & 1 for bit in (3, 2, 1, 0)] for code in codes])
+
+
+@st.composite
+def vote_tables(draw):
+    """Tables over one to five sources in any column order, votes -1 (absent), 0 or 1 in any mix."""
+    sources = draw(st.permutations(tuple(DataSourceKind)))[: draw(st.integers(1, len(DataSourceKind)))]
+    starts = sorted(draw(st.sets(st.integers(0, 2**62), max_size=40)))
+    votes = draw(st.lists(st.lists(st.sampled_from([-1, 0, 1]), min_size=len(sources), max_size=len(sources)),
+                          min_size=len(starts), max_size=len(starts)))
+    finals = draw(st.lists(st.integers(0, 1), min_size=len(starts), max_size=len(starts)))
+    return VoteTable(
+        bucket_starts=np.array(starts, dtype=np.int64),
+        sources=tuple(sources),
+        votes=np.array(votes, dtype=np.int8).reshape(len(starts), len(sources)),
+        final=np.array(finals, dtype=np.int8),
+    )
+
+
+class TestJsonlExportsAgainstJsonDumps:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(labelled_rows())
+    def test_labels_jsonl_over_all_sixteen_patterns(self, drawn):
+        ids, cells = drawn
+        names = ("cblof", "hbos", "iforest")
+        ens = LabelVector(row_ids=ids, labels=cells[:, 0])
+        det = {name: LabelVector(row_ids=ids, labels=cells[:, k]) for k, name in enumerate(names, 1)}
+        expected = "".join(
+            json.dumps(
+                {"row_id": row_id, "label": int(row[0]), "votes": dict(zip(names, map(int, row[1:])))},
+                sort_keys=True,
+            ) + "\n"
+            for row_id, row in zip(ids, cells)
+        )
+        assert labels_to_jsonl(ens, det) == expected
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(vote_tables())
+    def test_verdicts_jsonl_leaves_absent_sources_out(self, table):
+        expected = "".join(
+            json.dumps(
+                {
+                    "bucket_start": int(start),
+                    "final": int(final),
+                    "votes": {source.value: int(flag) for source, flag in zip(table.sources, row) if flag >= 0},
+                },
+                sort_keys=True,
+            ) + "\n"
+            for start, final, row in zip(table.bucket_starts, table.final, table.votes)
+        )
+        assert verdicts_to_jsonl(table) == expected

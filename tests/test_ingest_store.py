@@ -275,6 +275,20 @@ class TestDirectoryStore:
             ("camlpad.ingest_store", logging.INFO, "query_store renamed 1 repeated record ids, the first 'x' to 'x-1'")
         ]
 
+    def test_a_batch_already_in_order_is_kept_as_it_is(self, caplog):
+        batch = make_batch(YAF, make_record(1, "a", v=1), make_record(1, "b", v=2), make_record(2, "c", v=3, k="x"))
+        repeated = make_batch(YAF, make_record(1, "a", v=1), make_record(2, "a", v=3, k="x"), make_record(2, "b", v=2))
+        with caplog.at_level(logging.INFO, logger="camlpad.ingest_store"):
+            assert _canonical(batch) is batch
+            assert not caplog.records
+            renamed = _canonical(repeated)
+        assert [(r.timestamp, r.record_id, r.fields) for r in renamed.records] == [
+            (1, "a", {"v": 1.0}), (2, "a-1", {"v": 3.0, "k": "x"}), (2, "b", {"v": 2.0})
+        ]
+        assert [r.getMessage() for r in caplog.records] == [
+            "query_store renamed 1 repeated record ids, the first 'a' to 'a-1'"
+        ]
+
     @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
     def test_raw_line_separator_in_a_string_reads_alike_from_both_backends(self, tmp_path, stub_server, separator):
         # only a line feed ends a line; the CRLF endings here are read as trailing whitespace

@@ -374,10 +374,9 @@ class TestDeterminism:
             assert (first / rel).read_bytes() == (second / rel).read_bytes(), rel
 
 
-# SHA-256 of every labels/ and gauges/ file, verdicts.jsonl and evaluation.json of the run on the
-# acceptance gate's determinism fixture. They pin the run's bytes across commits, where that gate only
-# compares two runs of one. Heatmaps are left out: their coordinates pass through LAPACK's eigh, and
-# tests/data/golden_heatmap.svg pins the rendering.
+# SHA-256 of every file the run on the acceptance gate's determinism fixture writes. They pin the run's
+# bytes across commits, where that gate only compares two runs of one. The heatmaps' coordinates pass
+# through LAPACK's eigh; their digests were taken on x86-64 with numpy 2.4 and OpenBLAS 0.3.31.
 PINNED_RUN_DIGESTS = {
     "evaluation.json": "9bf3cf54e4cfab0f18cbca50430f302e07f56b8ef3ea6e084a58cf2e352889e4",
     "gauges/bro_conn_2021-03-03.json": "8ef03ec38e00f260e739685e02fee88bf71c099b52fab49c49a07d603dd742ad",
@@ -386,6 +385,27 @@ PINNED_RUN_DIGESTS = {
     "gauges/meraki_2021-03-03.json": "20d95ee21ff5a74790e2355bd359c173cdce6981533d470c1680bd8f084fa7cf",
     "gauges/snort_2021-03-03.json": "1f0beba3973c45a4e5c42831872a32c1f56dc5a7e1b1fe76f7578ccf12d5e3e7",
     "gauges/yaf_2021-03-03.json": "f6a03afe77dde5d3ae37b0dfc9a2cacbbb13dc4ab8745fd354132f825999e983",
+    "heatmaps/bro_conn_cblof_2021-03-03.svg": "25c2d851305c183e05ac6ef3a2c83161e5e79b0351d0b01a3514c34028410258",
+    "heatmaps/bro_conn_ensemble_2021-03-03.svg": "5a90de33bfadffac9aee25e14409b5e03852a1276a4d78bd9fd7c2de78f177fc",
+    "heatmaps/bro_conn_hbos_2021-03-03.svg": "ad40bf63f12aa710269073a161fb79e355983b54571de4d28d662960b1af4253",
+    "heatmaps/bro_conn_iforest_2021-03-03.svg": "302681335e4d617d8617d135a356c37d25a41214ff3de418cef7190f7f6228dd",
+    "heatmaps/bro_dns_cblof_2021-03-03.svg": "62a22a0ed9bd867936e040bb58a3c7f608fa92d152eef52ca7e9b757681469db",
+    "heatmaps/bro_dns_ensemble_2021-03-03.svg": "f85476a5eaba35eb69276a66adf5b13b3be7fd363cf504fd51f4e520263dab6c",
+    "heatmaps/bro_dns_hbos_2021-03-03.svg": "754399f0027cb5d868744888ce628bdf29ed6d247bdb6e8d3941bb313bb91607",
+    "heatmaps/bro_dns_iforest_2021-03-03.svg": "48fbbb1f897edff5afd4f012913dfe3dff66a7208eb671446ce8e511dccb8c3c",
+    "heatmaps/combined_ensemble_2021-03-03.svg": "c30262330040dc94ce51cf33a96261c56cfd49d957ca83580d0be69999a418e8",
+    "heatmaps/meraki_cblof_2021-03-03.svg": "cf5ee217f2ec08756ddd8699c551909836d23e1986207f7e226f54c8e6a5b383",
+    "heatmaps/meraki_ensemble_2021-03-03.svg": "b6aed8903fa0affa4ce8d4278fdf57a670287839a3f5ba8429e619b80dea4b4c",
+    "heatmaps/meraki_hbos_2021-03-03.svg": "8e630c85b7c171111117d541be876ebc8935013f9709521941524f0fecc586e5",
+    "heatmaps/meraki_iforest_2021-03-03.svg": "4bc9919c787627edee54a509c1033e69b25bb14daa7e94e1a4c4ca22455fccc6",
+    "heatmaps/snort_cblof_2021-03-03.svg": "47512aae808e9ce886f4f6bbb5c9f1257ac149efdce5a4429fecd884b8274568",
+    "heatmaps/snort_ensemble_2021-03-03.svg": "2672c14536d48c1a6786dee0a3c2b6f1f18be8d70183fa32c019598ee525c3f2",
+    "heatmaps/snort_hbos_2021-03-03.svg": "fcb3b09603808a0b6b7151d8a5de7ad228ad2a4414d9f90d67df172f721613d0",
+    "heatmaps/snort_iforest_2021-03-03.svg": "246b1d185b4c4b802282f990658d9907acb3a8f610ef035986b9426488c7fb65",
+    "heatmaps/yaf_cblof_2021-03-03.svg": "da502a066e331e25b1ea6d4d261d5c78a8789979e5a93922595fb433f2717f5a",
+    "heatmaps/yaf_ensemble_2021-03-03.svg": "9903caf0a5a51a75ae6d208e3578abc22c9f6fe90bb558d0be4ad1b867f8ad3d",
+    "heatmaps/yaf_hbos_2021-03-03.svg": "d7cbb942dcef8c760d87546b935fe046605242820c489970dae18b9628957ebc",
+    "heatmaps/yaf_iforest_2021-03-03.svg": "b9a6a1a4ae6acc9de8046ecf718bcf261b80701ede133c4f28ed9ea0f82aec19",
     "labels/bro_conn.jsonl": "2d556c75e86e5b12e20589b9622001adfb8c4d2d0924b8124d883ff7488d0e56",
     "labels/bro_dns.jsonl": "86fbea32f19cd953243b604ef5db22802687ebad2f110fbaa8a97faae615848f",
     "labels/meraki.jsonl": "992500a3044438279ae7a3435ace45ccc0dca10306a1269399ca328037a1c7ff",
@@ -412,6 +432,6 @@ def test_run_outputs_are_pinned(tmp_path):
     written = {
         str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.rglob("*"))
-        if path.is_file() and path.suffix != ".svg"
+        if path.is_file()
     }
     assert written == PINNED_RUN_DIGESTS

@@ -17,7 +17,6 @@ from camlpad.viz import (
     CHUNK_ROWS,
     HeatmapPoints,
     build_heatmap_points,
-    circle_heads,
     render_svg,
 )
 
@@ -190,6 +189,26 @@ def _scores_with_half_fills():
 
 HALF_FILL_SCORES = _scores_with_half_fills()
 
+
+def _coordinates_near_half_cents():
+    """x in [0, 1] whose cx on a plane spanning [0, 1], 40 + x * 520, is within an ulp of (k + 0.5) / 100.
+
+    Among them are exact binary ties such as 40.125, which "%.2f" rounds to even (40.12), and values
+    such as 41.735 that lie below the half while their product with 100 rounds onto it.
+    """
+    found = {}
+    for k in [*range(4000, 56000, 173), 4012, 4037, 10062, 55987]:
+        half = (k + 0.5) / 100
+        for cx in (np.nextafter(half, 0.0), half, np.nextafter(half, 1e3)):
+            x = (float(cx) - 40) / 520
+            for candidate in (np.nextafter(x, 0.0), x, np.nextafter(x, 1.0)):
+                if 40 + float(candidate) / 1.0 * 520 == cx:
+                    found[float(cx)] = float(candidate)
+    return list(found.values())
+
+
+HALF_CENT_XS = _coordinates_near_half_cents()
+
 coordinate = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 score = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0] + HALF_FILL_SCORES))
 # titles dense in what XML escapes, in both quote marks (left as they are) and in non-ASCII text
@@ -214,6 +233,17 @@ class TestAgainstReferenceRenderer:
         assert rendered == [circles(svg)[0].attrib["fill"] for svg in expected]
         assert all(int(f[1:3], 16) % 2 == 0 for f in rendered)
 
+    def test_coordinates_near_half_cents_round_as_percent_2f(self):
+        cxs = [40 + x / 1.0 * 520 for x in HALF_CENT_XS]
+        assert 40.125 in cxs and 559.875 in cxs  # exact binary ties
+        # rows where rounding the product with 100 to even gives another cent than "%.2f" does
+        assert sum(round(cx * 100) != int(f"{cx:.2f}".replace(".", "")) for cx in cxs) > 100
+        xs = [0.0, *HALF_CENT_XS, 1.0]
+        # y = -x puts cy on the same values; the last rows are current rows
+        rows = [(x, -x, 0.5, i >= len(xs) - 9) for i, x in enumerate(xs)]
+        plane = points(*[(x, y, s) for x, y, s, _ in rows], n_history=len(xs) - 9)
+        assert render_svg(plane, "half cents") == reference_svg(rows, "half cents")
+
     @settings(max_examples=300, deadline=None)
     @given(point_sets(), title)
     def test_render_matches_per_point_reference(self, drawn, title):
@@ -223,24 +253,14 @@ class TestAgainstReferenceRenderer:
 
     @settings(max_examples=100, deadline=None)
     @given(point_sets(), st.data())
-    def test_four_shadings_sharing_heads_match_per_point_reference(self, drawn, data):
+    def test_four_shadings_of_one_plane_match_per_point_reference(self, drawn, data):
         rows, n_history = drawn
         plane = points(*[(x, y, s) for x, y, s, _ in rows], n_history=n_history)
-        heads = list(circle_heads(plane))
         for model in ("iforest", "hbos", "cblof", "ensemble"):
             scores = data.draw(st.lists(score, min_size=len(rows), max_size=len(rows)))
             shading = dataclasses.replace(plane, scores=np.asarray(scores, dtype=float))
             shaded = [(x, y, s, current) for (x, y, _, current), s in zip(rows, scores)]
-            assert render_svg(shading, model, heads) == reference_svg(shaded, model)
-
-    # too few heads within the first chunk, too few past it, and heads left over
-    @pytest.mark.parametrize(
-        "n_points, n_heads", [(2, 1), (CHUNK_ROWS + 4, CHUNK_ROWS + 2), (CHUNK_ROWS + 4, CHUNK_ROWS + 6)]
-    )
-    def test_heads_of_another_point_count_are_refused(self, n_points, n_heads):
-        plane = seeded_plane(n_points, 1, seed=5)
-        with pytest.raises(ValueError):
-            render_svg(plane, "", list(circle_heads(seeded_plane(n_heads, 1, seed=6))))
+            assert render_svg(shading, model) == reference_svg(shaded, model)
 
     @pytest.mark.parametrize("n", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1])
     @pytest.mark.parametrize("history_at", ["chunk_edge", "inside_chunk"])
@@ -249,10 +269,7 @@ class TestAgainstReferenceRenderer:
         plane = seeded_plane(n, n_history, seed=n + n_history)
         xy, scores = plane.xy.tolist(), plane.scores.tolist()
         rows = [(x, y, s, i >= n_history) for i, ((x, y), s) in enumerate(zip(xy, scores))]
-        expected = reference_svg(rows, "chunked")
-        assert render_svg(plane, "chunked") == expected
-        assert render_svg(plane, "chunked", list(circle_heads(plane))) == expected
-        assert render_svg(plane, "chunked", circle_heads(plane)) == expected
+        assert render_svg(plane, "chunked") == reference_svg(rows, "chunked")
 
     def test_combined_keeps_history_blocks_before_current_blocks(self):
         a = points((0, 0, 0.1), (1, 0, 0.2), (2, 0, 0.3), n_history=2)
@@ -277,6 +294,26 @@ class TestPointsValidation:
         rows = np.random.default_rng(4).normal(0, 1, (2, 3))
         with pytest.raises(ValueError):
             build_heatmap_points(pca, np.vstack([rows, rows]), 2, [0.1, float("nan"), 0.2, 0.3])
+
+    @pytest.mark.parametrize(
+        "xy",
+        [
+            [[0.0, 1.0], [float("inf"), 2.0], [1.0, float("nan")]],
+            [[0.0, 0.0], [float("-inf"), 0.0]],
+            [[1e308, 0.0], [-1e308, 0.0]],  # finite coordinates whose span overflows
+            [[0.0, -1e308], [0.0, 1e308]],
+        ],
+    )
+    def test_coordinates_without_a_finite_span_rejected(self, xy):
+        refusal = r"^heatmap coordinates must be finite, each axis spanning a finite range$"
+        with pytest.raises(ValueError, match=refusal):
+            HeatmapPoints(xy=np.array(xy), scores=np.full(len(xy), 0.5), n_history=1)
+
+    def test_the_widest_finite_span_renders_at_the_canvas_edges(self):
+        big = np.finfo(float).max / 2
+        plane = HeatmapPoints(xy=np.array([[big, -big], [-big, big]]), scores=np.array([0.0, 1.0]), n_history=1)
+        svg = render_svg(plane)
+        assert [(c.attrib["cx"], c.attrib["cy"]) for c in circles(svg)] == [("560.00", "560.00"), ("40.00", "40.00")]
 
     def test_misaligned_arrays_rejected(self):
         with pytest.raises(CamlpadError, match=r"^\(3, 2\) coordinates, 2 scores, 0 history rows$"):
