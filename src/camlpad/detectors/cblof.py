@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import CamlpadError
 from .base import as_matrix, check_dimensions
 from .kmeans import DEFAULT_CLUSTERS, KMeansModel, assign_clusters, fit_kmeans, squared_distances
 
@@ -45,8 +44,6 @@ def large_cluster_flags(sizes: np.ndarray, alpha: float, beta: float) -> np.ndar
 
 def fit_cblof(data, k: int = DEFAULT_CLUSTERS, seed: int = 0) -> CblofModel:
     X = as_matrix(data)
-    if X.shape[0] < k:
-        raise CamlpadError(f"cblof needs >= k={k} rows, got {X.shape[0]}")
     kmeans = fit_kmeans(X, k, seed)
     assignment = assign_clusters(X, kmeans.centroids)
     sizes = np.bincount(assignment, minlength=k)

@@ -444,8 +444,8 @@ def split_bro_by_protocol(batch: RecordBatch, discriminator: str = DEFAULT_DISCR
     """Partition a raw BRO batch into DNS and CONN batches by log type.
 
     Records whose discriminator value is neither BRO_DNS_VALUE nor
-    BRO_CONN_VALUE are dropped and counted; real BRO emits many log types
-    beyond these two.
+    BRO_CONN_VALUE are dropped and counted in ``dropped``; real BRO emits
+    many log types beyond these two.
     """
     labels = batch.columns.get(discriminator)  # a batch holds a column for each field some row carries
     if len(batch) and labels is None:
@@ -455,10 +455,7 @@ def split_bro_by_protocol(batch: RecordBatch, discriminator: str = DEFAULT_DISCR
     for source, value in ((DataSourceKind.BRO_DNS, BRO_DNS_VALUE), (DataSourceKind.BRO_CONN, BRO_CONN_VALUE)):
         rows = np.flatnonzero(labels.codes == categories.index(value)) if value in categories else np.arange(0)
         halves.append(replace(batch.take(rows), source=source))
-    dropped = len(batch) - len(halves[0]) - len(halves[1])
-    if dropped:
-        logger.info("split_bro_by_protocol dropped %d records with unknown %r", dropped, discriminator)
-    return BroSplit(dns=halves[0], conn=halves[1], dropped=dropped)
+    return BroSplit(dns=halves[0], conn=halves[1], dropped=len(batch) - len(halves[0]) - len(halves[1]))
 
 
 def query_store(

@@ -46,6 +46,8 @@ class SourceAnalysis:
     heatmap_points: dict[str, viz.HeatmapPoints]
     history_day_scores: dict[int, float]
     gauge: gauge_alert.GaugeReading
+    dropped_columns: list[str]  # current-window fields the model lacks, in first-seen order
+    unseen_categories: dict[str, int]  # per model column, the current window's categories its history lacks
 
 
 @dataclass
@@ -90,15 +92,14 @@ def fit_source(history: RecordBatch, params: DetectorParams) -> tuple[SourceMode
     ), matrix
 
 
-def features(model: SourceModel, batch: RecordBatch) -> FeatureMatrix:
-    """A later batch's rows standardized under the model; its model columns' unseen categories are logged."""
+def features(model: SourceModel, batch: RecordBatch) -> tuple[FeatureMatrix, list[str], dict[str, int]]:
+    """A later batch's rows standardized under the model, the batch's fields the model lacks (which are dropped),
+    and each model column's count of categories the model's encoding lacks."""
     raw, dictionary = encode(batch, model.dictionary)
+    dropped = [name for name in raw.column_names if name not in model.column_names]
     raw = conform_columns(raw, model.column_names, model.column_kinds)
     unseen = {name: len(dictionary.get(name, ())) - len(model.dictionary.get(name, ())) for name in raw.column_names}
-    drift = [f"{name}+{count}" for name, count in sorted(unseen.items()) if count]
-    if drift:
-        logger.info("encode extended dictionary with unseen categories: %s", ", ".join(drift))
-    return _standardized(raw, model.stats)[0]
+    return _standardized(raw, model.stats)[0], dropped, unseen
 
 
 def score_source(model: SourceModel, rows: FeatureMatrix) -> dict[str, np.ndarray]:
@@ -123,7 +124,7 @@ def analyze_source(
 ) -> SourceAnalysis:
     """Fit a source model on the history window and score both windows under it."""
     model, history = fit_source(split.history, params)
-    current = features(model, split.current)
+    current, dropped_columns, unseen_categories = features(model, split.current)
     rows = replace(
         history, values=np.vstack([history.values, current.values]), row_ids=history.row_ids + current.row_ids
     )
@@ -158,23 +159,19 @@ def analyze_source(
         heatmap_points=heatmap_points,
         history_day_scores=history_day_scores,
         gauge=gauge,
+        dropped_columns=dropped_columns,
+        unseen_categories=unseen_categories,
     )
 
 
-def _check_history_days(split: WindowSplit, history_days: int) -> None:
-    """Raise naming the earliest of the ``history_days`` days before the boundary on which the split has no row,
-    and log a WARNING for each day holding at most ``SPARSE_DAY_SHARE`` of the median day's rows."""
+def _check_history_days(split: WindowSplit, history_days: int) -> np.ndarray:
+    """The row count of each of the ``history_days`` days before the boundary, oldest first; raise naming the
+    earliest day on which the split has no row."""
     counts = np.bincount((split.history.timestamps - split.boundary) // DAY_MS + history_days, minlength=history_days)
-    source = split.history.source.value
     if not counts.all():
         day = window_id_for(split.boundary + (int(np.argmin(counts)) - history_days) * DAY_MS)
-        raise CamlpadError(f"{source}: no records on history day {day}")
-    median = np.median(counts)
-    for k in np.flatnonzero(counts <= SPARSE_DAY_SHARE * median).tolist():
-        logger.warning(
-            "%s: history day %s holds %d records, at most half the median day's %g",
-            source, window_id_for(split.boundary + (k - history_days) * DAY_MS), counts[k], median,
-        )
+        raise CamlpadError(f"{split.history.source.value}: no records on history day {day}")
+    return counts
 
 
 def _standardized(raw: FeatureMatrix, stats: ColumnStats | None) -> tuple[FeatureMatrix, ColumnStats]:
@@ -252,7 +249,10 @@ def fetch_batches(
         raise
     if not combined:
         return {tag: batch}
-    halves = split_bro_by_protocol(batch, config.bro_discriminator)
+    discriminator = config.bro_discriminator
+    halves = split_bro_by_protocol(batch, discriminator)
+    if halves.dropped:
+        logger.info("split_bro_by_protocol dropped %d records with unknown %r", halves.dropped, discriminator)
     by_source = {DataSourceKind.BRO_DNS: halves.dns, DataSourceKind.BRO_CONN: halves.conn}
     return {source: by_source[source] for source in sources}
 
@@ -303,13 +303,24 @@ def run_pipeline(config: PipelineConfig, boundary_override: str | None = None) -
         for source in sources:
             logger.info("analyzing %s (%d records)", source.value, len(batches[source]))
             split = window_split(batches.pop(source), boundary_ms, config.min_history)
-            _check_history_days(split, config.history_days)
+            counts = _check_history_days(split, config.history_days)  # refused before the model is fitted
+            median = np.median(counts)
+            for k in np.flatnonzero(counts <= SPARSE_DAY_SHARE * median).tolist():
+                logger.warning(
+                    "%s: history day %s holds %d records, at most half the median day's %g",
+                    source.value, window_id_for(boundary_ms + (k - config.history_days) * DAY_MS), counts[k], median,
+                )
             try:
-                analyses[source] = analyze_source(split, config.detectors, config.contamination, window_id)
+                analyses[source] = analysis = analyze_source(split, config.detectors, config.contamination, window_id)
             except CamlpadError as exc:  # same type, now naming the source
                 exc.args = (f"{source.value}: {exc}",)
                 raise
             del split  # not held through the next fetch
+            if analysis.dropped_columns:
+                logger.info("conform_columns dropped columns not in reference: %s", analysis.dropped_columns)
+            drift = [f"{name}+{count}" for name, count in sorted(analysis.unseen_categories.items()) if count]
+            if drift:
+                logger.info("encode extended dictionary with unseen categories: %s", ", ".join(drift))
 
     verdicts = ensemble.cross_source_vote(
         {source: (a.timestamps, a.ensemble_labels.labels) for source, a in analyses.items()},

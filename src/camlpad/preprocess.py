@@ -7,15 +7,12 @@ imputation; record cells are never NaN, so NaN here always means "missing".
 from __future__ import annotations
 
 import copy
-import logging
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from .datamodel import RecordBatch
-
-logger = logging.getLogger(__name__)
 
 EncodingDictionary = dict[str, dict[str, int]]
 
@@ -180,14 +177,11 @@ def conform_columns(
     """Reindex a matrix onto a reference column set.
 
     Columns absent from the matrix come back all-missing (imputation fills
-    them); columns absent from the reference are dropped and logged.
+    them); columns absent from the reference are dropped.
     """
     values = np.full((matrix.n_rows, len(column_names)), np.nan)
     have = {name: i for i, name in enumerate(matrix.column_names)}
-    dropped = [name for name in matrix.column_names if name not in set(column_names)]
     kept = [col for col, name in enumerate(column_names) if name in have]
     values[:, kept] = matrix.values[:, [have[column_names[col]] for col in kept]]
-    if dropped:
-        logger.info("conform_columns dropped columns not in reference: %s", dropped)
     return replace(matrix, values=values, column_names=column_names, column_kinds=column_kinds)
 

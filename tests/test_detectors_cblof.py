@@ -221,6 +221,6 @@ class TestCblofScores:
         assert score_cblof(model, [3.0, 4.0]) == pytest.approx(5.0, abs=1e-9)
 
     def test_too_few_rows(self):
-        with pytest.raises(CamlpadError, match=r"^cblof needs >= k=4 rows, got 2$"):
+        with pytest.raises(CamlpadError, match=r"^k-means needs >= k=4 rows, got 2$"):
             fit_cblof(np.array([[0.0], [1.0]]), k=4)
 

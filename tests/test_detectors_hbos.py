@@ -85,6 +85,14 @@ class TestDegenerate:
             assert hist.counts.sum() == 137
 
 
+class TestBins:
+    def test_no_bin_is_refused_and_one_bin_fits(self):
+        with pytest.raises(ValueError, match=r"^bins must be >= 1$"):
+            fit_hbos(FOUR_POINTS, bins=0)
+        [hist] = fit_hbos(FOUR_POINTS, bins=1).histograms
+        assert hist.counts.tolist() == [4]
+
+
 class TestOracleEquivalence:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_matches_linear_scan_oracle_on_random_rows(self):

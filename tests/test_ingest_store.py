@@ -182,10 +182,12 @@ class TestBroSplit:
         with pytest.raises(CamlpadError, match=r"^discriminator field 'log_type' absent from every record$"):
             split_bro_by_protocol(batch)
 
-    def test_unknown_log_type_dropped_and_counted(self):
-        split = split_bro_by_protocol(self._bro_batch("http"))
+    def test_unknown_log_type_dropped_and_counted(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="camlpad"):
+            split = split_bro_by_protocol(self._bro_batch("http"))
         assert len(split.dns) == 0 and len(split.conn) == 0
         assert split.dropped == 1
+        assert not caplog.records
 
     def test_sizes_plus_drops_conserve_input(self):
         rng = random.Random(11)

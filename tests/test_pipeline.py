@@ -73,13 +73,14 @@ class TestAnalyzeSource:
         split = window_split(
             make_batch(DataSourceKind.YAF, *(history + current)), boundary=100, min_history=10
         )
-        with caplog.at_level(logging.INFO, logger="camlpad"):
+        with caplog.at_level(logging.DEBUG, logger="camlpad"):
             analysis = analyze_source(split, FAST_DETECTORS, contamination=0.1, window_id="w")
         assert np.isfinite(analysis.ensemble_scores).all()
         # drift is counted over the model's columns only, so the dropped "extra" is not counted
-        assert "encode extended dictionary with unseen categories: proto+1" in caplog.messages
+        assert analysis.unseen_categories == {"size": 0, "proto": 1}
         # the model's columns are history's, so a field only current rows carry is dropped, not imputed
-        assert "conform_columns dropped columns not in reference: ['extra']" in caplog.messages
+        assert analysis.dropped_columns == ["extra"]
+        assert not caplog.records  # the findings are returned; run_pipeline logs them
 
     def test_planted_outliers_dominate_top_scores(self):
         split, result = small_split(records=120, contamination=0.05)
@@ -98,8 +99,11 @@ class TestSourceModel:
         split, _ = small_split(days=6)
         model, history = fit_source(split.history, FAST_DETECTORS)
         history_scores = score_source(model, history)
-        current_scores = score_source(model, features(model, split.current))
+        current, dropped, unseen = features(model, split.current)
+        current_scores = score_source(model, current)
         analysis = analyze_source(split, FAST_DETECTORS, contamination=0.05, window_id="w")
+        no_drift = ([], {"flow_duration": 0, "packet_count": 0, "octet_count": 0, "direction": 0})
+        assert (dropped, unseen) == (analysis.dropped_columns, analysis.unseen_categories) == no_drift
         for name in ensemble.DETECTOR_NAMES:
             both = ensemble.normalize_scores(
                 np.concatenate([history_scores[name], current_scores[name]]), history.n_rows
@@ -144,6 +148,19 @@ class TestFetchBatches:
             fetch_batches(config, DAY_MS, *config.index_plan()[0])
         assert err.value.line_number == 2
 
+
+    def test_unknown_log_types_are_counted_in_one_pipeline_line(self, tmp_path, caplog):
+        (tmp_path / "bro").mkdir()
+        docs = [{"timestamp": t, "log_type": kind, "q": t} for t, kind in enumerate(["dns", "http", "conn", "http"])]
+        (tmp_path / "bro" / "all.jsonl").write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        sources = [DataSourceKind.BRO_DNS, DataSourceKind.BRO_CONN]
+        config = PipelineConfig(store_root=tmp_path, sources=sources, bro_index="bro")
+        with caplog.at_level(logging.DEBUG, logger="camlpad"):
+            batches = fetch_batches(config, DAY_MS, *config.index_plan()[0])
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("camlpad.pipeline", logging.INFO, "split_bro_by_protocol dropped 2 records with unknown 'log_type'")
+        ]
+        assert [len(batches[source]) for source in sources] == [1, 1]
 
     def test_combined_index_derives_ids_under_the_bro_conn_tag(self, tmp_path):
         (tmp_path / "bro").mkdir()
@@ -213,6 +230,42 @@ class TestSourceErrors:
         )
         with pytest.raises(CamlpadError, match=r"^yaf: isolation forest needs >= 2 rows, got 1$"):
             run_pipeline(config)
+
+
+def test_a_run_logs_every_finding_about_its_sources_from_the_pipeline_in_plan_order(tmp_path, caplog):
+    synth_config = SynthConfig(seed=1, days_history=3, records_per_source_per_day=40)
+    store = tmp_path / "store"
+    write_store(generate(synth_config), store)
+    boundary = window_id_for(synth_config.boundary_ms)
+    current = store / "yaf" / f"{boundary}.jsonl"
+    docs = [json.loads(line) for line in current.read_text().splitlines()]
+    docs[0]["direction"] = "sideways"  # a category history lacks
+    current.write_text("".join(json.dumps({**doc, "extra": 1.0}) + "\n" for doc in docs))  # a field history lacks
+    sparse = store / "yaf" / f"{window_id_for(synth_config.boundary_ms - 2 * DAY_MS)}.jsonl"
+    sparse.write_text("".join(sparse.read_text().splitlines(keepends=True)[:20]))  # half of each other day
+    config = PipelineConfig(
+        store_root=store,
+        output_dir=tmp_path / "out",
+        boundary=boundary,
+        history_days=3,
+        min_history=10,
+        detectors=FAST_DETECTORS,
+        alert_file="",
+    )
+    with caplog.at_level(logging.DEBUG, logger="camlpad"):
+        run_pipeline(config)
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("INFO", "analyzing bro_conn (160 records)"),
+        ("INFO", "analyzing bro_dns (160 records)"),
+        ("INFO", "analyzing meraki (160 records)"),
+        ("INFO", "analyzing snort (160 records)"),
+        ("INFO", "analyzing yaf (140 records)"),
+        ("WARNING", "yaf: history day 2021-03-02 holds 20 records, at most half the median day's 40"),
+        ("INFO", "conform_columns dropped columns not in reference: ['extra']"),
+        ("INFO", "encode extended dictionary with unseen categories: direction+1"),
+        ("WARNING", "alert fired: combined window 2021-03-04: gauge 0.202851 at percentile 100.0 passed threshold 75"),
+    ]
+    assert {r.name for r in caplog.records} == {"camlpad.pipeline"}
 
 
 def test_synth_and_run_build_no_record_per_row(tmp_path, monkeypatch):
