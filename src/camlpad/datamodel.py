@@ -288,17 +288,13 @@ def _column(n: int, parts: list[tuple[np.ndarray, list]]) -> Column:
 def canonical_order(timestamps: np.ndarray, record_ids: Sequence[str]) -> np.ndarray:
     """Row indices in ascending (timestamp, record_id) order; rows tying on both keep their order.
 
-    When the times never descend, as in a day file or a search reply, only each run of tied times is sorted.
+    A stable sort by time, then a stable sort by id within each run of tied times, whether or not times ascend.
     """
-    steps = np.diff(timestamps)
-    if (steps < 0).any():
-        by_id = np.array(sorted(range(len(record_ids)), key=record_ids.__getitem__), dtype=np.intp)
-        return by_id[np.argsort(timestamps[by_id], kind="stable")]
-    order = np.arange(len(record_ids), dtype=np.intp)
-    edges = np.concatenate(([0], np.flatnonzero(steps) + 1, [len(order)]))  # where each time's rows start, then the end
+    order = np.argsort(timestamps, kind="stable")
+    edges = np.concatenate(([0], np.flatnonzero(np.diff(timestamps[order])) + 1, [len(order)]))  # each time's start
     tied = np.flatnonzero(np.diff(edges) > 1)
     for start, stop in zip(edges[tied].tolist(), edges[tied + 1].tolist()):
-        order[start:stop] = sorted(range(start, stop), key=record_ids.__getitem__)
+        order[start:stop] = sorted(order[start:stop].tolist(), key=record_ids.__getitem__)
     return order
 
 

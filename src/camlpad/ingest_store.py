@@ -206,22 +206,27 @@ def _opener() -> urllib.request.OpenerDirector:
 
 
 def redact_url(url: str) -> str:
-    """``url`` cut at its first ``?`` or ``#``, each ``[^/]*@`` run deleted, and each space or control escaped.
+    """``url`` cut at its first ``?`` or ``#``, and each space or control escaped.
 
-    It parses nothing, so no malformed URL makes it show a user:password@,
-    query or fragment. An ``@`` in a path takes the text before it in that
-    segment along: that hides more than it must, but never a secret.
+    Of a URL holding an ``@`` it keeps the leading scheme, if any, and the
+    text after the last ``@``, unless a ``?`` or ``#`` comes before that
+    ``@``. It parses nothing, so no malformed URL makes it show a query, a
+    fragment or any of a user:password@, whose password may hold a raw ``/``, ``?`` or ``#``.
     """
-    return re.sub("[^/]*@", "", re.split("[?#]", url, maxsplit=1)[0]).translate(_ESCAPES)
+    head, at, tail = url.rpartition("@")
+    if at:
+        url = re.match("(?:[A-Za-z][A-Za-z0-9+.-]*://)?", url)[0] + ("" if re.search("[?#]", head) else tail)
+    return re.split("[?#]", url, maxsplit=1)[0].translate(_ESCAPES)
 
 
 def url_refusal(url: str) -> str | None:
     """Why ``post_json`` refuses ``url`` without sending, or None.
 
-    It must hold no space or control character, be http(s), parse, name
-    its port (if any) as a number in range, hold no non-ASCII character in
-    its path or query (http.client writes the request line as ASCII), carry
-    no user:password@, and name a host. The characters come first: a leading
+    It must hold no space or control character, be http(s), hold no ``@``
+    (a parse takes a raw ``/``, ``?`` or ``#`` in a password for the end of
+    the host), parse, name its port (if any) as a number in range, hold no
+    non-ASCII character in its path or query (http.client writes the request
+    line as ASCII), and name a host. The characters come first: a leading
     one would otherwise be refused for the scheme behind it.
     """
     unsendable = re.search(f"[{_SPACE_OR_CONTROL}]", url)
@@ -229,6 +234,8 @@ def url_refusal(url: str) -> str | None:
         return f"a URL cannot hold {unsendable.group()!r}, a space or control character"
     if not url.lower().startswith(_HTTP_SCHEMES):
         return "only http:// and https:// URLs are supported"
+    if "@" in url:
+        return "user:password@ in a URL is not supported, and any other @ must be written %40"
     try:
         parts = urllib.parse.urlsplit(url)
         parts.port  # raises for a port that is not a number in range
@@ -237,8 +244,6 @@ def url_refusal(url: str) -> str | None:
     foreign = re.search("[^\x00-\x7f]", parts.path + parts.query)
     if foreign:
         return f"a URL cannot hold {foreign.group()!r}, a non-ASCII character, in its path or query"
-    if "@" in parts.netloc:  # urllib would take user:password for part of the host name
-        return "user:password@ in a URL is not supported"
     if not parts.hostname:
         return "the URL names no host"
     return None

@@ -252,7 +252,7 @@ def fetch_batches(
     discriminator = config.bro_discriminator
     halves = split_bro_by_protocol(batch, discriminator)
     if halves.dropped:
-        logger.info("split_bro_by_protocol dropped %d records with unknown %r", halves.dropped, discriminator)
+        logger.info("%s: dropped %d records with unknown %r", name, halves.dropped, discriminator)
     by_source = {DataSourceKind.BRO_DNS: halves.dns, DataSourceKind.BRO_CONN: halves.conn}
     return {source: by_source[source] for source in sources}
 
@@ -316,11 +316,11 @@ def run_pipeline(config: PipelineConfig, boundary_override: str | None = None) -
                 exc.args = (f"{source.value}: {exc}",)
                 raise
             del split  # not held through the next fetch
-            if analysis.dropped_columns:
-                logger.info("conform_columns dropped columns not in reference: %s", analysis.dropped_columns)
+            if dropped := analysis.dropped_columns:
+                logger.info("%s: dropped current-window fields the model lacks: %s", source.value, dropped)
             drift = [f"{name}+{count}" for name, count in sorted(analysis.unseen_categories.items()) if count]
             if drift:
-                logger.info("encode extended dictionary with unseen categories: %s", ", ".join(drift))
+                logger.info("%s: current-window categories unseen in history: %s", source.value, ", ".join(drift))
 
     verdicts = ensemble.cross_source_vote(
         {source: (a.timestamps, a.ensemble_labels.labels) for source, a in analyses.items()},

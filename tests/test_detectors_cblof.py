@@ -10,6 +10,7 @@ from camlpad.detectors import (
     fit_kmeans,
     large_cluster_flags,
     score_cblof,
+    score_cblof_rows,
 )
 from camlpad.detectors.kmeans import _lloyd, _seed_centroids, assign_clusters, squared_distances
 from camlpad.errors import CamlpadError
@@ -224,3 +225,8 @@ class TestCblofScores:
         with pytest.raises(CamlpadError, match=r"^k-means needs >= k=4 rows, got 2$"):
             fit_cblof(np.array([[0.0], [1.0]]), k=4)
 
+    def test_identical_rows_seed_uniformly_and_score_the_same_on_every_fit(self):
+        X = np.full((20, 3), 1.5)  # after the first centroid every row lies at distance 0: k-means++ seeds uniformly
+        scores = [score_cblof_rows(fit_cblof(X, k=4, seed=7), X) for _ in range(2)]
+        assert np.isfinite(scores[0]).all()
+        assert np.array_equal(*scores)

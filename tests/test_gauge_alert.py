@@ -186,6 +186,15 @@ class TestEmitAlert:
             "fired_at": 1234,
         }
 
+    def test_a_file_sink_that_cannot_be_written_is_a_failed_sink(self, tmp_path):
+        (tmp_path / "blocker").write_text("a file where the sink's directory would be")
+        path = tmp_path / "blocker" / "alerts.jsonl"
+        event = self._event()
+        with pytest.raises(CamlpadError, match=r"^no alert sink succeeded: \[Errno 17\] File exists: "):
+            emit_alert(event, file_path=path)
+        [outcome] = event.delivery
+        assert (outcome.sink, outcome.ok) == (f"file:{path}", False)
+
     def test_webhook_failure_retries_three_times_with_backoff(self, stub_server):
         url, state = stub_server
         sleeps = []
@@ -380,6 +389,11 @@ class TestReindexGauge:
         reindex_gauge(store, second)
         path = tmp_path / "gauges" / "2021-03-08.jsonl"
         assert path.read_bytes() == gauge_json_bytes(first) + gauge_json_bytes(second)
+
+    def test_directory_store_that_cannot_be_written_is_unreachable(self, tmp_path):
+        (tmp_path / "gauges").write_text("a file where the gauges index would be")
+        with pytest.raises(StoreUnreachable, match=re.escape(f"cannot write gauge to {tmp_path / 'gauges'}: ")):
+            reindex_gauge(DirectoryStore(tmp_path), reading())
 
     def test_http_store_posts_the_gauge_document(self, stub_server):
         url, state = stub_server

@@ -544,23 +544,26 @@ class TestHttpStore:
         st.sampled_from(["://", ":/", "//", ":"]),
         st.sampled_from(["hooks.example", "127.0.0.1:9200", ""]),
         st.sampled_from(["", "/", "/x", "/a@b/c", "/@", "/x/y@z"]),
+        st.sampled_from(["", "/", "?", "#", "//", "/?", "#/"]),  # raw in a password, where RFC 3986 allows none
         st.permutations([("?", "QTOKEN"), ("#", "FTOKEN")]),
         st.lists(st.tuples(st.integers(0, 99), st.sampled_from(SPACE_OR_CONTROL)), max_size=4),
     )
     def test_a_shown_url_holds_no_secret_and_no_raw_control_however_malformed(
-        self, scheme, separator, host, path, query_and_fragment, controls
+        self, scheme, separator, host, path, in_password, query_and_fragment, controls
     ):
-        # the three tokens are single pieces, so a control character lands anywhere but inside one
-        pieces = [*scheme, *separator, *"alice:", "SECRET", "@", *host, *path]
+        # the four tokens are single pieces, so a control character lands anywhere but inside one
+        pieces = [*scheme, *separator, *"alice:", "PASS", *in_password, "WORD", "@", *host, *path]
         for mark, token in query_and_fragment:
             pieces += [mark, token]
         for at, control in controls:
             pieces.insert(at % (len(pieces) + 1), control)
         shown = redact_url("".join(pieces))
-        assert [token for token in ("SECRET", "QTOKEN", "FTOKEN") if token in shown] == []
+        assert [token for token in ("PASS", "WORD", "QTOKEN", "FTOKEN") if token in shown] == []
         assert set(shown).isdisjoint(SPACE_OR_CONTROL)
 
-    @pytest.mark.parametrize("body", [b"[]", b'{"hits": 5}', b'{"hits": [1]}', b'{"hits": [{"_source": 3}]}'])
+    @pytest.mark.parametrize(
+        "body", [b"not json", b"[]", b'{"hits": 5}', b'{"hits": [1]}', b'{"hits": [{"_source": 3}]}']
+    )
     def test_bad_response_body_is_a_page_failure(self, stub_server, body):
         url, state = stub_server
         state.raw_replies["flows/_search"] = body

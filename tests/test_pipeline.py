@@ -158,7 +158,7 @@ class TestFetchBatches:
         with caplog.at_level(logging.DEBUG, logger="camlpad"):
             batches = fetch_batches(config, DAY_MS, *config.index_plan()[0])
         assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
-            ("camlpad.pipeline", logging.INFO, "split_bro_by_protocol dropped 2 records with unknown 'log_type'")
+            ("camlpad.pipeline", logging.INFO, "bro index bro: dropped 2 records with unknown 'log_type'")
         ]
         assert [len(batches[source]) for source in sources] == [1, 1]
 
@@ -261,8 +261,8 @@ def test_a_run_logs_every_finding_about_its_sources_from_the_pipeline_in_plan_or
         ("INFO", "analyzing snort (160 records)"),
         ("INFO", "analyzing yaf (140 records)"),
         ("WARNING", "yaf: history day 2021-03-02 holds 20 records, at most half the median day's 40"),
-        ("INFO", "conform_columns dropped columns not in reference: ['extra']"),
-        ("INFO", "encode extended dictionary with unseen categories: direction+1"),
+        ("INFO", "yaf: dropped current-window fields the model lacks: ['extra']"),
+        ("INFO", "yaf: current-window categories unseen in history: direction+1"),
         ("WARNING", "alert fired: combined window 2021-03-04: gauge 0.202851 at percentile 100.0 passed threshold 75"),
     ]
     assert {r.name for r in caplog.records} == {"camlpad.pipeline"}
