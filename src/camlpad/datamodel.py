@@ -40,8 +40,9 @@ class DataSourceKind(str, Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "DataSourceKind":
+        name = name.strip()
         try:
-            return cls(name.strip().lower())
+            return cls(name.lower())
         except ValueError:
             raise CamlpadError(f"unknown data source kind: {name!r}") from None
 
@@ -195,26 +196,25 @@ def field_value(raw: object) -> float | str | None:
 
 
 class BatchBuilder:
-    """Rows added one at a time, each kept whole with the rows of its key layout until ``batch()``.
+    """Rows added one at a time, each kept whole with the rows of its shape until ``batch()``.
 
-    A row maps keys to raw values, as a decoded document does; its ``left_out``
-    keys (a store's time field and ``_id``) are no field. Its shape, its other
-    keys in order, is kept as an index into a table of the distinct shapes, so
-    that absent and null cells stay apart. ``batch()`` makes each field's
-    column once, each value held as its ``field_value`` cell: a finite float, a
-    non-empty str or None. An all-float column is one array, an all-non-empty-str
-    column is coded in one pass, and any other is made cell by cell. Each field
-    has one category table, in the order the rows were added. A builder makes
-    one batch: ``batch()`` releases the values, and a later ``add`` or ``batch`` raises.
+    A row maps field names to raw values, as a decoded document does with its
+    time and id taken out. Its shape, its keys in order, is kept as an index into
+    a table of the distinct shapes, so that absent and null cells stay apart.
+    ``batch()`` makes each field's column once, each value held as its
+    ``field_value`` cell: a finite float, a non-empty str or None. An all-float
+    column is one array, an all-non-empty-str column is coded in one pass, and
+    any other is made cell by cell. Each field has one category table, in the
+    order the rows were added. A builder makes one batch: ``batch()`` releases
+    the values, and a later ``add`` or ``batch`` raises.
     """
 
-    def __init__(self, source: DataSourceKind, left_out: tuple[str, ...] = ()):
+    def __init__(self, source: DataSourceKind):
         self.source = source
-        self.left_out = left_out
         self.record_ids: list[str] = []
         self._timestamps = array("q")
-        self._row_layouts = array("i")
-        self._layouts: dict[tuple[str, ...], tuple[int, list]] = {}  # layout -> (its index, its rows' values, flat)
+        self._row_shapes = array("i")
+        self._shapes: dict[tuple[str, ...], tuple[int, list]] = {}  # shape -> (its index, its rows' values, flat)
         self._open = True
 
     def __len__(self) -> int:
@@ -222,16 +222,16 @@ class BatchBuilder:
 
     def add(self, timestamp: int, record_id: str, row: Mapping[str, object]) -> None:
         """Append a row whose time and id have met every ``SensorRecord`` rule."""
-        layout = tuple(row)
-        index, values = self._layouts.get(layout) or self._new_layout(layout)
+        shape = tuple(row)
+        index, values = self._shapes.get(shape) or self._new_shape(shape)
         values += row.values()
         self._timestamps.append(timestamp)
         self.record_ids.append(record_id)
-        self._row_layouts.append(index)
+        self._row_shapes.append(index)
 
-    def _new_layout(self, layout: tuple[str, ...]) -> tuple[int, list]:
+    def _new_shape(self, shape: tuple[str, ...]) -> tuple[int, list]:
         self._check_open()
-        self._layouts[layout] = entry = (len(self._layouts), [])
+        self._shapes[shape] = entry = (len(self._shapes), [])
         return entry
 
     def _check_open(self) -> None:
@@ -239,28 +239,24 @@ class BatchBuilder:
             raise ValueError("this BatchBuilder has made its batch; a builder makes one batch")
 
     def batch(self) -> RecordBatch:
-        """The rows added so far, in the order they were added; each layout's values are taken apart, then released."""
+        """The rows added so far, in the order they were added; each shape's values are taken apart, then released."""
         self._check_open()
         self._open = False
-        row_layouts = np.frombuffer(self._row_layouts, dtype=np.int32)
-        shapes: dict[tuple[str, ...], int] = {}
-        layout_shapes = []
-        parts: dict[str, list] = {}  # field -> (rows, values) of each layout holding it, fields first-seen
-        for layout in list(self._layouts):
-            index, values = self._layouts.pop(layout)
-            kept = [(at, name) for at, name in enumerate(layout) if name not in self.left_out]
-            layout_shapes.append(shapes.setdefault(tuple(name for _, name in kept), len(shapes)))
-            rows = np.flatnonzero(row_layouts == index)
-            for at, name in kept:
-                parts.setdefault(name, []).append((rows, values[at :: len(layout)]))
+        row_shapes = np.frombuffer(self._row_shapes, dtype=np.int32)
+        shapes = tuple(self._shapes)
+        parts: dict[str, list] = {}  # field -> (rows, values) of each shape holding it, fields first-seen
+        for shape in shapes:
+            index, values = self._shapes.pop(shape)
+            rows = np.flatnonzero(row_shapes == index)
+            for at, name in enumerate(shape):
+                parts.setdefault(name, []).append((rows, values[at :: len(shape)]))
         columns = {name: _column(len(self), field_parts) for name, field_parts in parts.items()}
-        row_shapes = np.array(layout_shapes, dtype=np.int32)[row_layouts]
         timestamps = np.frombuffer(self._timestamps, dtype=np.int64)
-        return RecordBatch(self.source, timestamps, tuple(self.record_ids), columns, tuple(shapes), row_shapes)
+        return RecordBatch(self.source, timestamps, tuple(self.record_ids), columns, shapes, row_shapes)
 
 
 def _column(n: int, parts: list[tuple[np.ndarray, list]]) -> Column:
-    """A field's column over ``n`` rows from the (rows, values) of each layout holding it."""
+    """A field's column over ``n`` rows from the (rows, values) of each shape holding it."""
     if len(parts) == 1 and len(parts[0][0]) == n:
         values = parts[0][1]
     else:  # a row without the field holds None, missing like a null cell

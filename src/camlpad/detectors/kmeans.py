@@ -115,7 +115,7 @@ def _lloyd(
     max_iterations: int,
     tolerance: float,
 ) -> tuple[np.ndarray, int]:
-    """Iterate assignment/update; returns (centroids, iterations)."""
+    """Iterate assignment/update until no centroid moves more than ``tolerance``; returns (centroids, iterations)."""
     k = centroids.shape[0]
     centred = _centre(X)
     # contiguous columns spare bincount a strided copy of each one per iteration
@@ -136,7 +136,7 @@ def _lloyd(
                 own[farthest] = -np.inf
         shift = np.sqrt(((updated - centroids) ** 2).sum(axis=1)).max()
         centroids = updated
-        if shift <= tolerance and empties.size == 0:
+        if shift <= tolerance:
             break
     return centroids, iterations
 

@@ -6,11 +6,11 @@ Two store backends speak the same contract: a directory of ``.jsonl`` files
 
 A JSONL line holding one object is decoded once at C level
 (``_read_jsonl``); its time, window, id and the ``max_records`` cap are
-checked in line order (``_Rows.add_document``), and the document's values
-are added whole to a ``BatchBuilder``, which makes each key layout's cells
-and columns once, when the batch is made. The document itself does not
-outlive its line. A row's source is its batch's, so the BRO split takes the
-rows it read into the dns and conn batches as they are.
+checked in line order (``_Rows.add_document``), which takes the time field
+and ``_id`` out and adds the rest whole to a ``BatchBuilder``; it makes each
+row shape's cells and columns once, when the batch is made. The document
+itself does not outlive its line. A row's source is its batch's, so the BRO
+split takes the rows it read into the dns and conn batches as they are.
 """
 
 from __future__ import annotations
@@ -393,21 +393,21 @@ class _Rows(BatchBuilder):
     """The rows of one query: each document timed inside its window, as columns, at most ``max_records`` of them."""
 
     def __init__(self, source: DataSourceKind, time_field: str, query: StoreQuery):
-        super().__init__(source, left_out=(time_field, "_id"))
+        super().__init__(source)
         self.time_field = time_field
         self.query = query
 
     def add_document(self, doc: dict, store_id: object, line_number: int) -> None:
-        """Add the document whole under its store or derived id, unless it is timed outside the window.
+        """Add the document's fields under its store or derived id, unless it is timed outside the window.
 
+        Its time field and ``_id`` are taken out first; what is left are its fields.
         Time and id are checked here, line by line; the cells are made with the
         batch, except for ``derive_record_id``. The first row past the query's
         ``max_records`` raises TooManyRecords, whichever backend it came from.
         """
         time_field, query = self.time_field, self.query
-        if time_field not in doc:
-            raise MalformedLine(line_number, f"time field {time_field!r} absent or unparseable")
-        raw_time = doc[time_field]
+        raw_time = doc.pop(time_field, None)
+        doc.pop("_id", None)
         timestamp = raw_time if type(raw_time) is int else to_epoch_ms(raw_time)
         if timestamp is None:
             raise MalformedLine(line_number, f"time field {time_field!r} absent or unparseable")
@@ -416,7 +416,7 @@ class _Rows(BatchBuilder):
         if not query.time_from <= timestamp < query.time_to:
             return
         record_id = str(store_id) if store_id is not None else derive_record_id(
-            self.source, timestamp, {name: field_value(raw) for name, raw in doc.items() if name not in self.left_out}
+            self.source, timestamp, {name: field_value(raw) for name, raw in doc.items()}
         )
         if not record_id:
             raise MalformedLine(line_number, "record_id must be non-empty")

@@ -252,6 +252,8 @@ class TestConfigParsing:
             (["run.history_days = 20000"],
              "run.history_days = 20000 starts the history before 1970-01-01, where store time begins; "
              "the boundary allows at most 18689"),
+            (["run.sources = yaf, foo"], "unknown data source kind: 'foo'"),
+            (["sources.foo.index = yaf"], "unknown data source kind: 'foo'"),
         ],
         ids=[
             "webhook_not_http", "webhook_with_credentials", "webhook_password_with_raw_query_mark",
@@ -260,7 +262,7 @@ class TestConfigParsing:
             "store_url_with_query_or_fragment", "empty_index", "index_shared_by_two_sources",
             "index_shared_with_bro_index", "bro_sources_sharing_an_index_without_bro_index", "store_kind_unknown",
             "http_store_without_url", "line_without_equals", "integer_not_an_integer", "number_not_a_number",
-            "contamination_outside_0_1", "history_before_1970",
+            "contamination_outside_0_1", "history_before_1970", "unknown_run_source", "unknown_index_source",
         ],
     )
     def test_a_value_the_run_can_never_use_fails_run_and_dry_run(self, tmp_path, capsys, extra, message):
@@ -772,3 +774,10 @@ class TestEvaluateCommand:
             f"error: truth directory not found: {truth}" if missing == "truth_directory"
             else f"error: no label files found under {labels}"
         ]
+
+    def test_a_label_file_of_no_source_exits_one_naming_it(self, small_run, tmp_path, capsys):
+        _, store, out, _ = small_run
+        shutil.copytree(out, tmp_path / "run")
+        (tmp_path / "run" / "labels" / "notes.jsonl").write_text("")
+        assert main(["evaluate", "--run", str(tmp_path / "run"), "--truth", str(store / "truth")]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: unknown data source kind: 'notes'"]

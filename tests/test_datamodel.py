@@ -105,6 +105,10 @@ class TestRecordIdentity:
         with pytest.raises(ValueError):
             SensorRecord(timestamp=-1, fields={}, record_id="r")
 
+    def test_timestamp_past_int64_rejected(self):
+        with pytest.raises(ValueError, match=rf"^timestamp must be < 2\*\*63, got {2**63}$"):
+            SensorRecord(timestamp=2**63, fields={}, record_id="r")
+
 
 @st.composite
 def record_lists(draw):

@@ -91,7 +91,7 @@ def reference_lloyd(X, centroids, max_iterations, tolerance):
             own[farthest] = -np.inf
         shift = np.sqrt(((updated - centroids) ** 2).sum(axis=1)).max()
         centroids = updated
-        if shift <= tolerance and not empties:
+        if shift <= tolerance:
             break
     return centroids, iterations
 
@@ -230,3 +230,14 @@ class TestCblofScores:
         scores = [score_cblof_rows(fit_cblof(X, k=4, seed=7), X) for _ in range(2)]
         assert np.isfinite(scores[0]).all()
         assert np.array_equal(*scores)
+
+    @pytest.mark.parametrize(
+        "X",
+        [np.zeros((20, 3)), np.repeat([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]], 10, axis=0)],
+        ids=["one_point", "two_points"],
+    )
+    def test_fewer_distinct_rows_than_k_stop_at_the_fixed_point(self, X):
+        # each empty cluster is reseeded onto a point that already holds a centroid, so nothing moves after that
+        models = [fit_cblof(X, k=4, seed=7) for _ in range(2)]
+        assert models[0].kmeans.iterations <= 2
+        assert np.array_equal(score_cblof_rows(models[0], X), score_cblof_rows(models[1], X))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -160,6 +161,22 @@ def test_fitting_rejects_infinite_cells(fit, cell):
     X[7, 1] = cell
     with pytest.raises(ValueError, match="infinite values"):
         fit(X)
+
+
+@pytest.mark.parametrize(
+    "fit, data, message",
+    [
+        (fit_hbos, np.zeros(3), "expected a 2-D matrix, got shape (3,)"),
+        (fit_hbos, np.zeros((0, 2)), "hbos needs at least one row"),
+        (lambda X: fit_iforest(X, trees=0), np.zeros((4, 2)), "trees must be >= 1 and subsample >= 2"),
+        (lambda X: fit_iforest(X, subsample=1), np.zeros((4, 2)), "trees must be >= 1 and subsample >= 2"),
+        (fit_pca, np.zeros((4, 0)), "pca needs at least one column"),
+    ],
+    ids=["not_2d", "hbos_no_rows", "iforest_no_trees", "iforest_subsample_1", "pca_no_columns"],
+)
+def test_fitting_outside_the_contract_is_refused(fit, data, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fit(data)
 
 
 class TestTreeStructure:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -77,6 +78,28 @@ class TestBinarize:
             binarize(np.array([1.0]), contamination=0.0)
         with pytest.raises(ValueError):
             binarize(np.array([1.0]), contamination=1.0)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: LabelVector(row_ids=["a", "b"], labels=[1]), ValueError, "labels misaligned with row_ids"),
+        (lambda: LabelVector(row_ids=["a"], labels=[2]), ValueError, "labels must be 0 or 1"),
+        (lambda: binarize(np.array([]), 0.1), ValueError, "cannot binarize an empty score vector"),
+        (lambda: binarize(np.array([1.0, 2.0]), 0.1, row_ids=["a"]), CamlpadError, "1 row_ids for 2 scores"),
+        (lambda: cross_source_vote({}), ValueError, "cross_source_vote needs at least one source"),
+        (
+            lambda: labels_to_jsonl(LabelVector(["a"], [1]), {"hbos": LabelVector(["b"], [1])}),
+            CamlpadError,
+            "detector hbos labels misaligned with ensemble labels",
+        ),
+    ],
+    ids=["labels_misaligned", "labels_not_binary", "binarize_empty", "binarize_row_ids", "vote_no_source",
+         "jsonl_misaligned"],
+)
+def test_an_argument_outside_the_contract_is_refused(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestVote:

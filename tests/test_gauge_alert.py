@@ -131,6 +131,19 @@ class TestAlertDecision:
         with pytest.raises(TypeError):
             reading(percentile=None)
 
+    @pytest.mark.parametrize(
+        "score, percentile, message",
+        [
+            (1.5, 90.0, "gauge score must be in [0,1], got 1.5"),
+            (-0.1, 90.0, "gauge score must be in [0,1], got -0.1"),
+            (0.5, 100.5, "history_percentile must be in [0,100], got 100.5"),
+            (0.5, -1.0, "history_percentile must be in [0,100], got -1.0"),
+        ],
+    )
+    def test_a_reading_out_of_range_is_refused(self, score, percentile, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            reading(score=score, percentile=percentile)
+
     def test_exact_threshold_does_not_fire(self):
         assert alert_decision(reading(percentile=75.0)) is False
 

@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import random
+import re
 import socket
 import tempfile
 import tracemalloc
@@ -217,6 +218,18 @@ class TestDirectoryStore:
     def test_invalid_range_rejected(self):
         with pytest.raises(ValueError):
             StoreQuery(index="flows", time_from=5, time_to=5)
+
+    @pytest.mark.parametrize(
+        "page_size, max_records, message",
+        [
+            (0, 10, "page_size and max_records must be positive"),
+            (10, 0, "page_size and max_records must be positive"),
+            (11, 10, "page_size must be <= max_records"),
+        ],
+    )
+    def test_paging_limits_outside_their_range_are_refused(self, page_size, max_records, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            StoreQuery(index="flows", time_from=0, time_to=5, page_size=page_size, max_records=max_records)
 
     def test_missing_index(self, tmp_path):
         with pytest.raises(CamlpadError, match=r"^index not found: nope$"):

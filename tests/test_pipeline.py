@@ -231,6 +231,14 @@ class TestSourceErrors:
         with pytest.raises(CamlpadError, match=r"^yaf: isolation forest needs >= 2 rows, got 1$"):
             run_pipeline(config)
 
+    def test_a_config_with_no_source_is_refused_before_any_read(self, tmp_path):
+        config = PipelineConfig(
+            store_root=tmp_path / "store", output_dir=tmp_path / "out", sources=[], boundary="2021-03-03"
+        )
+        with pytest.raises(CamlpadError, match=r"^no sources configured$"):
+            run_pipeline(config)
+        assert not (tmp_path / "out").exists()
+
 
 def test_a_run_logs_every_finding_about_its_sources_from_the_pipeline_in_plan_order(tmp_path, caplog):
     synth_config = SynthConfig(seed=1, days_history=3, records_per_source_per_day=40)

@@ -1,5 +1,6 @@
 import copy
 import random
+import re
 import statistics
 
 import numpy as np
@@ -157,6 +158,20 @@ def _per_cell_standardized(values, stats):
     ])
 
 
+@pytest.mark.parametrize(
+    "values, names, rows, message",
+    [
+        (np.zeros(2), ["a"], ["r0", "r1"], "values must be 2-D, got shape (2,)"),
+        (np.zeros((2, 1)), ["a"], ["r0"], "2 rows but 1 row_ids"),
+        (np.zeros((2, 1)), ["a", "b"], ["r0", "r1"], "1 columns but 2 names / 1 kinds"),
+    ],
+    ids=["not_2d", "row_ids", "names"],
+)
+def test_a_feature_matrix_of_the_wrong_shape_is_refused(values, names, rows, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FeatureMatrix(values=values, column_names=names, column_kinds=[ColumnKind.NUMERIC], row_ids=rows)
+
+
 class TestStandardize:
     def _matrix(self, values, kinds=None):
         values = np.asarray(values, dtype=float)
@@ -167,6 +182,18 @@ class TestStandardize:
             column_kinds=kinds,
             row_ids=[f"r{i}" for i in range(values.shape[0])],
         )
+
+    @pytest.mark.parametrize(
+        "values, stats, message",
+        [
+            ([[1.0], [np.nan]], None, "standardize requires a fully imputed matrix"),
+            ([[1.0], [2.0]], np.zeros((2, 3)), "stats of shape (2, 3) for 1 columns"),
+        ],
+        ids=["missing_cell", "stats_shape"],
+    )
+    def test_a_matrix_or_stats_it_cannot_use_is_refused(self, values, stats, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            standardize(self._matrix(values), stats)
 
     def test_population_stddev_example(self):
         mean = statistics.mean([1, 2, 3])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from camlpad import cli
 from camlpad.datamodel import DataSourceKind
+from camlpad.errors import CamlpadError
 from camlpad.ingest_store import DirectoryStore, StoreQuery, query_store
 from camlpad.synth import BASE_EPOCH_MS, DAY_MS, HOUR_MS, SynthConfig, generate, write_store
 
@@ -70,6 +71,10 @@ def reference_bucket_truth(result):
 
 
 class TestGenerate:
+    def test_an_unknown_style_is_refused_naming_its_flag(self):
+        with pytest.raises(CamlpadError, match=r"^--style must be one of \('shift', 'scatter'\), got 'wave'$"):
+            SynthConfig(anomaly_style="wave")
+
     def test_zero_contamination_gives_all_inlier_labels(self):
         result = generate(SynthConfig(seed=3, days_history=1, records_per_source_per_day=40, contamination=0.0))
         for labels in result.truth.values():
